@@ -24,7 +24,7 @@ from .controller import (
     range_heuristic_policy,
     select_argmax,
 )
-from .cost import CostReport, bitops, cost_report, cycle_estimate, transition_cost
+from .cost import CostReport, bitops, cost_report, cycle_estimate, transition_elements
 from .intops import (
     AccumulatorOverflowError,
     AccumulatorPolicy,
@@ -109,5 +109,5 @@ __all__ = [
     "shift_down",
     "shift_error",
     "standard_mac_dot",
-    "transition_cost",
+    "transition_elements",
 ]

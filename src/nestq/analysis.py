@@ -71,24 +71,15 @@ def shift_error(q_n: int, n: int, b: int) -> Fraction:
     return exact - round_half_away_int(exact)
 
 
-def _exact_ratios(c: IntOpConstants) -> tuple[Fraction, ...]:
-    return c.exact
-
-
 def exact_add_value(q1: int, q2: int, c: IntOpConstants) -> Fraction:
     """(x1 + x2 - m_y) / step_y with exact real-valued constants."""
-    r = _exact_ratios(c)
+    r = c.exact
     return r[0] * q1 + r[1] * q2 + r[2]
 
 
 def exact_mul_value(q1: int, q2: int, c: IntOpConstants) -> Fraction:
-    r = _exact_ratios(c)
+    r = c.exact
     return r[0] * q1 * q2 + r[1] * q1 + r[2] * q2 + r[3]
-
-
-def exact_dot_value(s1: int, s2: int, s3: int, c: IntOpConstants) -> Fraction:
-    r = _exact_ratios(c)
-    return r[0] * s1 + r[1] * s2 + r[2] * s3 + r[3]
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .layers import LayerSpec, ModelGraph
-from .quantize import NestedTensor, QuantParams, make_master_params, quantize
+from .quantize import NestedTensor, make_master_params, quantize
 
 DEFAULT_EMA_MOMENTUM = 0.9
 ALPHA_PERCENTILE = 99.9
@@ -55,9 +55,22 @@ def _widened(lo: float, hi: float) -> tuple[float, float, bool]:
     return lo - eps, hi + eps, True
 
 
-def _tensor_params(t: np.ndarray, n: int) -> tuple[QuantParams, bool]:
-    lo, hi, flagged = _widened(float(t.min()), float(t.max()))
-    return make_master_params(lo, hi, n), flagged
+def quantize_weights(layer: LayerSpec, n: int) -> bool:
+    """Fix a MAC layer's weight and bias grids from their min/max and quantize both.
+
+    Returns True if either range was degenerate and had to be widened.
+    """
+    flagged = False
+    for attr in ("weight", "bias"):
+        t = getattr(layer, attr)
+        if t is None:
+            continue
+        lo, hi, widened = _widened(float(t.min()), float(t.max()))
+        params = make_master_params(lo, hi, n)
+        setattr(layer, attr + "_params", params)
+        setattr(layer, attr + "_q", NestedTensor(data=quantize(t, params), params=params))
+        flagged |= widened
+    return flagged
 
 
 def float_layer(layer: LayerSpec, x: np.ndarray,
@@ -162,19 +175,8 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
     for i, layer in enumerate(model.layers):
         layer.input_params = prev_params
         if layer.has_weights:
-            layer.weight_params, wf = _tensor_params(layer.weight, n)
-            layer.range_flagged |= wf
-            layer.weight_q = NestedTensor(
-                data=quantize(layer.weight, layer.weight_params),
-                params=layer.weight_params,
-            )
+            layer.range_flagged |= quantize_weights(layer, n)
             if layer.bias is not None:
-                layer.bias_params, bf = _tensor_params(layer.bias, n)
-                layer.range_flagged |= bf
-                layer.bias_q = NestedTensor(
-                    data=quantize(layer.bias, layer.bias_params),
-                    params=layer.bias_params,
-                )
                 # The MAC result before the bias add lives on its own grid;
                 # the output range rarely contains it.
                 lo, hi, f = _widened(prebias_states[i].y_min, prebias_states[i].y_max)

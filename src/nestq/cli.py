@@ -21,7 +21,7 @@ import numpy as np
 from . import blobio
 from .analysis import empirical_verify
 from .blobio import ManifestError
-from .calibration import DEFAULT_EMA_MOMENTUM, _tensor_params, calibrate
+from .calibration import DEFAULT_EMA_MOMENTUM, calibrate, quantize_weights
 from .controller import (
     ControllerSpec,
     controller_forward,
@@ -31,7 +31,6 @@ from .controller import (
 from .cost import cost_report
 from .layers import BitPolicy, ShapeMismatchError, forward
 from .models import build_toy_cnn, build_toy_mlp, make_blob_dataset
-from .quantize import NestedTensor, quantize
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,18 +127,9 @@ def _build_toy(arch: str, n: int, seed: int):
 def cmd_quantize(args) -> int:
     seed = resolve_seed(args.seed, 7)
     model = _build_toy(args.arch, args.bits, seed)
-    n = model.master_bitwidth
     for layer in model.layers:
         if layer.has_weights:
-            layer.weight_params, _ = _tensor_params(layer.weight, n)
-            layer.weight_q = NestedTensor(
-                data=quantize(layer.weight, layer.weight_params),
-                params=layer.weight_params)
-            if layer.bias is not None:
-                layer.bias_params, _ = _tensor_params(layer.bias, n)
-                layer.bias_q = NestedTensor(
-                    data=quantize(layer.bias, layer.bias_params),
-                    params=layer.bias_params)
+            quantize_weights(layer, model.master_bitwidth)
     path = blobio.save_model(model, Path(args.out), provenance={
         "seed": seed, "command": f"quantize --arch {args.arch} --bits {args.bits}"})
     print(f"wrote {path}")
@@ -154,7 +144,9 @@ def cmd_calibrate(args) -> int:
             f"data samples shaped {data.shape[1:]}, model expects {model.input_shape}")
     batches = [data[i:i + args.batch_size] for i in range(0, len(data), args.batch_size)]
     calibrate(model, batches, momentum=args.momentum, passes=args.passes)
-    out = Path(args.out) if args.out else Path(args.model)
+    # --model names the model directory or its manifest; write back to that directory.
+    model_dir = Path(args.model) if Path(args.model).is_dir() else Path(args.model).parent
+    out = Path(args.out) if args.out else model_dir
     path = blobio.save_model(model, out, provenance={
         "command": f"calibrate --momentum {args.momentum} --passes {args.passes}"})
     print(f"wrote {path}")

@@ -3,8 +3,8 @@
 The controller emits one row of K logits per MAC layer. At inference the
 policy is the row-wise argmax (ties resolved toward the smaller bit-width);
 for training-time simulation a Gumbel-Softmax sample is provided. No training
-loop ships here: weights are loaded, seeded-random, or synthesized from a
-fixed policy or a range heuristic.
+loop ships here: weights are loaded or seeded-random, and a range heuristic
+gives a deterministic policy without any weights.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .layers import BitPolicy, ModelGraph
 
 DEFAULT_HIDDEN = 64
 DEFAULT_FEATURES = 16
-FIXED_POLICY_LOGIT = 1e6  # stand-in for +inf on the selected candidate
 
 
 @dataclass
@@ -32,7 +31,7 @@ class ControllerSpec:
     candidates: tuple[int, ...]
     feature_dim: int = DEFAULT_FEATURES
     hidden: int = DEFAULT_HIDDEN
-    source: str = "seeded-random"  # loaded | seeded-random | fixed-policy
+    source: str = "seeded-random"  # loaded | seeded-random
     seed: int | None = None
     w1: np.ndarray | None = None
     b1: np.ndarray | None = None
@@ -49,14 +48,6 @@ class ControllerSpec:
             self.w2 = rng.standard_normal((self.num_layers * k, self.hidden)) / np.sqrt(self.hidden)
             self.b2 = np.zeros(self.num_layers * k)
 
-    @classmethod
-    def fixed(cls, num_layers: int, candidates, bitwidth: int) -> "ControllerSpec":
-        """A controller whose logits always one-hot-encode one bit-width."""
-        spec = cls(num_layers=num_layers, candidates=tuple(candidates),
-                   source="fixed-policy", w1=np.empty(0))
-        spec._fixed_bit = bitwidth
-        return spec
-
 
 def pool_features(x: np.ndarray, feature_dim: int) -> np.ndarray:
     """Average the flattened input into feature_dim equal-ish segments."""
@@ -70,10 +61,6 @@ def pool_features(x: np.ndarray, feature_dim: int) -> np.ndarray:
 def controller_forward(spec: ControllerSpec, x: np.ndarray) -> np.ndarray:
     """Logits of shape (num_layers, K) for one input."""
     k = len(spec.candidates)
-    if spec.source == "fixed-policy":
-        logits = np.zeros((spec.num_layers, k))
-        logits[:, spec.candidates.index(spec._fixed_bit)] = FIXED_POLICY_LOGIT
-        return logits
     feats = pool_features(x, spec.feature_dim)
     hidden = np.maximum(spec.w1 @ feats + spec.b1, 0.0)
     logits = spec.w2 @ hidden + spec.b2

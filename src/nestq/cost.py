@@ -11,17 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .intops import MAC_PRIMITIVES, mac_loop
 from .layers import BitPolicy, ModelGraph
 
 STANDARD_PRIMITIVES_PER_ELEMENT = 7
 STANDARD_CYCLES_PER_ELEMENT = (20, 55)
 SHIFT_CYCLES_PER_ELEMENT = 1
-
-MAC_PRIMITIVES = {
-    "standard": {"mul": 1, "add": 3},
-    "dqt_general": {"mul": 3, "add": 2},
-    "dqt_pact": {"mul": 1, "add": 2},
-}
 
 
 @dataclass
@@ -63,17 +58,6 @@ def transition_elements(model: ModelGraph, policy: BitPolicy) -> int:
     return total
 
 
-def transition_cost(model: ModelGraph, policy: BitPolicy, mode: str) -> int:
-    """Transition operations for one inference under the given pipeline.
-
-    'dqt' counts one shift per element; 'standard' counts one dequant-requant
-    cycle per element (report its primitive expansion separately).
-    """
-    if mode not in ("dqt", "standard"):
-        raise ValueError(f"unknown transition mode {mode!r}")
-    return transition_elements(model, policy)
-
-
 def mac_primitive_counts(mode: str) -> dict[str, int]:
     """Per-element primitive ops of the inner MAC loop for each formulation."""
     if mode not in MAC_PRIMITIVES:
@@ -91,11 +75,13 @@ def cycle_estimate(report: CostReport) -> tuple[int, int]:
 
 
 def cost_report(model: ModelGraph, policy: BitPolicy, mode: str = "dqt") -> CostReport:
-    """Full cost accounting for one inference."""
-    e = transition_cost(model, policy, mode)
-    macs = [model.layers[i].mac_count() for i in model.policy_indices]
-    total_macs = sum(macs)
-    inner = mac_primitive_counts("dqt_pact")
+    """Full cost accounting for one inference; in-loop counts follow each layer's MAC loop."""
+    if mode not in ("dqt", "standard"):
+        raise ValueError(f"unknown transition mode {mode!r}")
+    e = transition_elements(model, policy)
+    layers = [model.layers[i] for i in model.policy_indices]
+    macs = [layer.mac_count() for layer in layers]
+    loops = [MAC_PRIMITIVES[mac_loop(layer.input_params)] for layer in layers]
     report = CostReport(
         bitops=bitops(model, policy),
         macs_per_layer=macs,
@@ -103,8 +89,8 @@ def cost_report(model: ModelGraph, policy: BitPolicy, mode: str = "dqt") -> Cost
         mode=mode,
         transition_shift_ops=e if mode == "dqt" else 0,
         transition_fp_primitives=STANDARD_PRIMITIVES_PER_ELEMENT * e if mode == "standard" else 0,
-        inloop_mults=inner["mul"] * total_macs,
-        inloop_adds=inner["add"] * total_macs,
+        inloop_mults=sum(loop["mul"] * m for loop, m in zip(loops, macs)),
+        inloop_adds=sum(loop["add"] * m for loop, m in zip(loops, macs)),
     )
     report.cycle_low, report.cycle_high = cycle_estimate(report)
     return report

@@ -1,4 +1,4 @@
-"""Integer-only add, multiply, and dot-product operators.
+"""Integer-only add, multiply, and dot-product constants and reference operators.
 
 Each operator replaces a float computation on dequantized values with a linear
 combination of the integer inputs weighted by precomputed constants k_i. The
@@ -6,6 +6,11 @@ constants are exact scale/offset ratios rounded to F fractional bits; F=0 gives
 literal rounded-integer constants, the default F=16 keeps small ratios from
 collapsing to zero. A final rounded right shift by F lands the result on the
 output grid.
+
+The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
+reference oracles for tests and error analysis. Layers do not call them per
+element: ``nestq.layers`` runs each layer as one integer array expression over
+the same constants, the same accumulator sizing and the same rounding.
 """
 
 from __future__ import annotations
@@ -19,9 +24,24 @@ from .quantize import QuantParams, round_half_away_int, rounding_right_shift
 
 DEFAULT_FRAC_BITS = 16
 
+# Per-element primitive ops of each inner MAC loop formulation. The factored
+# loop ("dqt_pact") applies when activations have zero offset.
+MAC_PRIMITIVES = {
+    "standard": {"mul": 1, "add": 3},
+    "dqt_general": {"mul": 3, "add": 2},
+    "dqt_pact": {"mul": 1, "add": 2},
+}
+# Per-output primitive ops of an integer add: k1*q1 + k2*q2 + k3.
+ADD_PRIMITIVES = {"mul": 2, "add": 2}
+
 
 class AccumulatorOverflowError(OverflowError):
-    """Dot-product accumulator would exceed the policy's working width."""
+    """An integer accumulator would exceed its working width or int64."""
+
+
+def mac_loop(input_grid: QuantParams | None) -> str:
+    """The MAC loop a layer runs: factored unless its input grid has an offset."""
+    return "dqt_general" if input_grid is not None and input_grid.offset != 0 else "dqt_pact"
 
 
 @dataclass
@@ -168,22 +188,28 @@ def _dot_sums(xq, wq) -> tuple[int, int, int]:
     return s1, int(xq.sum()), int(wq.sum())
 
 
+def rescale_shift(n: int, length: int, acc_policy: AccumulatorPolicy | None) -> int:
+    """Rescale shift of a length-N accumulator; raises if one is needed but rescale is off."""
+    if acc_policy is None or length <= 0:
+        return 0
+    need = accumulator_bits(n, length)
+    if need <= acc_policy.working_bits:
+        return 0
+    if not acc_policy.rescale:
+        raise AccumulatorOverflowError(
+            f"accumulator needs {need} bits, policy allows "
+            f"{acc_policy.working_bits} and rescale is disabled"
+        )
+    return need - acc_policy.working_bits
+
+
 def _apply_dot_constants(c: IntOpConstants, s1: int, s2: int, s3: int, n: int,
                          length: int, py: QuantParams,
                          acc_policy: AccumulatorPolicy | None) -> int:
-    rescale_shift = 0
-    if acc_policy is not None and length > 0:
-        need = accumulator_bits(n, length)
-        if need > acc_policy.working_bits:
-            if not acc_policy.rescale:
-                raise AccumulatorOverflowError(
-                    f"accumulator needs {need} bits, policy allows "
-                    f"{acc_policy.working_bits} and rescale is disabled"
-                )
-            rescale_shift = need - acc_policy.working_bits
-            s1 = rounding_right_shift(s1, rescale_shift)
+    shift = rescale_shift(n, length, acc_policy)
+    s1 = rounding_right_shift(s1, shift)
     # Fold the rescale back so the result stays on the declared output grid.
-    raw = (c.k[0] << rescale_shift) * s1 + c.k[1] * s2 + c.k[2] * s3 + c.k[3]
+    raw = (c.k[0] << shift) * s1 + c.k[1] * s2 + c.k[2] * s3 + c.k[3]
     return _clip_out(rounding_right_shift(raw, c.frac_bits), py)
 
 
@@ -209,14 +235,10 @@ def int_dot_pact(xq, wq, c: IntOpConstants, py: QuantParams,
         raise ValueError(f"constants have role {c.role!r}, need 'dot'")
     if c.exact[2] != 0:
         raise ValueError("int_dot_pact requires zero-offset activations (m_x = 0)")
-    xq = np.asarray(xq, dtype=np.int64)
-    wq = np.asarray(wq, dtype=np.int64)
-    if xq.shape != wq.shape or xq.ndim != 1:
-        raise ValueError(f"need equal-length vectors, got {xq.shape} and {wq.shape}")
-    n_elems = xq.size
-    s1 = int(np.dot(xq, wq))
-    s2 = int(xq.sum())
-    counters = OpCounters(mults=n_elems, adds=2 * n_elems)
+    s1, s2, _ = _dot_sums(xq, wq)
+    n_elems = np.size(xq)
+    loop = MAC_PRIMITIVES["dqt_pact"]
+    counters = OpCounters(mults=loop["mul"] * n_elems, adds=loop["add"] * n_elems)
     n = py.master_bitwidth
     result = _apply_dot_constants(c, s1, s2, 0, n, n_elems, py, acc_policy)
     return result, counters
@@ -234,4 +256,5 @@ def standard_mac_dot(xq, wq, zero_x: int, zero_w: int) -> tuple[int, OpCounters]
     if xq.shape != wq.shape or xq.ndim != 1:
         raise ValueError(f"need equal-length vectors, got {xq.shape} and {wq.shape}")
     acc = int(np.dot(xq - zero_x, wq - zero_w))
-    return acc, OpCounters(mults=xq.size, adds=3 * xq.size)
+    loop = MAC_PRIMITIVES["standard"]
+    return acc, OpCounters(mults=loop["mul"] * xq.size, adds=loop["add"] * xq.size)

@@ -11,29 +11,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .intops import (
+    ADD_PRIMITIVES,
+    AccumulatorOverflowError,
     AccumulatorPolicy,
     DEFAULT_FRAC_BITS,
+    MAC_PRIMITIVES,
     OpCounters,
     add_constants,
     dot_constants,
-    int_add,
-    int_dot,
-    int_dot_pact,
+    mac_loop,
+    rescale_shift,
 )
+# Not called here; perfbench/tracing.py patches these names on this module.
+from .intops import int_add, int_dot, int_dot_pact  # noqa: F401
 from .quantize import (
     NestedTensor,
     QuantParams,
     derive_params,
     dequantize,
     quantize,
+    rounding_right_shift,
     shift_down,
 )
 
 # Layer kinds that consume a policy bit-width (they move tensors below n).
 POLICY_KINDS = ("fc", "conv2d", "residual_add")
 LAYER_KINDS = POLICY_KINDS + ("relu_pact", "avgpool", "flatten")
+INT64_MAX = np.iinfo(np.int64).max
 
 
 class ShapeMismatchError(ValueError):
@@ -240,49 +247,44 @@ def pact_clamp(t: NestedTensor, alpha: float) -> NestedTensor:
     return NestedTensor(data=np.minimum(t.data, q_alpha), params=t.params)
 
 
-@dataclass
-class BatchNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    mean: np.ndarray
-    var: np.ndarray
-    eps: float = 1e-5
-
-
-def fold_batchnorm(conv: LayerSpec, bn: BatchNormParams) -> LayerSpec:
-    """Fold frozen batch-norm statistics into the preceding conv's float weights."""
-    denom_sq = bn.var + bn.eps
-    if np.any(denom_sq <= 0):
-        raise ValueError("non-positive variance + eps in batch-norm fold")
-    factor = bn.gamma / np.sqrt(denom_sq)
-    if conv.weight is None:
-        raise ValueError("fold_batchnorm needs float weights")
-    new_weight = conv.weight * factor.reshape(-1, *([1] * (conv.weight.ndim - 1)))
-    bias = conv.bias if conv.bias is not None else np.zeros(len(bn.mean))
-    new_bias = (bias - bn.mean) * factor + bn.beta
-    folded = LayerSpec(**{**conv.__dict__})
-    folded.weight = new_weight
-    folded.bias = new_bias
-    return folded
-
-
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
-            pad_value: int) -> tuple[np.ndarray, int, int]:
+            pad_value: int) -> np.ndarray:
     """Unfold (C, H, W) into rows of receptive fields, one per output pixel."""
-    c, h, w = x.shape
     if padding:
         x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)),
                    constant_values=pad_value)
-    oh = (h + 2 * padding - kernel) // stride + 1
-    ow = (w + 2 * padding - kernel) // stride + 1
-    cols = np.empty((oh * ow, c * kernel * kernel), dtype=np.int64)
-    idx = 0
-    for i in range(oh):
-        for j in range(ow):
-            patch = x[:, i * stride:i * stride + kernel, j * stride:j * stride + kernel]
-            cols[idx] = patch.reshape(-1)
-            idx += 1
-    return cols, oh, ow
+    windows = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+    return windows.transpose(1, 2, 0, 3, 4).reshape(windows.shape[1] * windows.shape[2], -1)
+
+
+def _linear_bound(k, magnitudes, frac_bits: int) -> int:
+    """Bound on |sum(k_i * v_i) + k_last| plus the rounding half, for |v_i| <= magnitudes_i."""
+    *ks, k_last = k
+    return (sum(abs(ki) * m for ki, m in zip(ks, magnitudes)) + abs(k_last)
+            + ((1 << frac_bits) >> 1))
+
+
+def _prove_int64(layer: LayerSpec, *bounds: int) -> None:
+    """Refuse to run a layer whose integer intermediates could leave int64."""
+    worst = max(bounds)
+    if worst > INT64_MAX:
+        raise AccumulatorOverflowError(
+            f"layer {layer.name!r}: intermediates may need {worst.bit_length() + 1} "
+            f"signed bits, beyond int64"
+        )
+
+
+def _round_shift(v: np.ndarray, s: int) -> np.ndarray:
+    """Array form of ``rounding_right_shift``: divide by 2^s, halves away from zero."""
+    if s == 0:
+        return v
+    mag = (np.abs(v) + (1 << (s - 1))) >> s
+    return np.where(v < 0, -mag, mag)
+
+
+def _requant(raw: np.ndarray, frac_bits: int, qmax: int) -> np.ndarray:
+    """Rounded right shift by F, clipped onto the output grid [0, qmax]."""
+    return np.clip(_round_shift(raw, frac_bits), 0, qmax)
 
 
 def _mac_layer_output(layer: LayerSpec, rows: np.ndarray, weights_b: np.ndarray,
@@ -292,30 +294,39 @@ def _mac_layer_output(layer: LayerSpec, rows: np.ndarray, weights_b: np.ndarray,
     """Dot every input row against every weight row, then add the bias.
 
     The dot lands on the layer's pre-bias grid; the bias add maps onto the
-    calibrated output grid, whose clipping realizes any following clamp.
+    calibrated output grid, whose clipping realizes any following clamp. With
+    zero-offset activations k3 is 0, so the factored and the general loop give
+    the same integer; they differ only in the primitives they are charged.
     """
     py = layer.output_params
     p_acc = layer.prebias_params or py
     length = rows.shape[1]
     c_dot = dot_constants(px_b, pw_b, p_acc, length, frac_bits)
-    pact = c_dot.exact[2] == 0  # zero-offset activations enable the factored loop
+    shift = rescale_shift(p_acc.master_bitwidth, length, acc_policy)
+    k = (c_dot.k[0] << shift,) + c_dot.k[1:]
+    s1_max = length * px_b.qmax * pw_b.qmax
+    # The rescaled sum is bounded by at least 1 so that k[0] itself is covered.
+    bounds = [s1_max, _linear_bound(
+        k, (max(rounding_right_shift(s1_max, shift), 1),
+            length * px_b.qmax, length * pw_b.qmax), frac_bits)]
     if layer.bias_q is not None:
         c_add = add_constants(p_acc, layer.bias_params, py, frac_bits)
-    out = np.empty((rows.shape[0], weights_b.shape[0]), dtype=np.int64)
-    for o, wrow in enumerate(weights_b):
-        for r, xrow in enumerate(rows):
-            if pact:
-                y, dot_counters = int_dot_pact(xrow, wrow, c_dot, p_acc, acc_policy)
-                counters.merge(dot_counters)
-            else:
-                y = int_dot(xrow, wrow, c_dot, p_acc, acc_policy)
-                counters.mults += 3 * length
-                counters.adds += 2 * length
-            if layer.bias_q is not None:
-                y = int_add(y, int(layer.bias_q.data[o]), c_add, py)
-                counters.mults += 2
-                counters.adds += 2
-            out[r, o] = y
+        bounds.append(_linear_bound(c_add.k, (p_acc.qmax, layer.bias_params.qmax),
+                                    frac_bits))
+    _prove_int64(layer, *bounds)
+
+    s1 = _round_shift(rows @ weights_b.T, shift)
+    raw = (k[0] * s1 + k[1] * rows.sum(axis=1, keepdims=True)
+           + k[2] * weights_b.sum(axis=1) + k[3])
+    out = _requant(raw, frac_bits, p_acc.qmax)
+    loop = MAC_PRIMITIVES[mac_loop(px_b)]
+    counters.mults += loop["mul"] * length * out.size
+    counters.adds += loop["add"] * length * out.size
+    if layer.bias_q is not None:
+        bias = layer.bias_q.data.astype(np.int64)  # any integer dtype may arrive
+        out = _requant(c_add.k[0] * out + c_add.k[1] * bias + c_add.k[2], frac_bits, py.qmax)
+        counters.mults += ADD_PRIMITIVES["mul"] * out.size
+        counters.adds += ADD_PRIMITIVES["add"] * out.size
     return out
 
 
@@ -355,18 +366,15 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             counters.shifts += shifted
         if layer.kind == "fc":
             rows = xq.reshape(1, -1)
-            weights_b = wq.reshape(layer.out_features, layer.in_features)
-            out = _mac_layer_output(layer, rows, weights_b, px_b, pw_b,
-                                    acc_policy, frac_bits, counters)
-            data = out.reshape(layer.output_shape)
         else:
             pad_q = int(quantize(np.float64(0.0), px_b))
-            rows, oh, ow = _im2col(xq, layer.kernel, layer.stride, layer.padding, pad_q)
-            weights_b = wq.reshape(layer.out_channels, -1)
-            out = _mac_layer_output(layer, rows, weights_b, px_b, pw_b,
-                                    acc_policy, frac_bits, counters)
-            data = out.T.reshape(layer.out_channels, oh, ow)
-        result = NestedTensor(data=data, params=layer.output_params)
+            rows = _im2col(xq, layer.kernel, layer.stride, layer.padding, pad_q)
+        # One row of weights per output feature or channel; outputs leave as
+        # (rows, channels) and are laid out channel-major.
+        out = _mac_layer_output(layer, rows, wq.reshape(layer.output_shape[0], -1),
+                                px_b, pw_b, acc_policy, frac_bits, counters)
+        result = NestedTensor(data=out.T.reshape(layer.output_shape),
+                              params=layer.output_params)
 
     elif layer.kind == "residual_add":
         if aux is None:
@@ -378,16 +386,13 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         if b < n:
             shifted = layer.input_elements()
             counters.shifts += shifted
-        c = add_constants(p1_b, p2_b, layer.output_params, frac_bits)
-        flat = np.array(
-            [int_add(int(a), int(bb), c, layer.output_params)
-             for a, bb in zip(q1.reshape(-1), q2.reshape(-1))],
-            dtype=np.int64,
-        )
-        counters.mults += 2 * flat.size
-        counters.adds += 2 * flat.size
-        result = NestedTensor(data=flat.reshape(layer.output_shape),
-                              params=layer.output_params)
+        py = layer.output_params
+        c = add_constants(p1_b, p2_b, py, frac_bits)
+        _prove_int64(layer, _linear_bound(c.k, (p1_b.qmax, p2_b.qmax), frac_bits))
+        data = _requant(c.k[0] * q1 + c.k[1] * q2 + c.k[2], frac_bits, py.qmax)
+        counters.mults += ADD_PRIMITIVES["mul"] * data.size
+        counters.adds += ADD_PRIMITIVES["add"] * data.size
+        result = NestedTensor(data=data, params=py)
 
     elif layer.kind == "relu_pact":
         result = pact_clamp(x, layer.alpha)

@@ -46,9 +46,11 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
     if len(policy) != model.num_policy_layers:
         raise ValueError("policy length mismatch")
     t = fake_quantize(np.asarray(x, dtype=np.float64), model.input_params)
-    outputs = []
+    # Hold only the outputs a later residual edge reads; batches can be large.
+    sources = {l.source for l in model.layers if l.kind == "residual_add"}
+    outputs = {}
     pidx = 0
-    for layer in model.layers:
+    for i, layer in enumerate(model.layers):
         if layer.kind in POLICY_KINDS:
             b = policy.bits[pidx]
             pidx += 1
@@ -62,17 +64,17 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
             if layer.bias_q is not None:
                 shadow.bias = np.asarray(layer.bias_q.data, dtype=np.float64) \
                     * layer.bias_params.scale + layer.bias_params.offset
-            t_in = fake_quantize(t, derive_params(layer.input_params, b))
-            y = float_layer(shadow, t_in)
-            t = fake_quantize(y, layer.output_params)
+            t = fake_quantize(float_layer(shadow, fake_quantize(
+                t, derive_params(layer.input_params, b))), layer.output_params)
         elif layer.kind == "residual_add":
-            aux = outputs[layer.source]
-            a = fake_quantize(t, derive_params(layer.input_params, b))
-            bb = fake_quantize(aux, derive_params(model.layers[layer.source].output_params, b))
-            t = fake_quantize(a + bb, layer.output_params)
+            aux = fake_quantize(outputs[layer.source], derive_params(
+                model.layers[layer.source].output_params, b))
+            t = fake_quantize(fake_quantize(t, derive_params(layer.input_params, b)) + aux,
+                              layer.output_params)
         else:
             t = float_layer(layer, t)
-        outputs.append(t)
+        if i in sources:
+            outputs[i] = t
     return t
 
 

@@ -192,6 +192,14 @@ class TestCommands:
         assert doc["bitops"] == rep.bitops
         assert doc["transition_elements"] == rep.transition_elements
 
+    def test_calibrate_in_place_from_manifest_path(self, workspace, tmp_path):
+        model_dir = tmp_path / "m"
+        assert main(["quantize", "--arch", "mlp", "--seed", "7",
+                     "--out", str(model_dir)]) == EXIT_OK
+        assert main(["calibrate", "--model", str(model_dir / "manifest.json"),
+                     "--data", str(workspace / "data/x.nqtb")]) == EXIT_OK
+        assert blobio.load_model(model_dir).is_calibrated
+
     def test_verify_passes(self, tmp_path):
         assert main(["verify", "--suite", "shift",
                      "--out", str(tmp_path / "v.txt")]) == EXIT_OK

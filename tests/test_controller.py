@@ -28,12 +28,6 @@ class TestControllerForward:
         spec.w2 = np.zeros_like(spec.w2)
         assert np.all(controller_forward(spec, np.ones(16)) == 0)
 
-    def test_fixed_policy_one_hot(self):
-        spec = ControllerSpec.fixed(3, (4, 5, 6), 5)
-        logits = controller_forward(spec, np.ones(16))
-        policy = select_argmax(logits, spec.candidates)
-        assert policy.bits == (5, 5, 5)
-
     def test_seeded_reproducibility(self):
         a = ControllerSpec(num_layers=2, candidates=(4, 8), seed=11)
         b = ControllerSpec(num_layers=2, candidates=(4, 8), seed=11)

@@ -10,9 +10,9 @@ from nestq.cost import (
     cost_report,
     cycle_estimate,
     mac_primitive_counts,
-    transition_cost,
     transition_elements,
 )
+from nestq.calibration import calibrate
 from nestq.layers import BitPolicy, LayerSpec, ModelGraph, forward
 from nestq.reference import enumerate_macs
 
@@ -51,14 +51,16 @@ class TestBitops:
 class TestTransitionCost:
     def test_all_master_policy_costs_zero(self, mlp):
         policy = BitPolicy.uniform(8, 3)
-        assert transition_cost(mlp, policy, "dqt") == 0
-        assert transition_cost(mlp, policy, "standard") == 0
+        assert transition_elements(mlp, policy) == 0
+        assert cost_report(mlp, policy, "dqt").transition_shift_ops == 0
+        assert cost_report(mlp, policy, "standard").transition_fp_primitives == 0
 
     def test_all_layers_below_master(self, mlp):
         policy = BitPolicy.uniform(4, 3)
         expected = sum(mlp.layers[i].weight_elements() + mlp.layers[i].input_elements()
                        for i in mlp.policy_indices)
-        assert transition_cost(mlp, policy, "dqt") == expected
+        assert transition_elements(mlp, policy) == expected
+        assert cost_report(mlp, policy, "dqt").transition_shift_ops == expected
 
     def test_standard_primitives_are_seven_per_element(self, mlp):
         policy = BitPolicy(bits=(8, 4, 8), candidates=(4, 8))
@@ -71,7 +73,7 @@ class TestTransitionCost:
 
     def test_unknown_mode_rejected(self, mlp):
         with pytest.raises(ValueError):
-            transition_cost(mlp, BitPolicy.uniform(8, 3), "gpu")
+            cost_report(mlp, BitPolicy.uniform(8, 3), "gpu")
 
     def test_matches_execution_trace(self, mlp, blob_data):
         policy = BitPolicy(bits=(4, 6, 8), candidates=(4, 6, 8))
@@ -136,3 +138,22 @@ class TestCostReport:
         rep = cost_report(mlp, BitPolicy.uniform(8, 3), "dqt")
         total = sum(rep.macs_per_layer)
         assert rep.inloop_mults == total and rep.inloop_adds == 2 * total
+
+    def test_inloop_counts_follow_general_mac_on_offset_inputs(self):
+        rng = np.random.default_rng(4)
+        layer = LayerSpec(kind="fc", name="fc", in_features=6, out_features=3,
+                          weight=rng.normal(size=(3, 6)))
+        model = ModelGraph(layers=[layer], input_shape=(6,))
+        data = rng.normal(size=(50, 6))  # negative inputs: nonzero input offset
+        calibrate(model, [data])
+        policy = BitPolicy.uniform(8, 1)
+        rep = cost_report(model, policy, "dqt")
+        total = sum(rep.macs_per_layer)
+        assert (rep.inloop_mults, rep.inloop_adds) == (3 * total, 2 * total)
+        _, trace = forward(model, data[0], policy)  # no bias: only the MAC loop
+        assert (trace.counters.mults, trace.counters.adds) == \
+            (rep.inloop_mults, rep.inloop_adds)
+
+    def test_model_without_grids_charged_factored_loop(self):
+        rep = cost_report(fc_model(), BitPolicy.uniform(8, 1), "dqt")
+        assert (rep.inloop_mults, rep.inloop_adds) == (100, 200)

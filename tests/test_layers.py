@@ -1,21 +1,38 @@
-"""Layer execution: integer dataflow, traces, batch-norm folding, clamps."""
+"""Layer execution: integer dataflow, traces, clamps."""
 
 import numpy as np
 import pytest
 
 from nestq.calibration import calibrate, float_forward
+from nestq.intops import (
+    AccumulatorOverflowError,
+    AccumulatorPolicy,
+    OpCounters,
+    add_constants,
+    dot_constants,
+    int_add,
+    int_dot,
+    int_dot_pact,
+)
 from nestq.layers import (
-    BatchNormParams,
+    POLICY_KINDS,
     BitPolicy,
     LayerSpec,
     ModelGraph,
     ShapeMismatchError,
-    fold_batchnorm,
     forward,
     pact_clamp,
     run_layer,
 )
-from nestq.quantize import NestedTensor, QuantParams, dequantize
+from nestq.models import build_toy_mlp
+from nestq.quantize import (
+    NestedTensor,
+    QuantParams,
+    dequantize,
+    derive_params,
+    quantize,
+    shift_down,
+)
 
 
 def unit_params(n=8):
@@ -101,53 +118,6 @@ class TestPactClamp:
         t = NestedTensor(data=np.array([1]), params=self.grid())
         with pytest.raises(ValueError):
             pact_clamp(t, 0.0)
-
-
-class TestFoldBatchnorm:
-    def conv(self):
-        rng = np.random.default_rng(1)
-        return LayerSpec(kind="conv2d", name="c", in_channels=2, out_channels=3,
-                         kernel=3, padding=1,
-                         weight=rng.normal(size=(3, 2, 3, 3)),
-                         bias=rng.normal(size=3))
-
-    def test_identity_normalization(self):
-        conv = self.conv()
-        bn = BatchNormParams(gamma=np.ones(3), beta=np.zeros(3),
-                             mean=np.zeros(3), var=np.ones(3), eps=0.0)
-        folded = fold_batchnorm(conv, bn)
-        assert np.allclose(folded.weight, conv.weight)
-        assert np.allclose(folded.bias, conv.bias)
-
-    def test_gamma_two_doubles(self):
-        conv = self.conv()
-        bn = BatchNormParams(gamma=np.full(3, 2.0), beta=np.zeros(3),
-                             mean=np.zeros(3), var=np.ones(3), eps=0.0)
-        folded = fold_batchnorm(conv, bn)
-        assert np.allclose(folded.weight, 2 * conv.weight)
-        assert np.allclose(folded.bias, 2 * conv.bias)
-
-    def test_float_equivalence(self):
-        rng = np.random.default_rng(2)
-        conv = self.conv()
-        bn = BatchNormParams(gamma=rng.uniform(0.5, 2.0, 3),
-                             beta=rng.normal(size=3),
-                             mean=rng.normal(size=3),
-                             var=rng.uniform(0.5, 2.0, 3))
-        folded = fold_batchnorm(conv, bn)
-        x = rng.normal(size=(4, 2, 5, 5))
-        from nestq.calibration import float_layer
-        y_unfolded = float_layer(conv, x)
-        factor = bn.gamma / np.sqrt(bn.var + bn.eps)
-        y_bn = (y_unfolded - bn.mean.reshape(1, -1, 1, 1)) * \
-            factor.reshape(1, -1, 1, 1) + bn.beta.reshape(1, -1, 1, 1)
-        assert np.allclose(float_layer(folded, x), y_bn, atol=1e-6)
-
-    def test_bad_variance_rejected(self):
-        bn = BatchNormParams(gamma=np.ones(3), beta=np.zeros(3),
-                             mean=np.zeros(3), var=np.full(3, -1.0), eps=0.0)
-        with pytest.raises(ValueError):
-            fold_batchnorm(self.conv(), bn)
 
 
 class TestModelGraph:
@@ -281,3 +251,174 @@ class TestAvgPoolFlatten:
         out, _ = run_layer(layer, x, 8)
         assert out.data.shape == (4,)
         assert out.params == p
+
+
+def oracle_layer(layer, x, b, acc_policy, frac_bits, aux=None):
+    """One MAC or residual layer evaluated output by output with the scalar operators.
+
+    Charges the per-element counts the layer engine has always reported: the
+    factored loop 1 mult + 2 adds per MAC, the general loop 3 + 2, an integer
+    add (bias or residual) 2 + 2, and one shift per element moved below n.
+    """
+    n = x.params.master_bitwidth
+    counters = OpCounters()
+    py = layer.output_params
+    if layer.kind == "residual_add":
+        c = add_constants(derive_params(x.params, b), derive_params(aux.params, b),
+                          py, frac_bits)
+        q1 = shift_down(x.data, n, b).reshape(-1)
+        q2 = shift_down(aux.data, n, b).reshape(-1)
+        out = np.array([int_add(int(a), int(bb), c, py) for a, bb in zip(q1, q2)])
+        counters.mults += 2 * out.size
+        counters.adds += 2 * out.size
+        counters.shifts += 2 * out.size if b < n else 0
+        return out.reshape(layer.output_shape), counters
+    px = derive_params(x.params, b)
+    xq = shift_down(x.data, n, b)
+    wq = shift_down(layer.weight_q.data, n, b)
+    wq = wq.reshape(wq.shape[0], -1)
+    if layer.kind == "fc":
+        rows = [xq.reshape(-1)]
+    else:
+        k, s, p = layer.kernel, layer.stride, layer.padding
+        xp = np.pad(xq, ((0, 0), (p, p), (p, p)),
+                    constant_values=int(quantize(np.float64(0.0), px)))
+        _, oh, ow = layer.output_shape
+        rows = [xp[:, i * s:i * s + k, j * s:j * s + k].reshape(-1)
+                for i in range(oh) for j in range(ow)]
+    length = rows[0].size
+    p_acc = layer.prebias_params or py
+    c_dot = dot_constants(px, derive_params(layer.weight_q.params, b), p_acc,
+                          length, frac_bits)
+    if layer.bias_q is not None:
+        c_add = add_constants(p_acc, layer.bias_params, py, frac_bits)
+    out = np.empty((len(rows), len(wq)), dtype=np.int64)
+    for o, wrow in enumerate(wq):
+        for r, xrow in enumerate(rows):
+            if x.params.offset == 0:
+                y, loop = int_dot_pact(xrow, wrow, c_dot, p_acc, acc_policy)
+                counters.merge(loop)
+            else:
+                y = int_dot(xrow, wrow, c_dot, p_acc, acc_policy)
+                counters.mults += 3 * length
+                counters.adds += 2 * length
+            if layer.bias_q is not None:
+                y = int_add(y, int(layer.bias_q.data[o]), c_add, py)
+                counters.mults += 2
+                counters.adds += 2
+            out[r, o] = y
+    if b < n:
+        counters.shifts += layer.weight_elements() + layer.input_elements()
+    data = out.reshape(layer.output_shape) if layer.kind == "fc" else \
+        out.T.reshape(layer.output_shape)
+    return data, counters
+
+
+def small_resnet():
+    rng = np.random.default_rng(21)
+    layers = [
+        LayerSpec(kind="conv2d", name="c1", in_channels=1, out_channels=3, kernel=3,
+                  padding=1, weight=rng.normal(0, 0.4, (3, 1, 3, 3)),
+                  bias=rng.normal(0, 0.1, 3)),
+        LayerSpec(kind="relu_pact", name="a1"),
+        LayerSpec(kind="conv2d", name="c2", in_channels=3, out_channels=3, kernel=3,
+                  stride=2, padding=1, weight=rng.normal(0, 0.3, (3, 3, 3, 3)),
+                  bias=rng.normal(0, 0.1, 3)),
+        LayerSpec(kind="conv2d", name="c3", in_channels=3, out_channels=3, kernel=1,
+                  weight=rng.normal(0, 0.5, (3, 3, 1, 1)), bias=rng.normal(0, 0.1, 3)),
+        LayerSpec(kind="residual_add", name="skip", source=2),
+        LayerSpec(kind="flatten", name="flat"),
+        LayerSpec(kind="fc", name="head", in_features=48, out_features=4,
+                  weight=rng.normal(0, 0.2, (4, 48))),
+    ]
+    model = ModelGraph(layers=layers, input_shape=(1, 8, 8))
+    data = rng.uniform(-0.5, 2.0, size=(40, 1, 8, 8))  # negative: general first loop
+    calibrate(model, [data[:20], data[20:]])
+    return model, data
+
+
+class TestArrayPathMatchesScalarOracles:
+    def check(self, model, xs, policies):
+        for x in xs:
+            for policy in policies:
+                t = NestedTensor(data=quantize(x, model.input_params),
+                                 params=model.input_params)
+                outputs, bits = [], iter(policy.bits)
+                for layer in model.layers:
+                    b = next(bits) if layer.kind in POLICY_KINDS else model.master_bitwidth
+                    aux = outputs[layer.source] if layer.kind == "residual_add" else None
+                    out, record = run_layer(layer, t, b, model.acc_policy,
+                                            model.frac_bits, aux=aux)
+                    if layer.kind in POLICY_KINDS:
+                        want, counters = oracle_layer(layer, t, b, model.acc_policy,
+                                                      model.frac_bits, aux)
+                        assert np.array_equal(out.data, want), (layer.name, policy)
+                        assert record.counters == counters, (layer.name, policy)
+                    outputs.append(out)
+                    t = out
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_mlp(self, n, blob_data):
+        x, _, means = blob_data
+        rng = np.random.default_rng(n)
+        for data in (x[:200], x[:200] - 1.0):  # zero-offset and offset input grids
+            model = build_toy_mlp(seed=7, n=n, means=means)
+            calibrate(model, [data[:100], data[100:]])
+            cands = tuple(range(2, n + 1))
+            policies = [BitPolicy.uniform(n, 3)] + [
+                BitPolicy(bits=tuple(int(b) for b in rng.choice(cands, 3)),
+                          candidates=cands) for _ in range(3)]
+            self.check(model, data[:3], policies)
+
+    def test_cnn(self, cnn, cnn_data):
+        policies = [BitPolicy.uniform(8, 3),
+                    BitPolicy(bits=(6, 4, 8), candidates=(4, 6, 8)),
+                    BitPolicy(bits=(3, 8, 5), candidates=(3, 5, 8))]
+        self.check(cnn, cnn_data[0][:2], policies)
+
+    def test_residual_net(self):
+        model, data = small_resnet()
+        cands = (3, 4, 6, 8)
+        policies = [BitPolicy.uniform(8, 5, cands),
+                    BitPolicy(bits=(4, 8, 6, 3, 8), candidates=cands),
+                    BitPolicy(bits=(8, 3, 4, 6, 4), candidates=cands)]
+        self.check(model, data[:2], policies)
+
+
+class TestIntegerRange:
+    def test_constants_past_int64_refused(self):
+        # A tiny output step makes k = step_x * step_w / step_y * 2^F about 2^76.
+        tiny = QuantParams(scale=2.0 ** -60, offset=0.0, bitwidth=8, master_bitwidth=8)
+        x = NestedTensor(data=np.array([200]), params=unit_params())
+        with pytest.raises(AccumulatorOverflowError):
+            run_layer(identity_fc(out_grid=tiny), x, 8)
+        layer = LayerSpec(kind="residual_add", name="skip", source=0)
+        layer.input_shape = layer.output_shape = (1,)
+        layer.output_params = tiny
+        with pytest.raises(AccumulatorOverflowError):
+            run_layer(layer, x, 8, aux=x)
+
+    def test_no_rescale_refuses_wide_accumulator(self):
+        x = NestedTensor(data=np.array([200]), params=unit_params())
+        # one 8-bit product needs 16 accumulator bits
+        narrow = AccumulatorPolicy(working_bits=15, rescale=False)
+        with pytest.raises(AccumulatorOverflowError):
+            run_layer(identity_fc(), x, 8, acc_policy=narrow)
+        out, _ = run_layer(identity_fc(), x, 8,
+                           acc_policy=AccumulatorPolicy(working_bits=16, rescale=False))
+        assert out.data[0] == 200
+
+    def test_narrow_bias_dtype_does_not_wrap(self):
+        # The bias constant is 2^-9 / 2^-20 * 2^16 = 2^27: 255 * 2^27 overflows int32.
+        outs = []
+        for dtype in (np.int32, np.int64):
+            layer = identity_fc(out_grid=QuantParams(scale=2.0 ** -20, offset=0.0,
+                                                     bitwidth=8, master_bitwidth=8))
+            layer.prebias_params = unit_params()
+            layer.bias_params = QuantParams(scale=2.0 ** -9, offset=0.0, bitwidth=8,
+                                            master_bitwidth=8)
+            layer.bias_q = NestedTensor(data=np.array([255], dtype=dtype),
+                                        params=layer.bias_params)
+            x = NestedTensor(data=np.array([0]), params=unit_params())
+            outs.append(run_layer(layer, x, 8)[0].data[0])
+        assert outs == [255, 255]
