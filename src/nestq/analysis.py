@@ -37,13 +37,12 @@ class ErrorBound:
     magnitudes: tuple[int, ...]
 
 
-def op_error_bound(consts: IntOpConstants, magnitudes=None) -> ErrorBound:
+def op_error_bound(consts: IntOpConstants, magnitudes) -> ErrorBound:
     """Worst-case |integer op - exact quantized value| from the deltas.
 
     ``magnitudes`` are per-operand maxima: (q1, q2) for add/mul, bounds on the
-    three accumulator sums for dot. Defaults to the full quantized range is the
-    caller's job; here absent magnitudes default per role from the exact ratios'
-    context being unknown, so they must be supplied for add/mul/dot.
+    three accumulator sums for dot. The constants do not know their operands'
+    ranges, so the caller supplies them, usually the full quantized range.
     """
     deltas = consts.deltas()
     mags = tuple(int(m) for m in magnitudes)

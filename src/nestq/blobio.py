@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .controller import ControllerSpec
-from .intops import DEFAULT_FRAC_BITS
-from .layers import LayerSpec, ModelGraph
+from .intops import DEFAULT_FRAC_BITS, AccumulatorPolicy
+from .layers import LayerSpec, ModelGraph, ShapeMismatchError
 from .quantize import NestedTensor, QuantParams
 
 BLOB_MAGIC = b"NQTB"
@@ -108,6 +108,7 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
     layers_json = []
     for i, layer in enumerate(model.layers):
         entry = {k: getattr(layer, k) for k in _LAYER_SCALARS}
+        entry["range_flagged"] = layer.range_flagged
         entry.update({k: _params_to_json(getattr(layer, k)) for k in _LAYER_PARAMS})
         for attr, suffix in (("weight", "weight"), ("bias", "bias")):
             t = getattr(layer, attr)
@@ -128,6 +129,8 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
         "quantization": {
             "master_bitwidth": model.master_bitwidth,
             "frac_bits": model.frac_bits,
+            "working_bits": model.acc_policy.working_bits,
+            "rescale": model.acc_policy.rescale,
         },
         "layers": layers_json,
         "provenance": provenance or {},
@@ -137,7 +140,20 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
     return path
 
 
+def _typed(tree: dict, key: str, typ: type, default):
+    """``tree[key]``, or ``default`` when absent; a value of another type is an error."""
+    value = tree.get(key, default)
+    if not isinstance(value, typ):
+        raise TypeError(f"{key!r} must be {typ.__name__}, got {value!r}")
+    return value
+
+
 def load_model(manifest_path: Path) -> ModelGraph:
+    """Read a manifest and its blobs; any missing or ill-typed entry is a ManifestError.
+
+    Keys added after version 1 (the accumulator policy, ``range_flagged``) are
+    optional and default to the values a model had before they were saved.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
@@ -145,12 +161,22 @@ def load_model(manifest_path: Path) -> ModelGraph:
         manifest = json.loads(manifest_path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise ManifestError(f"unrecognized manifest version {manifest.get('version')!r}")
-    base = manifest_path.parent
+    version = manifest.get("version") if isinstance(manifest, dict) else None
+    if version != MANIFEST_VERSION:
+        raise ManifestError(f"unrecognized manifest version {version!r}")
+    try:
+        return _model_from_manifest(manifest, manifest_path.parent)
+    except (ManifestError, ShapeMismatchError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"ill-formed manifest {manifest_path}: {exc!r}") from exc
+
+
+def _model_from_manifest(manifest: dict, base: Path) -> ModelGraph:
     layers = []
     for entry in manifest["layers"]:
         layer = LayerSpec(**{k: entry[k] for k in _LAYER_SCALARS})
+        layer.range_flagged = _typed(entry, "range_flagged", bool, False)
         for k in _LAYER_PARAMS:
             setattr(layer, k, _params_from_json(entry.get(k)))
         if "weight" in entry:
@@ -167,14 +193,17 @@ def load_model(manifest_path: Path) -> ModelGraph:
                 params=layer.bias_params)
         layers.append(layer)
     q = manifest["quantization"]
-    model = ModelGraph(
+    default = AccumulatorPolicy()
+    return ModelGraph(
         layers=layers,
         input_shape=tuple(manifest["input_shape"]),
         input_params=_params_from_json(manifest.get("input_params")),
         master_bitwidth=q["master_bitwidth"],
         frac_bits=q.get("frac_bits", DEFAULT_FRAC_BITS),
+        acc_policy=AccumulatorPolicy(
+            working_bits=_typed(q, "working_bits", int, default.working_bits),
+            rescale=_typed(q, "rescale", bool, default.rescale)),
     )
-    return model
 
 
 def save_controller(spec: ControllerSpec, directory: Path) -> Path:

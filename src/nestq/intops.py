@@ -8,9 +8,11 @@ collapsing to zero. A final rounded right shift by F lands the result on the
 output grid.
 
 The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
-reference oracles for tests and error analysis. Layers do not call them per
-element: ``nestq.layers`` runs each layer as one integer array expression over
-the same constants, the same accumulator sizing and the same rounding.
+reference oracles for tests and error analysis. ``nestq.layers`` builds a
+layer's constants, accumulator rescale and int64 overflow proof once per
+distinct (grids, b, accumulator policy, F), then runs each call as one integer
+array expression with the same rounding; only the shift of weights and
+activations down to b is redone per call.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ class IntOpConstants:
     exact: tuple[Fraction, ...]
     frac_bits: int
     degenerate: bool = False
-    length: int | None = None  # dot only: the N baked into k4
 
     def deltas(self) -> tuple[Fraction, ...]:
         """Per-constant rounding errors: exact ratio minus k / 2^F."""
@@ -88,32 +89,27 @@ class IntOpConstants:
         return tuple(r - Fraction(ki) / two_f for ki, r in zip(self.k, self.exact))
 
 
-def _encode(ratios: list[Fraction], frac_bits: int, role: str,
-            length: int | None = None) -> IntOpConstants:
+def _encode(ratios: list[Fraction], frac_bits: int, role: str) -> IntOpConstants:
     two_f = 1 << frac_bits
     k = tuple(round_half_away_int(r * two_f) for r in ratios)
     degenerate = any(r != 0 and ki == 0 for r, ki in zip(ratios, k))
     return IntOpConstants(role=role, k=k, exact=tuple(ratios),
-                          frac_bits=frac_bits, degenerate=degenerate, length=length)
-
-
-def _frac(x: float) -> Fraction:
-    return Fraction(x)  # exact binary expansion of the float
+                          frac_bits=frac_bits, degenerate=degenerate)
 
 
 def add_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
                   frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
     """Constants for q1 (+) q2 = k1*q1 + k2*q2 + k3 on the output grid."""
-    d1, d2, dy = _frac(p1.scale), _frac(p2.scale), _frac(py.scale)
-    m1, m2, my = _frac(p1.offset), _frac(p2.offset), _frac(py.offset)
+    d1, d2, dy = Fraction(p1.scale), Fraction(p2.scale), Fraction(py.scale)
+    m1, m2, my = Fraction(p1.offset), Fraction(p2.offset), Fraction(py.offset)
     return _encode([d1 / dy, d2 / dy, (m1 + m2 - my) / dy], frac_bits, "add")
 
 
 def mul_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
                   frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
     """Constants for q1 (*) q2 = k1*q1*q2 + k2*q1 + k3*q2 + k4."""
-    d1, d2, dy = _frac(p1.scale), _frac(p2.scale), _frac(py.scale)
-    m1, m2, my = _frac(p1.offset), _frac(p2.offset), _frac(py.offset)
+    d1, d2, dy = Fraction(p1.scale), Fraction(p2.scale), Fraction(py.scale)
+    m1, m2, my = Fraction(p1.offset), Fraction(p2.offset), Fraction(py.offset)
     return _encode(
         [d1 * d2 / dy, d1 * m2 / dy, d2 * m1 / dy, (m1 * m2 - my) / dy],
         frac_bits, "mul",
@@ -123,11 +119,11 @@ def mul_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
 def dot_constants(px: QuantParams, pw: QuantParams, py: QuantParams, length: int,
                   frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
     """Constants for the length-N integer dot product; k4 absorbs N*m_x*m_w."""
-    dx, dw, dy = _frac(px.scale), _frac(pw.scale), _frac(py.scale)
-    mx, mw, my = _frac(px.offset), _frac(pw.offset), _frac(py.offset)
+    dx, dw, dy = Fraction(px.scale), Fraction(pw.scale), Fraction(py.scale)
+    mx, mw, my = Fraction(px.offset), Fraction(pw.offset), Fraction(py.offset)
     return _encode(
         [dx * dw / dy, dx * mw / dy, dw * mx / dy, (length * mx * mw - my) / dy],
-        frac_bits, "dot", length=length,
+        frac_bits, "dot",
     )
 
 
@@ -203,10 +199,9 @@ def rescale_shift(n: int, length: int, acc_policy: AccumulatorPolicy | None) -> 
     return need - acc_policy.working_bits
 
 
-def _apply_dot_constants(c: IntOpConstants, s1: int, s2: int, s3: int, n: int,
-                         length: int, py: QuantParams,
-                         acc_policy: AccumulatorPolicy | None) -> int:
-    shift = rescale_shift(n, length, acc_policy)
+def _apply_dot_constants(c: IntOpConstants, s1: int, s2: int, s3: int, length: int,
+                         py: QuantParams, acc_policy: AccumulatorPolicy | None) -> int:
+    shift = rescale_shift(py.master_bitwidth, length, acc_policy)
     s1 = rounding_right_shift(s1, shift)
     # Fold the rescale back so the result stays on the declared output grid.
     raw = (c.k[0] << shift) * s1 + c.k[1] * s2 + c.k[2] * s3 + c.k[3]
@@ -219,8 +214,7 @@ def int_dot(xq, wq, c: IntOpConstants, py: QuantParams,
     if c.role != "dot":
         raise ValueError(f"constants have role {c.role!r}, need 'dot'")
     s1, s2, s3 = _dot_sums(xq, wq)
-    n = py.master_bitwidth
-    return _apply_dot_constants(c, s1, s2, s3, n, len(np.atleast_1d(xq)), py, acc_policy)
+    return _apply_dot_constants(c, s1, s2, s3, np.size(xq), py, acc_policy)
 
 
 def int_dot_pact(xq, wq, c: IntOpConstants, py: QuantParams,
@@ -239,9 +233,7 @@ def int_dot_pact(xq, wq, c: IntOpConstants, py: QuantParams,
     n_elems = np.size(xq)
     loop = MAC_PRIMITIVES["dqt_pact"]
     counters = OpCounters(mults=loop["mul"] * n_elems, adds=loop["add"] * n_elems)
-    n = py.master_bitwidth
-    result = _apply_dot_constants(c, s1, s2, 0, n, n_elems, py, acc_policy)
-    return result, counters
+    return _apply_dot_constants(c, s1, s2, 0, n_elems, py, acc_policy), counters
 
 
 def standard_mac_dot(xq, wq, zero_x: int, zero_w: int) -> tuple[int, OpCounters]:
@@ -251,10 +243,7 @@ def standard_mac_dot(xq, wq, zero_x: int, zero_w: int) -> tuple[int, OpCounters]
     three add/subtracts per element, with scaling deferred to a post-loop
     requantization that is not part of this accumulator.
     """
-    xq = np.asarray(xq, dtype=np.int64)
-    wq = np.asarray(wq, dtype=np.int64)
-    if xq.shape != wq.shape or xq.ndim != 1:
-        raise ValueError(f"need equal-length vectors, got {xq.shape} and {wq.shape}")
-    acc = int(np.dot(xq - zero_x, wq - zero_w))
+    acc, _, _ = _dot_sums(np.asarray(xq, dtype=np.int64) - zero_x,
+                          np.asarray(wq, dtype=np.int64) - zero_w)
     loop = MAC_PRIMITIVES["standard"]
-    return acc, OpCounters(mults=loop["mul"] * xq.size, adds=loop["add"] * xq.size)
+    return acc, OpCounters(mults=loop["mul"] * np.size(xq), adds=loop["add"] * np.size(xq))

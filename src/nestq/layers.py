@@ -4,11 +4,17 @@ A ModelGraph starts life with float weights, gets its grids fixed by
 calibration, and then runs as a pure integer pipeline: the input is quantized
 once at the master width, every MAC layer shifts its weights and activations
 down to its assigned bit-width, and only the final output is dequantized.
+
+A policy layer's constants, accumulator rescale, padding index, int64 proof
+and primitive counts are built once per distinct (grids, b, accumulator policy,
+F) by :func:`build_plan`; weights and activations are still shifted down to b
+on every call, since that shift is the transition the scheme prices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -264,14 +270,67 @@ def _linear_bound(k, magnitudes, frac_bits: int) -> int:
             + ((1 << frac_bits) >> 1))
 
 
-def _prove_int64(layer: LayerSpec, *bounds: int) -> None:
+def _prove_int64(name: str, *bounds: int) -> None:
     """Refuse to run a layer whose integer intermediates could leave int64."""
     worst = max(bounds)
     if worst > INT64_MAX:
         raise AccumulatorOverflowError(
-            f"layer {layer.name!r}: intermediates may need {worst.bit_length() + 1} "
+            f"layer {name!r}: intermediates may need {worst.bit_length() + 1} "
             f"signed bits, beyond int64"
         )
+
+
+@dataclass(frozen=True)
+class LayerPlan:
+    """A policy layer compiled at one bit-width: everything but its tensors."""
+
+    counters: OpCounters  # primitive counts of one call; callers copy them
+    dot_k: tuple[int, ...] | None  # dot constants, rescale folded into k[0]
+    shift: int  # rounded right shift of the product sum (accumulator rescale)
+    pad: int  # b-bit grid index of 0.0, for conv padding
+    add_k: tuple[int, ...] | None  # bias-add or residual-add constants
+
+
+@lru_cache(maxsize=1024)
+def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: QuantParams,
+               prebias_grid: QuantParams | None, bias_grid: QuantParams | None,
+               out_grid: QuantParams, length: int, outputs: int, moved: int,
+               acc_policy: AccumulatorPolicy, frac_bits: int) -> LayerPlan:
+    """Compile a policy layer at bit-width b from values alone, or refuse it.
+
+    ``other_grid`` is the weight grid, or the residual branch's grid; ``moved``
+    counts the elements shifted when b < n. Cached by value, so a recalibrated
+    or reloaded model never reads a stale plan; a refusal is not cached.
+    """
+    px, po = derive_params(x_grid, b), derive_params(other_grid, b)
+    dot_k, shift, pad, add_k = None, 0, 0, None
+    bounds, ops = [], []  # int64 bounds; (primitive table, uses per output)
+    add_in = (px, po)
+    if kind != "residual_add":
+        p_acc = prebias_grid or out_grid
+        c_dot = dot_constants(px, po, p_acc, length, frac_bits)
+        shift = rescale_shift(p_acc.master_bitwidth, length, acc_policy)
+        dot_k = (c_dot.k[0] << shift,) + c_dot.k[1:]
+        s1_max = length * px.qmax * po.qmax
+        # The rescaled sum is bounded by at least 1 so that k[0] itself is covered.
+        bounds += [s1_max, _linear_bound(
+            dot_k, (max(rounding_right_shift(s1_max, shift), 1),
+                    length * px.qmax, length * po.qmax), frac_bits)]
+        # With zero-offset activations k3 is 0: the factored and the general
+        # loop give the same integer and differ only in the primitives charged.
+        ops.append((MAC_PRIMITIVES[mac_loop(px)], length))
+        if kind == "conv2d":
+            pad = int(quantize(np.float64(0.0), px))
+        add_in = (p_acc, bias_grid) if bias_grid is not None else None
+    if add_in is not None:
+        add_k = add_constants(*add_in, out_grid, frac_bits).k
+        bounds.append(_linear_bound(add_k, [p.qmax for p in add_in], frac_bits))
+        ops.append((ADD_PRIMITIVES, 1))
+    _prove_int64(name, *bounds)
+    counters = OpCounters(mults=outputs * sum(t["mul"] * r for t, r in ops),
+                          adds=outputs * sum(t["add"] * r for t, r in ops),
+                          shifts=moved if b < x_grid.master_bitwidth else 0)
+    return LayerPlan(counters, dot_k, shift, pad, add_k)
 
 
 def _round_shift(v: np.ndarray, s: int) -> np.ndarray:
@@ -287,47 +346,9 @@ def _requant(raw: np.ndarray, frac_bits: int, qmax: int) -> np.ndarray:
     return np.clip(_round_shift(raw, frac_bits), 0, qmax)
 
 
-def _mac_layer_output(layer: LayerSpec, rows: np.ndarray, weights_b: np.ndarray,
-                      px_b: QuantParams, pw_b: QuantParams,
-                      acc_policy: AccumulatorPolicy, frac_bits: int,
-                      counters: OpCounters) -> np.ndarray:
-    """Dot every input row against every weight row, then add the bias.
-
-    The dot lands on the layer's pre-bias grid; the bias add maps onto the
-    calibrated output grid, whose clipping realizes any following clamp. With
-    zero-offset activations k3 is 0, so the factored and the general loop give
-    the same integer; they differ only in the primitives they are charged.
-    """
-    py = layer.output_params
-    p_acc = layer.prebias_params or py
-    length = rows.shape[1]
-    c_dot = dot_constants(px_b, pw_b, p_acc, length, frac_bits)
-    shift = rescale_shift(p_acc.master_bitwidth, length, acc_policy)
-    k = (c_dot.k[0] << shift,) + c_dot.k[1:]
-    s1_max = length * px_b.qmax * pw_b.qmax
-    # The rescaled sum is bounded by at least 1 so that k[0] itself is covered.
-    bounds = [s1_max, _linear_bound(
-        k, (max(rounding_right_shift(s1_max, shift), 1),
-            length * px_b.qmax, length * pw_b.qmax), frac_bits)]
-    if layer.bias_q is not None:
-        c_add = add_constants(p_acc, layer.bias_params, py, frac_bits)
-        bounds.append(_linear_bound(c_add.k, (p_acc.qmax, layer.bias_params.qmax),
-                                    frac_bits))
-    _prove_int64(layer, *bounds)
-
-    s1 = _round_shift(rows @ weights_b.T, shift)
-    raw = (k[0] * s1 + k[1] * rows.sum(axis=1, keepdims=True)
-           + k[2] * weights_b.sum(axis=1) + k[3])
-    out = _requant(raw, frac_bits, p_acc.qmax)
-    loop = MAC_PRIMITIVES[mac_loop(px_b)]
-    counters.mults += loop["mul"] * length * out.size
-    counters.adds += loop["add"] * length * out.size
-    if layer.bias_q is not None:
-        bias = layer.bias_q.data.astype(np.int64)  # any integer dtype may arrive
-        out = _requant(c_add.k[0] * out + c_add.k[1] * bias + c_add.k[2], frac_bits, py.qmax)
-        counters.mults += ADD_PRIMITIVES["mul"] * out.size
-        counters.adds += ADD_PRIMITIVES["add"] * out.size
-    return out
+def _int_add(k, q1: np.ndarray, q2: np.ndarray, frac_bits: int, qmax: int) -> np.ndarray:
+    """Array form of ``int_add``: k1*q1 + k2*q2 + k3, requantized onto [0, qmax]."""
+    return _requant(k[0] * q1 + k[1] * q2 + k[2], frac_bits, qmax)
 
 
 def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
@@ -336,10 +357,11 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
               aux: NestedTensor | None = None) -> tuple[NestedTensor, LayerRecord]:
     """Execute one layer at bit-width b, returning a master-width output.
 
-    Weights and the incoming activation are reduced to b bits by shifting; the
-    result is produced directly on the layer's calibrated master output grid,
-    so the next layer again sees a master-width tensor. ``aux`` carries the
-    second operand for residual adds.
+    Weights and the incoming activation are shifted down to b on every call;
+    the rest comes from the cached ``build_plan``. A MAC layer's dot lands on
+    its pre-bias grid and the bias add on the calibrated output grid, whose
+    clipping realizes any following clamp, so the next layer again sees a
+    master-width tensor. ``aux`` carries the second operand for residual adds.
     """
     if layer.output_params is None:
         raise ValueError(f"layer {layer.name!r} is not calibrated")
@@ -350,48 +372,41 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         raise ShapeMismatchError(
             f"layer {layer.name!r} expects input {layer.input_shape}, got {x.shape}"
         )
-    acc_policy = acc_policy or AccumulatorPolicy()
+    py = layer.output_params
     counters = OpCounters()
-    shifted = 0
+    if layer.kind in POLICY_KINDS:
+        if layer.has_weights and layer.weight_q is None:
+            raise ValueError(f"layer {layer.name!r} has no quantized weights")
+        if layer.kind == "residual_add" and aux is None:
+            raise ValueError("residual_add needs the stored branch output")
+        outputs = int(np.prod(layer.output_shape))
+        plan = build_plan(
+            layer.kind, layer.name, b, x.params,
+            layer.weight_q.params if layer.has_weights else aux.params,
+            layer.prebias_params, layer.bias_params if layer.bias_q is not None else None,
+            py, layer.mac_count() // outputs, outputs,
+            layer.weight_elements() + layer.input_elements(),
+            acc_policy or AccumulatorPolicy(), frac_bits)
+        counters = replace(plan.counters)
+        xq = shift_down(x.data, n, b)
 
     if layer.kind in ("fc", "conv2d"):
-        if layer.weight_q is None:
-            raise ValueError(f"layer {layer.name!r} has no quantized weights")
-        px_b = derive_params(x.params, b)
-        pw_b = derive_params(layer.weight_q.params, b)
-        wq = shift_down(layer.weight_q.data, n, b)
-        xq = shift_down(x.data, n, b)
-        if b < n:
-            shifted = layer.weight_elements() + layer.input_elements()
-            counters.shifts += shifted
-        if layer.kind == "fc":
-            rows = xq.reshape(1, -1)
-        else:
-            pad_q = int(quantize(np.float64(0.0), px_b))
-            rows = _im2col(xq, layer.kernel, layer.stride, layer.padding, pad_q)
         # One row of weights per output feature or channel; outputs leave as
         # (rows, channels) and are laid out channel-major.
-        out = _mac_layer_output(layer, rows, wq.reshape(layer.output_shape[0], -1),
-                                px_b, pw_b, acc_policy, frac_bits, counters)
-        result = NestedTensor(data=out.T.reshape(layer.output_shape),
-                              params=layer.output_params)
+        w = shift_down(layer.weight_q.data, n, b).reshape(layer.output_shape[0], -1)
+        rows = xq.reshape(1, -1) if layer.kind == "fc" else _im2col(
+            xq, layer.kernel, layer.stride, layer.padding, plan.pad)
+        k = plan.dot_k
+        raw = (k[0] * _round_shift(rows @ w.T, plan.shift)
+               + k[1] * rows.sum(axis=1, keepdims=True) + k[2] * w.sum(axis=1) + k[3])
+        out = _requant(raw, frac_bits, (layer.prebias_params or py).qmax)
+        if plan.add_k is not None:
+            bias = layer.bias_q.data.astype(np.int64)  # any integer dtype may arrive
+            out = _int_add(plan.add_k, out, bias, frac_bits, py.qmax)
+        result = NestedTensor(data=out.T.reshape(layer.output_shape), params=py)
 
     elif layer.kind == "residual_add":
-        if aux is None:
-            raise ValueError("residual_add needs the stored branch output")
-        p1_b = derive_params(x.params, b)
-        p2_b = derive_params(aux.params, b)
-        q1 = shift_down(x.data, n, b)
-        q2 = shift_down(aux.data, n, b)
-        if b < n:
-            shifted = layer.input_elements()
-            counters.shifts += shifted
-        py = layer.output_params
-        c = add_constants(p1_b, p2_b, py, frac_bits)
-        _prove_int64(layer, _linear_bound(c.k, (p1_b.qmax, p2_b.qmax), frac_bits))
-        data = _requant(c.k[0] * q1 + c.k[1] * q2 + c.k[2], frac_bits, py.qmax)
-        counters.mults += ADD_PRIMITIVES["mul"] * data.size
-        counters.adds += ADD_PRIMITIVES["add"] * data.size
+        data = _int_add(plan.add_k, xq, shift_down(aux.data, n, b), frac_bits, py.qmax)
         result = NestedTensor(data=data, params=py)
 
     elif layer.kind == "relu_pact":
@@ -412,7 +427,7 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         result = NestedTensor(data=x.data.reshape(layer.output_shape), params=x.params)
 
     record = LayerRecord(index=-1, kind=layer.kind, bitwidth=b,
-                         shifted_elements=shifted, counters=counters)
+                         shifted_elements=counters.shifts, counters=counters)
     return result, record
 
 
@@ -430,17 +445,12 @@ def forward(model: ModelGraph, x: np.ndarray,
         raise ValueError(
             f"policy length {len(policy)} != {model.num_policy_layers} MAC layers"
         )
-    n = model.master_bitwidth
     trace = ExecutionTrace()
     t = NestedTensor(data=quantize(x, model.input_params), params=model.input_params)
     outputs: list[NestedTensor] = []
-    pidx = 0
+    bits = iter(policy.bits)
     for i, layer in enumerate(model.layers):
-        if layer.kind in POLICY_KINDS:
-            b = policy.bits[pidx]
-            pidx += 1
-        else:
-            b = n
+        b = next(bits) if layer.kind in POLICY_KINDS else model.master_bitwidth
         aux = outputs[layer.source] if layer.kind == "residual_add" else None
         t, record = run_layer(layer, t, b, model.acc_policy, model.frac_bits, aux=aux)
         record.index = i

@@ -96,6 +96,51 @@ class TestManifest:
         with pytest.raises(ManifestError):
             blobio.load_model(p)
 
+    def test_accumulator_policy_and_range_flags_survive_round_trip(self, tmp_path):
+        from nestq.calibration import calibrate
+        from nestq.intops import AccumulatorOverflowError, AccumulatorPolicy
+        from nestq.layers import BitPolicy, forward
+        from nestq.models import build_toy_cnn, cnn_dataset
+
+        x, _ = cnn_dataset(5, samples=20)
+        model = build_toy_cnn(seed=11, n=16)
+        calibrate(model, [x])
+        # A 16-bit 3x3 conv needs 36 accumulator bits: refused without rescaling.
+        model.acc_policy = AccumulatorPolicy(working_bits=24, rescale=False)
+        flags = [True, False, True, False, False, True]
+        for layer, flag in zip(model.layers, flags):
+            layer.range_flagged = flag
+        loaded = blobio.load_model(blobio.save_model(model, tmp_path / "m"))
+        assert loaded.acc_policy == model.acc_policy
+        assert [layer.range_flagged for layer in loaded.layers] == flags
+        for m in (model, loaded):
+            with pytest.raises(AccumulatorOverflowError):
+                forward(m, x[0], BitPolicy.uniform(16, 3))
+
+    def test_manifest_without_policy_keys_loads_defaults(self, tmp_path, mlp):
+        from nestq.intops import AccumulatorPolicy
+        path = blobio.save_model(mlp, tmp_path / "m")
+        doc = json.loads(path.read_text())
+        del doc["quantization"]["working_bits"], doc["quantization"]["rescale"]
+        for entry in doc["layers"]:
+            del entry["range_flagged"]
+        path.write_text(json.dumps(doc))
+        loaded = blobio.load_model(path)
+        assert loaded.acc_policy == AccumulatorPolicy()
+        assert not any(layer.range_flagged for layer in loaded.layers)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: {"version": 1, "input_shape": [4]},
+        lambda doc: {**doc, "layers": 5},
+        lambda doc: {**doc, "quantization": {**doc["quantization"], "rescale": "no"}},
+        lambda doc: {**doc, "layers": [{**doc["layers"][0], "kind": "lstm"}]},
+    ], ids=["missing_layers", "layers_not_a_list", "rescale_not_bool", "unknown_kind"])
+    def test_missing_or_mistyped_entries_rejected(self, tmp_path, mlp, edit):
+        path = blobio.save_model(mlp, tmp_path / "m")
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ManifestError):
+            blobio.load_model(path)
+
     def test_controller_round_trip(self, tmp_path):
         spec = ControllerSpec(num_layers=3, candidates=(4, 5, 6), seed=2)
         blobio.save_controller(spec, tmp_path / "c")
@@ -211,6 +256,12 @@ class TestCommands:
         assert main(["infer", "--model", str(tmp_path / "nope"),
                      "--input", str(tmp_path / "nope.nqtb"),
                      "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+
+    def test_manifest_missing_key_exit_code(self, tmp_path):
+        (tmp_path / "m").mkdir()
+        (tmp_path / "m/manifest.json").write_text('{"version": 1, "input_shape": [4]}')
+        assert main(["cost", "--model", str(tmp_path / "m"),
+                     "--out", str(tmp_path / "c.txt")]) == EXIT_MANIFEST
 
     def test_shape_mismatch_exit_code(self, workspace, tmp_path):
         write_blob(tmp_path / "bad.nqtb", np.zeros((2, 7), dtype=np.float32))

@@ -1,8 +1,11 @@
 """Layer execution: integer dataflow, traces, clamps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from nestq import layers
 from nestq.calibration import calibrate, float_forward
 from nestq.intops import (
     AccumulatorOverflowError,
@@ -20,6 +23,7 @@ from nestq.layers import (
     LayerSpec,
     ModelGraph,
     ShapeMismatchError,
+    build_plan,
     forward,
     pact_clamp,
     run_layer,
@@ -422,3 +426,66 @@ class TestIntegerRange:
             x = NestedTensor(data=np.array([0]), params=unit_params())
             outs.append(run_layer(layer, x, 8)[0].data[0])
         assert outs == [255, 255]
+
+
+class TestLayerPlan:
+    def test_second_forward_builds_no_constants(self, monkeypatch):
+        model, data = small_resnet()
+        build_plan.cache_clear()
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(layers, "dot_constants", counted(layers.dot_constants))
+        monkeypatch.setattr(layers, "add_constants", counted(layers.add_constants))
+        policy = BitPolicy(bits=(4, 8, 6, 3, 8), candidates=(3, 4, 6, 8))
+        forward(model, data[0], policy)
+        # three biased convs, the residual add and the bias-free head
+        assert sorted(calls) == ["add_constants"] * 4 + ["dot_constants"] * 4
+        calls.clear()
+        forward(model, data[1], policy)
+        assert calls == []
+
+    def test_recalibration_matches_fresh_model(self, blob_data):
+        x, _, means = blob_data
+        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        model = build_toy_mlp(seed=7, means=means)
+        calibrate(model, [x[:200]])
+        first_grid = model.input_params
+        for sample in x[:3]:
+            forward(model, sample, policy)
+        shifted = x[200:400] - 1.0  # an offset input grid and new ranges everywhere
+        calibrate(model, [shifted])
+        assert model.input_params != first_grid
+        fresh = build_toy_mlp(seed=7, means=means)
+        for new, old in zip(fresh.layers, model.layers):
+            new.alpha = old.alpha  # calibration keeps clamp bounds already set
+        calibrate(fresh, [shifted])
+        for sample in shifted[:5]:
+            assert np.array_equal(forward(model, sample, policy)[0],
+                                  forward(fresh, sample, policy)[0])
+
+    def test_refused_layer_raises_on_every_call(self):
+        x = NestedTensor(data=np.array([200]), params=unit_params())
+        narrow = AccumulatorPolicy(working_bits=15, rescale=False)
+        tiny = QuantParams(scale=2.0 ** -60, offset=0.0, bitwidth=8, master_bitwidth=8)
+        for _ in range(3):
+            with pytest.raises(AccumulatorOverflowError):
+                run_layer(identity_fc(), x, 8, acc_policy=narrow)
+            with pytest.raises(AccumulatorOverflowError):
+                run_layer(identity_fc(out_grid=tiny), x, 8)
+
+    def test_record_counters_are_copies(self, mlp, blob_data):
+        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        x = blob_data[0][0]
+        _, first = forward(mlp, x, policy)
+        want = [replace(r.counters) for r in first.records]
+        for r in first.records:
+            r.counters.mults += 1000
+            r.counters.shifts += 7
+        _, second = forward(mlp, x, policy)
+        assert [r.counters for r in second.records] == want
