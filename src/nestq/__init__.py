@@ -32,6 +32,7 @@ from .intops import (
     OpCounters,
     add_constants,
     dot_constants,
+    fit_frac_bits,
     int_add,
     int_dot,
     int_dot_pact,
@@ -92,6 +93,7 @@ __all__ = [
     "dot_constants",
     "ema_update",
     "empirical_verify",
+    "fit_frac_bits",
     "forward",
     "gumbel_softmax_sample",
     "int_add",

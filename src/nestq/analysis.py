@@ -17,8 +17,11 @@ import numpy as np
 from .intops import (
     IntOpConstants,
     add_constants,
+    add_ratios,
     add_raw,
     dot_constants,
+    dot_ratios,
+    fit_frac_bits,
     mul_constants,
     mul_raw,
 )
@@ -136,19 +139,31 @@ def _common_denominator_terms(c: IntOpConstants):
     return m, nums, delta_nums
 
 
+def _sampled_constants(op_kind: str, p1: QuantParams, p2: QuantParams, py: QuantParams,
+                       frac_bits: int | None, length: int = 1) -> IntOpConstants:
+    """One sampled operator's constants at F, or at its ``fit_frac_bits`` F if F is None."""
+    if frac_bits is None and op_kind == "add":
+        frac_bits = fit_frac_bits(add_ratios(p1, p2, py), (p1.qmax, p2.qmax))
+    elif frac_bits is None:  # a product is the length-1 dot
+        frac_bits = fit_frac_bits(dot_ratios(p1, p2, py, length), (
+            length * p1.qmax * p2.qmax, length * p1.qmax, length * p2.qmax))
+    if op_kind == "dot":
+        return dot_constants(p1, p2, py, length, frac_bits)
+    return (add_constants if op_kind == "add" else mul_constants)(p1, p2, py, frac_bits)
+
+
 def _verify_binary(op_kind: str, param_sampler, samples: int, seed: int,
-                   frac_bits: int) -> VerificationReport:
+                   frac_bits: int | None) -> VerificationReport:
     rng = np.random.default_rng(seed)
-    make_consts = add_constants if op_kind == "add" else mul_constants
     raw_fn = add_raw if op_kind == "add" else mul_raw
     report = VerificationReport(op_kind=op_kind, cases=0, max_observed=0.0,
                                 max_bound=0.0, seed=seed)
     signed_sum = Fraction(0)
-    two_f = 1 << frac_bits
     while report.cases < samples:
         p1, p2, py = param_sampler(rng)
-        c = make_consts(p1, p2, py, frac_bits)
+        c = _sampled_constants(op_kind, p1, p2, py, frac_bits)
         m, nums, deltas = _common_denominator_terms(c)
+        m_over_f = m >> c.frac_bits
         ad = tuple(abs(d) for d in deltas)
         q1s = rng.integers(0, p1.qmax + 1, size=CASES_PER_TUPLE)
         q2s = rng.integers(0, p2.qmax + 1, size=CASES_PER_TUPLE)
@@ -167,7 +182,7 @@ def _verify_binary(op_kind: str, param_sampler, samples: int, seed: int,
                 exact_num = (nums[0] * q12 + nums[1] * q1
                              + nums[2] * q2 + nums[3])
                 bound_num = ad[0] * q12 + ad[1] * q1 + ad[2] * q2 + ad[3]
-            err_num = raw_fn(q1, q2, c) * (m // two_f) - exact_num
+            err_num = raw_fn(q1, q2, c) * m_over_f - exact_num
             report.cases += 1
             tuple_signed += err_num
             worst_err = max(worst_err, abs(err_num))
@@ -183,19 +198,18 @@ def _verify_binary(op_kind: str, param_sampler, samples: int, seed: int,
     return report
 
 
-def _verify_dot(param_sampler, samples: int, seed: int, frac_bits: int,
+def _verify_dot(param_sampler, samples: int, seed: int, frac_bits: int | None,
                 length: int = 64) -> VerificationReport:
     rng = np.random.default_rng(seed)
     report = VerificationReport(op_kind="dot", cases=0, max_observed=0.0,
                                 max_bound=0.0, seed=seed)
     signed_sum = Fraction(0)
-    two_f = 1 << frac_bits
     while report.cases < samples:
         px, pw, py = param_sampler(rng)
-        c = dot_constants(px, pw, py, length, frac_bits)
+        c = _sampled_constants("dot", px, pw, py, frac_bits, length)
         m, nums, deltas = _common_denominator_terms(c)
         ad = tuple(abs(d) for d in deltas)
-        m_over_f = m // two_f
+        m_over_f = m >> c.frac_bits
         xqs = rng.integers(0, px.qmax + 1, size=(CASES_PER_TUPLE, length))
         wqs = rng.integers(0, pw.qmax + 1, size=(CASES_PER_TUPLE, length))
         s1s = np.einsum("ij,ij->i", xqs, wqs)
@@ -249,10 +263,12 @@ def default_param_sampler(rng) -> tuple[QuantParams, QuantParams, QuantParams]:
 
 
 def empirical_verify(op_kind: str, param_sampler=None, samples: int = 100_000,
-                     seed: int = 0, frac_bits: int = 0) -> VerificationReport:
+                     seed: int = 0, frac_bits: int | None = 0) -> VerificationReport:
     """Sample operator instances and check every one against its bound.
 
-    A passing report has zero violations; any violation carries the full tuple
+    Constants use ``frac_bits`` fractional bits, or with None each operator's
+    own F from ``intops.fit_frac_bits``, the precision inference runs at. A
+    passing report has zero violations; any violation carries the full tuple
     needed to reproduce it.
     """
     if op_kind not in OP_KINDS:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import ControllerSpec
-from .intops import DEFAULT_FRAC_BITS, AccumulatorPolicy
+from .intops import AccumulatorPolicy
 from .layers import LayerSpec, ModelGraph, ShapeMismatchError
 from .quantize import NestedTensor, QuantParams
 
@@ -128,7 +128,6 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
         "input_params": _params_to_json(model.input_params),
         "quantization": {
             "master_bitwidth": model.master_bitwidth,
-            "frac_bits": model.frac_bits,
             "working_bits": model.acc_policy.working_bits,
             "rescale": model.acc_policy.rescale,
         },
@@ -148,19 +147,25 @@ def _typed(tree: dict, key: str, typ: type, default):
     return value
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def load_model(manifest_path: Path) -> ModelGraph:
     """Read a manifest and its blobs; any missing or ill-typed entry is a ManifestError.
 
     Keys added after version 1 (the accumulator policy, ``range_flagged``) are
-    optional and default to the values a model had before they were saved.
+    optional and default to the values a model had before they were saved. A
+    ``quantization.frac_bits`` key from older manifests is ignored: each layer
+    plan fits its own fixed-point precision.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    manifest = _read_json(manifest_path, "manifest")
     version = manifest.get("version") if isinstance(manifest, dict) else None
     if version != MANIFEST_VERSION:
         raise ManifestError(f"unrecognized manifest version {version!r}")
@@ -199,7 +204,6 @@ def _model_from_manifest(manifest: dict, base: Path) -> ModelGraph:
         input_shape=tuple(manifest["input_shape"]),
         input_params=_params_from_json(manifest.get("input_params")),
         master_bitwidth=q["master_bitwidth"],
-        frac_bits=q.get("frac_bits", DEFAULT_FRAC_BITS),
         acc_policy=AccumulatorPolicy(
             working_bits=_typed(q, "working_bits", int, default.working_bits),
             rescale=_typed(q, "rescale", bool, default.rescale)),
@@ -227,18 +231,28 @@ def save_controller(spec: ControllerSpec, directory: Path) -> Path:
 
 
 def load_controller(path: Path) -> ControllerSpec:
+    """Read a saved controller and its blobs.
+
+    An unreadable file, or a missing or ill-typed key, is a ManifestError.
+    """
     path = Path(path)
     if path.is_dir():
         path = path / "controller.json"
-    meta = json.loads(path.read_text())
-    spec = ControllerSpec(
-        num_layers=meta["num_layers"],
-        candidates=tuple(meta["candidates"]),
-        feature_dim=meta["feature_dim"],
-        hidden=meta["hidden"],
-        source="loaded",
-        seed=meta.get("seed"),
-    )
+    meta = _read_json(path, "controller")
+    try:
+        candidates = _typed(meta, "candidates", list, None)
+        if not all(type(c) is int for c in candidates):
+            raise TypeError(f"'candidates' must be integers, got {candidates!r}")
+        spec = ControllerSpec(
+            num_layers=_typed(meta, "num_layers", int, None),
+            candidates=tuple(candidates),
+            feature_dim=_typed(meta, "feature_dim", int, None),
+            hidden=_typed(meta, "hidden", int, None),
+            source="loaded",
+            seed=meta.get("seed"),
+        )
+    except (AttributeError, TypeError) as exc:
+        raise ManifestError(f"ill-formed controller {path}: {exc!r}") from exc
     base = path.parent
     for name in ("w1", "b1", "w2", "b2"):
         blob = base / f"{name}.nqtb"

@@ -130,7 +130,8 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
     set to the observed high percentile of pre-clamp values, giving each
     activation a zero-offset [0, alpha] grid. Output grids come from the final
     EMA range; a MAC layer feeding a clamp adopts the clamp's grid so its own
-    clipping realizes the clamp.
+    clipping realizes the clamp. Recalibrating discards the clamps and range
+    flags of any earlier calibration.
     """
     if passes < 1:
         raise ValueError("need at least one calibration pass")
@@ -139,6 +140,11 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
     prebias_states = [RangeState(momentum=momentum) for _ in model.layers]
     act_values: list[list[np.ndarray]] = [[] for _ in model.layers]
     data_min, data_max = np.inf, -np.inf
+    # The float pass clamps at any alpha already set, so reset before it runs.
+    for layer in model.layers:
+        layer.range_flagged = False
+        if layer.kind == "relu_pact":
+            layer.alpha = None
 
     for _ in range(passes):
         for batch in batches:
@@ -160,7 +166,7 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
 
     # Clamp bounds first: they define the grids of the layers that feed them.
     for i, layer in enumerate(model.layers):
-        if layer.kind == "relu_pact" and layer.alpha is None:
+        if layer.kind == "relu_pact":
             vals = np.concatenate(act_values[i])
             alpha = float(np.percentile(vals, ALPHA_PERCENTILE))
             layer.alpha = alpha if alpha > 0 else DEGENERATE_ABS_EPS

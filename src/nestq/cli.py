@@ -301,7 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check integer operators against their bounds")
     p.add_argument("--suite", choices=VERIFY_SUITES, default="bounds")
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--frac-bits", type=int, default=0)
+    p.add_argument("--frac-bits", type=int, default=None,
+                   help="fixed-point precision F of every sampled operator; by default "
+                        "each operator gets its own F from intops.fit_frac_bits, "
+                        "as in inference")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_verify)

@@ -3,16 +3,16 @@
 Each operator replaces a float computation on dequantized values with a linear
 combination of the integer inputs weighted by precomputed constants k_i. The
 constants are exact scale/offset ratios rounded to F fractional bits; F=0 gives
-literal rounded-integer constants, the default F=16 keeps small ratios from
+literal rounded-integer constants, a larger F keeps small ratios from
 collapsing to zero. A final rounded right shift by F lands the result on the
-output grid.
+output grid; ``fit_frac_bits`` picks the largest F an operator's int64 proof allows.
 
 The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
 reference oracles for tests and error analysis. ``nestq.layers`` builds a
-layer's constants, accumulator rescale and int64 overflow proof once per
-distinct (grids, b, accumulator policy, F), then runs each call as one integer
-array expression with the same rounding; only the shift of weights and
-activations down to b is redone per call.
+layer's constants at their fitted F, its accumulator rescale and its int64
+overflow proof once per distinct (grids, b, accumulator policy), then runs each
+call as one integer array expression with the same rounding; only the shift of
+weights and activations down to b is redone per call.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import numpy as np
 
 from .quantize import QuantParams, round_half_away_int, rounding_right_shift
 
-DEFAULT_FRAC_BITS = 16
+INT64_MAX = np.iinfo(np.int64).max
+DEFAULT_FRAC_BITS = 16  # the scalar builders' default; layer plans fit their own F
 
 # Per-element primitive ops of each inner MAC loop formulation. The factored
 # loop ("dqt_pact") applies when activations have zero offset.
@@ -97,34 +98,60 @@ def _encode(ratios: list[Fraction], frac_bits: int, role: str) -> IntOpConstants
                           frac_bits=frac_bits, degenerate=degenerate)
 
 
-def add_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
-                  frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
-    """Constants for q1 (+) q2 = k1*q1 + k2*q2 + k3 on the output grid."""
+def add_ratios(p1: QuantParams, p2: QuantParams, py: QuantParams) -> list[Fraction]:
+    """Exact ratios of q1 (+) q2 = k1*q1 + k2*q2 + k3 on the output grid."""
     d1, d2, dy = Fraction(p1.scale), Fraction(p2.scale), Fraction(py.scale)
     m1, m2, my = Fraction(p1.offset), Fraction(p2.offset), Fraction(py.offset)
-    return _encode([d1 / dy, d2 / dy, (m1 + m2 - my) / dy], frac_bits, "add")
+    return [d1 / dy, d2 / dy, (m1 + m2 - my) / dy]
+
+
+def dot_ratios(px: QuantParams, pw: QuantParams, py: QuantParams,
+               length: int) -> list[Fraction]:
+    """Exact ratios of the length-N integer dot; k4 absorbs N*m_x*m_w. A product is N=1."""
+    dx, dw, dy = Fraction(px.scale), Fraction(pw.scale), Fraction(py.scale)
+    mx, mw, my = Fraction(px.offset), Fraction(pw.offset), Fraction(py.offset)
+    return [dx * dw / dy, dx * mw / dy, dw * mx / dy, (length * mx * mw - my) / dy]
+
+
+def add_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
+                  frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
+    return _encode(add_ratios(p1, p2, py), frac_bits, "add")
 
 
 def mul_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
                   frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
-    """Constants for q1 (*) q2 = k1*q1*q2 + k2*q1 + k3*q2 + k4."""
-    d1, d2, dy = Fraction(p1.scale), Fraction(p2.scale), Fraction(py.scale)
-    m1, m2, my = Fraction(p1.offset), Fraction(p2.offset), Fraction(py.offset)
-    return _encode(
-        [d1 * d2 / dy, d1 * m2 / dy, d2 * m1 / dy, (m1 * m2 - my) / dy],
-        frac_bits, "mul",
-    )
+    return _encode(dot_ratios(p1, p2, py, 1), frac_bits, "mul")
 
 
 def dot_constants(px: QuantParams, pw: QuantParams, py: QuantParams, length: int,
                   frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
-    """Constants for the length-N integer dot product; k4 absorbs N*m_x*m_w."""
-    dx, dw, dy = Fraction(px.scale), Fraction(pw.scale), Fraction(py.scale)
-    mx, mw, my = Fraction(px.offset), Fraction(pw.offset), Fraction(py.offset)
-    return _encode(
-        [dx * dw / dy, dx * mw / dy, dw * mx / dy, (length * mx * mw - my) / dy],
-        frac_bits, "dot",
-    )
+    return _encode(dot_ratios(px, pw, py, length), frac_bits, "dot")
+
+
+def linear_bound(k, magnitudes, frac_bits: int) -> int:
+    """Bound on |sum(k_i * v_i) + k_last| plus the rounding half, for |v_i| <= magnitudes_i."""
+    *ks, k_last = k
+    return (sum(abs(ki) * m for ki, m in zip(ks, magnitudes)) + abs(k_last)
+            + ((1 << frac_bits) >> 1))
+
+
+def fit_frac_bits(ratios, magnitudes) -> int:
+    """Largest F in [0, 62] with ``linear_bound`` of the rounded ratios within int64.
+
+    |v_i| <= magnitudes_i bounds the operands; a constant carrying a rescale,
+    k_i << s, enters as magnitude m_i << s. As |k_i| >= |r_i| * 2^F - 1/2, the
+    bound is at least 2^F * slope - slack, so the search starts at the largest
+    F where that fits. Raises AccumulatorOverflowError if F=0 fails.
+    """
+    terms = list(magnitudes) + [1]
+    slope = sum(abs(r) * m for r, m in zip(ratios, terms)) + Fraction(1, 2)
+    slack = Fraction(sum(terms) + 1, 2)
+    start = min(62, int((INT64_MAX + slack) / slope).bit_length() - 1)
+    for frac_bits in range(start, -1, -1):
+        k = _encode(ratios, frac_bits, "").k
+        if linear_bound(k, magnitudes, frac_bits) <= INT64_MAX:
+            return frac_bits
+    raise AccumulatorOverflowError("intermediates exceed int64 even at F=0")
 
 
 def _clip_out(v: int, py: QuantParams) -> int:

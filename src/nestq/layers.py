@@ -5,10 +5,11 @@ calibration, and then runs as a pure integer pipeline: the input is quantized
 once at the master width, every MAC layer shifts its weights and activations
 down to its assigned bit-width, and only the final output is dequantized.
 
-A policy layer's constants, accumulator rescale, padding index, int64 proof
-and primitive counts are built once per distinct (grids, b, accumulator policy,
-F) by :func:`build_plan`; weights and activations are still shifted down to b
-on every call, since that shift is the transition the scheme prices.
+A policy layer's constants, at the F ``intops.fit_frac_bits`` fits to each,
+accumulator rescale, padding index, int64 proof and primitive counts are built
+once per distinct (grids, b, accumulator policy) by :func:`build_plan`; weights
+and activations are still shifted down to b on every call, since that shift is
+the transition the scheme prices.
 """
 
 from __future__ import annotations
@@ -23,11 +24,14 @@ from .intops import (
     ADD_PRIMITIVES,
     AccumulatorOverflowError,
     AccumulatorPolicy,
-    DEFAULT_FRAC_BITS,
+    INT64_MAX,
     MAC_PRIMITIVES,
     OpCounters,
     add_constants,
+    add_ratios,
     dot_constants,
+    dot_ratios,
+    fit_frac_bits,
     mac_loop,
     rescale_shift,
 )
@@ -46,7 +50,6 @@ from .quantize import (
 # Layer kinds that consume a policy bit-width (they move tensors below n).
 POLICY_KINDS = ("fc", "conv2d", "residual_add")
 LAYER_KINDS = POLICY_KINDS + ("relu_pact", "avgpool", "flatten")
-INT64_MAX = np.iinfo(np.int64).max
 
 
 class ShapeMismatchError(ValueError):
@@ -134,7 +137,6 @@ class ModelGraph:
     input_shape: tuple[int, ...]
     input_params: QuantParams | None = None
     master_bitwidth: int = 8
-    frac_bits: int = DEFAULT_FRAC_BITS
     acc_policy: AccumulatorPolicy = field(default_factory=AccumulatorPolicy)
 
     def __post_init__(self):
@@ -263,59 +265,47 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
     return windows.transpose(1, 2, 0, 3, 4).reshape(windows.shape[1] * windows.shape[2], -1)
 
 
-def _linear_bound(k, magnitudes, frac_bits: int) -> int:
-    """Bound on |sum(k_i * v_i) + k_last| plus the rounding half, for |v_i| <= magnitudes_i."""
-    *ks, k_last = k
-    return (sum(abs(ki) * m for ki, m in zip(ks, magnitudes)) + abs(k_last)
-            + ((1 << frac_bits) >> 1))
-
-
-def _prove_int64(name: str, *bounds: int) -> None:
-    """Refuse to run a layer whose integer intermediates could leave int64."""
-    worst = max(bounds)
-    if worst > INT64_MAX:
-        raise AccumulatorOverflowError(
-            f"layer {name!r}: intermediates may need {worst.bit_length() + 1} "
-            f"signed bits, beyond int64"
-        )
-
-
 @dataclass(frozen=True)
 class LayerPlan:
     """A policy layer compiled at one bit-width: everything but its tensors."""
 
     counters: OpCounters  # primitive counts of one call; callers copy them
     dot_k: tuple[int, ...] | None  # dot constants, rescale folded into k[0]
+    dot_f: int  # fractional bits F of dot_k
     shift: int  # rounded right shift of the product sum (accumulator rescale)
     pad: int  # b-bit grid index of 0.0, for conv padding
     add_k: tuple[int, ...] | None  # bias-add or residual-add constants
+    add_f: int  # fractional bits F of add_k
 
 
 @lru_cache(maxsize=1024)
 def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: QuantParams,
                prebias_grid: QuantParams | None, bias_grid: QuantParams | None,
                out_grid: QuantParams, length: int, outputs: int, moved: int,
-               acc_policy: AccumulatorPolicy, frac_bits: int) -> LayerPlan:
+               acc_policy: AccumulatorPolicy) -> LayerPlan:
     """Compile a policy layer at bit-width b from values alone, or refuse it.
 
     ``other_grid`` is the weight grid, or the residual branch's grid; ``moved``
-    counts the elements shifted when b < n. Cached by value, so a recalibrated
-    or reloaded model never reads a stale plan; a refusal is not cached.
+    counts the elements shifted when b < n. Each operator gets the largest F its
+    int64 proof allows. Cached by value, so a recalibrated or reloaded model
+    never reads a stale plan; a refusal is not cached.
     """
     px, po = derive_params(x_grid, b), derive_params(other_grid, b)
-    dot_k, shift, pad, add_k = None, 0, 0, None
-    bounds, ops = [], []  # int64 bounds; (primitive table, uses per output)
+    dot_k, dot_f, shift, pad, add_k, add_f = None, 0, 0, 0, None, 0
+    ops = []  # (primitive table, uses per output)
     add_in = (px, po)
     if kind != "residual_add":
         p_acc = prebias_grid or out_grid
-        c_dot = dot_constants(px, po, p_acc, length, frac_bits)
-        shift = rescale_shift(p_acc.master_bitwidth, length, acc_policy)
-        dot_k = (c_dot.k[0] << shift,) + c_dot.k[1:]
         s1_max = length * px.qmax * po.qmax
-        # The rescaled sum is bounded by at least 1 so that k[0] itself is covered.
-        bounds += [s1_max, _linear_bound(
-            dot_k, (max(rounding_right_shift(s1_max, shift), 1),
-                    length * px.qmax, length * po.qmax), frac_bits)]
+        if s1_max > INT64_MAX:
+            raise AccumulatorOverflowError(f"layer {name!r}: product sums exceed int64")
+        shift = rescale_shift(p_acc.master_bitwidth, length, acc_policy)
+        # k[0] << shift meets the rescaled sum, bounded by at least 1 to cover k[0].
+        s1_bound = max(rounding_right_shift(s1_max, shift), 1) << shift
+        dot_f = fit_frac_bits(dot_ratios(px, po, p_acc, length),
+                              (s1_bound, length * px.qmax, length * po.qmax))
+        c_dot = dot_constants(px, po, p_acc, length, dot_f)
+        dot_k = (c_dot.k[0] << shift,) + c_dot.k[1:]
         # With zero-offset activations k3 is 0: the factored and the general
         # loop give the same integer and differ only in the primitives charged.
         ops.append((MAC_PRIMITIVES[mac_loop(px)], length))
@@ -323,14 +313,13 @@ def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: Qu
             pad = int(quantize(np.float64(0.0), px))
         add_in = (p_acc, bias_grid) if bias_grid is not None else None
     if add_in is not None:
-        add_k = add_constants(*add_in, out_grid, frac_bits).k
-        bounds.append(_linear_bound(add_k, [p.qmax for p in add_in], frac_bits))
+        add_f = fit_frac_bits(add_ratios(*add_in, out_grid), [p.qmax for p in add_in])
+        add_k = add_constants(*add_in, out_grid, add_f).k
         ops.append((ADD_PRIMITIVES, 1))
-    _prove_int64(name, *bounds)
     counters = OpCounters(mults=outputs * sum(t["mul"] * r for t, r in ops),
                           adds=outputs * sum(t["add"] * r for t, r in ops),
                           shifts=moved if b < x_grid.master_bitwidth else 0)
-    return LayerPlan(counters, dot_k, shift, pad, add_k)
+    return LayerPlan(counters, dot_k, dot_f, shift, pad, add_k, add_f)
 
 
 def _round_shift(v: np.ndarray, s: int) -> np.ndarray:
@@ -353,7 +342,6 @@ def _int_add(k, q1: np.ndarray, q2: np.ndarray, frac_bits: int, qmax: int) -> np
 
 def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
               acc_policy: AccumulatorPolicy | None = None,
-              frac_bits: int = DEFAULT_FRAC_BITS,
               aux: NestedTensor | None = None) -> tuple[NestedTensor, LayerRecord]:
     """Execute one layer at bit-width b, returning a master-width output.
 
@@ -386,7 +374,7 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             layer.prebias_params, layer.bias_params if layer.bias_q is not None else None,
             py, layer.mac_count() // outputs, outputs,
             layer.weight_elements() + layer.input_elements(),
-            acc_policy or AccumulatorPolicy(), frac_bits)
+            acc_policy or AccumulatorPolicy())
         counters = replace(plan.counters)
         xq = shift_down(x.data, n, b)
 
@@ -399,14 +387,14 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         k = plan.dot_k
         raw = (k[0] * _round_shift(rows @ w.T, plan.shift)
                + k[1] * rows.sum(axis=1, keepdims=True) + k[2] * w.sum(axis=1) + k[3])
-        out = _requant(raw, frac_bits, (layer.prebias_params or py).qmax)
+        out = _requant(raw, plan.dot_f, (layer.prebias_params or py).qmax)
         if plan.add_k is not None:
             bias = layer.bias_q.data.astype(np.int64)  # any integer dtype may arrive
-            out = _int_add(plan.add_k, out, bias, frac_bits, py.qmax)
+            out = _int_add(plan.add_k, out, bias, plan.add_f, py.qmax)
         result = NestedTensor(data=out.T.reshape(layer.output_shape), params=py)
 
     elif layer.kind == "residual_add":
-        data = _int_add(plan.add_k, xq, shift_down(aux.data, n, b), frac_bits, py.qmax)
+        data = _int_add(plan.add_k, xq, shift_down(aux.data, n, b), plan.add_f, py.qmax)
         result = NestedTensor(data=data, params=py)
 
     elif layer.kind == "relu_pact":
@@ -452,7 +440,7 @@ def forward(model: ModelGraph, x: np.ndarray,
     for i, layer in enumerate(model.layers):
         b = next(bits) if layer.kind in POLICY_KINDS else model.master_bitwidth
         aux = outputs[layer.source] if layer.kind == "residual_add" else None
-        t, record = run_layer(layer, t, b, model.acc_policy, model.frac_bits, aux=aux)
+        t, record = run_layer(layer, t, b, model.acc_policy, aux=aux)
         record.index = i
         trace.records.append(record)
         trace.counters.merge(record.counters)

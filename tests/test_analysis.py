@@ -92,6 +92,14 @@ class TestEmpiricalVerify:
         report = empirical_verify("dot", samples=500, seed=3)
         assert report.passed
 
+    @pytest.mark.parametrize("op", ["add", "mul", "dot"])
+    def test_fitted_precision_no_violations(self, op):
+        # Each sampled operator at the F its int64 proof allows, as in inference.
+        fitted = empirical_verify(op, samples=500, seed=6, frac_bits=None)
+        at_zero = empirical_verify(op, samples=500, seed=6)
+        assert fitted.passed and fitted.cases == 500
+        assert fitted.max_bound < at_zero.max_bound
+
     def test_shift_exhaustive_max_exactly_half(self):
         report = empirical_verify("shift")
         assert report.passed

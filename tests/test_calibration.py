@@ -101,6 +101,17 @@ class TestCalibrate:
                         assert MIN_BITWIDTH <= p.bitwidth <= p.master_bitwidth \
                             <= MAX_BITWIDTH
 
+    def test_recalibration_resets_clamps_and_flags(self, blob_data):
+        from nestq.models import build_toy_mlp
+        x, _, means = blob_data
+        model = calibrate(build_toy_mlp(means=means), [x[:200]])
+        model.layers[0].range_flagged = True
+        calibrate(model, [2 * x[:200]])
+        fresh = calibrate(build_toy_mlp(means=means), [2 * x[:200]])
+        for a, b in zip(model.layers, fresh.layers):
+            assert (a.alpha, a.range_flagged, a.output_params) == \
+                (b.alpha, b.range_flagged, b.output_params)
+
     def test_rejects_zero_passes(self):
         with pytest.raises(ValueError):
             calibrate(single_fc_model(), [np.ones((1, 1))], passes=0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nestq import blobio
+from nestq.analysis import empirical_verify
 from nestq.blobio import ManifestError, read_blob, write_blob
 from nestq.cli import (
     EXIT_MANIFEST,
@@ -68,7 +69,6 @@ class TestManifest:
         blobio.save_model(mlp, tmp_path / "m")
         loaded = blobio.load_model(tmp_path / "m")
         assert loaded.master_bitwidth == mlp.master_bitwidth
-        assert loaded.frac_bits == mlp.frac_bits
         assert loaded.input_params == mlp.input_params
         assert len(loaded.layers) == len(mlp.layers)
         for a, b in zip(loaded.layers, mlp.layers):
@@ -141,6 +141,21 @@ class TestManifest:
         with pytest.raises(ManifestError):
             blobio.load_model(path)
 
+    def test_precision_key_not_written(self, tmp_path, mlp):
+        doc = json.loads(blobio.save_model(mlp, tmp_path / "m").read_text())
+        assert "frac_bits" not in doc["quantization"]
+
+    def test_legacy_precision_key_ignored(self, tmp_path, mlp, blob_data):
+        from nestq.layers import BitPolicy, forward
+        path = blobio.save_model(mlp, tmp_path / "m")
+        doc = json.loads(path.read_text())
+        doc["quantization"]["frac_bits"] = 16
+        path.write_text(json.dumps(doc))
+        loaded = blobio.load_model(path)
+        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        for x in blob_data[0][:3]:
+            assert np.array_equal(forward(loaded, x, policy)[0], forward(mlp, x, policy)[0])
+
     def test_controller_round_trip(self, tmp_path):
         spec = ControllerSpec(num_layers=3, candidates=(4, 5, 6), seed=2)
         blobio.save_controller(spec, tmp_path / "c")
@@ -149,6 +164,24 @@ class TestManifest:
         for name in ("w1", "b1", "w2", "b2"):
             assert np.allclose(getattr(loaded, name),
                                getattr(spec, name).astype(np.float32))
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: {k: v for k, v in meta.items() if k != "hidden"},
+        lambda meta: {**meta, "num_layers": "3"},
+        lambda meta: {**meta, "candidates": [4, "5"]},
+        lambda meta: [meta],
+    ], ids=["missing_hidden", "num_layers_not_int", "candidate_not_int", "not_an_object"])
+    def test_controller_missing_or_mistyped_keys_rejected(self, tmp_path, edit):
+        path = blobio.save_controller(ControllerSpec(num_layers=3, candidates=(4, 6)),
+                                      tmp_path / "c")
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ManifestError):
+            blobio.load_controller(path)
+
+    def test_unreadable_controller_rejected(self, tmp_path):
+        (tmp_path / "controller.json").write_text("{not json")
+        with pytest.raises(ManifestError):
+            blobio.load_controller(tmp_path)
 
 
 class TestSeedResolution:
@@ -245,6 +278,20 @@ class TestCommands:
                      "--data", str(workspace / "data/x.nqtb")]) == EXIT_OK
         assert blobio.load_model(model_dir).is_calibrated
 
+    def test_verify_default_checks_fitted_precision(self, tmp_path):
+        assert main(["verify", "--suite", "dot", "--samples", "500",
+                     "--out", str(tmp_path / "v.txt")]) == EXIT_OK
+        doc = json.loads((tmp_path / "v.txt.json").read_text())
+        fitted = empirical_verify("dot", samples=500, seed=0, frac_bits=None)
+        assert doc["dot"]["max_observed"] == repr(fitted.max_observed)
+        assert doc["dot"]["max_observed"] != repr(
+            empirical_verify("dot", samples=500, seed=0).max_observed)
+        assert main(["verify", "--suite", "dot", "--samples", "500", "--frac-bits", "0",
+                     "--out", str(tmp_path / "v0.txt")]) == EXIT_OK
+        doc = json.loads((tmp_path / "v0.txt.json").read_text())
+        assert doc["dot"]["max_observed"] == repr(
+            empirical_verify("dot", samples=500, seed=0).max_observed)
+
     def test_verify_passes(self, tmp_path):
         assert main(["verify", "--suite", "shift",
                      "--out", str(tmp_path / "v.txt")]) == EXIT_OK
@@ -262,6 +309,17 @@ class TestCommands:
         (tmp_path / "m/manifest.json").write_text('{"version": 1, "input_shape": [4]}')
         assert main(["cost", "--model", str(tmp_path / "m"),
                      "--out", str(tmp_path / "c.txt")]) == EXIT_MANIFEST
+
+    def test_controller_missing_key_exit_code(self, workspace, tmp_path):
+        path = blobio.save_controller(ControllerSpec(num_layers=3, candidates=(4, 8)),
+                                      tmp_path / "c")
+        meta = json.loads(path.read_text())
+        del meta["hidden"]
+        path.write_text(json.dumps(meta))
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(workspace / "data/x.nqtb"),
+                     "--policy", f"controller-file:{path}",
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
 
     def test_shape_mismatch_exit_code(self, workspace, tmp_path):
         write_blob(tmp_path / "bad.nqtb", np.zeros((2, 7), dtype=np.float32))

@@ -10,20 +10,23 @@ from hypothesis import strategies as st
 
 from nestq.analysis import exact_add_value, exact_mul_value
 from nestq.intops import (
+    INT64_MAX,
     AccumulatorOverflowError,
     AccumulatorPolicy,
     OpCounters,
     accumulator_bits,
     add_constants,
     dot_constants,
+    fit_frac_bits,
     int_add,
     int_dot,
     int_dot_pact,
     int_mul,
+    linear_bound,
     mul_constants,
     standard_mac_dot,
 )
-from nestq.quantize import QuantParams, make_master_params
+from nestq.quantize import QuantParams, make_master_params, round_half_away_int
 
 
 def params(scale, offset, b=8, n=8):
@@ -289,3 +292,39 @@ class TestOpCounters:
         a = OpCounters(mults=1, adds=2, shifts=3)
         a.merge(OpCounters(fp_ops=4, conversions=5))
         assert a.total() == 15
+
+
+class TestFitFracBits:
+    @staticmethod
+    def proof_holds(ratios, magnitudes, f):
+        k = [round_half_away_int(r * (1 << f)) for r in ratios]
+        return linear_bound(k, magnitudes, f) <= INT64_MAX
+
+    def test_matches_exhaustive_search(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            terms = int(rng.integers(1, 4))
+            ratios = [Fraction(int(rng.integers(-1000, 1001)), 1 << int(rng.integers(0, 40)))
+                      * (1 << int(rng.integers(0, 30))) for _ in range(terms + 1)]
+            mags = [int(rng.integers(1, 1 << int(rng.integers(1, 40)))) for _ in range(terms)]
+            passing = [f for f in range(63) if self.proof_holds(ratios, mags, f)]
+            if passing:
+                assert fit_frac_bits(ratios, mags) == max(passing)
+            else:
+                with pytest.raises(AccumulatorOverflowError):
+                    fit_frac_bits(ratios, mags)
+
+    def test_small_operator_capped_at_62(self):
+        assert fit_frac_bits([Fraction(1), Fraction(0)], [1]) == 62
+
+    def test_refused_when_integer_constants_overflow(self):
+        with pytest.raises(AccumulatorOverflowError):
+            fit_frac_bits([Fraction(1 << 60), Fraction(0)], [255])
+
+    def test_rescaled_magnitude_covers_shifted_constant(self):
+        # k0 << 5 times a sum of at most 1000 has the bound of k0 times 1000 << 5.
+        f = fit_frac_bits([Fraction(3, 7), Fraction(0)], [1000 << 5])
+        k0 = round_half_away_int(Fraction(3, 7) * (1 << f))
+        assert linear_bound([k0 << 5, 0], [1000], f) <= INT64_MAX
+        k0 = round_half_away_int(Fraction(3, 7) * (1 << (f + 1)))
+        assert linear_bound([k0 << 5, 0], [1000], f + 1) > INT64_MAX

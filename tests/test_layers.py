@@ -8,6 +8,7 @@ import pytest
 from nestq import layers
 from nestq.calibration import calibrate, float_forward
 from nestq.intops import (
+    INT64_MAX,
     AccumulatorOverflowError,
     AccumulatorPolicy,
     OpCounters,
@@ -16,6 +17,7 @@ from nestq.intops import (
     int_add,
     int_dot,
     int_dot_pact,
+    linear_bound,
 )
 from nestq.layers import (
     POLICY_KINDS,
@@ -35,6 +37,7 @@ from nestq.quantize import (
     dequantize,
     derive_params,
     quantize,
+    rounding_right_shift,
     shift_down,
 )
 
@@ -257,19 +260,33 @@ class TestAvgPoolFlatten:
         assert out.params == p
 
 
-def oracle_layer(layer, x, b, acc_policy, frac_bits, aux=None):
+def recorded_plans(monkeypatch):
+    """Route ``layers.build_plan`` through a recorder of (arguments, plan) pairs."""
+    plans = []
+    build = layers.build_plan
+
+    def record(*args):
+        plans.append((args, build(*args)))
+        return plans[-1][1]
+
+    monkeypatch.setattr(layers, "build_plan", record)
+    return plans
+
+
+def oracle_layer(layer, x, b, acc_policy, plan, aux=None):
     """One MAC or residual layer evaluated output by output with the scalar operators.
 
-    Charges the per-element counts the layer engine has always reported: the
-    factored loop 1 mult + 2 adds per MAC, the general loop 3 + 2, an integer
-    add (bias or residual) 2 + 2, and one shift per element moved below n.
+    Constants are built at the plan's F for the dot and for the add. Charges
+    the per-element counts the layer engine has always reported: the factored
+    loop 1 mult + 2 adds per MAC, the general loop 3 + 2, an integer add (bias
+    or residual) 2 + 2, and one shift per element moved below n.
     """
     n = x.params.master_bitwidth
     counters = OpCounters()
     py = layer.output_params
     if layer.kind == "residual_add":
         c = add_constants(derive_params(x.params, b), derive_params(aux.params, b),
-                          py, frac_bits)
+                          py, plan.add_f)
         q1 = shift_down(x.data, n, b).reshape(-1)
         q2 = shift_down(aux.data, n, b).reshape(-1)
         out = np.array([int_add(int(a), int(bb), c, py) for a, bb in zip(q1, q2)])
@@ -293,9 +310,9 @@ def oracle_layer(layer, x, b, acc_policy, frac_bits, aux=None):
     length = rows[0].size
     p_acc = layer.prebias_params or py
     c_dot = dot_constants(px, derive_params(layer.weight_q.params, b), p_acc,
-                          length, frac_bits)
+                          length, plan.dot_f)
     if layer.bias_q is not None:
-        c_add = add_constants(p_acc, layer.bias_params, py, frac_bits)
+        c_add = add_constants(p_acc, layer.bias_params, py, plan.add_f)
     out = np.empty((len(rows), len(wq)), dtype=np.int64)
     for o, wrow in enumerate(wq):
         for r, xrow in enumerate(rows):
@@ -342,6 +359,10 @@ def small_resnet():
 
 
 class TestArrayPathMatchesScalarOracles:
+    @pytest.fixture(autouse=True)
+    def plans(self, monkeypatch):
+        self.plans = recorded_plans(monkeypatch)
+
     def check(self, model, xs, policies):
         for x in xs:
             for policy in policies:
@@ -351,11 +372,10 @@ class TestArrayPathMatchesScalarOracles:
                 for layer in model.layers:
                     b = next(bits) if layer.kind in POLICY_KINDS else model.master_bitwidth
                     aux = outputs[layer.source] if layer.kind == "residual_add" else None
-                    out, record = run_layer(layer, t, b, model.acc_policy,
-                                            model.frac_bits, aux=aux)
+                    out, record = run_layer(layer, t, b, model.acc_policy, aux=aux)
                     if layer.kind in POLICY_KINDS:
                         want, counters = oracle_layer(layer, t, b, model.acc_policy,
-                                                      model.frac_bits, aux)
+                                                      self.plans[-1][1], aux)
                         assert np.array_equal(out.data, want), (layer.name, policy)
                         assert record.counters == counters, (layer.name, policy)
                     outputs.append(out)
@@ -387,6 +407,68 @@ class TestArrayPathMatchesScalarOracles:
                     BitPolicy(bits=(4, 8, 6, 3, 8), candidates=cands),
                     BitPolicy(bits=(8, 3, 4, 6, 4), candidates=cands)]
         self.check(model, data[:2], policies)
+
+
+def plan_proofs(args, plan, extra=0):
+    """Int64 bounds of each operator in a plan, with its constants at F + extra.
+
+    Restates the proof over the expression ``run_layer`` evaluates: the dot's
+    k[0] << shift times the rescaled product sum, then the bias or residual add.
+    """
+    kind, _, b, x_grid, other_grid, prebias, bias_grid, out_grid, length = args[:9]
+    px, po = derive_params(x_grid, b), derive_params(other_grid, b)
+    bounds, add_in = [], (px, po)
+    if kind != "residual_add":
+        p_acc = prebias or out_grid
+        f = plan.dot_f + extra
+        k = dot_constants(px, po, p_acc, length, f).k
+        if extra == 0:
+            assert plan.dot_k == (k[0] << plan.shift,) + k[1:]
+        s1 = rounding_right_shift(length * px.qmax * po.qmax, plan.shift)
+        bounds.append(linear_bound((k[0] << plan.shift,) + k[1:],
+                                   (max(s1, 1), length * px.qmax, length * po.qmax), f))
+        add_in = (p_acc, bias_grid) if bias_grid is not None else None
+    if add_in is not None:
+        f = plan.add_f + extra
+        k = add_constants(*add_in, out_grid, f).k
+        if extra == 0:
+            assert plan.add_k == k
+        bounds.append(linear_bound(k, [p.qmax for p in add_in], f))
+    return bounds
+
+
+class TestPlanPrecision:
+    """Each operator of a plan runs at the largest F whose int64 proof holds."""
+
+    def check(self, plans, kind):
+        checked = 0
+        for args, plan in plans:
+            if args[0] != kind:
+                continue
+            assert all(bound <= INT64_MAX for bound in plan_proofs(args, plan))
+            assert all(bound > INT64_MAX for bound in plan_proofs(args, plan, extra=1))
+            checked += 1
+        assert checked
+
+    def test_fc(self, blob_data, monkeypatch):
+        x, _, means = blob_data
+        model = build_toy_mlp(seed=7, n=12, means=means)
+        calibrate(model, [x[:200]])
+        plans = recorded_plans(monkeypatch)
+        for bits in ((12, 12, 12), (12, 6, 4), (3, 9, 12)):
+            forward(model, x[0], BitPolicy(bits=bits, candidates=tuple(range(2, 13))))
+        self.check(plans, "fc")
+
+    def test_conv(self, cnn, cnn_data, monkeypatch):
+        plans = recorded_plans(monkeypatch)
+        forward(cnn, cnn_data[0][0], BitPolicy(bits=(6, 4, 8), candidates=(4, 6, 8)))
+        self.check(plans, "conv2d")
+
+    def test_residual(self, monkeypatch):
+        model, data = small_resnet()
+        plans = recorded_plans(monkeypatch)
+        forward(model, data[0], BitPolicy(bits=(4, 8, 6, 3, 8), candidates=(3, 4, 6, 8)))
+        self.check(plans, "residual_add")
 
 
 class TestIntegerRange:
@@ -462,8 +544,6 @@ class TestLayerPlan:
         calibrate(model, [shifted])
         assert model.input_params != first_grid
         fresh = build_toy_mlp(seed=7, means=means)
-        for new, old in zip(fresh.layers, model.layers):
-            new.alpha = old.alpha  # calibration keeps clamp bounds already set
         calibrate(fresh, [shifted])
         for sample in shifted[:5]:
             assert np.array_equal(forward(model, sample, policy)[0],
