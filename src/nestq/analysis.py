@@ -23,6 +23,7 @@ from .intops import (
     dot_ratios,
     fit_frac_bits,
     mul_constants,
+    mul_ratios,
     mul_raw,
 )
 from .quantize import QuantParams, make_master_params, round_half_away_int
@@ -43,25 +44,23 @@ class ErrorBound:
 def op_error_bound(consts: IntOpConstants, magnitudes) -> ErrorBound:
     """Worst-case |integer op - exact quantized value| from the deltas.
 
-    ``magnitudes`` are per-operand maxima: (q1, q2) for add/mul, bounds on the
-    three accumulator sums for dot. The constants do not know their operands'
-    ranges, so the caller supplies them, usually the full quantized range.
+    ``magnitudes`` are per-operand maxima: (q1, q2) for add/mul; for dot,
+    bounds on the three accumulator sums and on the bias integer q_b. The
+    constants do not know their operands' ranges, so the caller supplies them,
+    usually the full quantized range.
     """
     deltas = consts.deltas()
     mags = tuple(int(m) for m in magnitudes)
-    if consts.role == "add":
+    if consts.role == "mul":
         q1, q2 = mags
-        bound = abs(deltas[0]) * q1 + abs(deltas[1]) * q2 + abs(deltas[2])
-    elif consts.role == "mul":
-        q1, q2 = mags
-        bound = (abs(deltas[0]) * q1 * q2 + abs(deltas[1]) * q1
-                 + abs(deltas[2]) * q2 + abs(deltas[3]))
-    elif consts.role == "dot":
-        s1, s2, s3 = mags
-        bound = (abs(deltas[0]) * s1 + abs(deltas[1]) * s2
-                 + abs(deltas[2]) * s3 + abs(deltas[3]))
+        terms = (q1 * q2, q1, q2)
+    elif consts.role in ("add", "dot"):
+        terms = mags
     else:
         raise ValueError(f"no bound formula for role {consts.role!r}")
+    if len(terms) != len(deltas) - 1:
+        raise ValueError(f"{consts.role} needs {len(deltas) - 1} magnitudes, got {mags}")
+    bound = sum(abs(d) * t for d, t in zip(deltas, terms)) + abs(deltas[-1])
     return ErrorBound(op_kind=consts.role, deltas=deltas, bound=bound, magnitudes=mags)
 
 
@@ -139,97 +138,68 @@ def _common_denominator_terms(c: IntOpConstants):
     return m, nums, delta_nums
 
 
-def _sampled_constants(op_kind: str, p1: QuantParams, p2: QuantParams, py: QuantParams,
-                       frac_bits: int | None, length: int = 1) -> IntOpConstants:
-    """One sampled operator's constants at F, or at its ``fit_frac_bits`` F if F is None."""
-    if frac_bits is None and op_kind == "add":
-        frac_bits = fit_frac_bits(add_ratios(p1, p2, py), (p1.qmax, p2.qmax))
-    elif frac_bits is None:  # a product is the length-1 dot
-        frac_bits = fit_frac_bits(dot_ratios(p1, p2, py, length), (
-            length * p1.qmax * p2.qmax, length * p1.qmax, length * p2.qmax))
+def _sampled_operator(op_kind: str, rng, param_sampler, frac_bits: int | None,
+                      length: int):
+    """Draw one operator instance: its grids, constants and CASES_PER_TUPLE cases.
+
+    Every operator is sum(k_i * t_i) + k_last over its terms t, returned as one
+    column per term: (q1, q2) for add, (q1*q2, q1, q2) for mul, and for the
+    length-N dot the sums of x*w, x and w plus the integer of a bias on a drawn
+    bias grid, as in a biased layer. Constants are at F, or at the operator's
+    ``fit_frac_bits`` F if F is None, the precision inference runs at.
+    """
+    p1, p2, py = param_sampler(rng)
+
+    def draw(p: QuantParams, *shape):
+        return rng.integers(0, p.qmax + 1, size=(CASES_PER_TUPLE,) + shape)
+
     if op_kind == "dot":
-        return dot_constants(p1, p2, py, length, frac_bits)
-    return (add_constants if op_kind == "add" else mul_constants)(p1, p2, py, frac_bits)
+        pb = _random_params(rng, p1.master_bitwidth)
+        f = frac_bits if frac_bits is not None else fit_frac_bits(
+            dot_ratios(p1, p2, py, length, pb),
+            (length * p1.qmax * p2.qmax, length * p1.qmax, length * p2.qmax, pb.qmax))
+        xqs, wqs = draw(p1, length), draw(p2, length)
+        cols = (np.einsum("ij,ij->i", xqs, wqs), xqs.sum(axis=1), wqs.sum(axis=1), draw(pb))
+        return (p1, p2, py, pb), dot_constants(p1, p2, py, length, pb, f), cols
+    if op_kind == "add":
+        ratios, build, mags = add_ratios, add_constants, (p1.qmax, p2.qmax)
+    else:
+        ratios, build, mags = mul_ratios, mul_constants, (p1.qmax * p2.qmax, p1.qmax, p2.qmax)
+    f = frac_bits if frac_bits is not None else fit_frac_bits(ratios(p1, p2, py), mags)
+    q1s, q2s = draw(p1), draw(p2)
+    cols = (q1s, q2s) if op_kind == "add" else (q1s * q2s, q1s, q2s)
+    return (p1, p2, py), build(p1, p2, py, f), cols
 
 
-def _verify_binary(op_kind: str, param_sampler, samples: int, seed: int,
-                   frac_bits: int | None) -> VerificationReport:
+def _verify_linear(op_kind: str, param_sampler, samples: int, seed: int,
+                   frac_bits: int | None, length: int = 64) -> VerificationReport:
     rng = np.random.default_rng(seed)
-    raw_fn = add_raw if op_kind == "add" else mul_raw
     report = VerificationReport(op_kind=op_kind, cases=0, max_observed=0.0,
                                 max_bound=0.0, seed=seed)
     signed_sum = Fraction(0)
     while report.cases < samples:
-        p1, p2, py = param_sampler(rng)
-        c = _sampled_constants(op_kind, p1, p2, py, frac_bits)
+        grids, c, cols = _sampled_operator(op_kind, rng, param_sampler, frac_bits, length)
         m, nums, deltas = _common_denominator_terms(c)
         m_over_f = m >> c.frac_bits
         ad = tuple(abs(d) for d in deltas)
-        q1s = rng.integers(0, p1.qmax + 1, size=CASES_PER_TUPLE)
-        q2s = rng.integers(0, p2.qmax + 1, size=CASES_PER_TUPLE)
         tuple_signed = 0
         worst_err = 0
         worst_bound = 0
-        for q1, q2 in zip(q1s.tolist(), q2s.tolist()):
+        for terms in zip(*(col.tolist() for col in cols)):
             # Compare at pre-shift resolution so the final output rounding does
             # not enter: (raw / 2^F) - exact is the delta combination exactly.
             # All quantities are over the tuple's shared denominator m.
-            if op_kind == "add":
-                exact_num = nums[0] * q1 + nums[1] * q2 + nums[2]
-                bound_num = ad[0] * q1 + ad[1] * q2 + ad[2]
-            else:
-                q12 = q1 * q2
-                exact_num = (nums[0] * q12 + nums[1] * q1
-                             + nums[2] * q2 + nums[3])
-                bound_num = ad[0] * q12 + ad[1] * q1 + ad[2] * q2 + ad[3]
-            err_num = raw_fn(q1, q2, c) * m_over_f - exact_num
-            report.cases += 1
-            tuple_signed += err_num
-            worst_err = max(worst_err, abs(err_num))
-            worst_bound = max(worst_bound, bound_num)
-            if abs(err_num) > bound_num:
-                report.violations.append(Violation(
-                    op_kind, (p1, p2, py), (q1, q2),
-                    float(Fraction(err_num, m)), float(Fraction(bound_num, m))))
-        signed_sum += Fraction(tuple_signed, m)
-        report.max_observed = max(report.max_observed, float(Fraction(worst_err, m)))
-        report.max_bound = max(report.max_bound, float(Fraction(worst_bound, m)))
-    report.mean_signed_error = float(signed_sum / max(report.cases, 1))
-    return report
-
-
-def _verify_dot(param_sampler, samples: int, seed: int, frac_bits: int | None,
-                length: int = 64) -> VerificationReport:
-    rng = np.random.default_rng(seed)
-    report = VerificationReport(op_kind="dot", cases=0, max_observed=0.0,
-                                max_bound=0.0, seed=seed)
-    signed_sum = Fraction(0)
-    while report.cases < samples:
-        px, pw, py = param_sampler(rng)
-        c = _sampled_constants("dot", px, pw, py, frac_bits, length)
-        m, nums, deltas = _common_denominator_terms(c)
-        ad = tuple(abs(d) for d in deltas)
-        m_over_f = m >> c.frac_bits
-        xqs = rng.integers(0, px.qmax + 1, size=(CASES_PER_TUPLE, length))
-        wqs = rng.integers(0, pw.qmax + 1, size=(CASES_PER_TUPLE, length))
-        s1s = np.einsum("ij,ij->i", xqs, wqs)
-        s2s = xqs.sum(axis=1)
-        s3s = wqs.sum(axis=1)
-        tuple_signed = 0
-        worst_err = 0
-        worst_bound = 0
-        for s1, s2, s3 in zip(s1s.tolist(), s2s.tolist(), s3s.tolist()):
-            raw = c.k[0] * s1 + c.k[1] * s2 + c.k[2] * s3 + c.k[3]
-            exact_num = nums[0] * s1 + nums[1] * s2 + nums[2] * s3 + nums[3]
+            raw = sum(k * t for k, t in zip(c.k, terms)) + c.k[-1]
+            exact_num = sum(v * t for v, t in zip(nums, terms)) + nums[-1]
+            bound_num = sum(a * t for a, t in zip(ad, terms)) + ad[-1]
             err_num = raw * m_over_f - exact_num
-            bound_num = ad[0] * s1 + ad[1] * s2 + ad[2] * s3 + ad[3]
             report.cases += 1
             tuple_signed += err_num
             worst_err = max(worst_err, abs(err_num))
             worst_bound = max(worst_bound, bound_num)
             if abs(err_num) > bound_num:
                 report.violations.append(Violation(
-                    "dot", (px, pw, py), (s1, s2, s3),
+                    op_kind, grids, terms,
                     float(Fraction(err_num, m)), float(Fraction(bound_num, m))))
         signed_sum += Fraction(tuple_signed, m)
         report.max_observed = max(report.max_observed, float(Fraction(worst_err, m)))
@@ -276,9 +246,7 @@ def empirical_verify(op_kind: str, param_sampler=None, samples: int = 100_000,
     sampler = param_sampler or default_param_sampler
     if op_kind == "shift":
         return _verify_shift()
-    if op_kind == "dot":
-        return _verify_dot(sampler, samples, seed, frac_bits)
-    return _verify_binary(op_kind, sampler, samples, seed, frac_bits)
+    return _verify_linear(op_kind, sampler, samples, seed, frac_bits)
 
 
 def exhaustive_verify_binary(op_kind: str, n: int, param_tuples,

@@ -97,8 +97,7 @@ def _params_from_json(d) -> QuantParams | None:
 _LAYER_SCALARS = ("kind", "name", "in_features", "out_features", "in_channels",
                   "out_channels", "kernel", "stride", "padding", "pool",
                   "source", "alpha")
-_LAYER_PARAMS = ("input_params", "weight_params", "bias_params",
-                 "prebias_params", "output_params")
+_LAYER_PARAMS = ("input_params", "weight_params", "bias_params", "output_params")
 
 
 def save_model(model: ModelGraph, directory: Path, provenance: dict | None = None) -> Path:
@@ -158,9 +157,11 @@ def load_model(manifest_path: Path) -> ModelGraph:
     """Read a manifest and its blobs; any missing or ill-typed entry is a ManifestError.
 
     Keys added after version 1 (the accumulator policy, ``range_flagged``) are
-    optional and default to the values a model had before they were saved. A
-    ``quantization.frac_bits`` key from older manifests is ignored: each layer
-    plan fits its own fixed-point precision.
+    optional and default to the values a model had before they were saved.
+    Keys older manifests carry are ignored: ``quantization.frac_bits``, as each
+    layer plan fits its own fixed-point precision, and a MAC layer's pre-bias
+    grid, as the layer adds its bias inside the dot and rounds once onto its
+    output grid.
     """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():

@@ -3,7 +3,9 @@
 Calibration runs the float model over a dataset, tracks every layer's output
 range with an exponential moving average, picks each activation clamp from a
 high percentile of observed values, and then freezes all master grids and
-quantizes the weights.
+quantizes the weights. A MAC layer's bias has its own grid but its result does
+not: the integer path adds the bias inside the dot and rounds once, onto the
+output grid.
 """
 
 from __future__ import annotations
@@ -137,7 +139,6 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
         raise ValueError("need at least one calibration pass")
     n = model.master_bitwidth
     states = [RangeState(momentum=momentum) for _ in model.layers]
-    prebias_states = [RangeState(momentum=momentum) for _ in model.layers]
     act_values: list[list[np.ndarray]] = [[] for _ in model.layers]
     data_min, data_max = np.inf, -np.inf
     # The float pass clamps at any alpha already set, so reset before it runs.
@@ -157,11 +158,6 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
                     act_values[i].append(np.maximum(t, 0.0).reshape(-1))
                 y = outputs[i]
                 states[i] = ema_update(states[i], float(y.min()), float(y.max()))
-                if layer.has_weights and layer.bias is not None:
-                    shape = (1, -1) + (1,) * (y.ndim - 2)
-                    pre = y - layer.bias.reshape(shape)
-                    prebias_states[i] = ema_update(
-                        prebias_states[i], float(pre.min()), float(pre.max()))
                 t = y
 
     # Clamp bounds first: they define the grids of the layers that feed them.
@@ -182,12 +178,6 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
         layer.input_params = prev_params
         if layer.has_weights:
             layer.range_flagged |= quantize_weights(layer, n)
-            if layer.bias is not None:
-                # The MAC result before the bias add lives on its own grid;
-                # the output range rarely contains it.
-                lo, hi, f = _widened(prebias_states[i].y_min, prebias_states[i].y_max)
-                layer.range_flagged |= f
-                layer.prebias_params = make_master_params(lo, hi, n)
             nxt = model.layers[i + 1] if i + 1 < len(model.layers) else None
             if nxt is not None and nxt.kind == "relu_pact":
                 layer.output_params = make_master_params(0.0, nxt.alpha, n)

@@ -3,7 +3,8 @@
 Every command is a pure function of its flags and seeds and writes diffable
 key=value reports (plus a JSON twin) atomically. Exit codes: 0 success,
 2 usage error, 3 unreadable or ill-formed manifest/blob, 4 shape mismatch,
-5 unknown policy source, 6 bound violation in verify, 1 anything else.
+5 unknown policy source, 6 bound violation in verify, 1 anything else (such as
+a layer refused because its accumulator would overflow).
 
 Seed precedence: an explicit --seed flag wins; otherwise the NESTQ_SEED
 environment variable; otherwise the command's built-in default.
@@ -29,6 +30,7 @@ from .controller import (
     select_argmax,
 )
 from .cost import cost_report
+from .intops import AccumulatorOverflowError
 from .layers import BitPolicy, ShapeMismatchError, forward
 from .models import build_toy_cnn, build_toy_mlp, make_blob_dataset
 
@@ -337,7 +339,7 @@ def main(argv=None) -> int:
     except BoundViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, AccumulatorOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

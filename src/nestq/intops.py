@@ -7,6 +7,10 @@ literal rounded-integer constants, a larger F keeps small ratios from
 collapsing to zero. A final rounded right shift by F lands the result on the
 output grid; ``fit_frac_bits`` picks the largest F an operator's int64 proof allows.
 
+A MAC layer's bias is one more term of its dot, k4*q_b, with the bias offset
+folded into the additive constant, so the layer rounds once, onto its output
+grid, as Jacob et al. (2018) do with the bias in the integer accumulator.
+
 The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
 reference oracles for tests and error analysis. ``nestq.layers`` builds a
 layer's constants at their fitted F, its accumulator rescale and its int64
@@ -36,6 +40,8 @@ MAC_PRIMITIVES = {
 }
 # Per-output primitive ops of an integer add: k1*q1 + k2*q2 + k3.
 ADD_PRIMITIVES = {"mul": 2, "add": 2}
+# Per-output primitive ops of the bias term a MAC layer adds to its dot: k4*q_b.
+BIAS_PRIMITIVES = {"mul": 1, "add": 1}
 
 
 class AccumulatorOverflowError(OverflowError):
@@ -105,12 +111,24 @@ def add_ratios(p1: QuantParams, p2: QuantParams, py: QuantParams) -> list[Fracti
     return [d1 / dy, d2 / dy, (m1 + m2 - my) / dy]
 
 
-def dot_ratios(px: QuantParams, pw: QuantParams, py: QuantParams,
-               length: int) -> list[Fraction]:
-    """Exact ratios of the length-N integer dot; k4 absorbs N*m_x*m_w. A product is N=1."""
+def dot_ratios(px: QuantParams, pw: QuantParams, py: QuantParams, length: int,
+               pb: QuantParams | None = None) -> list[Fraction]:
+    """Exact ratios of k1*S_xw + k2*S_x + k3*S_w + k4*q_b + k5 on the output grid.
+
+    The S are the length-N sums of x*w, x and w; q_b is a bias on grid ``pb``.
+    k5 absorbs N*m_x*m_w and the bias offset m_b; with no bias grid k4 = 0.
+    """
     dx, dw, dy = Fraction(px.scale), Fraction(pw.scale), Fraction(py.scale)
     mx, mw, my = Fraction(px.offset), Fraction(pw.offset), Fraction(py.offset)
-    return [dx * dw / dy, dx * mw / dy, dw * mx / dy, (length * mx * mw - my) / dy]
+    db, mb = (Fraction(pb.scale), Fraction(pb.offset)) if pb is not None else (0, 0)
+    return [dx * dw / dy, dx * mw / dy, dw * mx / dy, db / dy,
+            (length * mx * mw + mb - my) / dy]
+
+
+def mul_ratios(p1: QuantParams, p2: QuantParams, py: QuantParams) -> list[Fraction]:
+    """Exact ratios of q1 (*) q2 = k1*q1*q2 + k2*q1 + k3*q2 + k4: a bias-free N=1 dot."""
+    k1, k2, k3, _, k4 = dot_ratios(p1, p2, py, 1)
+    return [k1, k2, k3, k4]
 
 
 def add_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
@@ -120,12 +138,13 @@ def add_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
 
 def mul_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
                   frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
-    return _encode(dot_ratios(p1, p2, py, 1), frac_bits, "mul")
+    return _encode(mul_ratios(p1, p2, py), frac_bits, "mul")
 
 
 def dot_constants(px: QuantParams, pw: QuantParams, py: QuantParams, length: int,
+                  pb: QuantParams | None = None,
                   frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
-    return _encode(dot_ratios(px, pw, py, length), frac_bits, "dot")
+    return _encode(dot_ratios(px, pw, py, length, pb), frac_bits, "dot")
 
 
 def linear_bound(k, magnitudes, frac_bits: int) -> int:
@@ -226,27 +245,29 @@ def rescale_shift(n: int, length: int, acc_policy: AccumulatorPolicy | None) -> 
     return need - acc_policy.working_bits
 
 
-def _apply_dot_constants(c: IntOpConstants, s1: int, s2: int, s3: int, length: int,
-                         py: QuantParams, acc_policy: AccumulatorPolicy | None) -> int:
+def _apply_dot_constants(c: IntOpConstants, s1: int, s2: int, s3: int, qb: int,
+                         length: int, py: QuantParams,
+                         acc_policy: AccumulatorPolicy | None) -> int:
     shift = rescale_shift(py.master_bitwidth, length, acc_policy)
     s1 = rounding_right_shift(s1, shift)
     # Fold the rescale back so the result stays on the declared output grid.
-    raw = (c.k[0] << shift) * s1 + c.k[1] * s2 + c.k[2] * s3 + c.k[3]
+    raw = (c.k[0] << shift) * s1 + c.k[1] * s2 + c.k[2] * s3 + c.k[3] * int(qb) + c.k[4]
     return _clip_out(rounding_right_shift(raw, c.frac_bits), py)
 
 
 def int_dot(xq, wq, c: IntOpConstants, py: QuantParams,
-            acc_policy: AccumulatorPolicy | None = None) -> int:
-    """General integer dot product; handles nonzero offsets on both operands."""
+            acc_policy: AccumulatorPolicy | None = None, qb: int = 0) -> int:
+    """General integer dot product plus bias ``qb``; handles offsets on both operands."""
     if c.role != "dot":
         raise ValueError(f"constants have role {c.role!r}, need 'dot'")
     s1, s2, s3 = _dot_sums(xq, wq)
-    return _apply_dot_constants(c, s1, s2, s3, np.size(xq), py, acc_policy)
+    return _apply_dot_constants(c, s1, s2, s3, qb, np.size(xq), py, acc_policy)
 
 
 def int_dot_pact(xq, wq, c: IntOpConstants, py: QuantParams,
-                 acc_policy: AccumulatorPolicy | None = None) -> tuple[int, OpCounters]:
-    """Optimized dot product for zero-offset activations.
+                 acc_policy: AccumulatorPolicy | None = None,
+                 qb: int = 0) -> tuple[int, OpCounters]:
+    """Optimized dot product plus bias ``qb`` for zero-offset activations.
 
     With m_x = 0 the k3 term vanishes and k1, k2 factor out of the loop, so the
     inner loop accumulates only sum(x*w) and sum(x): one multiply and two adds
@@ -260,7 +281,7 @@ def int_dot_pact(xq, wq, c: IntOpConstants, py: QuantParams,
     n_elems = np.size(xq)
     loop = MAC_PRIMITIVES["dqt_pact"]
     counters = OpCounters(mults=loop["mul"] * n_elems, adds=loop["add"] * n_elems)
-    return _apply_dot_constants(c, s1, s2, 0, n_elems, py, acc_policy), counters
+    return _apply_dot_constants(c, s1, s2, 0, qb, n_elems, py, acc_policy), counters
 
 
 def standard_mac_dot(xq, wq, zero_x: int, zero_w: int) -> tuple[int, OpCounters]:

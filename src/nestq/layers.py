@@ -5,11 +5,13 @@ calibration, and then runs as a pure integer pipeline: the input is quantized
 once at the master width, every MAC layer shifts its weights and activations
 down to its assigned bit-width, and only the final output is dequantized.
 
-A policy layer's constants, at the F ``intops.fit_frac_bits`` fits to each,
-accumulator rescale, padding index, int64 proof and primitive counts are built
-once per distinct (grids, b, accumulator policy) by :func:`build_plan`; weights
-and activations are still shifted down to b on every call, since that shift is
-the transition the scheme prices.
+A fc or conv layer is one integer expression, its dot plus the bias term,
+rounded once onto its output grid; a residual add is the integer add, also
+rounded once. A policy layer's constants, at the F ``intops.fit_frac_bits``
+fits to them, accumulator rescale, padding index, int64 proof and primitive
+counts are built once per distinct (grids, b, accumulator policy) by
+:func:`build_plan`; weights and activations are still shifted down to b on
+every call, since that shift is the transition the scheme prices.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .intops import (
     ADD_PRIMITIVES,
+    BIAS_PRIMITIVES,
     AccumulatorOverflowError,
     AccumulatorPolicy,
     INT64_MAX,
@@ -90,9 +93,6 @@ class LayerSpec:
     input_params: QuantParams | None = None
     weight_params: QuantParams | None = None
     bias_params: QuantParams | None = None
-    # Grid of the MAC result before the bias add; the bias-biased output range
-    # generally does not contain the pre-bias values, so they get their own.
-    prebias_params: QuantParams | None = None
     output_params: QuantParams | None = None
 
     input_shape: tuple[int, ...] = ()
@@ -270,56 +270,52 @@ class LayerPlan:
     """A policy layer compiled at one bit-width: everything but its tensors."""
 
     counters: OpCounters  # primitive counts of one call; callers copy them
-    dot_k: tuple[int, ...] | None  # dot constants, rescale folded into k[0]
-    dot_f: int  # fractional bits F of dot_k
+    k: tuple[int, ...]  # dot constants (rescale folded into k[0]) or residual-add constants
+    frac_bits: int  # fractional bits F of k
     shift: int  # rounded right shift of the product sum (accumulator rescale)
     pad: int  # b-bit grid index of 0.0, for conv padding
-    add_k: tuple[int, ...] | None  # bias-add or residual-add constants
-    add_f: int  # fractional bits F of add_k
 
 
 @lru_cache(maxsize=1024)
 def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: QuantParams,
-               prebias_grid: QuantParams | None, bias_grid: QuantParams | None,
-               out_grid: QuantParams, length: int, outputs: int, moved: int,
-               acc_policy: AccumulatorPolicy) -> LayerPlan:
+               bias_grid: QuantParams | None, out_grid: QuantParams, length: int,
+               outputs: int, moved: int, acc_policy: AccumulatorPolicy) -> LayerPlan:
     """Compile a policy layer at bit-width b from values alone, or refuse it.
 
-    ``other_grid`` is the weight grid, or the residual branch's grid; ``moved``
-    counts the elements shifted when b < n. Each operator gets the largest F its
-    int64 proof allows. Cached by value, so a recalibrated or reloaded model
-    never reads a stale plan; a refusal is not cached.
+    ``other_grid`` is the weight grid, or the residual branch's grid;
+    ``bias_grid`` is None for a bias-free layer; ``moved`` counts the elements
+    shifted when b < n. The layer's one expression gets the largest F its int64
+    proof allows. Cached by value, so a recalibrated or reloaded model never
+    reads a stale plan; a refusal is not cached.
     """
     px, po = derive_params(x_grid, b), derive_params(other_grid, b)
-    dot_k, dot_f, shift, pad, add_k, add_f = None, 0, 0, 0, None, 0
-    ops = []  # (primitive table, uses per output)
-    add_in = (px, po)
-    if kind != "residual_add":
-        p_acc = prebias_grid or out_grid
+    # ops: (primitive table, uses per output)
+    if kind == "residual_add":
+        frac_bits = fit_frac_bits(add_ratios(px, po, out_grid), (px.qmax, po.qmax))
+        k = add_constants(px, po, out_grid, frac_bits).k
+        shift, pad, ops = 0, 0, [(ADD_PRIMITIVES, 1)]
+    else:
         s1_max = length * px.qmax * po.qmax
         if s1_max > INT64_MAX:
             raise AccumulatorOverflowError(f"layer {name!r}: product sums exceed int64")
-        shift = rescale_shift(p_acc.master_bitwidth, length, acc_policy)
+        shift = rescale_shift(out_grid.master_bitwidth, length, acc_policy)
         # k[0] << shift meets the rescaled sum, bounded by at least 1 to cover k[0].
         s1_bound = max(rounding_right_shift(s1_max, shift), 1) << shift
-        dot_f = fit_frac_bits(dot_ratios(px, po, p_acc, length),
-                              (s1_bound, length * px.qmax, length * po.qmax))
-        c_dot = dot_constants(px, po, p_acc, length, dot_f)
-        dot_k = (c_dot.k[0] << shift,) + c_dot.k[1:]
+        qb_max = bias_grid.qmax if bias_grid is not None else 0
+        frac_bits = fit_frac_bits(dot_ratios(px, po, out_grid, length, bias_grid), (
+            s1_bound, length * px.qmax, length * po.qmax, qb_max))
+        c = dot_constants(px, po, out_grid, length, bias_grid, frac_bits)
+        k = (c.k[0] << shift,) + c.k[1:]
         # With zero-offset activations k3 is 0: the factored and the general
         # loop give the same integer and differ only in the primitives charged.
-        ops.append((MAC_PRIMITIVES[mac_loop(px)], length))
-        if kind == "conv2d":
-            pad = int(quantize(np.float64(0.0), px))
-        add_in = (p_acc, bias_grid) if bias_grid is not None else None
-    if add_in is not None:
-        add_f = fit_frac_bits(add_ratios(*add_in, out_grid), [p.qmax for p in add_in])
-        add_k = add_constants(*add_in, out_grid, add_f).k
-        ops.append((ADD_PRIMITIVES, 1))
+        ops = [(MAC_PRIMITIVES[mac_loop(px)], length)]
+        if bias_grid is not None:
+            ops.append((BIAS_PRIMITIVES, 1))
+        pad = int(quantize(np.float64(0.0), px)) if kind == "conv2d" else 0
     counters = OpCounters(mults=outputs * sum(t["mul"] * r for t, r in ops),
                           adds=outputs * sum(t["add"] * r for t, r in ops),
                           shifts=moved if b < x_grid.master_bitwidth else 0)
-    return LayerPlan(counters, dot_k, dot_f, shift, pad, add_k, add_f)
+    return LayerPlan(counters, k, frac_bits, shift, pad)
 
 
 def _round_shift(v: np.ndarray, s: int) -> np.ndarray:
@@ -335,21 +331,18 @@ def _requant(raw: np.ndarray, frac_bits: int, qmax: int) -> np.ndarray:
     return np.clip(_round_shift(raw, frac_bits), 0, qmax)
 
 
-def _int_add(k, q1: np.ndarray, q2: np.ndarray, frac_bits: int, qmax: int) -> np.ndarray:
-    """Array form of ``int_add``: k1*q1 + k2*q2 + k3, requantized onto [0, qmax]."""
-    return _requant(k[0] * q1 + k[1] * q2 + k[2], frac_bits, qmax)
-
-
 def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
               acc_policy: AccumulatorPolicy | None = None,
               aux: NestedTensor | None = None) -> tuple[NestedTensor, LayerRecord]:
     """Execute one layer at bit-width b, returning a master-width output.
 
     Weights and the incoming activation are shifted down to b on every call;
-    the rest comes from the cached ``build_plan``. A MAC layer's dot lands on
-    its pre-bias grid and the bias add on the calibrated output grid, whose
+    the rest comes from the cached ``build_plan``. A MAC layer evaluates its
+    dot and bias as one integer expression (the array form of ``int_dot`` with
+    its bias term) and rounds it once onto the calibrated output grid, whose
     clipping realizes any following clamp, so the next layer again sees a
-    master-width tensor. ``aux`` carries the second operand for residual adds.
+    master-width tensor. A residual add is the array form of ``int_add``.
+    ``aux`` carries the second operand for residual adds.
     """
     if layer.output_params is None:
         raise ValueError(f"layer {layer.name!r} is not calibrated")
@@ -371,7 +364,7 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         plan = build_plan(
             layer.kind, layer.name, b, x.params,
             layer.weight_q.params if layer.has_weights else aux.params,
-            layer.prebias_params, layer.bias_params if layer.bias_q is not None else None,
+            layer.bias_params if layer.bias_q is not None else None,
             py, layer.mac_count() // outputs, outputs,
             layer.weight_elements() + layer.input_elements(),
             acc_policy or AccumulatorPolicy())
@@ -384,18 +377,19 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         w = shift_down(layer.weight_q.data, n, b).reshape(layer.output_shape[0], -1)
         rows = xq.reshape(1, -1) if layer.kind == "fc" else _im2col(
             xq, layer.kernel, layer.stride, layer.padding, plan.pad)
-        k = plan.dot_k
+        # Any integer dtype may arrive; int64 keeps k4 * q_b from wrapping.
+        bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
+        k = plan.k
         raw = (k[0] * _round_shift(rows @ w.T, plan.shift)
-               + k[1] * rows.sum(axis=1, keepdims=True) + k[2] * w.sum(axis=1) + k[3])
-        out = _requant(raw, plan.dot_f, (layer.prebias_params or py).qmax)
-        if plan.add_k is not None:
-            bias = layer.bias_q.data.astype(np.int64)  # any integer dtype may arrive
-            out = _int_add(plan.add_k, out, bias, plan.add_f, py.qmax)
+               + k[1] * rows.sum(axis=1, keepdims=True) + k[2] * w.sum(axis=1)
+               + k[3] * bias + k[4])
+        out = _requant(raw, plan.frac_bits, py.qmax)
         result = NestedTensor(data=out.T.reshape(layer.output_shape), params=py)
 
     elif layer.kind == "residual_add":
-        data = _int_add(plan.add_k, xq, shift_down(aux.data, n, b), plan.add_f, py.qmax)
-        result = NestedTensor(data=data, params=py)
+        k = plan.k
+        raw = k[0] * xq + k[1] * shift_down(aux.data, n, b) + k[2]
+        result = NestedTensor(data=_requant(raw, plan.frac_bits, py.qmax), params=py)
 
     elif layer.kind == "relu_pact":
         result = pact_clamp(x, layer.alpha)

@@ -94,8 +94,7 @@ class TestCalibrate:
             assert model.is_calibrated
             for layer in model.layers:
                 for p in (layer.input_params, layer.weight_params,
-                          layer.bias_params, layer.prebias_params,
-                          layer.output_params):
+                          layer.bias_params, layer.output_params):
                     if p is not None:
                         assert p.scale > 0
                         assert MIN_BITWIDTH <= p.bitwidth <= p.master_bitwidth \

@@ -75,7 +75,7 @@ class TestManifest:
             assert a.kind == b.kind and a.name == b.name
             assert a.alpha == b.alpha
             for field in ("input_params", "weight_params", "bias_params",
-                          "prebias_params", "output_params"):
+                          "output_params"):
                 assert getattr(a, field) == getattr(b, field)
             if b.weight_q is not None:
                 assert np.array_equal(a.weight_q.data, b.weight_q.data)
@@ -155,6 +155,22 @@ class TestManifest:
         policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
         for x in blob_data[0][:3]:
             assert np.array_equal(forward(loaded, x, policy)[0], forward(mlp, x, policy)[0])
+
+    def test_legacy_prebias_grid_ignored(self, tmp_path, mlp, blob_data):
+        from nestq.layers import BitPolicy, forward
+        path = blobio.save_model(mlp, tmp_path / "m")
+        doc = json.loads(path.read_text())
+        assert not any("prebias_params" in entry for entry in doc["layers"])
+        for entry in doc["layers"]:
+            if entry["bias_params"] is not None:
+                entry["prebias_params"] = {"scale": 0.05, "offset": -3.0,
+                                           "bitwidth": 8, "master_bitwidth": 8}
+        path.write_text(json.dumps(doc))
+        legacy = blobio.load_model(path)
+        fresh = blobio.load_model(blobio.save_model(mlp, tmp_path / "fresh"))
+        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        for x in blob_data[0][:3]:
+            assert np.array_equal(forward(legacy, x, policy)[0], forward(fresh, x, policy)[0])
 
     def test_controller_round_trip(self, tmp_path):
         spec = ControllerSpec(num_layers=3, candidates=(4, 5, 6), seed=2)
@@ -320,6 +336,26 @@ class TestCommands:
                      "--input", str(workspace / "data/x.nqtb"),
                      "--policy", f"controller-file:{path}",
                      "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+
+    def test_refused_layer_exit_code(self, tmp_path, capsys):
+        from nestq.calibration import calibrate
+        from nestq.intops import AccumulatorPolicy
+        from nestq.models import build_toy_cnn, cnn_dataset
+
+        x, _ = cnn_dataset(5, samples=4)
+        model = build_toy_cnn(seed=11, n=16)
+        calibrate(model, [x])
+        # A 16-bit 3x3 conv needs 36 accumulator bits: refused without rescaling.
+        model.acc_policy = AccumulatorPolicy(working_bits=24, rescale=False)
+        blobio.save_model(model, tmp_path / "m")
+        write_blob(tmp_path / "x.nqtb", x.astype(np.float32))
+        capsys.readouterr()
+        assert main(["infer", "--model", str(tmp_path / "m"),
+                     "--input", str(tmp_path / "x.nqtb"), "--policy", "static:16",
+                     "--out", str(tmp_path / "o.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "accumulator" in err
+        assert len(err.splitlines()) == 1
 
     def test_shape_mismatch_exit_code(self, workspace, tmp_path):
         write_blob(tmp_path / "bad.nqtb", np.zeros((2, 7), dtype=np.float32))

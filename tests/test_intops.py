@@ -162,7 +162,8 @@ class TestIntDot:
         py = params(0.125, 0.0)
         c_dot = dot_constants(p1, p2, py, length=1, frac_bits=16)
         c_mul = mul_constants(p1, p2, py, frac_bits=16)
-        assert c_dot.k == c_mul.k
+        assert c_dot.k[3] == 0  # no bias grid, no bias term
+        assert c_dot.k[:3] + c_dot.k[4:] == c_mul.k
         for q1, q2 in product(range(0, 256, 17), repeat=2):
             assert int_dot([q1], [q2], c_dot, py) == int_mul(q1, q2, c_mul, py)
 
@@ -171,9 +172,9 @@ class TestIntDot:
         py = params(1.0, 0.0)
         c = dot_constants(px, pw, py, length=4, frac_bits=0)
         wq = np.array([1, 2, 3, 4])
-        # S1 = S2 = 0: result is clip(round_shift(k3*S3 + k4))
+        # S1 = S2 = 0: result is clip(round_shift(k3*S3 + k5))
         assert int_dot(np.zeros(4, dtype=int), wq, c, py) == \
-            min(max(c.k[2] * 10 + c.k[3], 0), 255)
+            min(max(c.k[2] * 10 + c.k[4], 0), 255)
 
     def test_length_mismatch_rejected(self):
         c = dot_constants(UNIT, UNIT, UNIT, 3)
@@ -187,17 +188,22 @@ class TestIntDot:
         px = make_master_params(0.0, 4.0, 8)
         pw = make_master_params(0.0, 2.0, 8)
         py = make_master_params(0.0, 600.0, 8)
-        c = dot_constants(px, pw, py, 64, frac_bits=16)
-        for _ in range(50):
-            xq = rng.integers(0, 256, 64)
-            wq = rng.integers(0, 256, 64)
-            x_hat = xq * px.scale + px.offset
-            w_hat = wq * pw.scale + pw.offset
-            want = np.clip(round((float(x_hat @ w_hat) - py.offset) / py.scale), 0, 255)
-            s1 = int(xq @ wq)
-            bound = op_error_bound(c, (s1, int(xq.sum()), int(wq.sum()))).bound
-            # the final rounding of both sides can add one more step
-            assert abs(int_dot(xq, wq, c, py) - want) <= float(bound) + 1
+        pb = make_master_params(-50.0, 30.0, 8)
+        for bias_grid in (None, pb):
+            c = dot_constants(px, pw, py, 64, bias_grid, frac_bits=16)
+            for _ in range(50):
+                xq = rng.integers(0, 256, 64)
+                wq = rng.integers(0, 256, 64)
+                qb = int(rng.integers(0, 256)) if bias_grid is not None else 0
+                b_hat = qb * pb.scale + pb.offset if bias_grid is not None else 0.0
+                x_hat = xq * px.scale + px.offset
+                w_hat = wq * pw.scale + pw.offset
+                want = np.clip(round((float(x_hat @ w_hat) + b_hat - py.offset) / py.scale),
+                               0, 255)
+                s1 = int(xq @ wq)
+                bound = op_error_bound(c, (s1, int(xq.sum()), int(wq.sum()), qb)).bound
+                # the final rounding of both sides can add one more step
+                assert abs(int_dot(xq, wq, c, py, qb=qb) - want) <= float(bound) + 1
 
 
 class TestAccumulator:
@@ -270,7 +276,7 @@ class TestPactDot:
         c = dot_constants(px, UNIT, py, 0, frac_bits=0)
         got, counters = int_dot_pact(np.empty(0, dtype=int), np.empty(0, dtype=int),
                                      c, py)
-        assert got == min(max(c.k[3], 0), 255)
+        assert got == min(max(c.k[4], 0), 255)
         assert counters.mults == 0 and counters.adds == 0
 
 

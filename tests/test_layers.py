@@ -276,17 +276,17 @@ def recorded_plans(monkeypatch):
 def oracle_layer(layer, x, b, acc_policy, plan, aux=None):
     """One MAC or residual layer evaluated output by output with the scalar operators.
 
-    Constants are built at the plan's F for the dot and for the add. Charges
-    the per-element counts the layer engine has always reported: the factored
-    loop 1 mult + 2 adds per MAC, the general loop 3 + 2, an integer add (bias
-    or residual) 2 + 2, and one shift per element moved below n.
+    Constants are built at the plan's F; a MAC layer's bias enters its dot.
+    Charges the per-element counts the layer engine reports: the factored loop
+    1 mult + 2 adds per MAC, the general loop 3 + 2, the bias term 1 + 1 and a
+    residual add 2 + 2 per output, and one shift per element moved below n.
     """
     n = x.params.master_bitwidth
     counters = OpCounters()
     py = layer.output_params
     if layer.kind == "residual_add":
         c = add_constants(derive_params(x.params, b), derive_params(aux.params, b),
-                          py, plan.add_f)
+                          py, plan.frac_bits)
         q1 = shift_down(x.data, n, b).reshape(-1)
         q2 = shift_down(aux.data, n, b).reshape(-1)
         out = np.array([int_add(int(a), int(bb), c, py) for a, bb in zip(q1, q2)])
@@ -308,25 +308,23 @@ def oracle_layer(layer, x, b, acc_policy, plan, aux=None):
         rows = [xp[:, i * s:i * s + k, j * s:j * s + k].reshape(-1)
                 for i in range(oh) for j in range(ow)]
     length = rows[0].size
-    p_acc = layer.prebias_params or py
-    c_dot = dot_constants(px, derive_params(layer.weight_q.params, b), p_acc,
-                          length, plan.dot_f)
-    if layer.bias_q is not None:
-        c_add = add_constants(p_acc, layer.bias_params, py, plan.add_f)
+    pb = layer.bias_params if layer.bias_q is not None else None
+    c_dot = dot_constants(px, derive_params(layer.weight_q.params, b), py,
+                          length, pb, plan.frac_bits)
     out = np.empty((len(rows), len(wq)), dtype=np.int64)
     for o, wrow in enumerate(wq):
+        qb = int(layer.bias_q.data[o]) if pb is not None else 0
         for r, xrow in enumerate(rows):
             if x.params.offset == 0:
-                y, loop = int_dot_pact(xrow, wrow, c_dot, p_acc, acc_policy)
+                y, loop = int_dot_pact(xrow, wrow, c_dot, py, acc_policy, qb)
                 counters.merge(loop)
             else:
-                y = int_dot(xrow, wrow, c_dot, p_acc, acc_policy)
+                y = int_dot(xrow, wrow, c_dot, py, acc_policy, qb)
                 counters.mults += 3 * length
                 counters.adds += 2 * length
-            if layer.bias_q is not None:
-                y = int_add(y, int(layer.bias_q.data[o]), c_add, py)
-                counters.mults += 2
-                counters.adds += 2
+            if pb is not None:
+                counters.mults += 1
+                counters.adds += 1
             out[r, o] = y
     if b < n:
         counters.shifts += layer.weight_elements() + layer.input_elements()
@@ -409,44 +407,40 @@ class TestArrayPathMatchesScalarOracles:
         self.check(model, data[:2], policies)
 
 
-def plan_proofs(args, plan, extra=0):
-    """Int64 bounds of each operator in a plan, with its constants at F + extra.
+def plan_proof(args, plan, extra=0):
+    """Int64 bound of a plan's one expression, with its constants at F + extra.
 
     Restates the proof over the expression ``run_layer`` evaluates: the dot's
-    k[0] << shift times the rescaled product sum, then the bias or residual add.
+    k[0] << shift times the rescaled product sum plus the bias term, or the
+    residual add.
     """
-    kind, _, b, x_grid, other_grid, prebias, bias_grid, out_grid, length = args[:9]
+    kind, _, b, x_grid, other_grid, bias_grid, out_grid, length = args[:8]
     px, po = derive_params(x_grid, b), derive_params(other_grid, b)
-    bounds, add_in = [], (px, po)
-    if kind != "residual_add":
-        p_acc = prebias or out_grid
-        f = plan.dot_f + extra
-        k = dot_constants(px, po, p_acc, length, f).k
-        if extra == 0:
-            assert plan.dot_k == (k[0] << plan.shift,) + k[1:]
+    f = plan.frac_bits + extra
+    if kind == "residual_add":
+        k = add_constants(px, po, out_grid, f).k
+        magnitudes = (px.qmax, po.qmax)
+    else:
+        c = dot_constants(px, po, out_grid, length, bias_grid, f).k
+        k = (c[0] << plan.shift,) + c[1:]
         s1 = rounding_right_shift(length * px.qmax * po.qmax, plan.shift)
-        bounds.append(linear_bound((k[0] << plan.shift,) + k[1:],
-                                   (max(s1, 1), length * px.qmax, length * po.qmax), f))
-        add_in = (p_acc, bias_grid) if bias_grid is not None else None
-    if add_in is not None:
-        f = plan.add_f + extra
-        k = add_constants(*add_in, out_grid, f).k
-        if extra == 0:
-            assert plan.add_k == k
-        bounds.append(linear_bound(k, [p.qmax for p in add_in], f))
-    return bounds
+        magnitudes = (max(s1, 1), length * px.qmax, length * po.qmax,
+                      bias_grid.qmax if bias_grid is not None else 0)
+    if extra == 0:
+        assert plan.k == k
+    return linear_bound(k, magnitudes, f)
 
 
 class TestPlanPrecision:
-    """Each operator of a plan runs at the largest F whose int64 proof holds."""
+    """Each plan runs at the largest F whose int64 proof holds."""
 
     def check(self, plans, kind):
         checked = 0
         for args, plan in plans:
             if args[0] != kind:
                 continue
-            assert all(bound <= INT64_MAX for bound in plan_proofs(args, plan))
-            assert all(bound > INT64_MAX for bound in plan_proofs(args, plan, extra=1))
+            assert plan_proof(args, plan) <= INT64_MAX
+            assert plan_proof(args, plan, extra=1) > INT64_MAX
             checked += 1
         assert checked
 
@@ -494,13 +488,13 @@ class TestIntegerRange:
                            acc_policy=AccumulatorPolicy(working_bits=16, rescale=False))
         assert out.data[0] == 200
 
-    def test_narrow_bias_dtype_does_not_wrap(self):
-        # The bias constant is 2^-9 / 2^-20 * 2^16 = 2^27: 255 * 2^27 overflows int32.
+    def test_narrow_bias_dtype_does_not_wrap(self, monkeypatch):
+        # The bias constant is 2^-9 / 2^-20 * 2^F = 2^(11+F): 255 times it overflows int32.
+        plans = recorded_plans(monkeypatch)
         outs = []
         for dtype in (np.int32, np.int64):
             layer = identity_fc(out_grid=QuantParams(scale=2.0 ** -20, offset=0.0,
                                                      bitwidth=8, master_bitwidth=8))
-            layer.prebias_params = unit_params()
             layer.bias_params = QuantParams(scale=2.0 ** -9, offset=0.0, bitwidth=8,
                                             master_bitwidth=8)
             layer.bias_q = NestedTensor(data=np.array([255], dtype=dtype),
@@ -508,6 +502,7 @@ class TestIntegerRange:
             x = NestedTensor(data=np.array([0]), params=unit_params())
             outs.append(run_layer(layer, x, 8)[0].data[0])
         assert outs == [255, 255]
+        assert plans[0][1].k[3] * 255 > np.iinfo(np.int32).max
 
 
 class TestLayerPlan:
@@ -526,8 +521,8 @@ class TestLayerPlan:
         monkeypatch.setattr(layers, "add_constants", counted(layers.add_constants))
         policy = BitPolicy(bits=(4, 8, 6, 3, 8), candidates=(3, 4, 6, 8))
         forward(model, data[0], policy)
-        # three biased convs, the residual add and the bias-free head
-        assert sorted(calls) == ["add_constants"] * 4 + ["dot_constants"] * 4
+        # three biased convs and the bias-free head; the residual add
+        assert sorted(calls) == ["add_constants"] + ["dot_constants"] * 4
         calls.clear()
         forward(model, data[1], policy)
         assert calls == []
