@@ -21,6 +21,7 @@ from .intops import (
     add_raw,
     dot_constants,
     dot_ratios,
+    dot_raw,
     fit_frac_bits,
     mul_constants,
     mul_ratios,
@@ -142,11 +143,13 @@ def _sampled_operator(op_kind: str, rng, param_sampler, frac_bits: int | None,
                       length: int):
     """Draw one operator instance: its grids, constants and CASES_PER_TUPLE cases.
 
-    Every operator is sum(k_i * t_i) + k_last over its terms t, returned as one
-    column per term: (q1, q2) for add, (q1*q2, q1, q2) for mul, and for the
-    length-N dot the sums of x*w, x and w plus the integer of a bias on a drawn
-    bias grid, as in a biased layer. Constants are at F, or at the operator's
-    ``fit_frac_bits`` F if F is None, the precision inference runs at.
+    Every operator's value is sum(r_i * t_i) + r_last over its terms t, returned
+    as one column per term: (q1, q2) for add, (q1*q2, q1, q2) for mul, and for
+    the length-N dot the sums of x*w, x and w plus the integer of a bias on a
+    drawn bias grid, as in a biased layer. ``raw`` maps a case's terms to the
+    operator's own pre-shift integer (``add_raw``, ``mul_raw``, ``dot_raw``),
+    so the check covers the code inference runs. Constants are at F, or at the
+    operator's ``fit_frac_bits`` F if F is None, the precision inference runs at.
     """
     p1, p2, py = param_sampler(rng)
 
@@ -158,17 +161,20 @@ def _sampled_operator(op_kind: str, rng, param_sampler, frac_bits: int | None,
         f = frac_bits if frac_bits is not None else fit_frac_bits(
             dot_ratios(p1, p2, py, length, pb),
             (length * p1.qmax * p2.qmax, length * p1.qmax, length * p2.qmax, pb.qmax))
+        c = dot_constants(p1, p2, py, length, pb, f)
         xqs, wqs = draw(p1, length), draw(p2, length)
         cols = (np.einsum("ij,ij->i", xqs, wqs), xqs.sum(axis=1), wqs.sum(axis=1), draw(pb))
-        return (p1, p2, py, pb), dot_constants(p1, p2, py, length, pb, f), cols
-    if op_kind == "add":
-        ratios, build, mags = add_ratios, add_constants, (p1.qmax, p2.qmax)
-    else:
-        ratios, build, mags = mul_ratios, mul_constants, (p1.qmax * p2.qmax, p1.qmax, p2.qmax)
-    f = frac_bits if frac_bits is not None else fit_frac_bits(ratios(p1, p2, py), mags)
+        return (p1, p2, py, pb), c, cols, lambda t: dot_raw(c.k, *t)
     q1s, q2s = draw(p1), draw(p2)
-    cols = (q1s, q2s) if op_kind == "add" else (q1s * q2s, q1s, q2s)
-    return (p1, p2, py), build(p1, p2, py, f), cols
+    if op_kind == "add":
+        mags = (p1.qmax, p2.qmax)
+        f = frac_bits if frac_bits is not None else fit_frac_bits(add_ratios(p1, p2, py), mags)
+        c = add_constants(p1, p2, py, f)
+        return (p1, p2, py), c, (q1s, q2s), lambda t: add_raw(t[0], t[1], c)
+    mags = (p1.qmax * p2.qmax, p1.qmax, p2.qmax)
+    f = frac_bits if frac_bits is not None else fit_frac_bits(mul_ratios(p1, p2, py), mags)
+    c = mul_constants(p1, p2, py, f)
+    return (p1, p2, py), c, (q1s * q2s, q1s, q2s), lambda t: mul_raw(t[1], t[2], c)
 
 
 def _verify_linear(op_kind: str, param_sampler, samples: int, seed: int,
@@ -178,7 +184,8 @@ def _verify_linear(op_kind: str, param_sampler, samples: int, seed: int,
                                 max_bound=0.0, seed=seed)
     signed_sum = Fraction(0)
     while report.cases < samples:
-        grids, c, cols = _sampled_operator(op_kind, rng, param_sampler, frac_bits, length)
+        grids, c, cols, raw_fn = _sampled_operator(
+            op_kind, rng, param_sampler, frac_bits, length)
         m, nums, deltas = _common_denominator_terms(c)
         m_over_f = m >> c.frac_bits
         ad = tuple(abs(d) for d in deltas)
@@ -189,10 +196,9 @@ def _verify_linear(op_kind: str, param_sampler, samples: int, seed: int,
             # Compare at pre-shift resolution so the final output rounding does
             # not enter: (raw / 2^F) - exact is the delta combination exactly.
             # All quantities are over the tuple's shared denominator m.
-            raw = sum(k * t for k, t in zip(c.k, terms)) + c.k[-1]
             exact_num = sum(v * t for v, t in zip(nums, terms)) + nums[-1]
             bound_num = sum(a * t for a, t in zip(ad, terms)) + ad[-1]
-            err_num = raw * m_over_f - exact_num
+            err_num = raw_fn(terms) * m_over_f - exact_num
             report.cases += 1
             tuple_signed += err_num
             worst_err = max(worst_err, abs(err_num))

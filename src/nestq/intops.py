@@ -245,13 +245,23 @@ def rescale_shift(n: int, length: int, acc_policy: AccumulatorPolicy | None) -> 
     return need - acc_policy.working_bits
 
 
+def dot_raw(k, s1, s2, s3, qb):
+    """Pre-shift, pre-clip dot plus bias: k1*s1 + k2*s2 + k3*s3 + k4*q_b + k5.
+
+    ``s1`` is the product sum after the accumulator rescale, whose factor k1
+    carries back. The same expression serves scalar oracles, the array layer
+    engine and error analysis.
+    """
+    return k[0] * s1 + k[1] * s2 + k[2] * s3 + k[3] * qb + k[4]
+
+
 def _apply_dot_constants(c: IntOpConstants, s1: int, s2: int, s3: int, qb: int,
                          length: int, py: QuantParams,
                          acc_policy: AccumulatorPolicy | None) -> int:
     shift = rescale_shift(py.master_bitwidth, length, acc_policy)
-    s1 = rounding_right_shift(s1, shift)
     # Fold the rescale back so the result stays on the declared output grid.
-    raw = (c.k[0] << shift) * s1 + c.k[1] * s2 + c.k[2] * s3 + c.k[3] * int(qb) + c.k[4]
+    k = (c.k[0] << shift,) + c.k[1:]
+    raw = dot_raw(k, rounding_right_shift(s1, shift), s2, s3, int(qb))
     return _clip_out(rounding_right_shift(raw, c.frac_bits), py)
 
 

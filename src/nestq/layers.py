@@ -34,6 +34,7 @@ from .intops import (
     add_ratios,
     dot_constants,
     dot_ratios,
+    dot_raw,
     fit_frac_bits,
     mac_loop,
     rescale_shift,
@@ -379,10 +380,8 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             xq, layer.kernel, layer.stride, layer.padding, plan.pad)
         # Any integer dtype may arrive; int64 keeps k4 * q_b from wrapping.
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
-        k = plan.k
-        raw = (k[0] * _round_shift(rows @ w.T, plan.shift)
-               + k[1] * rows.sum(axis=1, keepdims=True) + k[2] * w.sum(axis=1)
-               + k[3] * bias + k[4])
+        raw = dot_raw(plan.k, _round_shift(rows @ w.T, plan.shift),
+                      rows.sum(axis=1, keepdims=True), w.sum(axis=1), bias)
         out = _requant(raw, plan.frac_bits, py.qmax)
         result = NestedTensor(data=out.T.reshape(layer.output_shape), params=py)
 

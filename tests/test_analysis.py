@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nestq import analysis
 from nestq.analysis import (
     empirical_verify,
     exact_add_value,
@@ -99,6 +100,18 @@ class TestEmpiricalVerify:
         at_zero = empirical_verify(op, samples=500, seed=6)
         assert fitted.passed and fitted.cases == 500
         assert fitted.max_bound < at_zero.max_bound
+
+    @pytest.mark.parametrize("op, name, broken", [
+        ("add", "add_raw", lambda q1, q2, c: c.k[0] * q1 + c.k[1] * q2),
+        ("mul", "mul_raw", lambda q1, q2, c: c.k[0] * q1 * q2 + c.k[1] * q1 + c.k[3]),
+        ("dot", "dot_raw", lambda k, s1, s2, s3, qb: k[0] * s1 + k[1] * s2 + k[2] * s3 + k[4]),
+    ])
+    def test_catches_a_broken_operator(self, monkeypatch, op, name, broken):
+        # The verifier evaluates the operator code, so an operator that drops
+        # a term (the constant, the q2 term, the bias) fails its own bound.
+        monkeypatch.setattr(analysis, name, broken)
+        report = empirical_verify(op, samples=500, seed=5, frac_bits=None)
+        assert not report.passed
 
     def test_shift_exhaustive_max_exactly_half(self):
         report = empirical_verify("shift")
