@@ -5,14 +5,21 @@ cost counts the elements moved below the master width per inference; in the
 shift pipeline each costs one logical shift, in the conventional pipeline each
 costs a seven-primitive float round-trip (two conversions, multiply, divide,
 add, subtract, round).
+
+The in-loop counts are every arithmetic primitive of one inference as the
+trace charges them: MAC loops, fused bias terms, residual adds and pooling
+adds. The report sums ``layers.layer_counters``, the rule the trace charges,
+over the layers; a model without calibrated grids is charged the factored
+MAC loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intops import MAC_PRIMITIVES, mac_loop
-from .layers import BitPolicy, ModelGraph
+# MAC_PRIMITIVES and mac_primitive_counts are re-exported for callers of this module.
+from .intops import MAC_PRIMITIVES, OpCounters, mac_primitive_counts  # noqa: F401
+from .layers import BitPolicy, ModelGraph, layer_counters
 
 STANDARD_PRIMITIVES_PER_ELEMENT = 7
 STANDARD_CYCLES_PER_ELEMENT = (20, 55)
@@ -29,6 +36,8 @@ class CostReport:
     mode: str  # dqt | standard
     transition_shift_ops: int
     transition_fp_primitives: int
+    # Every mult/add of one inference, as the trace charges them: MAC loops,
+    # fused bias terms, residual adds and pooling adds (names kept for compatibility).
     inloop_mults: int
     inloop_adds: int
     cycle_low: int = 0
@@ -41,28 +50,13 @@ def bitops(model: ModelGraph, policy: BitPolicy) -> int:
     Weights and activations share the layer's policy bit-width, since both are
     shifted to it before the MAC loop.
     """
-    total = 0
-    for b, idx in zip(policy.bits, model.policy_indices):
-        total += model.layers[idx].mac_count() * b * b
-    return total
+    bits = model.layer_bitwidths(policy)
+    return sum(layer.mac_count() * b * b for layer, b in zip(model.layers, bits))
 
 
 def transition_elements(model: ModelGraph, policy: BitPolicy) -> int:
     """Elements reduced below the master width in one inference."""
-    n = model.master_bitwidth
-    total = 0
-    for b, idx in zip(policy.bits, model.policy_indices):
-        if b < n:
-            layer = model.layers[idx]
-            total += layer.weight_elements() + layer.input_elements()
-    return total
-
-
-def mac_primitive_counts(mode: str) -> dict[str, int]:
-    """Per-element primitive ops of the inner MAC loop for each formulation."""
-    if mode not in MAC_PRIMITIVES:
-        raise ValueError(f"unknown MAC mode {mode!r}")
-    return dict(MAC_PRIMITIVES[mode])
+    return cost_report(model, policy).transition_elements
 
 
 def cycle_estimate(report: CostReport) -> tuple[int, int]:
@@ -75,22 +69,22 @@ def cycle_estimate(report: CostReport) -> tuple[int, int]:
 
 
 def cost_report(model: ModelGraph, policy: BitPolicy, mode: str = "dqt") -> CostReport:
-    """Full cost accounting for one inference; in-loop counts follow each layer's MAC loop."""
+    """Full cost accounting for one inference; the counts equal its trace's."""
     if mode not in ("dqt", "standard"):
         raise ValueError(f"unknown transition mode {mode!r}")
-    e = transition_elements(model, policy)
-    layers = [model.layers[i] for i in model.policy_indices]
-    macs = [layer.mac_count() for layer in layers]
-    loops = [MAC_PRIMITIVES[mac_loop(layer.input_params)] for layer in layers]
+    counters = OpCounters()
+    for layer, b in zip(model.layers, model.layer_bitwidths(policy)):
+        counters.merge(layer_counters(layer, b, model.master_bitwidth))
+    e = counters.shifts
     report = CostReport(
         bitops=bitops(model, policy),
-        macs_per_layer=macs,
+        macs_per_layer=[model.layers[i].mac_count() for i in model.policy_indices],
         transition_elements=e,
         mode=mode,
         transition_shift_ops=e if mode == "dqt" else 0,
         transition_fp_primitives=STANDARD_PRIMITIVES_PER_ELEMENT * e if mode == "standard" else 0,
-        inloop_mults=sum(loop["mul"] * m for loop, m in zip(loops, macs)),
-        inloop_adds=sum(loop["add"] * m for loop, m in zip(loops, macs)),
+        inloop_mults=counters.mults,
+        inloop_adds=counters.adds,
     )
     report.cycle_low, report.cycle_high = cycle_estimate(report)
     return report

@@ -44,6 +44,13 @@ ADD_PRIMITIVES = {"mul": 2, "add": 2}
 BIAS_PRIMITIVES = {"mul": 1, "add": 1}
 
 
+def mac_primitive_counts(mode: str) -> dict[str, int]:
+    """Per-element primitive ops of the inner MAC loop for each formulation."""
+    if mode not in MAC_PRIMITIVES:
+        raise ValueError(f"unknown MAC mode {mode!r}")
+    return dict(MAC_PRIMITIVES[mode])
+
+
 class AccumulatorOverflowError(OverflowError):
     """An integer accumulator would exceed its working width or int64."""
 

@@ -8,15 +8,20 @@ down to its assigned bit-width, and only the final output is dequantized.
 A fc or conv layer is one integer expression, its dot plus the bias term,
 rounded once onto its output grid; a residual add is the integer add, also
 rounded once. A policy layer's constants, at the F ``intops.fit_frac_bits``
-fits to them, accumulator rescale, padding index, int64 proof and primitive
-counts are built once per distinct (grids, b, accumulator policy) by
-:func:`build_plan`; weights and activations are still shifted down to b on
-every call, since that shift is the transition the scheme prices.
+fits to them, accumulator rescale, padding index and int64 proof are built
+once per distinct (grids, b, accumulator policy) by :func:`build_plan`;
+weights and activations are still shifted down to b on every call, since that
+shift is the transition the scheme prices.
+
+:func:`layer_counters` is the one counting rule: the primitives a layer is
+charged, from its shapes, bias and input grid alone. ``run_layer`` charges it
+to the trace and ``cost.cost_report`` sums it, so the two cannot disagree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -42,6 +47,7 @@ from .intops import (
 # Not called here; perfbench/tracing.py patches these names on this module.
 from .intops import int_add, int_dot, int_dot_pact  # noqa: F401
 from .quantize import (
+    MIN_BITWIDTH,
     NestedTensor,
     QuantParams,
     derive_params,
@@ -116,7 +122,7 @@ class LayerSpec:
         return 0
 
     def input_elements(self) -> int:
-        n = int(np.prod(self.input_shape)) if self.input_shape else 0
+        n = math.prod(self.input_shape) if self.input_shape else 0
         if self.kind == "residual_add":
             return 2 * n  # both operands enter at the policy bit-width
         return n
@@ -125,8 +131,7 @@ class LayerSpec:
         if self.kind == "fc":
             return self.in_features * self.out_features
         if self.kind == "conv2d":
-            out_elems = int(np.prod(self.output_shape))
-            return out_elems * self.kernel * self.kernel * self.in_channels
+            return math.prod(self.output_shape) * self.kernel * self.kernel * self.in_channels
         return 0
 
 
@@ -192,6 +197,23 @@ class ModelGraph:
             l.output_params is not None for l in self.layers
         )
 
+    def layer_bitwidths(self, policy: "BitPolicy") -> list[int]:
+        """Each layer's bit-width: its policy entry for a policy layer, else n.
+
+        Refuses a policy whose length is not the number of policy layers, or
+        that holds a bit-width outside [MIN_BITWIDTH, n].
+        """
+        n = self.master_bitwidth
+        if len(policy) != self.num_policy_layers:
+            raise ValueError(
+                f"policy length {len(policy)} != {self.num_policy_layers} MAC layers"
+            )
+        bad = [b for b in policy.bits if not MIN_BITWIDTH <= b <= n]
+        if bad:
+            raise ValueError(f"policy bit-widths {bad} outside [{MIN_BITWIDTH}, {n}]")
+        bits = iter(policy.bits)
+        return [next(bits) if l.kind in POLICY_KINDS else n for l in self.layers]
+
 
 @dataclass(frozen=True)
 class BitPolicy:
@@ -219,8 +241,11 @@ class LayerRecord:
     index: int
     kind: str
     bitwidth: int
-    shifted_elements: int
     counters: OpCounters
+
+    @property
+    def shifted_elements(self) -> int:
+        return self.counters.shifts
 
 
 @dataclass
@@ -233,7 +258,7 @@ class ExecutionTrace:
 
     @property
     def shifted_elements(self) -> int:
-        return sum(r.shifted_elements for r in self.records)
+        return self.counters.shifts
 
     @property
     def transition_ops(self) -> int:
@@ -270,7 +295,6 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
 class LayerPlan:
     """A policy layer compiled at one bit-width: everything but its tensors."""
 
-    counters: OpCounters  # primitive counts of one call; callers copy them
     k: tuple[int, ...]  # dot constants (rescale folded into k[0]) or residual-add constants
     frac_bits: int  # fractional bits F of k
     shift: int  # rounded right shift of the product sum (accumulator rescale)
@@ -280,21 +304,20 @@ class LayerPlan:
 @lru_cache(maxsize=1024)
 def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: QuantParams,
                bias_grid: QuantParams | None, out_grid: QuantParams, length: int,
-               outputs: int, moved: int, acc_policy: AccumulatorPolicy) -> LayerPlan:
+               acc_policy: AccumulatorPolicy) -> LayerPlan:
     """Compile a policy layer at bit-width b from values alone, or refuse it.
 
     ``other_grid`` is the weight grid, or the residual branch's grid;
-    ``bias_grid`` is None for a bias-free layer; ``moved`` counts the elements
-    shifted when b < n. The layer's one expression gets the largest F its int64
-    proof allows. Cached by value, so a recalibrated or reloaded model never
-    reads a stale plan; a refusal is not cached.
+    ``bias_grid`` is None for a bias-free layer; ``length`` is the dot length.
+    The layer's one expression gets the largest F its int64 proof allows.
+    Cached by value, so a recalibrated or reloaded model never reads a stale
+    plan; a refusal is not cached.
     """
     px, po = derive_params(x_grid, b), derive_params(other_grid, b)
-    # ops: (primitive table, uses per output)
     if kind == "residual_add":
         frac_bits = fit_frac_bits(add_ratios(px, po, out_grid), (px.qmax, po.qmax))
         k = add_constants(px, po, out_grid, frac_bits).k
-        shift, pad, ops = 0, 0, [(ADD_PRIMITIVES, 1)]
+        shift, pad = 0, 0
     else:
         s1_max = length * px.qmax * po.qmax
         if s1_max > INT64_MAX:
@@ -307,16 +330,32 @@ def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: Qu
             s1_bound, length * px.qmax, length * po.qmax, qb_max))
         c = dot_constants(px, po, out_grid, length, bias_grid, frac_bits)
         k = (c.k[0] << shift,) + c.k[1:]
-        # With zero-offset activations k3 is 0: the factored and the general
-        # loop give the same integer and differ only in the primitives charged.
-        ops = [(MAC_PRIMITIVES[mac_loop(px)], length)]
-        if bias_grid is not None:
-            ops.append((BIAS_PRIMITIVES, 1))
         pad = int(quantize(np.float64(0.0), px)) if kind == "conv2d" else 0
-    counters = OpCounters(mults=outputs * sum(t["mul"] * r for t, r in ops),
-                          adds=outputs * sum(t["add"] * r for t, r in ops),
-                          shifts=moved if b < x_grid.master_bitwidth else 0)
-    return LayerPlan(counters, k, frac_bits, shift, pad)
+    return LayerPlan(k, frac_bits, shift, pad)
+
+
+def layer_counters(layer: LayerSpec, b: int, n: int) -> OpCounters:
+    """Primitives one call of ``layer`` at bit-width b under master width n runs.
+
+    A fc/conv runs its MAC loop per MAC (general if its input grid has an
+    offset, else factored) and, if biased, the bias term per output; a
+    residual add runs the integer add per output and an average pool one add
+    per input element. Below n a policy layer shifts each weight and input once.
+    """
+    if layer.kind == "avgpool":
+        return OpCounters(adds=math.prod(layer.input_shape))
+    if layer.kind not in POLICY_KINDS:
+        return OpCounters()
+    outputs = math.prod(layer.output_shape)
+    if layer.kind == "residual_add":
+        ops = [(ADD_PRIMITIVES, outputs)]
+    else:
+        ops = [(MAC_PRIMITIVES[mac_loop(layer.input_params)], layer.mac_count())]
+        if layer.bias_q is not None or layer.bias is not None:
+            ops.append((BIAS_PRIMITIVES, outputs))
+    return OpCounters(mults=sum(t["mul"] * c for t, c in ops),
+                      adds=sum(t["add"] * c for t, c in ops),
+                      shifts=layer.weight_elements() + layer.input_elements() if b < n else 0)
 
 
 def _round_shift(v: np.ndarray, s: int) -> np.ndarray:
@@ -355,21 +394,18 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             f"layer {layer.name!r} expects input {layer.input_shape}, got {x.shape}"
         )
     py = layer.output_params
-    counters = OpCounters()
     if layer.kind in POLICY_KINDS:
         if layer.has_weights and layer.weight_q is None:
             raise ValueError(f"layer {layer.name!r} has no quantized weights")
         if layer.kind == "residual_add" and aux is None:
             raise ValueError("residual_add needs the stored branch output")
-        outputs = int(np.prod(layer.output_shape))
+        # dot length: weights per output row (0 for a residual add)
         plan = build_plan(
             layer.kind, layer.name, b, x.params,
             layer.weight_q.params if layer.has_weights else aux.params,
             layer.bias_params if layer.bias_q is not None else None,
-            py, layer.mac_count() // outputs, outputs,
-            layer.weight_elements() + layer.input_elements(),
+            py, layer.weight_elements() // layer.output_shape[0],
             acc_policy or AccumulatorPolicy())
-        counters = replace(plan.counters)
         xq = shift_down(x.data, n, b)
 
     if layer.kind in ("fc", "conv2d"):
@@ -401,14 +437,13 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         sums = view.sum(axis=(2, 4), dtype=np.int64)
         area = p * p
         data = (sums + area // 2) // area
-        counters.adds += int(np.prod(x.shape))
         result = NestedTensor(data=data, params=layer.output_params)
 
     else:  # flatten
         result = NestedTensor(data=x.data.reshape(layer.output_shape), params=x.params)
 
     record = LayerRecord(index=-1, kind=layer.kind, bitwidth=b,
-                         shifted_elements=counters.shifts, counters=counters)
+                         counters=layer_counters(layer, b, n))
     return result, record
 
 
@@ -422,16 +457,11 @@ def forward(model: ModelGraph, x: np.ndarray,
     """
     if not model.is_calibrated:
         raise ValueError("model is not calibrated")
-    if len(policy) != model.num_policy_layers:
-        raise ValueError(
-            f"policy length {len(policy)} != {model.num_policy_layers} MAC layers"
-        )
+    bits = model.layer_bitwidths(policy)
     trace = ExecutionTrace()
     t = NestedTensor(data=quantize(x, model.input_params), params=model.input_params)
     outputs: list[NestedTensor] = []
-    bits = iter(policy.bits)
-    for i, layer in enumerate(model.layers):
-        b = next(bits) if layer.kind in POLICY_KINDS else model.master_bitwidth
+    for i, (layer, b) in enumerate(zip(model.layers, bits)):
         aux = outputs[layer.source] if layer.kind == "residual_add" else None
         t, record = run_layer(layer, t, b, model.acc_policy, aux=aux)
         record.index = i

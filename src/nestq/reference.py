@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .calibration import float_layer
-from .layers import BitPolicy, ModelGraph, POLICY_KINDS
+from .layers import BitPolicy, ModelGraph
 from .quantize import QuantParams, derive_params, round_half_away, round_half_away_int
 
 
@@ -43,19 +43,12 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
     policy width, outputs on the calibrated master grid) while computing
     everything in float. Batch on the leading axis.
     """
-    if len(policy) != model.num_policy_layers:
-        raise ValueError("policy length mismatch")
+    bits = model.layer_bitwidths(policy)
     t = fake_quantize(np.asarray(x, dtype=np.float64), model.input_params)
     # Hold only the outputs a later residual edge reads; batches can be large.
     sources = {l.source for l in model.layers if l.kind == "residual_add"}
     outputs = {}
-    pidx = 0
-    for i, layer in enumerate(model.layers):
-        if layer.kind in POLICY_KINDS:
-            b = policy.bits[pidx]
-            pidx += 1
-        else:
-            b = model.master_bitwidth
+    for i, (layer, b) in enumerate(zip(model.layers, bits)):
         if layer.kind in ("fc", "conv2d"):
             shadow = layer.__class__(**{**layer.__dict__})
             w_master = np.asarray(layer.weight_q.data, dtype=np.float64) \

@@ -286,6 +286,28 @@ class TestCommands:
         assert doc["bitops"] == rep.bitops
         assert doc["transition_elements"] == rep.transition_elements
 
+    def test_cost_counts_equal_infer_trace(self, workspace, tmp_path):
+        args = ["--model", str(workspace / "model"), "--policy", "static:4"]
+        assert main(["cost", *args, "--out", str(tmp_path / "c.txt")]) == EXIT_OK
+        assert main(["infer", *args, "--input", str(workspace / "data/x.nqtb"),
+                     "--limit", "2", "--out", str(tmp_path / "i.txt")]) == EXIT_OK
+        cost = json.loads((tmp_path / "c.txt.json").read_text())
+        infer = json.loads((tmp_path / "i.txt.json").read_text())
+        want = (cost["inloop_mults"], cost["inloop_adds"], cost["transition_elements"])
+        for name in ("sample0000", "sample0001"):
+            sample = infer[name]
+            assert (sample["mults"], sample["adds"], sample["shifts"]) == want
+
+    def test_cost_refuses_policy_above_master(self, workspace, tmp_path, capsys):
+        n = blobio.load_model(workspace / "model").master_bitwidth
+        capsys.readouterr()
+        assert main(["cost", "--model", str(workspace / "model"),
+                     "--policy", f"static:{n + 1}",
+                     "--out", str(tmp_path / "c.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "c.txt").exists()
+
     def test_calibrate_in_place_from_manifest_path(self, workspace, tmp_path):
         model_dir = tmp_path / "m"
         assert main(["quantize", "--arch", "mlp", "--seed", "7",

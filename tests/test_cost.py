@@ -14,12 +14,34 @@ from nestq.cost import (
 )
 from nestq.calibration import calibrate
 from nestq.layers import BitPolicy, LayerSpec, ModelGraph, forward
+from nestq.models import build_toy_cnn, build_toy_mlp
+from nestq.quantize import MIN_BITWIDTH
 from nestq.reference import enumerate_macs
 
 
 def fc_model(n_in=10, n_out=10):
     layer = LayerSpec(kind="fc", in_features=n_in, out_features=n_out)
     return ModelGraph(layers=[layer], input_shape=(n_in,))
+
+
+def residual_pool_net():
+    """conv + residual_add + avgpool + fc over 1x8x8 inputs."""
+    rng = np.random.default_rng(21)
+    layers = [
+        LayerSpec(kind="conv2d", name="c1", in_channels=1, out_channels=4, kernel=3,
+                  padding=1, weight=rng.normal(0, 0.4, (4, 1, 3, 3)),
+                  bias=rng.normal(0, 0.1, 4)),
+        LayerSpec(kind="relu_pact", name="a1"),
+        LayerSpec(kind="conv2d", name="c2", in_channels=4, out_channels=4, kernel=3,
+                  padding=1, weight=rng.normal(0, 0.3, (4, 4, 3, 3))),
+        LayerSpec(kind="relu_pact", name="a2"),
+        LayerSpec(kind="residual_add", name="skip", source=1),
+        LayerSpec(kind="avgpool", name="pool", pool=2),
+        LayerSpec(kind="flatten", name="flat"),
+        LayerSpec(kind="fc", name="head", in_features=64, out_features=3,
+                  weight=rng.normal(0, 0.2, (3, 64)), bias=rng.normal(0, 0.1, 3)),
+    ]
+    return ModelGraph(layers=layers, input_shape=(1, 8, 8))
 
 
 class TestBitops:
@@ -135,9 +157,12 @@ class TestCostReport:
         assert a == b
 
     def test_inloop_counts_follow_optimized_mac(self, mlp):
+        # The factored loop per MAC plus the fused bias term per biased output.
         rep = cost_report(mlp, BitPolicy.uniform(8, 3), "dqt")
         total = sum(rep.macs_per_layer)
-        assert rep.inloop_mults == total and rep.inloop_adds == 2 * total
+        biased = sum(l.out_features for l in mlp.layers if l.bias_q is not None)
+        assert (total, biased) == (1088, 52)
+        assert (rep.inloop_mults, rep.inloop_adds) == (total + biased, 2 * total + biased)
 
     def test_inloop_counts_follow_general_mac_on_offset_inputs(self):
         rng = np.random.default_rng(4)
@@ -157,3 +182,80 @@ class TestCostReport:
     def test_model_without_grids_charged_factored_loop(self):
         rep = cost_report(fc_model(), BitPolicy.uniform(8, 1), "dqt")
         assert (rep.inloop_mults, rep.inloop_adds) == (100, 200)
+
+    def test_toy_cnn_counts(self, cnn, cnn_data):
+        policy = BitPolicy.uniform(4, 3)
+        rep = cost_report(cnn, policy)
+        _, trace = forward(cnn, cnn_data[0][0], policy)
+        assert (rep.inloop_mults, rep.inloop_adds, rep.transition_elements) == \
+            (7812, 15236, 1284)
+        assert (trace.counters.mults, trace.counters.adds, trace.counters.shifts) == \
+            (7812, 15236, 1284)
+
+    def test_residual_pool_counts(self):
+        rep = cost_report(residual_pool_net(), BitPolicy.uniform(8, 4))
+        # c1: 256 outputs x 9 MACs + bias; c2: 256 x 36 MACs; skip: 256 adds of
+        # 2 + 2; pool: one add per each of 256 inputs; head: 3 x 64 MACs + bias.
+        assert rep.inloop_mults == (2304 + 256) + 9216 + 2 * 256 + (192 + 3)
+        assert rep.inloop_adds == (2 * 2304 + 256) + 2 * 9216 + 2 * 256 + 256 + (2 * 192 + 3)
+
+
+class TestPolicyRefused:
+    """Cost refuses every policy that inference refuses."""
+
+    @pytest.mark.parametrize("bits", [(8, 8), (8, 8, 8, 8), (8, 9, 8), (8, 1, 8)],
+                             ids=["too-short", "too-long", "above-n", "below-min"])
+    def test_cost_report_refuses(self, mlp, blob_data, bits):
+        policy = BitPolicy(bits=bits, candidates=tuple(sorted(set(bits))))
+        for fn in (cost_report, bitops, transition_elements,
+                   lambda m, p: forward(m, blob_data[0][0], p)):
+            with pytest.raises(ValueError):
+                fn(mlp, policy)
+
+    def test_bitwidths_per_layer(self, mlp):
+        policy = BitPolicy(bits=(4, MIN_BITWIDTH, 8), candidates=(MIN_BITWIDTH, 4, 8))
+        assert mlp.layer_bitwidths(policy) == [4, 8, MIN_BITWIDTH, 8, 8]
+
+
+class TestReportEqualsTrace:
+    """``cost_report`` sums exactly what ``forward`` charges to its trace."""
+
+    @pytest.fixture(params=["mlp", "cnn", "residual"])
+    def net(self, request, blob_data, cnn_data):
+        if request.param == "mlp":
+            x, _, means = blob_data
+            return (lambda: build_toy_mlp(seed=7, means=means)), x[:200]
+        if request.param == "cnn":
+            return (lambda: build_toy_cnn(seed=11)), cnn_data[0]
+        return residual_pool_net, np.random.default_rng(2).uniform(0, 2, (60, 1, 8, 8))
+
+    def policies(self, model, seed):
+        rng = np.random.default_rng(seed)
+        cands = tuple(range(MIN_BITWIDTH, model.master_bitwidth + 1))
+        return [BitPolicy(bits=tuple(int(b) for b in rng.choice(cands, model.num_policy_layers)),
+                          candidates=cands) for _ in range(12)]
+
+    def check(self, models, x, policies):
+        for policy in policies:
+            _, trace = forward(models[0], x, policy)
+            want = (trace.counters.mults, trace.counters.adds, trace.counters.shifts)
+            for model in models:
+                rep = cost_report(model, policy)
+                assert (rep.inloop_mults, rep.inloop_adds, rep.transition_elements) == want
+
+    def test_calibrated_and_shape_only(self, net):
+        build, data = net
+        model = build()
+        calibrate(model, [data[:50]])
+        # Every policy layer reads a zero-offset grid, so a model without
+        # grids (charged the factored loop) is counted the same.
+        assert all(model.layers[i].input_params.offset == 0 for i in model.policy_indices)
+        self.check([model, build()], data[50], self.policies(model, 0))
+
+    def test_offset_inputs(self, net):
+        build, data = net
+        model = build()
+        shifted = data - data.max()  # negative inputs: the first layer runs the general loop
+        calibrate(model, [shifted[:50]])
+        assert model.layers[0].input_params.offset != 0
+        self.check([model], shifted[50], self.policies(model, 1))
