@@ -118,7 +118,8 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
             qt = getattr(layer, attr + "_q")
             if qt is not None:
                 ref = f"blobs/layer{i}_{suffix}_q.nqtb"
-                write_blob(directory / ref, qt.data)
+                # Files keep their int64 payload whatever the storage dtype.
+                write_blob(directory / ref, qt.data.astype(np.int64))
                 entry[attr + "_q"] = ref
         layers_json.append(entry)
     manifest = {
@@ -191,11 +192,11 @@ def _model_from_manifest(manifest: dict, base: Path) -> ModelGraph:
             layer.bias = read_blob(base / entry["bias"]).astype(np.float64)
         if "weight_q" in entry:
             layer.weight_q = NestedTensor(
-                data=read_blob(base / entry["weight_q"]).astype(np.int64),
+                data=read_blob(base / entry["weight_q"]),
                 params=layer.weight_params)
         if "bias_q" in entry:
             layer.bias_q = NestedTensor(
-                data=read_blob(base / entry["bias_q"]).astype(np.int64),
+                data=read_blob(base / entry["bias_q"]),
                 params=layer.bias_params)
         layers.append(layer)
     q = manifest["quantization"]

@@ -55,6 +55,7 @@ from .quantize import (
     quantize,
     rounding_right_shift,
     shift_down,
+    storage_dtype,
 )
 
 # Layer kinds that consume a policy bit-width (they move tensors below n).
@@ -340,10 +341,13 @@ def layer_counters(layer: LayerSpec, b: int, n: int) -> OpCounters:
     A fc/conv runs its MAC loop per MAC (general if its input grid has an
     offset, else factored) and, if biased, the bias term per output; a
     residual add runs the integer add per output and an average pool one add
-    per input element. Below n a policy layer shifts each weight and input once.
+    per input element it sums, the rows and columns its windows crop excluded.
+    Below n a policy layer shifts each weight and input once.
     """
     if layer.kind == "avgpool":
-        return OpCounters(adds=math.prod(layer.input_shape))
+        c, h, w = layer.input_shape
+        p = layer.pool
+        return OpCounters(adds=c * (h - h % p) * (w - w % p))
     if layer.kind not in POLICY_KINDS:
         return OpCounters()
     outputs = math.prod(layer.output_shape)
@@ -366,9 +370,16 @@ def _round_shift(v: np.ndarray, s: int) -> np.ndarray:
     return np.where(v < 0, -mag, mag)
 
 
-def _requant(raw: np.ndarray, frac_bits: int, qmax: int) -> np.ndarray:
-    """Rounded right shift by F, clipped onto the output grid [0, qmax]."""
-    return np.clip(_round_shift(raw, frac_bits), 0, qmax)
+def _requant(raw: np.ndarray, frac_bits: int, py: QuantParams) -> np.ndarray:
+    """Rounded right shift by F, clipped onto the output grid [0, qmax] in place.
+
+    ``raw`` is a fresh int64 array and may be overwritten; the result is in
+    the grid's storage dtype.
+    """
+    v = _round_shift(raw, frac_bits)
+    np.maximum(v, 0, out=v)
+    np.minimum(v, py.qmax, out=v)
+    return v.astype(storage_dtype(py.bitwidth))
 
 
 def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
@@ -410,21 +421,26 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
 
     if layer.kind in ("fc", "conv2d"):
         # One row of weights per output feature or channel; outputs leave as
-        # (rows, channels) and are laid out channel-major.
-        w = shift_down(layer.weight_q.data, n, b).reshape(layer.output_shape[0], -1)
+        # (rows, channels) and are laid out channel-major. Tensors are stored
+        # as uint8/uint16: in that dtype the matmul would wrap, and a row sum
+        # (uint64) meeting int64 constants would turn float64, so both
+        # operands widen to int64 first, as does the bias under k4 * q_b.
+        w = shift_down(layer.weight_q.data, n, b).astype(np.int64).reshape(
+            layer.output_shape[0], -1)
+        xq = xq.astype(np.int64)
         rows = xq.reshape(1, -1) if layer.kind == "fc" else _im2col(
             xq, layer.kernel, layer.stride, layer.padding, plan.pad)
-        # Any integer dtype may arrive; int64 keeps k4 * q_b from wrapping.
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
         raw = dot_raw(plan.k, _round_shift(rows @ w.T, plan.shift),
                       rows.sum(axis=1, keepdims=True), w.sum(axis=1), bias)
-        out = _requant(raw, plan.frac_bits, py.qmax)
+        out = _requant(raw, plan.frac_bits, py)
         result = NestedTensor(data=out.T.reshape(layer.output_shape), params=py)
 
     elif layer.kind == "residual_add":
         k = plan.k
-        raw = k[0] * xq + k[1] * shift_down(aux.data, n, b) + k[2]
-        result = NestedTensor(data=_requant(raw, plan.frac_bits, py.qmax), params=py)
+        raw = k[0] * xq.astype(np.int64) \
+            + k[1] * shift_down(aux.data, n, b).astype(np.int64) + k[2]
+        result = NestedTensor(data=_requant(raw, plan.frac_bits, py), params=py)
 
     elif layer.kind == "relu_pact":
         result = pact_clamp(x, layer.alpha)

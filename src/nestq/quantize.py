@@ -7,12 +7,25 @@ step_b = step_n * 2^(n - b), so dropping from n to b bits is a rounded right shi
 
 Rounding is half-away-from-zero everywhere, realized in the integer domain by
 pre-adding half the divisor before shifting.
+
+Grid indices are stored in the narrowest unsigned dtype that holds 2^n - 1
+(:func:`storage_dtype`): uint8 for n <= 8, uint16 for n <= 16. ``quantize``
+returns that dtype for its grid's bit-width, and a :class:`NestedTensor`
+narrows its data to it. Arithmetic that can leave the grid (the layer
+engine's dot products and integer adds) upcasts to int64 first.
+
+Range checks run where integers enter a grid: ``NestedTensor`` (so also
+every tensor ``load_model`` reads), ``shift_down`` and ``dequantize``, all
+through :func:`check_grid_ints`. Each is one reduction at most, and none when
+the dtype itself bounds the range (uint8 at n=8, uint16 at n=16). A value
+out of range is refused before it is narrowed, so a cast never wraps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,6 +35,50 @@ MAX_BITWIDTH = 16
 
 class DegenerateRangeError(ValueError):
     """Raised when a quantization range has zero or negative width."""
+
+
+def storage_dtype(n: int) -> np.dtype:
+    """Narrowest unsigned dtype that holds every n-bit grid index, n <= 16."""
+    return np.dtype(np.uint8) if n <= 8 else np.dtype(np.uint16)
+
+
+@lru_cache(maxsize=None)
+def _range_reduction(dtype: np.dtype, qmax: int):
+    """How to check an array of ``dtype`` against [0, qmax] in one reduction.
+
+    None if the dtype bounds the range already. Else ("max", view): the max of
+    the array viewed as ``view`` exceeds qmax iff an element is out of range,
+    since a negative signed element views as an unsigned value above the
+    signed maximum. If the signed maximum is itself within qmax, that view
+    cannot tell -1 from a valid index, and only negatives can be out of
+    range: ("min", None).
+    """
+    top = int(np.iinfo(dtype).max)
+    if dtype.kind == "u":
+        return None if top <= qmax else ("max", dtype)
+    if top <= qmax:
+        return ("min", None)
+    return ("max", np.dtype(dtype.str.replace("i", "u")))
+
+
+def check_grid_ints(q, qmax: int) -> np.ndarray:
+    """``q`` as an integer array, refused unless every element is in [0, qmax].
+
+    Raises TypeError for a non-integer (or bool) dtype and ValueError for an
+    element out of range; costs one reduction at most.
+    """
+    q = np.asarray(q)
+    if q.dtype.kind not in "iu":
+        raise TypeError(f"grid indices must be integers, got {q.dtype}")
+    rule = _range_reduction(q.dtype, qmax)
+    if rule is not None and q.size:
+        # The ufunc reductions skip ndarray.min/max's Python wrapper, which
+        # costs as much as the reduction itself on a 1k-element tensor.
+        how, view = rule
+        if np.minimum.reduce(q, None) < 0 if how == "min" \
+                else np.maximum.reduce(q.view(view), None) > qmax:
+            raise ValueError(f"grid indices outside [0, {qmax}]")
+    return q
 
 
 def round_half_away(x):
@@ -82,20 +139,21 @@ class QuantParams:
 class NestedTensor:
     """Integer tensor stored at the master bit-width of its params.
 
-    Lower-precision views are produced with :func:`shift_down`; they are never
-    stored back into a NestedTensor.
+    ``data`` is range-checked, then held in ``storage_dtype(n)``: an array
+    already in that dtype is kept as given, any other is copied, so a caller's
+    array is never changed. Lower-precision views are produced with
+    :func:`shift_down`; they are never stored back into a NestedTensor.
     """
 
     data: np.ndarray
     params: QuantParams
 
     def __post_init__(self):
-        if not np.issubdtype(self.data.dtype, np.integer):
-            raise TypeError(f"NestedTensor data must be integer, got {self.data.dtype}")
         if not self.params.is_master:
             raise ValueError("NestedTensor params must be at master bit-width")
-        if self.data.size and (self.data.min() < 0 or self.data.max() > self.params.qmax):
-            raise ValueError("NestedTensor elements out of [0, 2^n - 1]")
+        data = check_grid_ints(self.data, self.params.qmax)
+        object.__setattr__(self, "data",
+                           data.astype(storage_dtype(self.params.bitwidth), copy=False))
 
     @property
     def shape(self):
@@ -133,36 +191,60 @@ def derive_params(master: QuantParams, b: int) -> QuantParams:
 
 
 def quantize(x, params: QuantParams) -> np.ndarray:
-    """Map real values onto the integer grid; out-of-range inputs clip."""
+    """Map real values onto the integer grid; out-of-range inputs clip.
+
+    The indices come back in ``storage_dtype`` of the grid's bit-width.
+    """
     x = np.asarray(x, dtype=np.float64)
     q = round_half_away((x - params.offset) / params.scale)
-    return np.clip(q, 0, params.qmax).astype(np.int64)
+    return np.clip(q, 0, params.qmax).astype(storage_dtype(params.bitwidth))
 
 
 def dequantize(q, params: QuantParams) -> np.ndarray:
-    """Reconstruct real values from grid indices."""
-    q = np.asarray(q)
-    if q.size and (q.min() < 0 or q.max() > params.qmax):
-        raise ValueError(f"quantized values outside [0, {params.qmax}]")
+    """Reconstruct real values from grid indices; refuses any index off the grid."""
+    q = check_grid_ints(q, params.qmax)
     return q.astype(np.float64) * params.scale + params.offset
+
+
+@lru_cache(maxsize=None)
+def _shift_plan(dtype: np.dtype, n: int, b: int):
+    """NumPy-typed constants of the n -> b shift in ``dtype``, and its form.
+
+    ``((q >> (s-1)) + 1) >> 1`` takes one pass fewer than
+    ``(q >> s) + ((q >> (s-1)) & 1)``; both equal ``(q + 2^(s-1)) >> s`` for
+    q >= 0, but the first reaches 2^(b+1) before its last shift, which wraps a
+    dtype whose maximum is below it (uint16 at b=15, uint8 at b=7).
+    """
+    s, dtype_max = n - b, int(np.iinfo(dtype).max)
+    t = dtype.type
+    top = min((1 << b) - 1, dtype_max)  # an index narrower than n may not reach 2^b - 1
+    return t(s), t(s - 1), t(1), t(top), (1 << (b + 1)) <= dtype_max
 
 
 def shift_down(q_n, n: int, b: int) -> np.ndarray:
     """Reduce master-width integers to b bits with one rounded right shift.
 
-    Equivalent to clip(round(q / 2^(n-b)), 0, 2^b - 1); the rounding is realized
-    by adding half the divisor before the shift.
+    Equals clip(round(q / 2^(n-b)), 0, 2^b - 1), computed in the input's own
+    integer dtype without widening: the rounding half is added after a shift
+    by s-1 (or as the bit shifted out last), so no intermediate exceeds 2^b,
+    or 2^(b+1) where the dtype holds it. At b = n there is nothing to do and
+    the (range-checked) input itself is returned. Refuses a non-integer
+    input (TypeError) and an element outside [0, 2^n - 1] (ValueError).
     """
     if b > n:
         raise ValueError(f"cannot shift up: b={b} > n={n}")
-    q_n = np.asarray(q_n)
-    if q_n.size and (q_n.min() < 0 or q_n.max() > (1 << n) - 1):
-        raise ValueError(f"elements outside [0, 2^{n} - 1]")
+    q_n = check_grid_ints(q_n, (1 << n) - 1)
     if b == n:
-        return q_n.astype(np.int64)
-    s = n - b
-    q_b = (q_n.astype(np.int64) + (1 << (s - 1))) >> s
-    return np.clip(q_b, 0, (1 << b) - 1)
+        return q_n
+    s, s1, one, top, one_pass_fewer = _shift_plan(q_n.dtype, n, b)
+    out = np.asarray(q_n >> s1)  # a fresh array, 0-d included, to work on in place
+    if one_pass_fewer:
+        np.add(out, one, out=out)
+        np.right_shift(out, one, out=out)
+    else:
+        np.bitwise_and(out, one, out=out)
+        out += np.right_shift(q_n, s)
+    return np.minimum(out, top, out=out)
 
 
 def dequant_requant_reference(q, from_params: QuantParams, to_params: QuantParams,

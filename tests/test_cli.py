@@ -82,6 +82,25 @@ class TestManifest:
             if b.bias_q is not None:
                 assert np.array_equal(a.bias_q.data, b.bias_q.data)
 
+    def test_quantized_blobs_int64_on_disk_narrow_in_memory(self, tmp_path, mlp):
+        blobio.save_model(mlp, tmp_path / "m")
+        on_disk = read_blob(tmp_path / "m" / "blobs" / "layer0_weight_q.nqtb")
+        assert on_disk.dtype == np.int64
+        assert mlp.layers[0].weight_q.data.dtype == np.uint8
+        loaded = blobio.load_model(tmp_path / "m")
+        assert loaded.layers[0].weight_q.data.dtype == np.uint8
+        assert np.array_equal(loaded.layers[0].weight_q.data, on_disk)
+
+    @pytest.mark.parametrize("blob", [np.array([[1.5]]), np.array([[256]])],
+                             ids=["float", "out_of_range"])
+    def test_bad_quantized_blob_rejected(self, tmp_path, mlp, blob):
+        blobio.save_model(mlp, tmp_path / "m")
+        weight_q = mlp.layers[0].weight_q.data
+        write_blob(tmp_path / "m" / "blobs" / "layer0_weight_q.nqtb",
+                   np.broadcast_to(blob, weight_q.shape))
+        with pytest.raises(ManifestError):
+            blobio.load_model(tmp_path / "m")
+
     def test_unknown_version_rejected(self, tmp_path, mlp):
         path = blobio.save_model(mlp, tmp_path / "m")
         doc = json.loads(path.read_text())

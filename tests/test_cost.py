@@ -199,6 +199,25 @@ class TestCostReport:
         assert rep.inloop_mults == (2304 + 256) + 9216 + 2 * 256 + (192 + 3)
         assert rep.inloop_adds == (2 * 2304 + 256) + 2 * 9216 + 2 * 256 + 256 + (2 * 192 + 3)
 
+    def test_pool_charges_only_the_elements_it_sums(self):
+        # A 2x2 pool over 5x5 sums the top-left 4x4 block; the last row and
+        # column are cropped, so it runs 16 adds, not 25.
+        rng = np.random.default_rng(4)
+        model = ModelGraph(layers=[
+            LayerSpec(kind="avgpool", name="pool", pool=2),
+            LayerSpec(kind="flatten", name="flat"),
+            LayerSpec(kind="fc", name="head", in_features=4, out_features=2,
+                      weight=rng.normal(size=(2, 4))),
+        ], input_shape=(1, 5, 5))
+        data = rng.uniform(0, 1, (20, 1, 5, 5))
+        calibrate(model, [data])
+        policy = BitPolicy.uniform(8, 1)
+        _, trace = forward(model, data[0], policy)
+        assert trace.records[0].counters.adds == 16
+        rep = cost_report(model, policy)
+        assert (rep.inloop_mults, rep.inloop_adds) == (8, 16 + 2 * 8)
+        assert (trace.counters.mults, trace.counters.adds) == (rep.inloop_mults, rep.inloop_adds)
+
 
 class TestPolicyRefused:
     """Cost refuses every policy that inference refuses."""

@@ -20,6 +20,7 @@ from nestq.quantize import (
     round_half_away,
     round_half_away_int,
     shift_down,
+    storage_dtype,
 )
 from nestq.reference import exact_nested_shift, exact_requantize
 
@@ -108,6 +109,19 @@ class TestQuantizeDequantize:
     def test_dequantize_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             dequantize(np.array(256), unit8())
+        with pytest.raises(ValueError):
+            dequantize(np.array([-1], dtype=np.int8), unit8())
+
+    def test_dequantize_rejects_non_integer(self):
+        with pytest.raises(TypeError):
+            dequantize(np.array([1.5]), unit8())
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 16])
+    def test_indices_in_storage_dtype(self, n):
+        p = make_master_params(-1.0, 1.0, n)
+        q = quantize(np.linspace(-2.0, 2.0, 9), p)
+        assert q.dtype == storage_dtype(n)
+        assert q.min() == 0 and q.max() == p.qmax
 
     @given(st.floats(-1.0, 1.0), st.integers(2, 10))
     def test_round_trip_within_half_step(self, x, n):
@@ -157,11 +171,33 @@ class TestShiftDown:
                 assert np.max(np.abs(unclipped - q / (1 << s))) <= 0.5
 
     def test_exact_rational_oracle_exhaustive(self):
-        for n in range(2, 11):
-            for b in range(2, n + 1):
-                got = shift_down(np.arange(1 << n), n, b)
-                want = [exact_nested_shift(q, n, b) for q in range(1 << n)]
-                assert np.array_equal(got, want)
+        """Every q < 2^n, n = 2..16, every b <= n, from int64 and storage-dtype input.
+
+        The oracle runs once per shift s over all 2^16 indices, at n = 16. For
+        n < 16 no q < 2^n reaches that clip at 2^(16-s) - 1, so the n-bit
+        oracle is the same rounding clipped at 2^b - 1.
+        """
+        q = np.arange(1 << 16)
+        for s in range(0, 15):
+            rounded = np.array([exact_nested_shift(v, 16, 16 - s) for v in range(1 << 16)])
+            for n in range(max(2, s + 2), 17):
+                b = n - s
+                want = np.minimum(rounded[:1 << n], (1 << b) - 1)
+                for dtype in (np.int64, storage_dtype(n)):
+                    got = shift_down(q[:1 << n].astype(dtype), n, b)
+                    assert got.dtype == dtype and np.array_equal(got, want), (n, b, dtype)
+
+    def test_computes_in_the_input_dtype(self):
+        q = np.array([0, 1, 2, 3], dtype=np.int32)
+        assert shift_down(q, 8, 4).dtype == np.int32
+        assert shift_down(q, 8, 8) is q
+
+    @pytest.mark.parametrize("q", [np.array([3.7, 200.9]), np.array([True, False])],
+                             ids=["float", "bool"])
+    def test_rejects_non_integer_input(self, q):
+        for b in (4, 8):
+            with pytest.raises(TypeError):
+                shift_down(q, 8, b)
 
 
 class TestDequantRequantReference:
@@ -209,6 +245,46 @@ class TestNestedTensor:
     def test_rejects_out_of_range_elements(self):
         with pytest.raises(ValueError):
             NestedTensor(data=np.array([256]), params=unit8())
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 9, 12, 16])
+    def test_storage_dtype_per_width(self, n):
+        t = NestedTensor(data=np.arange(1 << n, dtype=np.int64),
+                         params=make_master_params(0.0, 1.0, n))
+        assert t.data.dtype == (np.uint8 if n <= 8 else np.uint16)
+        assert np.array_equal(t.data, np.arange(1 << n))
+
+    def test_caller_array_never_mutated(self):
+        data = np.array([[0, 7], [255, 3]], dtype=np.int64)
+        before = data.copy()
+        t = NestedTensor(data=data, params=unit8())
+        t.data[0, 0] = 9
+        assert data.dtype == np.int64 and np.array_equal(data, before)
+
+    def test_storage_dtype_array_kept(self):
+        data = np.arange(4, dtype=np.uint8)
+        assert NestedTensor(data=data, params=unit8()).data is data
+
+
+# Out-of-range elements per master width: below zero, one past 2^n - 1, the
+# int64 minimum, and values that a narrowing cast would wrap into range.
+OUT_OF_RANGE = [
+    (n, np.array([v], dtype=dtype))
+    for n in (2, 8, 12, 16)
+    for v, dtype in ((-1, np.int64), (1 << n, np.int64), (-(1 << 63), np.int64),
+                     ((1 << 16) + 5, np.int64), ((1 << 8) + (1 << n) - 1, np.int64),
+                     (-1, np.int32), (-1, np.int16), (-1, np.int8))
+    if v >= 1 << n or v < 0
+] + [(12, np.array([4096], dtype=np.uint16)), (4, np.array([16], dtype=np.uint8))]
+
+
+@pytest.mark.parametrize("n,q", OUT_OF_RANGE,
+                         ids=[f"n{n}-{q.dtype}-{q[0]}" for n, q in OUT_OF_RANGE])
+def test_out_of_range_refused(n, q):
+    with pytest.raises(ValueError):
+        NestedTensor(data=q, params=make_master_params(0.0, 1.0, n))
+    for b in (n, max(2, n - 3)):
+        with pytest.raises(ValueError):
+            shift_down(q, n, b)
 
 
 class TestRounding:
