@@ -13,8 +13,10 @@ environment variable; otherwise the command's built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,8 @@ EXIT_POLICY_SOURCE = 5
 EXIT_BOUND_VIOLATION = 6
 
 SEED_ENV_VAR = "NESTQ_SEED"
+# Samples per batched forward in `infer`: bounds the conv im2col buffers.
+INFER_CHUNK = 256
 VERIFY_SUITES = ("bounds", "add", "mul", "dot", "shift")
 
 
@@ -66,23 +70,25 @@ def resolve_seed(flag_value: int | None, default: int) -> int:
     return default
 
 
-def parse_policy(text: str, model, x=None, seed: int = 0):
-    """Turn a policy-source string into a BitPolicy.
+def policy_source(text: str, model, seed: int = 0) -> Callable[[np.ndarray], BitPolicy]:
+    """Resolve a policy-source string once into a picker: input -> BitPolicy.
 
     Forms: ``static:N`` (uniform), ``fixed:8,4,8`` (explicit list),
     ``heuristic:4,5,6`` (range heuristic over a candidate set),
     ``controller:4,5,6`` (seeded controller, argmax per input),
-    ``controller-file:PATH`` (stored controller weights).
+    ``controller-file:PATH`` (stored controller weights). A controller is
+    seeded or loaded here, once; only its forward pass runs per input.
     """
     kind, _, arg = text.partition(":")
     length = model.num_policy_layers
+    spec = None
     if kind == "static":
         try:
             b = int(arg)
         except ValueError as exc:
             raise PolicySourceError(f"static policy needs an integer, got {arg!r}") from exc
-        return BitPolicy.uniform(b, length)
-    if kind == "fixed":
+        policy = BitPolicy.uniform(b, length)
+    elif kind == "fixed":
         try:
             bits = tuple(int(v) for v in arg.split(","))
         except ValueError as exc:
@@ -90,23 +96,30 @@ def parse_policy(text: str, model, x=None, seed: int = 0):
         if len(bits) != length:
             raise ShapeMismatchError(
                 f"fixed policy has {len(bits)} entries, model has {length} MAC layers")
-        return BitPolicy(bits=bits, candidates=tuple(sorted(set(bits))))
-    if kind == "heuristic":
-        cands = _parse_candidates(arg)
-        return range_heuristic_policy(model, cands)
-    if kind == "controller":
-        cands = _parse_candidates(arg)
-        spec = ControllerSpec(num_layers=length, candidates=cands, seed=seed)
-        logits = controller_forward(spec, np.zeros(model.input_shape) if x is None else x)
-        return select_argmax(logits, cands)
-    if kind == "controller-file":
+        policy = BitPolicy(bits=bits, candidates=tuple(sorted(set(bits))))
+    elif kind == "heuristic":
+        policy = range_heuristic_policy(model, _parse_candidates(arg))
+    elif kind == "controller":
+        spec = ControllerSpec(num_layers=length, candidates=_parse_candidates(arg), seed=seed)
+    elif kind == "controller-file":
         spec = blobio.load_controller(Path(arg))
         if spec.num_layers != length:
             raise ShapeMismatchError(
                 f"controller covers {spec.num_layers} layers, model has {length}")
-        logits = controller_forward(spec, np.zeros(model.input_shape) if x is None else x)
-        return select_argmax(logits, spec.candidates)
-    raise PolicySourceError(f"unknown policy source {kind!r}")
+    else:
+        raise PolicySourceError(f"unknown policy source {kind!r}")
+    if spec is None:
+        return lambda x: policy
+    return lambda x: select_argmax(controller_forward(spec, x), spec.candidates)
+
+
+def parse_policy(text: str, model, x=None, seed: int = 0):
+    """Turn a policy-source string into the BitPolicy for input ``x``.
+
+    See :func:`policy_source` for the forms; a controller sees an all-zero
+    input when ``x`` is None.
+    """
+    return policy_source(text, model, seed)(np.zeros(model.input_shape) if x is None else x)
 
 
 def _parse_candidates(arg: str) -> tuple[int, ...]:
@@ -165,21 +178,29 @@ def cmd_infer(args) -> int:
         raise ShapeMismatchError(
             f"input samples shaped {data.shape[1:]}, model expects {model.input_shape}")
     limit = len(data) if args.limit is None else min(args.limit, len(data))
-    samples = {}
+    # Resolve the source once, then run each distinct policy as batches.
+    pick = policy_source(args.policy, model, seed=seed)
+    groups: dict[BitPolicy, list[int]] = {}
     for i in range(limit):
-        policy = parse_policy(args.policy, model, x=data[i], seed=seed)
-        y, trace = forward(model, data[i], policy)
-        samples[f"sample{i:04d}"] = {
-            "policy": list(policy.bits),
-            "argmax": int(np.argmax(y)),
-            "output": [repr(float(v)) for v in np.asarray(y).reshape(-1)],
-            "shifted_elements": trace.shifted_elements,
-            "transition_ops": trace.transition_ops,
-            "fp_tensor_ops": trace.fp_tensor_ops,
-            "mults": trace.counters.mults,
-            "adds": trace.counters.adds,
-            "shifts": trace.counters.shifts,
-        }
+        groups.setdefault(pick(data[i]), []).append(i)
+    entries = [None] * limit
+    for policy, members in groups.items():
+        for lo in range(0, len(members), INFER_CHUNK):
+            chunk = members[lo:lo + INFER_CHUNK]
+            ys, trace = forward(model, data[chunk], policy)
+            for i, y in zip(chunk, ys):
+                entries[i] = {
+                    "policy": list(policy.bits),
+                    "argmax": int(np.argmax(y)),
+                    "output": [repr(float(v)) for v in y.reshape(-1)],
+                    "shifted_elements": trace.shifted_elements,
+                    "transition_ops": trace.transition_ops,
+                    "fp_tensor_ops": trace.fp_tensor_ops,
+                    "mults": trace.counters.mults,
+                    "adds": trace.counters.adds,
+                    "shifts": trace.counters.shifts,
+                }
+    samples = {f"sample{i:04d}": entry for i, entry in enumerate(entries)}
     report = {
         "command": "infer",
         "policy_source": args.policy,
@@ -259,7 +280,9 @@ def cmd_make_dataset(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nestq",
         description="Integer-only nested-quantization inference toolkit.")

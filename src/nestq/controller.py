@@ -54,6 +54,9 @@ def pool_features(x: np.ndarray, feature_dim: int) -> np.ndarray:
     flat = np.asarray(x, dtype=np.float64).reshape(-1)
     if flat.size < feature_dim:
         raise ValueError(f"input with {flat.size} values cannot pool to {feature_dim}")
+    if flat.size % feature_dim == 0:
+        # Equal segments: the same pairwise sums as the loop's, so bit-identical.
+        return flat.reshape(feature_dim, -1).mean(axis=1)
     bounds = np.linspace(0, flat.size, feature_dim + 1).astype(int)
     return np.array([flat[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
 

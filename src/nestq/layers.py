@@ -13,6 +13,14 @@ once per distinct (grids, b, accumulator policy) by :func:`build_plan`;
 weights and activations are still shifted down to b on every call, since that
 shift is the transition the scheme prices.
 
+Execution is batch-first. ``run_layer`` and ``forward`` take one sample
+(shaped like the layer's or model's input) or a batch of them on a leading
+axis; a single sample is lifted to a batch of one at entry and squeezed at
+exit, so both run the same code. A batch runs under one policy: its weights
+are shifted once for all its samples, while the trace is that of one sample's
+inference, the same for every sample, and equal to ``cost.cost_report`` for
+the policy.
+
 :func:`layer_counters` is the one counting rule: the primitives a layer is
 charged, from its shapes, bias and input grid alone. ``run_layer`` charges it
 to the trace and ``cost.cost_report`` sums it, so the two cannot disagree.
@@ -270,26 +278,40 @@ class ExecutionTrace:
         return [r.bitwidth for r in self.records]
 
 
+@lru_cache(maxsize=1024)
+def _alpha_index(alpha: float, params: QuantParams) -> int:
+    """Grid index of a clamp bound, built once per (alpha, grid) value.
+
+    A refusal is not cached.
+    """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
+    return int(quantize(np.float64(alpha), params))
+
+
 def pact_clamp(t: NestedTensor, alpha: float) -> NestedTensor:
     """Clamp stored integers at the grid index of alpha.
 
     On a zero-offset grid this doubles as ReLU, since every stored integer is
-    already non-negative.
+    already non-negative. The index comes from a cached builder, so no float
+    op runs here.
     """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    q_alpha = int(quantize(np.float64(alpha), t.params))
-    return NestedTensor(data=np.minimum(t.data, q_alpha), params=t.params)
+    return NestedTensor(data=np.minimum(t.data, _alpha_index(alpha, t.params)),
+                        params=t.params)
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
             pad_value: int) -> np.ndarray:
-    """Unfold (C, H, W) into rows of receptive fields, one per output pixel."""
+    """Unfold (B, C, H, W) into rows of receptive fields, one per output pixel.
+
+    Only H and W are padded; rows run sample-major, then pixel-major.
+    """
     if padding:
-        x = np.pad(x, ((0, 0), (padding, padding), (padding, padding)),
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                    constant_values=pad_value)
-    windows = sliding_window_view(x, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
-    return windows.transpose(1, 2, 0, 3, 4).reshape(windows.shape[1] * windows.shape[2], -1)
+    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    bsz, c, oh, ow = windows.shape[:4]
+    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * oh * ow, c * kernel * kernel)
 
 
 @dataclass(frozen=True)
@@ -362,12 +384,20 @@ def layer_counters(layer: LayerSpec, b: int, n: int) -> OpCounters:
                       shifts=layer.weight_elements() + layer.input_elements() if b < n else 0)
 
 
-def _round_shift(v: np.ndarray, s: int) -> np.ndarray:
-    """Array form of ``rounding_right_shift``: divide by 2^s, halves away from zero."""
-    if s == 0:
-        return v
-    mag = (np.abs(v) + (1 << (s - 1))) >> s
-    return np.where(v < 0, -mag, mag)
+def _shift_half_up(v: np.ndarray, s: int) -> np.ndarray:
+    """``(v + 2^(s-1)) >> s`` in place on a fresh int64 array: divide by 2^s, halves up.
+
+    It stands in for ``rounding_right_shift`` (halves away from zero) at both
+    of its sites, where the two cannot differ:
+    - the product sum ``rows @ w.T`` is >= 0, since grid and pad indices are
+      >= 0, and for v >= 0 the two forms are the same expression;
+    - ``_requant`` clips at 0 right after the shift, and for v < 0 both forms
+      land at <= 0 (v + 2^(s-1) < 2^s floors to <= 0).
+    """
+    if s:
+        v += 1 << (s - 1)
+        v >>= s
+    return v
 
 
 def _requant(raw: np.ndarray, frac_bits: int, py: QuantParams) -> np.ndarray:
@@ -376,7 +406,7 @@ def _requant(raw: np.ndarray, frac_bits: int, py: QuantParams) -> np.ndarray:
     ``raw`` is a fresh int64 array and may be overwritten; the result is in
     the grid's storage dtype.
     """
-    v = _round_shift(raw, frac_bits)
+    v = _shift_half_up(raw, frac_bits)
     np.maximum(v, 0, out=v)
     np.minimum(v, py.qmax, out=v)
     return v.astype(storage_dtype(py.bitwidth))
@@ -387,29 +417,39 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
               aux: NestedTensor | None = None) -> tuple[NestedTensor, LayerRecord]:
     """Execute one layer at bit-width b, returning a master-width output.
 
-    Weights and the incoming activation are shifted down to b on every call;
+    ``x`` is one sample shaped ``layer.input_shape`` or a batch of them on a
+    leading axis; the output has the same form. Weights and the incoming
+    activation are shifted down to b on every call, once for the whole batch;
     the rest comes from the cached ``build_plan``. A MAC layer evaluates its
     dot and bias as one integer expression (the array form of ``int_dot`` with
     its bias term) and rounds it once onto the calibrated output grid, whose
     clipping realizes any following clamp, so the next layer again sees a
     master-width tensor. A residual add is the array form of ``int_add``.
-    ``aux`` carries the second operand for residual adds.
+    ``aux`` carries the second operand for residual adds, shaped like ``x``.
+    The record counts one sample's work.
     """
     if layer.output_params is None:
         raise ValueError(f"layer {layer.name!r} is not calibrated")
     n = x.params.master_bitwidth
     if b > n:
         raise ValueError(f"policy bit-width {b} above master width {n}")
-    if tuple(x.shape) != tuple(layer.input_shape):
+    shape = tuple(layer.input_shape)
+    single = tuple(x.shape) == shape
+    if not single and tuple(x.shape[1:]) != shape:
         raise ShapeMismatchError(
-            f"layer {layer.name!r} expects input {layer.input_shape}, got {x.shape}"
-        )
+            f"layer {layer.name!r} expects input {shape} or a batch of it, got {x.shape}")
+    xd = x.data[None] if single else x.data  # (B, *input_shape)
+    bsz = len(xd)
     py = layer.output_params
     if layer.kind in POLICY_KINDS:
         if layer.has_weights and layer.weight_q is None:
             raise ValueError(f"layer {layer.name!r} has no quantized weights")
-        if layer.kind == "residual_add" and aux is None:
-            raise ValueError("residual_add needs the stored branch output")
+        if layer.kind == "residual_add":
+            if aux is None:
+                raise ValueError("residual_add needs the stored branch output")
+            if aux.shape != x.shape:
+                raise ShapeMismatchError(
+                    f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
         # dot length: weights per output row (0 for a residual add)
         plan = build_plan(
             layer.kind, layer.name, b, x.params,
@@ -417,47 +457,52 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             layer.bias_params if layer.bias_q is not None else None,
             py, layer.weight_elements() // layer.output_shape[0],
             acc_policy or AccumulatorPolicy())
-        xq = shift_down(x.data, n, b)
+        xq = shift_down(xd, n, b)
 
     if layer.kind in ("fc", "conv2d"):
-        # One row of weights per output feature or channel; outputs leave as
-        # (rows, channels) and are laid out channel-major. Tensors are stored
-        # as uint8/uint16: in that dtype the matmul would wrap, and a row sum
-        # (uint64) meeting int64 constants would turn float64, so both
-        # operands widen to int64 first, as does the bias under k4 * q_b.
+        # One row of weights per output feature or channel; the input unfolds
+        # into one row per sample (fc) or per sample and output pixel (conv),
+        # outputs leave as (rows, channels) and are laid out channel-major per
+        # sample. Tensors are stored as uint8/uint16: in that dtype the matmul
+        # would wrap, and a row sum (uint64) meeting int64 constants would turn
+        # float64, so both operands widen to int64 first, as does the bias
+        # under k4 * q_b.
         w = shift_down(layer.weight_q.data, n, b).astype(np.int64).reshape(
             layer.output_shape[0], -1)
         xq = xq.astype(np.int64)
-        rows = xq.reshape(1, -1) if layer.kind == "fc" else _im2col(
+        rows = xq.reshape(bsz, w.shape[1]) if layer.kind == "fc" else _im2col(
             xq, layer.kernel, layer.stride, layer.padding, plan.pad)
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
-        raw = dot_raw(plan.k, _round_shift(rows @ w.T, plan.shift),
+        raw = dot_raw(plan.k, _shift_half_up(rows @ w.T, plan.shift),
                       rows.sum(axis=1, keepdims=True), w.sum(axis=1), bias)
         out = _requant(raw, plan.frac_bits, py)
-        result = NestedTensor(data=out.T.reshape(layer.output_shape), params=py)
+        pixels = math.prod(layer.output_shape[1:])  # 1 for a fc
+        out = out.reshape(bsz, pixels, len(w)).transpose(0, 2, 1).reshape(
+            (bsz,) + layer.output_shape)
 
     elif layer.kind == "residual_add":
         k = plan.k
+        branch = aux.data[None] if single else aux.data
         raw = k[0] * xq.astype(np.int64) \
-            + k[1] * shift_down(aux.data, n, b).astype(np.int64) + k[2]
-        result = NestedTensor(data=_requant(raw, plan.frac_bits, py), params=py)
+            + k[1] * shift_down(branch, n, b).astype(np.int64) + k[2]
+        out = _requant(raw, plan.frac_bits, py)
 
     elif layer.kind == "relu_pact":
-        result = pact_clamp(x, layer.alpha)
+        out, py = np.minimum(xd, _alpha_index(layer.alpha, x.params)), x.params
 
     elif layer.kind == "avgpool":
         # Same-grid integer mean per window; exact under a shared affine grid.
-        c, h, w = x.shape
+        c, h, w = shape
         p = layer.pool
-        view = x.data[:, :h - h % p, :w - w % p].reshape(c, h // p, p, w // p, p)
-        sums = view.sum(axis=(2, 4), dtype=np.int64)
+        view = xd[:, :, :h - h % p, :w - w % p].reshape(bsz, c, h // p, p, w // p, p)
+        sums = view.sum(axis=(3, 5), dtype=np.int64)
         area = p * p
-        data = (sums + area // 2) // area
-        result = NestedTensor(data=data, params=layer.output_params)
+        out = (sums + area // 2) // area
 
     else:  # flatten
-        result = NestedTensor(data=x.data.reshape(layer.output_shape), params=x.params)
+        out, py = xd.reshape((bsz,) + layer.output_shape), x.params
 
+    result = NestedTensor(data=out[0] if single else out, params=py)
     record = LayerRecord(index=-1, kind=layer.kind, bitwidth=b,
                          counters=layer_counters(layer, b, n))
     return result, record
@@ -467,15 +512,20 @@ def forward(model: ModelGraph, x: np.ndarray,
             policy: BitPolicy) -> tuple[np.ndarray, ExecutionTrace]:
     """Full inference: quantize once, run every layer, dequantize once.
 
-    MAC layers run at their policy bit-width; element-wise layers stay at the
-    master width. The trace records per-layer bit-widths, shifted element
-    counts, and primitive-op tallies.
+    ``x`` is one sample shaped ``model.input_shape`` or a batch of them on a
+    leading axis; the output has the same form. MAC layers run at their policy
+    bit-width; element-wise layers stay at the master width. The trace is one
+    sample's inference, the same for every sample of a batch: per-layer
+    bit-widths, shifted element counts, and primitive-op tallies.
     """
     if not model.is_calibrated:
         raise ValueError("model is not calibrated")
     bits = model.layer_bitwidths(policy)
+    x = np.asarray(x)
+    single = x.shape == tuple(model.input_shape)
     trace = ExecutionTrace()
-    t = NestedTensor(data=quantize(x, model.input_params), params=model.input_params)
+    t = NestedTensor(data=quantize(x[None] if single else x, model.input_params),
+                     params=model.input_params)
     outputs: list[NestedTensor] = []
     for i, (layer, b) in enumerate(zip(model.layers, bits)):
         aux = outputs[layer.source] if layer.kind == "residual_add" else None
@@ -484,5 +534,4 @@ def forward(model: ModelGraph, x: np.ndarray,
         trace.records.append(record)
         trace.counters.merge(record.counters)
         outputs.append(t)
-    y = dequantize(t.data, t.params)
-    return y, trace
+    return dequantize(t.data[0] if single else t.data, t.params), trace

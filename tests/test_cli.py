@@ -8,6 +8,7 @@ import pytest
 from nestq import blobio
 from nestq.analysis import empirical_verify
 from nestq.blobio import ManifestError, read_blob, write_blob
+from nestq import cli
 from nestq.cli import (
     EXIT_MANIFEST,
     EXIT_OK,
@@ -18,6 +19,7 @@ from nestq.cli import (
     resolve_seed,
 )
 from nestq.controller import ControllerSpec
+from nestq.layers import forward
 
 
 class TestTensorBlob:
@@ -422,3 +424,102 @@ class TestCommands:
                          "--out", str(out)]) == EXIT_OK
             outs.append(json.loads(out.with_suffix(".txt.json").read_text()))
         assert outs[0]["seed"] == 0 and outs[1]["seed"] == 1
+
+
+def reference_infer(model_dir, blob, policy_text, seed, out):
+    """The `infer` report written by a per-sample loop: one policy parse and one
+    single-sample forward per sample."""
+    model = blobio.load_model(model_dir)
+    data = read_blob(blob).astype(np.float64)
+    report = {"command": "infer", "policy_source": policy_text, "seed": seed,
+              "samples_run": len(data), "master_bitwidth": model.master_bitwidth}
+    for i, x in enumerate(data):
+        policy = parse_policy(policy_text, model, x=x, seed=seed)
+        y, trace = forward(model, x, policy)
+        report[f"sample{i:04d}"] = {
+            "policy": list(policy.bits),
+            "argmax": int(np.argmax(y)),
+            "output": [repr(float(v)) for v in y.reshape(-1)],
+            "shifted_elements": trace.shifted_elements,
+            "transition_ops": trace.transition_ops,
+            "fp_tensor_ops": trace.fp_tensor_ops,
+            "mults": trace.counters.mults,
+            "adds": trace.counters.adds,
+            "shifts": trace.counters.shifts,
+        }
+    blobio.write_report(out, report)
+    return report
+
+
+def same_report(a, b):
+    return a.read_bytes() == b.read_bytes() and \
+        a.with_suffix(".txt.json").read_bytes() == b.with_suffix(".txt.json").read_bytes()
+
+
+class TestGroupedInfer:
+    def test_mixed_policies_past_the_chunk_size_match_a_per_sample_loop(self, tmp_path):
+        assert main(["make-dataset", "--seed", "3", "--samples", "600",
+                     "--out", str(tmp_path / "d")]) == EXIT_OK
+        assert main(["quantize", "--arch", "mlp", "--seed", "7",
+                     "--out", str(tmp_path / "m")]) == EXIT_OK
+        assert main(["calibrate", "--model", str(tmp_path / "m"),
+                     "--data", str(tmp_path / "d/x.nqtb")]) == EXIT_OK
+        policy = "controller:2,4,6,8"
+        assert main(["infer", "--model", str(tmp_path / "m"),
+                     "--input", str(tmp_path / "d/x.nqtb"), "--policy", policy,
+                     "--seed", "1", "--out", str(tmp_path / "got.txt")]) == EXIT_OK
+        want = reference_infer(tmp_path / "m", tmp_path / "d/x.nqtb", policy, 1,
+                               tmp_path / "want.txt")
+        assert same_report(tmp_path / "got.txt", tmp_path / "want.txt")
+        groups = {}
+        for i in range(600):
+            groups.setdefault(tuple(want[f"sample{i:04d}"]["policy"]), []).append(i)
+        assert len(groups) > 2  # mixed, interleaved policies
+        assert max(map(len, groups.values())) > cli.INFER_CHUNK  # a group runs in chunks
+
+    def test_controller_file_loaded_once(self, workspace, tmp_path, monkeypatch):
+        x = read_blob(workspace / "data/x.nqtb")[:16]
+        write_blob(tmp_path / "x16.nqtb", x)
+        path = blobio.save_controller(
+            ControllerSpec(num_layers=3, candidates=(3, 5, 8), seed=4), tmp_path / "c")
+        policy = f"controller-file:{path}"
+        want = reference_infer(workspace / "model", tmp_path / "x16.nqtb", policy, 0,
+                               tmp_path / "want.txt")
+        assert len({tuple(want[f"sample{i:04d}"]["policy"]) for i in range(16)}) > 1
+        loads = []
+        load = blobio.load_controller
+        monkeypatch.setattr(blobio, "load_controller",
+                            lambda p: loads.append(p) or load(p))
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(tmp_path / "x16.nqtb"), "--policy", policy,
+                     "--out", str(tmp_path / "got.txt")]) == EXIT_OK
+        assert len(loads) == 1
+        assert same_report(tmp_path / "got.txt", tmp_path / "want.txt")
+
+    def test_bad_policy_source_refused_on_an_empty_run(self, workspace, tmp_path):
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(workspace / "data/x.nqtb"), "--limit", "0",
+                     "--policy", "magic:3",
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_POLICY_SOURCE
+
+
+class TestParserBuiltOnce:
+    def test_each_call_gets_its_own_arguments_and_defaults(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        runs = [["quantize", "--arch", "cnn", "--bits", "6", "--seed", "2"],
+                ["make-dataset", "--samples", "7", "--classes", "3", "--dims", "5"],
+                ["quantize"],
+                ["make-dataset", "--samples", "9"]]
+        for i, argv in enumerate(runs):
+            assert main(argv + ["--out", str(tmp_path / str(i))]) == EXIT_OK
+        cnn = blobio.load_model(tmp_path / "0")
+        mlp = blobio.load_model(tmp_path / "2")
+        assert cnn.master_bitwidth == 6 and cnn.layers[0].kind == "conv2d"
+        assert mlp.master_bitwidth == 8 and mlp.layers[0].kind == "fc"
+        seeds = [json.loads((tmp_path / f"{i}/manifest.json").read_text())["provenance"]["seed"]
+                 for i in (0, 2)]
+        assert seeds == [2, 7]  # the second quantize falls back to the default seed
+        assert read_blob(tmp_path / "1/x.nqtb").shape == (7, 5)
+        assert read_blob(tmp_path / "1/means.nqtb").shape[0] == 3
+        assert read_blob(tmp_path / "3/x.nqtb").shape == (9, 16)
+        assert read_blob(tmp_path / "3/means.nqtb").shape[0] == 4

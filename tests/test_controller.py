@@ -44,6 +44,34 @@ class TestControllerForward:
         assert np.allclose(feats, [2.0, 6.0])
 
 
+def segment_means(x, feature_dim):
+    """Reference: the mean of each of feature_dim linspace segments, one at a time."""
+    flat = np.asarray(x, dtype=np.float64).reshape(-1)
+    bounds = np.linspace(0, flat.size, feature_dim + 1).astype(int)
+    return np.array([flat[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+class TestPoolFeatures:
+    @pytest.mark.parametrize("feature_dim", [1, 2, 3, 7, 16])
+    def test_even_split_bit_identical_to_segment_loop(self, feature_dim):
+        rng = np.random.default_rng(feature_dim)
+        for per_segment in (1, 2, 3, 5, 8, 9, 16, 33, 64, 100, 257):
+            for scale in (1e-3, 1.0, 1e6):
+                x = rng.standard_normal(feature_dim * per_segment) * scale
+                assert np.array_equal(pool_features(x, feature_dim),
+                                      segment_means(x, feature_dim))
+
+    def test_image_input_pools_its_flattened_values(self):
+        x = np.random.default_rng(1).uniform(-1, 3, size=(1, 16, 16))
+        assert np.array_equal(pool_features(x, 16), segment_means(x, 16))
+
+    @pytest.mark.parametrize("size,feature_dim", [(17, 4), (10, 3), (255, 16), (7, 6)])
+    def test_uneven_split_keeps_the_segment_loop(self, size, feature_dim):
+        x = np.random.default_rng(size).standard_normal(size)
+        assert size % feature_dim
+        assert np.array_equal(pool_features(x, feature_dim), segment_means(x, feature_dim))
+
+
 class TestSelectArgmax:
     def test_one_hot_rows(self):
         logits = np.array([[0, 10, 0], [10, 0, 0]])

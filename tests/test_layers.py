@@ -30,7 +30,7 @@ from nestq.layers import (
     pact_clamp,
     run_layer,
 )
-from nestq.models import build_toy_mlp
+from nestq.models import build_toy_cnn, build_toy_mlp
 from nestq.quantize import (
     NestedTensor,
     QuantParams,
@@ -564,3 +564,157 @@ class TestLayerPlan:
             r.counters.shifts += 7
         _, second = forward(mlp, x, policy)
         assert [r.counters for r in second.records] == want
+
+
+def pooled_resnet(n):
+    """conv, clamp, conv, residual add, average pool, flatten, fc on 1x9x9 inputs.
+
+    The odd size makes the pool crop a row and a column.
+    """
+    rng = np.random.default_rng(31)
+    layers = [
+        LayerSpec(kind="conv2d", name="c1", in_channels=1, out_channels=3, kernel=3,
+                  padding=1, weight=rng.normal(0, 0.4, (3, 1, 3, 3)),
+                  bias=rng.normal(0, 0.1, 3)),
+        LayerSpec(kind="relu_pact", name="a1"),
+        LayerSpec(kind="conv2d", name="c2", in_channels=3, out_channels=3, kernel=3,
+                  padding=1, weight=rng.normal(0, 0.3, (3, 3, 3, 3)),
+                  bias=rng.normal(0, 0.1, 3)),
+        LayerSpec(kind="residual_add", name="skip", source=1),
+        LayerSpec(kind="avgpool", name="pool", pool=2),
+        LayerSpec(kind="flatten", name="flat"),
+        LayerSpec(kind="fc", name="head", in_features=48, out_features=4,
+                  weight=rng.normal(0, 0.2, (4, 48)), bias=rng.normal(0, 0.1, 4)),
+    ]
+    model = ModelGraph(layers=layers, input_shape=(1, 9, 9), master_bitwidth=n)
+    data = rng.uniform(-0.5, 2.0, size=(24, 1, 9, 9))
+    calibrate(model, [data[:12], data[12:]])
+    return model, data
+
+
+def outcome(model, x, policy):
+    """forward's (outputs, trace), or the type and message of the error it raised."""
+    try:
+        return forward(model, x, policy)
+    except (ValueError, AccumulatorOverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def random_policies(model, rng, count=4):
+    n, length = model.master_bitwidth, model.num_policy_layers
+    cands = tuple(range(2, n + 1))
+    return [BitPolicy.uniform(n, length, cands)] + [
+        BitPolicy(bits=tuple(int(b) for b in rng.choice(cands, length)), candidates=cands)
+        for _ in range(count)]
+
+
+class TestBatchedEngine:
+    """A batch through ``forward`` is bit-identical to its samples run one by one."""
+
+    def check(self, model, xs, policies):
+        for policy in policies:
+            batch = outcome(model, xs, policy)
+            singles = [outcome(model, x, policy) for x in xs]
+            if isinstance(batch[0], type):  # refused: every sample raised the same
+                assert all(s == batch for s in singles), policy
+                continue
+            ys, trace = batch
+            assert ys.shape == (len(xs),) + model.output_shape
+            for y, (y1, trace1) in zip(ys, singles):
+                assert np.array_equal(y, y1), policy
+                assert trace1 == trace, policy
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_mlp(self, n, blob_data):
+        x, _, means = blob_data
+        rng = np.random.default_rng(n)
+        for data in (x[:200], x[:200] - 1.0):  # zero-offset and offset input grids
+            model = build_toy_mlp(seed=7, n=n, means=means)
+            calibrate(model, [data[:100], data[100:]])
+            self.check(model, data[:6], random_policies(model, rng))
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_cnn(self, n, cnn_data):
+        x = cnn_data[0]
+        rng = np.random.default_rng(100 + n)
+        for data in (x, x - 0.5):
+            model = build_toy_cnn(seed=11, n=n)
+            calibrate(model, [data[:50], data[50:]])
+            self.check(model, data[:4], random_policies(model, rng, 3))
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_conv_residual_pool_fc(self, n):
+        model, data = pooled_resnet(n)
+        self.check(model, data[:4], random_policies(model, np.random.default_rng(200 + n)))
+
+    def test_refused_layer_raises_the_same_error_batched(self, cnn_data):
+        x = cnn_data[0]
+        model = build_toy_cnn(seed=11, n=16)
+        calibrate(model, [x[:50]])
+        # A 16-bit 3x3 conv needs 36 accumulator bits: refused without rescaling.
+        model.acc_policy = AccumulatorPolicy(working_bits=24, rescale=False)
+        policy = BitPolicy.uniform(16, 3)
+        single, batch = outcome(model, x[0], policy), outcome(model, x[:5], policy)
+        assert single[0] is AccumulatorOverflowError
+        assert batch == single
+
+    def test_empty_batch(self):
+        model, data = pooled_resnet(8)
+        ys, trace = forward(model, data[:0], BitPolicy.uniform(8, 4))
+        assert ys.shape == (0,) + model.output_shape
+        assert trace == forward(model, data[0], BitPolicy.uniform(8, 4))[1]
+
+    def test_run_layer_takes_a_sample_or_a_batch(self):
+        layer = identity_fc()
+        one = NestedTensor(data=np.array([123]), params=unit_params())
+        many = NestedTensor(data=np.array([[1], [2], [250]]), params=unit_params())
+        out1, rec1 = run_layer(layer, one, 8)
+        out3, rec3 = run_layer(layer, many, 8)
+        assert out1.shape == (1,) and out1.data[0] == 123
+        assert out3.shape == (3, 1) and out3.data.reshape(-1).tolist() == [1, 2, 250]
+        assert rec1 == rec3
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2), (1, 1, 1), ()])
+    def test_run_layer_rejects_other_shapes(self, shape):
+        x = NestedTensor(data=np.ones(shape, dtype=np.int64), params=unit_params())
+        with pytest.raises(ShapeMismatchError):
+            run_layer(identity_fc(), x, 8)
+
+    def test_residual_operands_must_share_the_batch(self):
+        model, data = pooled_resnet(8)
+        layer = model.layers[3]
+        x = NestedTensor(data=np.zeros((2,) + layer.input_shape, dtype=np.uint8),
+                         params=layer.input_params)
+        aux = NestedTensor(data=np.zeros((3,) + layer.input_shape, dtype=np.uint8),
+                           params=model.layers[1].output_params)
+        with pytest.raises(ShapeMismatchError):
+            run_layer(layer, x, 8, aux=aux)
+
+
+class TestRoundingShift:
+    def test_half_up_equals_rounding_right_shift_after_the_clip(self):
+        rng = np.random.default_rng(5)
+        v = np.concatenate([rng.integers(-(1 << 40), 1 << 40, size=4000),
+                            np.arange(-70, 70), [0, 1, -1, 1 << 50, -(1 << 50)]])
+        for s in (0, 1, 2, 3, 7, 16, 33, 45):
+            got = layers._shift_half_up(v.copy(), s)
+            want = np.array([rounding_right_shift(int(a), s) for a in v])
+            assert np.array_equal(np.maximum(got, 0), np.maximum(want, 0)), s
+            # on non-negative values (a product sum) no clip is needed
+            assert np.array_equal(got[v >= 0], want[v >= 0]), s
+
+
+class TestClampIndex:
+    def test_forward_quantizes_only_its_input(self, mlp, blob_data, monkeypatch):
+        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        forward(mlp, blob_data[0][:3], policy)  # warm the plan and clamp caches
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return quantize(*args)
+
+        monkeypatch.setattr(layers, "quantize", counted)
+        forward(mlp, blob_data[0][:3], policy)
+        forward(mlp, blob_data[0][5], policy)
+        assert len(calls) == 2  # the entry quantize of each call, no clamp bound
