@@ -5,7 +5,9 @@ range with an exponential moving average, picks each activation clamp from a
 high percentile of observed values, and then freezes all master grids and
 quantizes the weights. A MAC layer's bias has its own grid but its result does
 not: the integer path adds the bias inside the dot and rounds once, onto the
-output grid.
+output grid. One rule sets output grids: a fc, conv2d or residual_add takes
+the [0, alpha] grid of a clamp after it, else its widened EMA range; other
+layers keep their input grid. The clamp is that grid alone and runs no code.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .layers import LayerSpec, ModelGraph
+from .layers import POLICY_KINDS, LayerSpec, ModelGraph
 from .quantize import NestedTensor, make_master_params, quantize
 
 DEFAULT_EMA_MOMENTUM = 0.9
@@ -101,8 +103,7 @@ def float_layer(layer: LayerSpec, x: np.ndarray,
             out += layer.bias.reshape(1, -1, 1, 1)
         return out
     if layer.kind == "relu_pact":
-        y = np.maximum(x, 0.0)
-        return np.minimum(y, layer.alpha) if layer.alpha is not None else y
+        return np.clip(x, 0.0, layer.alpha)
     if layer.kind == "residual_add":
         return x + aux
     if layer.kind == "avgpool":
@@ -131,9 +132,9 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
     Weight and bias grids come from exact tensor min/max. Activation clamps are
     set to the observed high percentile of pre-clamp values, giving each
     activation a zero-offset [0, alpha] grid. Output grids come from the final
-    EMA range; a MAC layer feeding a clamp adopts the clamp's grid so its own
-    clipping realizes the clamp. Recalibrating discards the clamps and range
-    flags of any earlier calibration.
+    EMA range; a fc, conv2d or residual_add feeding a clamp adopts the clamp's
+    grid so its own clipping realizes the clamp. Recalibrating discards the
+    clamps and range flags of any earlier calibration.
     """
     if passes < 1:
         raise ValueError("need at least one calibration pass")
@@ -151,21 +152,11 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
         for batch in batches:
             data_min = min(data_min, float(batch.min()))
             data_max = max(data_max, float(batch.max()))
-            outputs = float_forward(model, batch)
-            t = batch
-            for i, layer in enumerate(model.layers):
-                if layer.kind == "relu_pact":
-                    act_values[i].append(np.maximum(t, 0.0).reshape(-1))
-                y = outputs[i]
+            # alpha is unset, so a clamp's output is the ReLU of its input
+            for i, y in enumerate(float_forward(model, batch)):
+                if model.layers[i].kind == "relu_pact":
+                    act_values[i].append(y.reshape(-1))
                 states[i] = ema_update(states[i], float(y.min()), float(y.max()))
-                t = y
-
-    # Clamp bounds first: they define the grids of the layers that feed them.
-    for i, layer in enumerate(model.layers):
-        if layer.kind == "relu_pact":
-            vals = np.concatenate(act_values[i])
-            alpha = float(np.percentile(vals, ALPHA_PERCENTILE))
-            layer.alpha = alpha if alpha > 0 else DEGENERATE_ABS_EPS
 
     # Non-negative data gets a zero-offset input grid; the factored MAC loop
     # needs m = 0 on activations.
@@ -178,16 +169,15 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
         layer.input_params = prev_params
         if layer.has_weights:
             layer.range_flagged |= quantize_weights(layer, n)
-            nxt = model.layers[i + 1] if i + 1 < len(model.layers) else None
-            if nxt is not None and nxt.kind == "relu_pact":
-                layer.output_params = make_master_params(0.0, nxt.alpha, n)
-            else:
-                lo, hi, f = _widened(states[i].y_min, states[i].y_max)
-                layer.range_flagged |= f
-                layer.output_params = make_master_params(lo, hi, n)
-        elif layer.kind in ("relu_pact", "flatten", "avgpool"):
+        nxt = model.layers[i + 1] if i + 1 < len(model.layers) else None
+        if layer.kind not in POLICY_KINDS:
             layer.output_params = prev_params
-        else:  # residual_add
+        elif nxt is not None and nxt.kind == "relu_pact":
+            # ModelGraph puts every clamp right after a policy layer, so each gets its bound here.
+            alpha = float(np.percentile(np.concatenate(act_values[i + 1]), ALPHA_PERCENTILE))
+            nxt.alpha = alpha if alpha > 0 else DEGENERATE_ABS_EPS
+            layer.output_params = make_master_params(0.0, nxt.alpha, n)
+        else:
             lo, hi, f = _widened(states[i].y_min, states[i].y_max)
             layer.range_flagged |= f
             layer.output_params = make_master_params(lo, hi, n)

@@ -280,6 +280,16 @@ def cmd_make_dataset(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer >= low; anything else is a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
@@ -299,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="input blob, samples on axis 0")
     p.add_argument("--momentum", type=float, default=DEFAULT_EMA_MOMENTUM)
-    p.add_argument("--passes", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--passes", type=_int_at_least(1), default=1)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=64)
     p.add_argument("--out", default=None, help="defaults to updating --model in place")
     p.set_defaults(fn=cmd_calibrate)
 
@@ -310,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default="static:8",
                    help="static:N | fixed:8,4,8 | heuristic:4,5,6 | "
                         "controller:4,5,6 | controller-file:PATH")
-    p.add_argument("--limit", type=int, default=None, help="max samples to run")
+    p.add_argument("--limit", type=_int_at_least(0), default=None, help="max samples to run")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_infer)

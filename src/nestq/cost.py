@@ -3,8 +3,8 @@
 BitOPs weight each MAC by the product of its operand bit-widths. Transition
 cost counts the elements moved below the master width per inference; in the
 shift pipeline each costs one logical shift, in the conventional pipeline each
-costs a seven-primitive float round-trip (two conversions, multiply, divide,
-add, subtract, round).
+costs the primitives of the float round trip,
+``quantize.dequant_requant_reference``.
 
 The in-loop counts are every arithmetic primitive of one inference as the
 trace charges them: MAC loops, fused bias terms, residual adds and pooling
@@ -20,8 +20,9 @@ from dataclasses import dataclass
 # MAC_PRIMITIVES and mac_primitive_counts are re-exported for callers of this module.
 from .intops import MAC_PRIMITIVES, OpCounters, mac_primitive_counts  # noqa: F401
 from .layers import BitPolicy, ModelGraph, layer_counters
+from .quantize import ROUNDTRIP_CONVERSIONS, ROUNDTRIP_FP_OPS
 
-STANDARD_PRIMITIVES_PER_ELEMENT = 7
+STANDARD_PRIMITIVES_PER_ELEMENT = ROUNDTRIP_CONVERSIONS + ROUNDTRIP_FP_OPS
 # A model, not a measurement. Measured with NumPy (README, "Cost model"), the
 # float round trip takes 3x the shift's time per element at 2^10 elements and
 # 16-17x at 2^22, since small calls are dominated by per-call overhead.

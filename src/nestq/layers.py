@@ -7,11 +7,14 @@ down to its assigned bit-width, and only the final output is dequantized.
 
 A fc or conv layer is one integer expression, its dot plus the bias term,
 rounded once onto its output grid; a residual add is the integer add, also
-rounded once. A policy layer's constants, at the F ``intops.fit_frac_bits``
-fits to them, accumulator rescale, padding index and int64 proof are built
-once per distinct (grids, b, accumulator policy) by :func:`build_plan`;
-weights and activations are still shifted down to b on every call, since that
-shift is the transition the scheme prices.
+rounded once. A clamp (``relu_pact``) runs no code: calibration gives the
+policy layer before it the clamp's [0, alpha] grid, whose clip is the clamp,
+ReLU included, and ``ModelGraph`` refuses graphs where that cannot hold. A
+policy layer's constants, at the F ``intops.fit_frac_bits`` fits to them,
+accumulator rescale, padding index and int64 proof are built once per
+distinct (grids, b, accumulator policy) by :func:`build_plan`; weights and
+activations are still shifted down to b on every call, since that shift is
+the transition the scheme prices.
 
 Execution is batch-first. ``run_layer`` and ``forward`` take one sample
 (shaped like the layer's or model's input) or a batch of them on a leading
@@ -156,10 +159,19 @@ class ModelGraph:
 
     def __post_init__(self):
         self._infer_shapes()
+        # A clamp is its producer's output grid: it must follow a policy layer,
+        # and no residual edge may read the producer, unclamped in float.
         for i, layer in enumerate(self.layers):
+            if layer.kind == "relu_pact" and (
+                    i == 0 or self.layers[i - 1].kind not in POLICY_KINDS):
+                raise ValueError(f"clamp at layer {i} must directly follow one of {POLICY_KINDS}")
             if layer.kind == "residual_add":
                 if not 0 <= layer.source < i:
                     raise ValueError(f"residual edge at layer {i} must point backwards")
+                if self.layers[layer.source + 1].kind == "relu_pact":
+                    raise ValueError(
+                        f"residual edge {layer.source}->{i} reads a clamp's producer; "
+                        f"point it at the clamp, layer {layer.source + 1}")
                 if self.layers[layer.source].output_shape != layer.input_shape:
                     raise ShapeMismatchError(
                         f"residual edge {layer.source}->{i} joins different shapes"
@@ -181,14 +193,21 @@ class ModelGraph:
                     raise ShapeMismatchError(
                         f"conv {layer.name!r} expects {layer.in_channels} channels, got {c}"
                     )
+                if layer.kernel < 1 or layer.stride < 1 or layer.padding < 0:
+                    raise ValueError(f"conv {layer.name!r} needs kernel, stride >= 1, padding >= 0")
                 oh = (h + 2 * layer.padding - layer.kernel) // layer.stride + 1
                 ow = (w + 2 * layer.padding - layer.kernel) // layer.stride + 1
                 shape = (layer.out_channels, oh, ow)
             elif layer.kind == "avgpool":
                 c, h, w = shape
+                if layer.pool < 1:
+                    raise ValueError(f"avgpool {layer.name!r} needs pool >= 1, got {layer.pool}")
                 shape = (c, h // layer.pool, w // layer.pool)
             elif layer.kind == "flatten":
                 shape = (int(np.prod(shape)),)
+            if any(d < 1 for d in shape):
+                raise ShapeMismatchError(
+                    f"{layer.kind} {layer.name!r} leaves an empty output {shape}")
             layer.output_shape = shape
         self.output_shape = shape
 
@@ -276,28 +295,6 @@ class ExecutionTrace:
 
     def bitwidths(self) -> list[int]:
         return [r.bitwidth for r in self.records]
-
-
-@lru_cache(maxsize=1024)
-def _alpha_index(alpha: float, params: QuantParams) -> int:
-    """Grid index of a clamp bound, built once per (alpha, grid) value.
-
-    A refusal is not cached.
-    """
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return int(quantize(np.float64(alpha), params))
-
-
-def pact_clamp(t: NestedTensor, alpha: float) -> NestedTensor:
-    """Clamp stored integers at the grid index of alpha.
-
-    On a zero-offset grid this doubles as ReLU, since every stored integer is
-    already non-negative. The index comes from a cached builder, so no float
-    op runs here.
-    """
-    return NestedTensor(data=np.minimum(t.data, _alpha_index(alpha, t.params)),
-                        params=t.params)
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
@@ -424,7 +421,8 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     dot and bias as one integer expression (the array form of ``int_dot`` with
     its bias term) and rounds it once onto the calibrated output grid, whose
     clipping realizes any following clamp, so the next layer again sees a
-    master-width tensor. A residual add is the array form of ``int_add``.
+    master-width tensor. A residual add is the array form of ``int_add``,
+    rounded and clipped the same way; a clamp passes its input through.
     ``aux`` carries the second operand for residual adds, shaped like ``x``.
     The record counts one sample's work.
     """
@@ -487,9 +485,6 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             + k[1] * shift_down(branch, n, b).astype(np.int64) + k[2]
         out = _requant(raw, plan.frac_bits, py)
 
-    elif layer.kind == "relu_pact":
-        out, py = np.minimum(xd, _alpha_index(layer.alpha, x.params)), x.params
-
     elif layer.kind == "avgpool":
         # Same-grid integer mean per window; exact under a shared affine grid.
         c, h, w = shape
@@ -499,7 +494,7 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         area = p * p
         out = (sums + area // 2) // area
 
-    else:  # flatten
+    else:  # flatten, or a clamp: its producer's output grid already clamped
         out, py = xd.reshape((bsz,) + layer.output_shape), x.params
 
     result = NestedTensor(data=out[0] if single else out, params=py)

@@ -247,19 +247,22 @@ def shift_down(q_n, n: int, b: int) -> np.ndarray:
     return np.minimum(out, top, out=out)
 
 
+ROUNDTRIP_CONVERSIONS, ROUNDTRIP_FP_OPS = 2, 5
+
+
 def dequant_requant_reference(q, from_params: QuantParams, to_params: QuantParams,
                               counters=None) -> np.ndarray:
     """Change grids the conventional way: float round-trip per element.
 
     This is the baseline the shift transition replaces; it exists as an oracle
     and as the cost reference. If ``counters`` (an OpCounters) is given, it is
-    charged the per-element primitive sequence of the float pipeline: two
-    int/float conversions plus five float ops (mul, div, add, sub, round).
+    charged per element ``ROUNDTRIP_CONVERSIONS`` int/float conversions plus
+    ``ROUNDTRIP_FP_OPS`` float ops (mul, div, add, sub, round).
     """
     q = np.asarray(q)
     x = dequantize(q, from_params)
     out = quantize(x, to_params)
     if counters is not None:
-        counters.conversions += 2 * q.size
-        counters.fp_ops += 5 * q.size
+        counters.conversions += ROUNDTRIP_CONVERSIONS * q.size
+        counters.fp_ops += ROUNDTRIP_FP_OPS * q.size
     return out

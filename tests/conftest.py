@@ -1,9 +1,18 @@
 """Shared fixtures: calibrated toy models and their datasets."""
 
+import numpy as np
 import pytest
 
 from nestq.calibration import calibrate
-from nestq.models import build_toy_cnn, build_toy_mlp, cnn_dataset, make_blob_dataset
+from nestq.layers import LayerSpec, ModelGraph
+from nestq.models import (
+    CNN_INPUT,
+    DEFAULT_CLASSES,
+    build_toy_cnn,
+    build_toy_mlp,
+    cnn_dataset,
+    make_blob_dataset,
+)
 
 MLP_SEED = 7
 DATA_SEED = 3
@@ -34,3 +43,38 @@ def cnn(cnn_data):
     model = build_toy_cnn(seed=11)
     calibrate(model, [x[i:i + 25] for i in range(0, 100, 25)])
     return model
+
+
+def build_block(n: int = 8, seed: int = 11, width: int = 8) -> ModelGraph:
+    """One ResNet basic block over 1x8x8 inputs, its second clamp after the add:
+    conv -> clamp -> conv -> residual_add -> clamp -> avgpool -> flatten -> fc."""
+    rng = np.random.default_rng(seed)
+    c, h, w = CNN_INPUT
+    fc_in = width * (h // 2) * (w // 2)
+    layers = [
+        LayerSpec(kind="conv2d", name="conv1", in_channels=c, out_channels=width,
+                  kernel=3, padding=1, weight=rng.normal(0, 0.4, size=(width, c, 3, 3)),
+                  bias=np.zeros(width)),
+        LayerSpec(kind="relu_pact", name="act1"),
+        LayerSpec(kind="conv2d", name="conv2", in_channels=width, out_channels=width,
+                  kernel=3, padding=1, weight=rng.normal(0, 0.25, size=(width, width, 3, 3)),
+                  bias=np.zeros(width)),
+        LayerSpec(kind="residual_add", name="res", source=1),
+        LayerSpec(kind="relu_pact", name="act2"),
+        LayerSpec(kind="avgpool", name="pool", pool=2),
+        LayerSpec(kind="flatten", name="flat"),
+        LayerSpec(kind="fc", name="head", in_features=fc_in, out_features=DEFAULT_CLASSES,
+                  weight=rng.normal(0, 0.2, size=(DEFAULT_CLASSES, fc_in)),
+                  bias=np.zeros(DEFAULT_CLASSES)),
+    ]
+    return ModelGraph(layers=layers, input_shape=CNN_INPUT, master_bitwidth=n)
+
+
+@pytest.fixture(scope="session")
+def make_block(cnn_data):
+    """Builds the residual block at master width n, calibrated on the CNN data."""
+    x, _ = cnn_data
+
+    def make(n: int = 8) -> ModelGraph:
+        return calibrate(build_block(n), [x[i:i + 25] for i in range(0, 100, 25)])
+    return make

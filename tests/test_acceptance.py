@@ -4,6 +4,7 @@ One test per release criterion; each prints a single PASS/FAIL line through the
 terminal reporter so the verdicts are visible in the normal pytest output.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -200,13 +201,13 @@ def test_5_end_to_end_fidelity(announce, mlp, blob_data):
 
 
 SWEEP = ([pytest.param("mlp", n, id=str(n)) for n in range(2, 17)]
-         + [pytest.param("cnn", n, id=f"cnn-{n}") for n in (4, 8, 12, 16)])
+         + [pytest.param("cnn", n, id=f"cnn-{n}") for n in (4, 8, 12, 16)]
+         + [pytest.param("block", n, id=f"block-{n}") for n in (4, 8, 12, 16)])
 
 
-@pytest.mark.parametrize("arch, n", SWEEP)
-def test_n_sweep_fidelity(blob_data, cnn_data, arch, n):
-    """Each toy model tracks the fake-quant oracle at every master width swept:
-    at least 99% argmax agreement at the master width and a mixed policy."""
+def sweep_model(arch, n, blob_data, cnn_data, make_block):
+    """A toy model calibrated at master width n, its inputs, and its two policies:
+    static n, and n at the first and last policy layer with n // 2 between."""
     if arch == "mlp":
         x, _, means = blob_data
         xs = x[:300]
@@ -215,14 +216,53 @@ def test_n_sweep_fidelity(blob_data, cnn_data, arch, n):
     else:
         x, _ = cnn_data
         xs = x[:50]
-        model = build_toy_cnn(seed=11, n=n)
-        calibrate(model, [x[i:i + 25] for i in range(0, 100, 25)])
-    for bits in [(n, n, n), (n, max(2, n // 2), n)]:
-        policy = BitPolicy(bits=bits, candidates=tuple(sorted(set(bits))))
+        if arch == "block":
+            model = make_block(n)
+        else:
+            model = build_toy_cnn(seed=11, n=n)
+            calibrate(model, [x[i:i + 25] for i in range(0, 100, 25)])
+    k = model.num_policy_layers
+    policies = [BitPolicy(bits=bits, candidates=tuple(sorted(set(bits))))
+                for bits in [(n,) * k, (n,) + (max(2, n // 2),) * (k - 2) + (n,)]]
+    return model, xs, policies
+
+
+@pytest.mark.parametrize("arch, n", SWEEP)
+def test_n_sweep_fidelity(blob_data, cnn_data, make_block, arch, n):
+    """Each toy model tracks the fake-quant oracle at every master width swept:
+    at least 99% argmax agreement at the master width and a mixed policy. The
+    block is a residual add followed by a clamp, as in a ResNet basic block."""
+    model, xs, policies = sweep_model(arch, n, blob_data, cnn_data, make_block)
+    for policy in policies:
         oracle = np.argmax(fake_quant_forward(model, xs, policy), axis=1)
         got = np.array([int(np.argmax(forward(model, xi, policy)[0])) for xi in xs])
         agree = int(np.sum(got == oracle))
-        assert agree >= 0.99 * len(xs), (bits, agree)
+        assert agree >= 0.99 * len(xs), (policy.bits, agree)
+
+
+# sha256 prefixes of the toy models' batched outputs and per-layer trace
+# counters under both sweep policies, as computed before the clamp became its
+# producer's output grid. Neither model has a residual add, so neither changed.
+TOY_DIGESTS = {
+    "mlp-4": "773495b9851fd1ce", "mlp-8": "73a58c20642be659",
+    "mlp-12": "bde2471fe53b2f21", "mlp-16": "bba29bc88b2ef75e",
+    "cnn-4": "4a4b441872c76138", "cnn-8": "70c0ef65a7dc06a1",
+    "cnn-12": "2fa70df7bd1c171c", "cnn-16": "8de5388715b84dc8",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TOY_DIGESTS))
+def test_toy_models_bit_identical(blob_data, cnn_data, make_block, key):
+    arch, n = key.split("-")
+    model, xs, policies = sweep_model(arch, int(n), blob_data, cnn_data, make_block)
+    h = hashlib.sha256()
+    for policy in policies:
+        y, trace = forward(model, xs, policy)
+        h.update(y.tobytes())
+        for r in trace.records:
+            c = r.counters
+            h.update(repr((r.kind, r.bitwidth, c.mults, c.adds, c.shifts)).encode())
+    assert h.hexdigest()[:16] == TOY_DIGESTS[key]
 
 
 def test_6_cost_model_exactness(announce, mlp, cnn):

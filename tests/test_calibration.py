@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nestq.calibration import RangeState, calibrate, ema_update
 from nestq.layers import LayerSpec, ModelGraph
-from nestq.quantize import MAX_BITWIDTH, MIN_BITWIDTH
+from nestq.quantize import MAX_BITWIDTH, MIN_BITWIDTH, make_master_params
 
 
 class TestEmaUpdate:
@@ -120,3 +120,15 @@ class TestCalibrate:
         assert fc1.output_params.offset == 0.0
         top = fc1.output_params.scale * fc1.output_params.qmax
         assert top == pytest.approx(act1.alpha)
+
+    @pytest.mark.parametrize("kind", ["fc", "conv2d", "residual_add"])
+    def test_clamp_producer_carries_exactly_the_clamp_grid(self, mlp, cnn, make_block, kind):
+        producers = 0
+        for model in (mlp, cnn, make_block(8)):
+            n = model.master_bitwidth
+            for layer, nxt in zip(model.layers, model.layers[1:]):
+                if nxt.kind == "relu_pact" and layer.kind == kind:
+                    assert layer.output_params == make_master_params(0.0, nxt.alpha, n)
+                    assert nxt.output_params == layer.output_params
+                    producers += 1
+        assert producers

@@ -14,6 +14,7 @@ from nestq.cli import (
     EXIT_OK,
     EXIT_POLICY_SOURCE,
     EXIT_SHAPE,
+    EXIT_USAGE,
     main,
     parse_policy,
     resolve_seed,
@@ -501,6 +502,54 @@ class TestGroupedInfer:
                      "--input", str(workspace / "data/x.nqtb"), "--limit", "0",
                      "--policy", "magic:3",
                      "--out", str(tmp_path / "o.txt")]) == EXIT_POLICY_SOURCE
+
+
+class TestImpossibleGraphExitCodes:
+    @pytest.mark.parametrize("edit, code", [
+        (lambda layers: layers[0].update(stride=0), EXIT_MANIFEST),
+        (lambda layers: layers[0].update(kernel=0), EXIT_MANIFEST),
+        (lambda layers: layers[0].update(kernel=11), EXIT_SHAPE),
+        (lambda layers: layers.insert(0, dict(layers[1])), EXIT_MANIFEST),
+    ], ids=["stride-0", "kernel-0", "empty-output", "clamp-first"])
+    def test_edited_manifest(self, tmp_path, capsys, edit, code):
+        assert main(["quantize", "--arch", "cnn", "--out", str(tmp_path / "m")]) == EXIT_OK
+        path = tmp_path / "m/manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest["layers"])
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["cost", "--model", str(tmp_path / "m"),
+                     "--out", str(tmp_path / "c.txt")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("infer", "--limit", "-1"),
+        ("calibrate", "--batch-size", "0"),
+        ("calibrate", "--passes", "0"),
+        ("calibrate", "--passes", "two"),
+    ])
+    def test_out_of_range_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                           command, flag, value):
+        data = "--input" if command == "infer" else "--data"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--model", str(workspace / "model"),
+                  data, str(workspace / "data/x.nqtb"), flag, value,
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_lowest_allowed_values_run(self, workspace, tmp_path):
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(workspace / "data/x.nqtb"), "--limit", "0",
+                     "--out", str(tmp_path / "r.txt")]) == EXIT_OK
+        assert "samples_run=0" in (tmp_path / "r.txt").read_text()
+        assert main(["calibrate", "--model", str(workspace / "model"),
+                     "--data", str(workspace / "data/x.nqtb"), "--batch-size", "1",
+                     "--passes", "1", "--out", str(tmp_path / "m")]) == EXIT_OK
 
 
 class TestParserBuiltOnce:

@@ -27,7 +27,6 @@ from nestq.layers import (
     ShapeMismatchError,
     build_plan,
     forward,
-    pact_clamp,
     run_layer,
 )
 from nestq.models import build_toy_cnn, build_toy_mlp
@@ -108,25 +107,6 @@ class TestRunLayer:
             run_layer(layer, x, 8)
 
 
-class TestPactClamp:
-    def grid(self):
-        return unit_params()
-
-    def test_identity_when_alpha_above_range(self):
-        t = NestedTensor(data=np.array([0, 100, 255]), params=self.grid())
-        out = pact_clamp(t, 300.0)
-        assert np.array_equal(out.data, t.data)
-
-    def test_clamps_above_alpha(self):
-        t = NestedTensor(data=np.array([150]), params=self.grid())
-        assert pact_clamp(t, 100.0).data[0] == 100
-
-    def test_rejects_non_positive_alpha(self):
-        t = NestedTensor(data=np.array([1]), params=self.grid())
-        with pytest.raises(ValueError):
-            pact_clamp(t, 0.0)
-
-
 class TestModelGraph:
     def test_shape_inference_and_policy_indices(self, cnn):
         assert cnn.layers[0].output_shape == (4, 8, 8)
@@ -157,6 +137,98 @@ class TestModelGraph:
         ]
         with pytest.raises(ShapeMismatchError):
             ModelGraph(layers=bad, input_shape=(4,))
+
+
+def conv_spec(cin=1, cout=2, **kw):
+    return LayerSpec(kind="conv2d", in_channels=cin, out_channels=cout,
+                     **{"kernel": 3, "padding": 1, **kw})
+
+
+class TestGraphRefusals:
+    """Graphs the integer path cannot run as written are refused when built."""
+
+    @pytest.mark.parametrize("before", [
+        [],
+        [LayerSpec(kind="avgpool", pool=2)],
+        [LayerSpec(kind="flatten")],
+        [LayerSpec(kind="conv2d", in_channels=1, out_channels=1, kernel=1),
+         LayerSpec(kind="relu_pact")],
+    ], ids=["first", "after-pool", "after-flatten", "after-clamp"])
+    def test_clamp_must_follow_a_policy_layer(self, before):
+        with pytest.raises(ValueError, match="clamp at layer"):
+            ModelGraph(layers=before + [LayerSpec(kind="relu_pact")], input_shape=(1, 4, 4))
+
+    def test_clamp_after_each_policy_kind_accepted(self):
+        g = ModelGraph(layers=[
+            LayerSpec(kind="fc", in_features=4, out_features=4),
+            LayerSpec(kind="relu_pact"),
+            LayerSpec(kind="fc", in_features=4, out_features=4),
+            LayerSpec(kind="residual_add", source=1),
+            LayerSpec(kind="relu_pact"),
+        ], input_shape=(4,))
+        assert g.layers[4].output_shape == (4,)
+        ModelGraph(layers=[conv_spec(), LayerSpec(kind="relu_pact")], input_shape=(1, 4, 4))
+
+    def test_residual_edge_from_a_clamps_producer_refused(self):
+        layers = [
+            conv_spec(),
+            LayerSpec(kind="relu_pact"),
+            conv_spec(2, 2),
+            LayerSpec(kind="residual_add", source=0),
+        ]
+        with pytest.raises(ValueError, match="clamp's producer"):
+            ModelGraph(layers=layers, input_shape=(1, 4, 4))
+        layers[3] = LayerSpec(kind="residual_add", source=1)  # the clamp itself
+        ModelGraph(layers=layers, input_shape=(1, 4, 4))
+
+    @pytest.mark.parametrize("layer", [
+        conv_spec(kernel=0), conv_spec(stride=0), conv_spec(stride=-1),
+        conv_spec(padding=-1), LayerSpec(kind="avgpool", pool=0),
+    ], ids=["kernel-0", "stride-0", "stride-neg", "padding-neg", "pool-0"])
+    def test_impossible_geometry_refused(self, layer):
+        with pytest.raises(ValueError, match=">= "):
+            ModelGraph(layers=[layer], input_shape=(1, 4, 4))
+
+    @pytest.mark.parametrize("layer", [
+        conv_spec(kernel=9), conv_spec(kernel=7, padding=0),
+        LayerSpec(kind="avgpool", pool=8), LayerSpec(kind="avgpool", pool=5),
+    ], ids=["kernel-9", "kernel-7", "pool-8", "pool-5"])
+    def test_empty_output_refused(self, layer):
+        with pytest.raises(ShapeMismatchError, match="empty output"):
+            ModelGraph(layers=[layer], input_shape=(1, 4, 4))
+
+    def test_largest_fitting_geometry_accepted(self):
+        g = ModelGraph(layers=[conv_spec(kernel=4, padding=0)], input_shape=(1, 4, 4))
+        assert g.output_shape == (2, 1, 1)
+        g = ModelGraph(layers=[LayerSpec(kind="avgpool", pool=4)], input_shape=(1, 4, 4))
+        assert g.output_shape == (1, 1, 1)
+
+
+class TestClampRunsNoCode:
+    def test_clamp_passes_its_input_through(self, mlp, blob_data):
+        fc1, act1 = mlp.layers[0], mlp.layers[1]
+        x = NestedTensor(data=quantize(blob_data[0][:5], mlp.input_params),
+                         params=mlp.input_params)
+        y, _ = run_layer(fc1, x, 8)
+        z, record = run_layer(act1, y, 8)
+        assert np.array_equal(z.data, y.data)
+        assert z.data.dtype == y.data.dtype and z.params == y.params
+        assert record.counters == OpCounters()
+
+    def test_residual_add_then_clamp_is_relu_on_the_add(self, make_block, cnn_data):
+        block = make_block(8)
+        x = cnn_data[0][:50]
+        # The float add goes negative, so a clamp at 0 is not vacuous.
+        assert float_forward(block, x)[3].min() < 0
+        ys = []
+        t = NestedTensor(data=quantize(x, block.input_params), params=block.input_params)
+        for layer in block.layers[:5]:
+            aux = ys[layer.source] if layer.kind == "residual_add" else None
+            t, _ = run_layer(layer, t, 8, aux=aux)
+            ys.append(t)
+        conv2, act1, act2 = (dequantize(y.data, y.params) for y in (ys[2], ys[1], ys[4]))
+        want = np.clip(conv2 + act1, 0.0, block.layers[4].alpha)
+        assert np.abs(act2 - want).max() <= ys[4].params.scale
 
 
 class TestBitPolicy:
@@ -707,7 +779,7 @@ class TestRoundingShift:
 class TestClampIndex:
     def test_forward_quantizes_only_its_input(self, mlp, blob_data, monkeypatch):
         policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
-        forward(mlp, blob_data[0][:3], policy)  # warm the plan and clamp caches
+        forward(mlp, blob_data[0][:3], policy)  # warm the plan cache
         calls = []
 
         def counted(*args):
@@ -717,4 +789,4 @@ class TestClampIndex:
         monkeypatch.setattr(layers, "quantize", counted)
         forward(mlp, blob_data[0][:3], policy)
         forward(mlp, blob_data[0][5], policy)
-        assert len(calls) == 2  # the entry quantize of each call, no clamp bound
+        assert len(calls) == 2  # the entry quantize of each call

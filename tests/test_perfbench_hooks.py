@@ -1,0 +1,57 @@
+"""The benchmark's tracer still attaches to every nestq attribute it patches.
+
+``perfbench/tracing.py`` swaps named module attributes for timing wrappers and
+restores them on exit; a renamed or deleted attribute breaks it at entry.
+This test only imports it and never writes under ``perfbench/``.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from nestq import layers
+from nestq.layers import BitPolicy
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def nestq_attributes():
+    """Every (module, attribute) value of the loaded nestq modules."""
+    mods = [m for name, m in sys.modules.items()
+            if name == "nestq" or name.startswith("nestq.")]
+    return {(m.__name__, k): v for m in mods for k, v in vars(m).items()}
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing")
+
+
+def test_every_patched_attribute_exists_and_is_restored(tracing, mlp, blob_data):
+    before = nestq_attributes()
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        inside = nestq_attributes()
+        layers.forward(mlp, blob_data[0][:2], BitPolicy.uniform(4, 3))
+    patched = {key for key, value in before.items() if inside[key] is not value}
+    # The names layers binds only so the tracer can patch them are among those patched.
+    assert {("nestq.layers", n) for n in ("int_add", "int_dot", "int_dot_pact")} <= patched
+    after = nestq_attributes()
+    assert all(after[key] is before[key] for key in before)
+    # The hooks fired: the forward and each of its layers left a span.
+    spans = tracer.aggregate(tracing.WORK)
+    assert spans["layers.forward"][0] == 1
+    assert {"layers.run_layer." + l.kind for l in mlp.layers} <= set(spans)
+    assert tracer.counts["quantize.shift_down.elems"] > 0
+
+
+def test_restored_when_the_traced_code_raises(tracing):
+    before = nestq_attributes()
+    with pytest.raises(RuntimeError):
+        with tracing.Tracer().patched():
+            raise RuntimeError("stop")
+    after = nestq_attributes()
+    assert all(after[key] is before[key] for key in before)
