@@ -27,7 +27,6 @@ from .controller import (
 from .cost import CostReport, bitops, cost_report, cycle_estimate, transition_elements
 from .intops import (
     AccumulatorOverflowError,
-    AccumulatorPolicy,
     IntOpConstants,
     OpCounters,
     add_constants,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccumulatorOverflowError",
-    "AccumulatorPolicy",
     "BitPolicy",
     "ControllerSpec",
     "CostReport",

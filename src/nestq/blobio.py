@@ -17,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .controller import ControllerSpec
-from .intops import AccumulatorPolicy
 from .layers import LayerSpec, ModelGraph, ShapeMismatchError
-from .quantize import NestedTensor, QuantParams
+from .quantize import NestedTensor, QuantParams, make_master_params
 
 BLOB_MAGIC = b"NQTB"
 MANIFEST_VERSION = 1
@@ -126,11 +125,7 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
         "version": MANIFEST_VERSION,
         "input_shape": list(model.input_shape),
         "input_params": _params_to_json(model.input_params),
-        "quantization": {
-            "master_bitwidth": model.master_bitwidth,
-            "working_bits": model.acc_policy.working_bits,
-            "rescale": model.acc_policy.rescale,
-        },
+        "quantization": {"master_bitwidth": model.master_bitwidth},
         "layers": layers_json,
         "provenance": provenance or {},
     }
@@ -155,12 +150,45 @@ def _read_json(path: Path, what: str):
 
 
 def load_model(manifest_path: Path) -> ModelGraph:
-    """Read a manifest and its blobs; any missing or ill-typed entry is a ManifestError.
+    """Read a model to run; any missing or ill-typed entry is a ManifestError.
 
-    Keys added after version 1 (the accumulator policy, ``range_flagged``) are
-    optional and default to the values a model had before they were saved.
-    Keys older manifests carry are ignored: ``quantization.frac_bits``, as each
-    layer plan fits its own fixed-point precision, and a MAC layer's pre-bias
+    ``calibrate`` gives a clamp's producer the clamp's [0, alpha] grid, which
+    is the clamp in the integer path. A calibrated manifest whose clamp lacks
+    that grid, as every one saved before a clamp became its producer's grid
+    has after a residual add, would run without the ReLU at 0, so it is
+    refused: recalibrate it (``nestq calibrate`` reads it with
+    :func:`load_for_calibration`). An uncalibrated manifest loads as it is.
+    """
+    model = load_for_calibration(manifest_path)
+    n = model.master_bitwidth
+    for i, layer in enumerate(model.layers):
+        producer = model.layers[i - 1]  # ModelGraph puts a clamp right after its producer
+        if (layer.kind == "relu_pact" and producer.output_params is not None
+                and producer.output_params != _clamp_grid(layer.alpha, n)):
+            raise ManifestError(
+                f"{manifest_path}: the output grid of {producer.name!r} is not the "
+                f"[0, alpha] grid of clamp {layer.name!r}, so the integer path would "
+                f"skip the clamp; recalibrate the model")
+    return model
+
+
+def _clamp_grid(alpha, n: int) -> QuantParams | None:
+    try:
+        return make_master_params(0.0, alpha, n)
+    except (TypeError, ValueError):  # no alpha, or none a grid can have
+        return None
+
+
+def load_for_calibration(manifest_path: Path) -> ModelGraph:
+    """Read a manifest and its blobs as saved; any missing or ill-typed entry is a ManifestError.
+
+    Its grids are not checked, since ``calibrate`` replaces them all; run a
+    model through :func:`load_model`. Keys added after version 1
+    (``range_flagged``) are optional and default to the values a model had
+    before they were saved. Keys older manifests carry are ignored:
+    ``quantization.frac_bits``, as each layer plan fits its own fixed-point
+    precision; ``quantization.working_bits`` and ``quantization.rescale``, as a
+    dot's product sum accumulates exactly in int64; and a MAC layer's pre-bias
     grid, as the layer adds its bias inside the dot and rounds once onto its
     output grid.
     """
@@ -199,16 +227,11 @@ def _model_from_manifest(manifest: dict, base: Path) -> ModelGraph:
                 data=read_blob(base / entry["bias_q"]),
                 params=layer.bias_params)
         layers.append(layer)
-    q = manifest["quantization"]
-    default = AccumulatorPolicy()
     return ModelGraph(
         layers=layers,
         input_shape=tuple(manifest["input_shape"]),
         input_params=_params_from_json(manifest.get("input_params")),
-        master_bitwidth=q["master_bitwidth"],
-        acc_policy=AccumulatorPolicy(
-            working_bits=_typed(q, "working_bits", int, default.working_bits),
-            rescale=_typed(q, "rescale", bool, default.rescale)),
+        master_bitwidth=manifest["quantization"]["master_bitwidth"],
     )
 
 

@@ -152,7 +152,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    model = blobio.load_model(Path(args.model))
+    model = blobio.load_for_calibration(Path(args.model))
     data = blobio.read_blob(Path(args.data)).astype(np.float64)
     if data.shape[1:] != tuple(model.input_shape):
         raise ShapeMismatchError(

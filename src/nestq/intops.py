@@ -11,12 +11,15 @@ A MAC layer's bias is one more term of its dot, k4*q_b, with the bias offset
 folded into the additive constant, so the layer rounds once, onto its output
 grid, as Jacob et al. (2018) do with the bias in the integer accumulator.
 
+A dot's product sum accumulates exactly in int64, and the int64 proof behind
+``fit_frac_bits`` is the accumulator's only guard.
+
 The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
 reference oracles for tests and error analysis. ``nestq.layers`` builds a
-layer's constants at their fitted F, its accumulator rescale and its int64
-overflow proof once per distinct (grids, b, accumulator policy), then runs each
-call as one integer array expression with the same rounding; only the shift of
-weights and activations down to b is redone per call.
+layer's constants at their fitted F and its int64 overflow proof once per
+distinct (grids, b), then runs each call as one integer array expression with
+the same rounding; only the shift of weights and activations down to b is
+redone per call.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def mac_primitive_counts(mode: str) -> dict[str, int]:
 
 
 class AccumulatorOverflowError(OverflowError):
-    """An integer accumulator would exceed its working width or int64."""
+    """An integer accumulator or expression would exceed int64."""
 
 
 def mac_loop(input_grid: QuantParams | None) -> str:
@@ -164,8 +167,7 @@ def linear_bound(k, magnitudes, frac_bits: int) -> int:
 def fit_frac_bits(ratios, magnitudes) -> int:
     """Largest F in [0, 62] with ``linear_bound`` of the rounded ratios within int64.
 
-    |v_i| <= magnitudes_i bounds the operands; a constant carrying a rescale,
-    k_i << s, enters as magnitude m_i << s. As |k_i| >= |r_i| * 2^F - 1/2, the
+    |v_i| <= magnitudes_i bounds the operands. As |k_i| >= |r_i| * 2^F - 1/2, the
     bound is at least 2^F * slope - slack, so the search starts at the largest
     F where that fits. Raises AccumulatorOverflowError if F=0 fails.
     """
@@ -206,28 +208,6 @@ def int_mul(q1: int, q2: int, c: IntOpConstants, py: QuantParams) -> int:
     return _clip_out(rounding_right_shift(mul_raw(q1, q2, c), c.frac_bits), py)
 
 
-@dataclass(frozen=True)
-class AccumulatorPolicy:
-    """Working-width management for the wide dot-product accumulator.
-
-    The natural width is 2n + ceil(log2 N) bits. If that exceeds
-    ``working_bits`` and ``rescale`` is set, the product accumulator is
-    right-shifted (with rounding) down to the working width and the lost factor
-    is folded back when the constants are applied, so the output grid is
-    unchanged. With rescale off, overflow is an error.
-    """
-
-    working_bits: int = 32
-    rescale: bool = True
-
-
-def accumulator_bits(n: int, length: int) -> int:
-    """Bits needed to accumulate N products of two n-bit unsigned integers."""
-    if length <= 0:
-        return 0
-    return 2 * n + int(np.ceil(np.log2(length))) if length > 1 else 2 * n
-
-
 def _dot_sums(xq, wq) -> tuple[int, int, int]:
     xq = np.asarray(xq, dtype=np.int64)
     wq = np.asarray(wq, dtype=np.int64)
@@ -237,52 +217,30 @@ def _dot_sums(xq, wq) -> tuple[int, int, int]:
     return s1, int(xq.sum()), int(wq.sum())
 
 
-def rescale_shift(n: int, length: int, acc_policy: AccumulatorPolicy | None) -> int:
-    """Rescale shift of a length-N accumulator; raises if one is needed but rescale is off."""
-    if acc_policy is None or length <= 0:
-        return 0
-    need = accumulator_bits(n, length)
-    if need <= acc_policy.working_bits:
-        return 0
-    if not acc_policy.rescale:
-        raise AccumulatorOverflowError(
-            f"accumulator needs {need} bits, policy allows "
-            f"{acc_policy.working_bits} and rescale is disabled"
-        )
-    return need - acc_policy.working_bits
-
-
 def dot_raw(k, s1, s2, s3, qb):
     """Pre-shift, pre-clip dot plus bias: k1*s1 + k2*s2 + k3*s3 + k4*q_b + k5.
 
-    ``s1`` is the product sum after the accumulator rescale, whose factor k1
-    carries back. The same expression serves scalar oracles, the array layer
-    engine and error analysis.
+    ``s1`` is the exact product sum. The same expression serves scalar oracles,
+    the array layer engine and error analysis.
     """
     return k[0] * s1 + k[1] * s2 + k[2] * s3 + k[3] * qb + k[4]
 
 
 def _apply_dot_constants(c: IntOpConstants, s1: int, s2: int, s3: int, qb: int,
-                         length: int, py: QuantParams,
-                         acc_policy: AccumulatorPolicy | None) -> int:
-    shift = rescale_shift(py.master_bitwidth, length, acc_policy)
-    # Fold the rescale back so the result stays on the declared output grid.
-    k = (c.k[0] << shift,) + c.k[1:]
-    raw = dot_raw(k, rounding_right_shift(s1, shift), s2, s3, int(qb))
+                         py: QuantParams) -> int:
+    raw = dot_raw(c.k, s1, s2, s3, int(qb))
     return _clip_out(rounding_right_shift(raw, c.frac_bits), py)
 
 
-def int_dot(xq, wq, c: IntOpConstants, py: QuantParams,
-            acc_policy: AccumulatorPolicy | None = None, qb: int = 0) -> int:
+def int_dot(xq, wq, c: IntOpConstants, py: QuantParams, qb: int = 0) -> int:
     """General integer dot product plus bias ``qb``; handles offsets on both operands."""
     if c.role != "dot":
         raise ValueError(f"constants have role {c.role!r}, need 'dot'")
     s1, s2, s3 = _dot_sums(xq, wq)
-    return _apply_dot_constants(c, s1, s2, s3, qb, np.size(xq), py, acc_policy)
+    return _apply_dot_constants(c, s1, s2, s3, qb, py)
 
 
 def int_dot_pact(xq, wq, c: IntOpConstants, py: QuantParams,
-                 acc_policy: AccumulatorPolicy | None = None,
                  qb: int = 0) -> tuple[int, OpCounters]:
     """Optimized dot product plus bias ``qb`` for zero-offset activations.
 
@@ -298,7 +256,7 @@ def int_dot_pact(xq, wq, c: IntOpConstants, py: QuantParams,
     n_elems = np.size(xq)
     loop = MAC_PRIMITIVES["dqt_pact"]
     counters = OpCounters(mults=loop["mul"] * n_elems, adds=loop["add"] * n_elems)
-    return _apply_dot_constants(c, s1, s2, 0, qb, n_elems, py, acc_policy), counters
+    return _apply_dot_constants(c, s1, s2, 0, qb, py), counters
 
 
 def standard_mac_dot(xq, wq, zero_x: int, zero_w: int) -> tuple[int, OpCounters]:

@@ -11,10 +11,10 @@ rounded once. A clamp (``relu_pact``) runs no code: calibration gives the
 policy layer before it the clamp's [0, alpha] grid, whose clip is the clamp,
 ReLU included, and ``ModelGraph`` refuses graphs where that cannot hold. A
 policy layer's constants, at the F ``intops.fit_frac_bits`` fits to them,
-accumulator rescale, padding index and int64 proof are built once per
-distinct (grids, b, accumulator policy) by :func:`build_plan`; weights and
-activations are still shifted down to b on every call, since that shift is
-the transition the scheme prices.
+padding index and int64 proof are built once per distinct (grids, b) by
+:func:`build_plan`; weights and activations are still shifted down to b on
+every call, since that shift is the transition the scheme prices. The product
+sum ``rows @ w.T`` is exact in int64; the plan's proof is its only guard.
 
 Execution is batch-first. ``run_layer`` and ``forward`` take one sample
 (shaped like the layer's or model's input) or a batch of them on a leading
@@ -42,7 +42,6 @@ from .intops import (
     ADD_PRIMITIVES,
     BIAS_PRIMITIVES,
     AccumulatorOverflowError,
-    AccumulatorPolicy,
     INT64_MAX,
     MAC_PRIMITIVES,
     OpCounters,
@@ -53,7 +52,6 @@ from .intops import (
     dot_raw,
     fit_frac_bits,
     mac_loop,
-    rescale_shift,
 )
 # Not called here; perfbench/tracing.py patches these names on this module.
 from .intops import int_add, int_dot, int_dot_pact  # noqa: F401
@@ -64,7 +62,6 @@ from .quantize import (
     derive_params,
     dequantize,
     quantize,
-    rounding_right_shift,
     shift_down,
     storage_dtype,
 )
@@ -155,7 +152,6 @@ class ModelGraph:
     input_shape: tuple[int, ...]
     input_params: QuantParams | None = None
     master_bitwidth: int = 8
-    acc_policy: AccumulatorPolicy = field(default_factory=AccumulatorPolicy)
 
     def __post_init__(self):
         self._infer_shapes()
@@ -315,16 +311,15 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
 class LayerPlan:
     """A policy layer compiled at one bit-width: everything but its tensors."""
 
-    k: tuple[int, ...]  # dot constants (rescale folded into k[0]) or residual-add constants
+    k: tuple[int, ...]  # dot constants or residual-add constants
     frac_bits: int  # fractional bits F of k
-    shift: int  # rounded right shift of the product sum (accumulator rescale)
     pad: int  # b-bit grid index of 0.0, for conv padding
 
 
 @lru_cache(maxsize=1024)
 def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: QuantParams,
-               bias_grid: QuantParams | None, out_grid: QuantParams, length: int,
-               acc_policy: AccumulatorPolicy) -> LayerPlan:
+               bias_grid: QuantParams | None, out_grid: QuantParams,
+               length: int) -> LayerPlan:
     """Compile a policy layer at bit-width b from values alone, or refuse it.
 
     ``other_grid`` is the weight grid, or the residual branch's grid;
@@ -337,21 +332,17 @@ def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: Qu
     if kind == "residual_add":
         frac_bits = fit_frac_bits(add_ratios(px, po, out_grid), (px.qmax, po.qmax))
         k = add_constants(px, po, out_grid, frac_bits).k
-        shift, pad = 0, 0
+        pad = 0
     else:
         s1_max = length * px.qmax * po.qmax
         if s1_max > INT64_MAX:
             raise AccumulatorOverflowError(f"layer {name!r}: product sums exceed int64")
-        shift = rescale_shift(out_grid.master_bitwidth, length, acc_policy)
-        # k[0] << shift meets the rescaled sum, bounded by at least 1 to cover k[0].
-        s1_bound = max(rounding_right_shift(s1_max, shift), 1) << shift
         qb_max = bias_grid.qmax if bias_grid is not None else 0
         frac_bits = fit_frac_bits(dot_ratios(px, po, out_grid, length, bias_grid), (
-            s1_bound, length * px.qmax, length * po.qmax, qb_max))
-        c = dot_constants(px, po, out_grid, length, bias_grid, frac_bits)
-        k = (c.k[0] << shift,) + c.k[1:]
+            s1_max, length * px.qmax, length * po.qmax, qb_max))
+        k = dot_constants(px, po, out_grid, length, bias_grid, frac_bits).k
         pad = int(quantize(np.float64(0.0), px)) if kind == "conv2d" else 0
-    return LayerPlan(k, frac_bits, shift, pad)
+    return LayerPlan(k, frac_bits, pad)
 
 
 def layer_counters(layer: LayerSpec, b: int, n: int) -> OpCounters:
@@ -384,12 +375,10 @@ def layer_counters(layer: LayerSpec, b: int, n: int) -> OpCounters:
 def _shift_half_up(v: np.ndarray, s: int) -> np.ndarray:
     """``(v + 2^(s-1)) >> s`` in place on a fresh int64 array: divide by 2^s, halves up.
 
-    It stands in for ``rounding_right_shift`` (halves away from zero) at both
-    of its sites, where the two cannot differ:
-    - the product sum ``rows @ w.T`` is >= 0, since grid and pad indices are
-      >= 0, and for v >= 0 the two forms are the same expression;
-    - ``_requant`` clips at 0 right after the shift, and for v < 0 both forms
-      land at <= 0 (v + 2^(s-1) < 2^s floors to <= 0).
+    It stands in for ``rounding_right_shift`` (halves away from zero) in
+    ``_requant``, where the two cannot differ: for v >= 0 they are the same
+    expression, and for v < 0 both land at <= 0 (v + 2^(s-1) < 2^s floors to
+    <= 0), which the clip at 0 right after the shift maps to 0.
     """
     if s:
         v += 1 << (s - 1)
@@ -410,7 +399,6 @@ def _requant(raw: np.ndarray, frac_bits: int, py: QuantParams) -> np.ndarray:
 
 
 def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
-              acc_policy: AccumulatorPolicy | None = None,
               aux: NestedTensor | None = None) -> tuple[NestedTensor, LayerRecord]:
     """Execute one layer at bit-width b, returning a master-width output.
 
@@ -453,8 +441,7 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             layer.kind, layer.name, b, x.params,
             layer.weight_q.params if layer.has_weights else aux.params,
             layer.bias_params if layer.bias_q is not None else None,
-            py, layer.weight_elements() // layer.output_shape[0],
-            acc_policy or AccumulatorPolicy())
+            py, layer.weight_elements() // layer.output_shape[0])
         xq = shift_down(xd, n, b)
 
     if layer.kind in ("fc", "conv2d"):
@@ -471,8 +458,8 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         rows = xq.reshape(bsz, w.shape[1]) if layer.kind == "fc" else _im2col(
             xq, layer.kernel, layer.stride, layer.padding, plan.pad)
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
-        raw = dot_raw(plan.k, _shift_half_up(rows @ w.T, plan.shift),
-                      rows.sum(axis=1, keepdims=True), w.sum(axis=1), bias)
+        raw = dot_raw(plan.k, rows @ w.T, rows.sum(axis=1, keepdims=True),
+                      w.sum(axis=1), bias)
         out = _requant(raw, plan.frac_bits, py)
         pixels = math.prod(layer.output_shape[1:])  # 1 for a fc
         out = out.reshape(bsz, pixels, len(w)).transpose(0, 2, 1).reshape(
@@ -524,7 +511,7 @@ def forward(model: ModelGraph, x: np.ndarray,
     outputs: list[NestedTensor] = []
     for i, (layer, b) in enumerate(zip(model.layers, bits)):
         aux = outputs[layer.source] if layer.kind == "residual_add" else None
-        t, record = run_layer(layer, t, b, model.acc_policy, aux=aux)
+        t, record = run_layer(layer, t, b, aux=aux)
         record.index = i
         trace.records.append(record)
         trace.counters.merge(record.counters)

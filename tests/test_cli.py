@@ -120,43 +120,31 @@ class TestManifest:
 
     def test_accumulator_policy_and_range_flags_survive_round_trip(self, tmp_path):
         from nestq.calibration import calibrate
-        from nestq.intops import AccumulatorOverflowError, AccumulatorPolicy
-        from nestq.layers import BitPolicy, forward
         from nestq.models import build_toy_cnn, cnn_dataset
 
         x, _ = cnn_dataset(5, samples=20)
         model = build_toy_cnn(seed=11, n=16)
         calibrate(model, [x])
-        # A 16-bit 3x3 conv needs 36 accumulator bits: refused without rescaling.
-        model.acc_policy = AccumulatorPolicy(working_bits=24, rescale=False)
         flags = [True, False, True, False, False, True]
         for layer, flag in zip(model.layers, flags):
             layer.range_flagged = flag
         loaded = blobio.load_model(blobio.save_model(model, tmp_path / "m"))
-        assert loaded.acc_policy == model.acc_policy
         assert [layer.range_flagged for layer in loaded.layers] == flags
-        for m in (model, loaded):
-            with pytest.raises(AccumulatorOverflowError):
-                forward(m, x[0], BitPolicy.uniform(16, 3))
 
     def test_manifest_without_policy_keys_loads_defaults(self, tmp_path, mlp):
-        from nestq.intops import AccumulatorPolicy
         path = blobio.save_model(mlp, tmp_path / "m")
         doc = json.loads(path.read_text())
-        del doc["quantization"]["working_bits"], doc["quantization"]["rescale"]
         for entry in doc["layers"]:
             del entry["range_flagged"]
         path.write_text(json.dumps(doc))
         loaded = blobio.load_model(path)
-        assert loaded.acc_policy == AccumulatorPolicy()
         assert not any(layer.range_flagged for layer in loaded.layers)
 
     @pytest.mark.parametrize("edit", [
         lambda doc: {"version": 1, "input_shape": [4]},
         lambda doc: {**doc, "layers": 5},
-        lambda doc: {**doc, "quantization": {**doc["quantization"], "rescale": "no"}},
         lambda doc: {**doc, "layers": [{**doc["layers"][0], "kind": "lstm"}]},
-    ], ids=["missing_layers", "layers_not_a_list", "rescale_not_bool", "unknown_kind"])
+    ], ids=["missing_layers", "layers_not_a_list", "unknown_kind"])
     def test_missing_or_mistyped_entries_rejected(self, tmp_path, mlp, edit):
         path = blobio.save_model(mlp, tmp_path / "m")
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
@@ -165,18 +153,50 @@ class TestManifest:
 
     def test_precision_key_not_written(self, tmp_path, mlp):
         doc = json.loads(blobio.save_model(mlp, tmp_path / "m").read_text())
-        assert "frac_bits" not in doc["quantization"]
+        assert doc["quantization"] == {"master_bitwidth": mlp.master_bitwidth}
 
     def test_legacy_precision_key_ignored(self, tmp_path, mlp, blob_data):
         from nestq.layers import BitPolicy, forward
-        path = blobio.save_model(mlp, tmp_path / "m")
-        doc = json.loads(path.read_text())
-        doc["quantization"]["frac_bits"] = 16
-        path.write_text(json.dumps(doc))
-        loaded = blobio.load_model(path)
         policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
-        for x in blob_data[0][:3]:
-            assert np.array_equal(forward(loaded, x, policy)[0], forward(mlp, x, policy)[0])
+        # frac_bits, and the accumulator policy's working width and rescale flag
+        for key, value in (("frac_bits", 16), ("working_bits", 24), ("rescale", False)):
+            path = blobio.save_model(mlp, tmp_path / key)
+            doc = json.loads(path.read_text())
+            doc["quantization"][key] = value
+            path.write_text(json.dumps(doc))
+            loaded = blobio.load_model(path)
+            for x in blob_data[0][:3]:
+                assert np.array_equal(forward(loaded, x, policy)[0],
+                                      forward(mlp, x, policy)[0]), key
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
+    def test_block_round_trip_keeps_clamp_grids(self, tmp_path, make_block, cnn_data, n):
+        from nestq.layers import BitPolicy, forward
+        model = make_block(n)
+        loaded = blobio.load_model(blobio.save_model(model, tmp_path / "m"))
+        policy = BitPolicy.uniform(n, model.num_policy_layers)
+        x = cnn_data[0][:5]
+        assert np.array_equal(forward(loaded, x, policy)[0], forward(model, x, policy)[0])
+
+    def test_stale_clamp_grid_refused(self, tmp_path, make_block, cnn_data, capsys):
+        # Saved before a clamp became its producer's grid, the residual add
+        # (layer 3) before the block's second clamp kept its own range grid.
+        path = blobio.save_model(make_block(8), tmp_path / "m")
+        doc = json.loads(path.read_text())
+        doc["layers"][3]["output_params"]["offset"] = -1.5
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="recalibrate"):
+            blobio.load_model(path)
+        write_blob(tmp_path / "x.nqtb", cnn_data[0][:8].astype(np.float32))
+        capsys.readouterr()
+        assert main(["infer", "--model", str(tmp_path / "m"),
+                     "--input", str(tmp_path / "x.nqtb"),
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+        assert "recalibrate" in capsys.readouterr().err
+        # nestq calibrate replaces every grid, so it reads the stale file.
+        assert main(["calibrate", "--model", str(tmp_path / "m"),
+                     "--data", str(tmp_path / "x.nqtb")]) == EXIT_OK
+        assert blobio.load_model(path).is_calibrated
 
     def test_legacy_prebias_grid_ignored(self, tmp_path, mlp, blob_data):
         from nestq.layers import BitPolicy, forward
@@ -383,14 +403,15 @@ class TestCommands:
 
     def test_refused_layer_exit_code(self, tmp_path, capsys):
         from nestq.calibration import calibrate
-        from nestq.intops import AccumulatorPolicy
         from nestq.models import build_toy_cnn, cnn_dataset
+        from nestq.quantize import QuantParams
 
         x, _ = cnn_dataset(5, samples=4)
         model = build_toy_cnn(seed=11, n=16)
         calibrate(model, [x])
-        # A 16-bit 3x3 conv needs 36 accumulator bits: refused without rescaling.
-        model.acc_policy = AccumulatorPolicy(working_bits=24, rescale=False)
+        # A 2^-60 output step puts the head's constants past int64 even at F = 0.
+        model.layers[-1].output_params = QuantParams(
+            scale=2.0 ** -60, offset=0.0, bitwidth=16, master_bitwidth=16)
         blobio.save_model(model, tmp_path / "m")
         write_blob(tmp_path / "x.nqtb", x.astype(np.float32))
         capsys.readouterr()
@@ -398,7 +419,7 @@ class TestCommands:
                      "--input", str(tmp_path / "x.nqtb"), "--policy", "static:16",
                      "--out", str(tmp_path / "o.txt")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "accumulator" in err
+        assert err.startswith("error: ") and "int64" in err
         assert len(err.splitlines()) == 1
 
     def test_shape_mismatch_exit_code(self, workspace, tmp_path):

@@ -1,4 +1,4 @@
-"""Integer operators: constants, fixed-point encoding, accumulator policy."""
+"""Integer operators: constants, fixed-point encoding, the int64 proof."""
 
 from fractions import Fraction
 from itertools import product
@@ -12,9 +12,7 @@ from nestq.analysis import exact_add_value, exact_mul_value
 from nestq.intops import (
     INT64_MAX,
     AccumulatorOverflowError,
-    AccumulatorPolicy,
     OpCounters,
-    accumulator_bits,
     add_constants,
     dot_constants,
     fit_frac_bits,
@@ -204,32 +202,6 @@ class TestIntDot:
                 bound = op_error_bound(c, (s1, int(xq.sum()), int(wq.sum()), qb)).bound
                 # the final rounding of both sides can add one more step
                 assert abs(int_dot(xq, wq, c, py, qb=qb) - want) <= float(bound) + 1
-
-
-class TestAccumulator:
-    def test_natural_width(self):
-        assert accumulator_bits(8, 1) == 16
-        assert accumulator_bits(8, 64) == 22
-        assert accumulator_bits(8, 100) == 23
-
-    def test_overflow_rejected_without_rescale(self):
-        c = dot_constants(UNIT, UNIT, UNIT, 1024, frac_bits=0)
-        xq = np.full(1024, 255)
-        policy = AccumulatorPolicy(working_bits=16, rescale=False)
-        with pytest.raises(AccumulatorOverflowError):
-            int_dot(xq, xq, c, UNIT, policy)
-
-    def test_rescale_preserves_output_grid(self):
-        px = make_master_params(0.0, 1.0, 8)
-        pw = make_master_params(0.0, 1.0, 8)
-        py = make_master_params(0.0, 300.0, 8)
-        c = dot_constants(px, pw, py, 1024, frac_bits=16)
-        rng = np.random.default_rng(0)
-        xq = rng.integers(0, 256, 1024)
-        wq = rng.integers(0, 256, 1024)
-        wide = int_dot(xq, wq, c, py, AccumulatorPolicy(working_bits=64))
-        narrow = int_dot(xq, wq, c, py, AccumulatorPolicy(working_bits=24, rescale=True))
-        assert abs(wide - narrow) <= 1
 
 
 class TestPactDot:

@@ -10,7 +10,6 @@ from nestq.calibration import calibrate, float_forward
 from nestq.intops import (
     INT64_MAX,
     AccumulatorOverflowError,
-    AccumulatorPolicy,
     OpCounters,
     add_constants,
     dot_constants,
@@ -345,7 +344,7 @@ def recorded_plans(monkeypatch):
     return plans
 
 
-def oracle_layer(layer, x, b, acc_policy, plan, aux=None):
+def oracle_layer(layer, x, b, plan, aux=None):
     """One MAC or residual layer evaluated output by output with the scalar operators.
 
     Constants are built at the plan's F; a MAC layer's bias enters its dot.
@@ -388,10 +387,10 @@ def oracle_layer(layer, x, b, acc_policy, plan, aux=None):
         qb = int(layer.bias_q.data[o]) if pb is not None else 0
         for r, xrow in enumerate(rows):
             if x.params.offset == 0:
-                y, loop = int_dot_pact(xrow, wrow, c_dot, py, acc_policy, qb)
+                y, loop = int_dot_pact(xrow, wrow, c_dot, py, qb)
                 counters.merge(loop)
             else:
-                y = int_dot(xrow, wrow, c_dot, py, acc_policy, qb)
+                y = int_dot(xrow, wrow, c_dot, py, qb)
                 counters.mults += 3 * length
                 counters.adds += 2 * length
             if pb is not None:
@@ -442,10 +441,9 @@ class TestArrayPathMatchesScalarOracles:
                 for layer in model.layers:
                     b = next(bits) if layer.kind in POLICY_KINDS else model.master_bitwidth
                     aux = outputs[layer.source] if layer.kind == "residual_add" else None
-                    out, record = run_layer(layer, t, b, model.acc_policy, aux=aux)
+                    out, record = run_layer(layer, t, b, aux=aux)
                     if layer.kind in POLICY_KINDS:
-                        want, counters = oracle_layer(layer, t, b, model.acc_policy,
-                                                      self.plans[-1][1], aux)
+                        want, counters = oracle_layer(layer, t, b, self.plans[-1][1], aux)
                         assert np.array_equal(out.data, want), (layer.name, policy)
                         assert record.counters == counters, (layer.name, policy)
                     outputs.append(out)
@@ -483,8 +481,7 @@ def plan_proof(args, plan, extra=0):
     """Int64 bound of a plan's one expression, with its constants at F + extra.
 
     Restates the proof over the expression ``run_layer`` evaluates: the dot's
-    k[0] << shift times the rescaled product sum plus the bias term, or the
-    residual add.
+    k[0] times the exact product sum plus the bias term, or the residual add.
     """
     kind, _, b, x_grid, other_grid, bias_grid, out_grid, length = args[:8]
     px, po = derive_params(x_grid, b), derive_params(other_grid, b)
@@ -493,10 +490,8 @@ def plan_proof(args, plan, extra=0):
         k = add_constants(px, po, out_grid, f).k
         magnitudes = (px.qmax, po.qmax)
     else:
-        c = dot_constants(px, po, out_grid, length, bias_grid, f).k
-        k = (c[0] << plan.shift,) + c[1:]
-        s1 = rounding_right_shift(length * px.qmax * po.qmax, plan.shift)
-        magnitudes = (max(s1, 1), length * px.qmax, length * po.qmax,
+        k = dot_constants(px, po, out_grid, length, bias_grid, f).k
+        magnitudes = (length * px.qmax * po.qmax, length * px.qmax, length * po.qmax,
                       bias_grid.qmax if bias_grid is not None else 0)
     if extra == 0:
         assert plan.k == k
@@ -549,16 +544,6 @@ class TestIntegerRange:
         layer.output_params = tiny
         with pytest.raises(AccumulatorOverflowError):
             run_layer(layer, x, 8, aux=x)
-
-    def test_no_rescale_refuses_wide_accumulator(self):
-        x = NestedTensor(data=np.array([200]), params=unit_params())
-        # one 8-bit product needs 16 accumulator bits
-        narrow = AccumulatorPolicy(working_bits=15, rescale=False)
-        with pytest.raises(AccumulatorOverflowError):
-            run_layer(identity_fc(), x, 8, acc_policy=narrow)
-        out, _ = run_layer(identity_fc(), x, 8,
-                           acc_policy=AccumulatorPolicy(working_bits=16, rescale=False))
-        assert out.data[0] == 200
 
     def test_narrow_bias_dtype_does_not_wrap(self, monkeypatch):
         # The bias constant is 2^-9 / 2^-20 * 2^F = 2^(11+F): 255 times it overflows int32.
@@ -617,14 +602,14 @@ class TestLayerPlan:
                                   forward(fresh, sample, policy)[0])
 
     def test_refused_layer_raises_on_every_call(self):
+        # The refusal is not cached: each call rebuilds the plan and raises again.
         x = NestedTensor(data=np.array([200]), params=unit_params())
-        narrow = AccumulatorPolicy(working_bits=15, rescale=False)
         tiny = QuantParams(scale=2.0 ** -60, offset=0.0, bitwidth=8, master_bitwidth=8)
-        for _ in range(3):
-            with pytest.raises(AccumulatorOverflowError):
-                run_layer(identity_fc(), x, 8, acc_policy=narrow)
+        build_plan.cache_clear()
+        for calls in range(1, 4):
             with pytest.raises(AccumulatorOverflowError):
                 run_layer(identity_fc(out_grid=tiny), x, 8)
+            assert build_plan.cache_info().misses == calls
 
     def test_record_counters_are_copies(self, mlp, blob_data):
         policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
@@ -723,8 +708,9 @@ class TestBatchedEngine:
         x = cnn_data[0]
         model = build_toy_cnn(seed=11, n=16)
         calibrate(model, [x[:50]])
-        # A 16-bit 3x3 conv needs 36 accumulator bits: refused without rescaling.
-        model.acc_policy = AccumulatorPolicy(working_bits=24, rescale=False)
+        # A 2^-60 output step puts the head's constants past int64 even at F = 0.
+        model.layers[-1].output_params = QuantParams(
+            scale=2.0 ** -60, offset=0.0, bitwidth=16, master_bitwidth=16)
         policy = BitPolicy.uniform(16, 3)
         single, batch = outcome(model, x[0], policy), outcome(model, x[:5], policy)
         assert single[0] is AccumulatorOverflowError
@@ -772,7 +758,7 @@ class TestRoundingShift:
             got = layers._shift_half_up(v.copy(), s)
             want = np.array([rounding_right_shift(int(a), s) for a in v])
             assert np.array_equal(np.maximum(got, 0), np.maximum(want, 0)), s
-            # on non-negative values (a product sum) no clip is needed
+            # on non-negative values no clip is needed
             assert np.array_equal(got[v >= 0], want[v >= 0]), s
 
 

@@ -1,11 +1,16 @@
-"""The benchmark's tracer still attaches to every nestq attribute it patches.
+"""The benchmark still runs against this ``src/``.
 
 ``perfbench/tracing.py`` swaps named module attributes for timing wrappers and
 restores them on exit; a renamed or deleted attribute breaks it at entry.
-This test only imports it and never writes under ``perfbench/``.
+``perfbench/workloads.py`` calls nestq by name, so a deleted name breaks a
+workload. These tests run the benchmark from a copy and never write under
+``perfbench/``.
 """
 
 import importlib
+import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +19,8 @@ import pytest
 from nestq import layers
 from nestq.layers import BitPolicy
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def nestq_attributes():
@@ -55,3 +61,17 @@ def test_restored_when_the_traced_code_raises(tracing):
             raise RuntimeError("stop")
     after = nestq_attributes()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_smoke_pass_of_every_workload(tmp_path):
+    shutil.copytree(PERFBENCH, tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--smoke", "--seed", "3", "--seconds", "0.2",
+         "--workload", "all", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["correct"] is True and summary["failed"] == 0
