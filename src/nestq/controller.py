@@ -55,8 +55,10 @@ def pool_features(x: np.ndarray, feature_dim: int) -> np.ndarray:
     if flat.size < feature_dim:
         raise ValueError(f"input with {flat.size} values cannot pool to {feature_dim}")
     if flat.size % feature_dim == 0:
-        # Equal segments: the same pairwise sums as the loop's, so bit-identical.
-        return flat.reshape(feature_dim, -1).mean(axis=1)
+        # Equal segments: the same pairwise sums as the loop's, so bit-identical;
+        # it is the sum and division that mean runs behind a Python wrapper.
+        segment = flat.size // feature_dim
+        return np.add.reduce(flat.reshape(feature_dim, segment), axis=1) / segment
     bounds = np.linspace(0, flat.size, feature_dim + 1).astype(int)
     return np.array([flat[a:b].mean() for a, b in zip(bounds[:-1], bounds[1:])])
 
@@ -65,8 +67,11 @@ def controller_forward(spec: ControllerSpec, x: np.ndarray) -> np.ndarray:
     """Logits of shape (num_layers, K) for one input."""
     k = len(spec.candidates)
     feats = pool_features(x, spec.feature_dim)
-    hidden = np.maximum(spec.w1 @ feats + spec.b1, 0.0)
-    logits = spec.w2 @ hidden + spec.b2
+    hidden = spec.w1 @ feats
+    hidden += spec.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = spec.w2 @ hidden
+    logits += spec.b2
     return logits.reshape(spec.num_layers, k)
 
 
@@ -77,7 +82,7 @@ def select_argmax(logits: np.ndarray, candidates) -> BitPolicy:
         raise ValueError("logits must be finite")
     cands = tuple(sorted(candidates))
     # argmax returns the first maximum, which is the smallest candidate
-    bits = tuple(cands[int(np.argmax(row))] for row in logits)
+    bits = tuple(cands[i] for i in logits.argmax(axis=1).tolist())
     return BitPolicy(bits=bits, candidates=cands)
 
 

@@ -15,11 +15,11 @@ A dot's product sum accumulates exactly in int64, and the int64 proof behind
 ``fit_frac_bits`` is the accumulator's only guard.
 
 The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
-reference oracles for tests and error analysis. ``nestq.layers`` builds a
-layer's constants at their fitted F and its int64 overflow proof once per
-distinct (grids, b), then runs each call as one integer array expression with
-the same rounding; only the shift of weights and activations down to b is
-redone per call.
+reference oracles for tests and error analysis. ``nestq.layers`` compiles a
+layer's constants at their fitted F, its int64 overflow proof and its
+weight-side constant once per bit-width, then runs each call as one integer
+array expression with the same rounding; only the shift of weights and
+activations down to b is redone per call.
 """
 
 from __future__ import annotations
@@ -79,6 +79,9 @@ class OpCounters:
         self.shifts += other.shifts
         self.fp_ops += other.fp_ops
         self.conversions += other.conversions
+
+    def copy(self) -> "OpCounters":
+        return OpCounters(self.mults, self.adds, self.shifts, self.fp_ops, self.conversions)
 
     def total(self) -> int:
         return self.mults + self.adds + self.shifts + self.fp_ops + self.conversions
@@ -220,8 +223,9 @@ def _dot_sums(xq, wq) -> tuple[int, int, int]:
 def dot_raw(k, s1, s2, s3, qb):
     """Pre-shift, pre-clip dot plus bias: k1*s1 + k2*s2 + k3*s3 + k4*q_b + k5.
 
-    ``s1`` is the exact product sum. The same expression serves scalar oracles,
-    the array layer engine and error analysis.
+    ``s1`` is the exact product sum. The same expression serves scalar oracles
+    and error analysis; the layer engine evaluates it with the weight-side
+    terms k3*s3 + k4*q_b + k5 folded into one constant per output.
     """
     return k[0] * s1 + k[1] * s2 + k[2] * s3 + k[3] * qb + k[4]
 

@@ -9,12 +9,22 @@ A fc or conv layer is one integer expression, its dot plus the bias term,
 rounded once onto its output grid; a residual add is the integer add, also
 rounded once. A clamp (``relu_pact``) runs no code: calibration gives the
 policy layer before it the clamp's [0, alpha] grid, whose clip is the clamp,
-ReLU included, and ``ModelGraph`` refuses graphs where that cannot hold. A
-policy layer's constants, at the F ``intops.fit_frac_bits`` fits to them,
-padding index and int64 proof are built once per distinct (grids, b) by
-:func:`build_plan`; weights and activations are still shifted down to b on
-every call, since that shift is the transition the scheme prices. The product
-sum ``rows @ w.T`` is exact in int64; the plan's proof is its only guard.
+ReLU included, and ``ModelGraph`` refuses graphs where that cannot hold. The
+product sum ``rows @ w.T`` is exact in int64; the plan's proof is its only
+guard.
+
+Each policy layer compiles one :class:`LayerStep` per bit-width b on its first
+call at b and keeps it in ``LayerSpec.steps``, so the steps go with the model.
+A step caches what does not change between calls: the :func:`build_plan`
+result (constants at the F ``intops.fit_frac_bits`` fits, padding index, int64
+proof), a fc or conv layer's weight-side constant per output,
+``c = k3*sum_j w_b + k4*q_b + k5``, and the layer's :func:`layer_counters`.
+It caches no tensor: weights and activations are shifted down to b on every
+call, and the trace charges those shifts on every call, since that shift is
+the transition the scheme prices. A step is reused only while the input,
+weight or branch, bias and output grids and ``weight_q``/``bias_q`` are the
+very objects it was built from; ``calibrate`` and ``load_model`` replace them
+all, and store the weight-side arrays read-only, so a step is never stale.
 
 Execution is batch-first. ``run_layer`` and ``forward`` take one sample
 (shaped like the layer's or model's input) or a batch of them on a leading
@@ -34,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import is_
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -49,7 +60,6 @@ from .intops import (
     add_ratios,
     dot_constants,
     dot_ratios,
-    dot_raw,
     fit_frac_bits,
     mac_loop,
 )
@@ -80,7 +90,9 @@ class LayerSpec:
     """One layer: kind, shape metadata, float parameters, calibrated grids.
 
     Float ``weight``/``bias`` are the source of truth until calibration
-    quantizes them into ``weight_q``/``bias_q`` at the master width.
+    quantizes them into ``weight_q``/``bias_q`` at the master width. ``steps``
+    holds the layer's compiled steps, one per bit-width; replace a quantized
+    tensor or grid rather than write into it.
     """
 
     kind: str
@@ -114,6 +126,8 @@ class LayerSpec:
     input_shape: tuple[int, ...] = ()
     output_shape: tuple[int, ...] = ()
     range_flagged: bool = False  # degenerate calibrated range was widened
+    steps: dict[int, LayerStep] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
@@ -278,7 +292,7 @@ class ExecutionTrace:
 
     records: list[LayerRecord] = field(default_factory=list)
     counters: OpCounters = field(default_factory=OpCounters)
-    fp_tensor_ops: int = 0  # float tensor ops between entry quantize and exit dequantize
+    fp_tensor_ops: int = 0  # non-integer tensors between entry quantize and exit dequantize
 
     @property
     def shifted_elements(self) -> int:
@@ -309,11 +323,34 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
 
 @dataclass(frozen=True)
 class LayerPlan:
-    """A policy layer compiled at one bit-width: everything but its tensors."""
+    """What a policy layer at one bit-width takes from its grids alone: its constants."""
 
     k: tuple[int, ...]  # dot constants or residual-add constants
     frac_bits: int  # fractional bits F of k
     pad: int  # b-bit grid index of 0.0, for conv padding
+
+
+@dataclass(frozen=True)
+class LayerStep:
+    """A policy layer compiled at one bit-width: everything a call needs but its shifts.
+
+    ``sources`` are the objects it was built from: input grid, weight or
+    branch grid, ``weight_q``, ``bias_q``, output grid and bias grid. ``const``
+    is a fc or conv layer's int64 weight-side constant per output,
+    ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5``, and None for a residual add.
+    """
+
+    sources: tuple
+    plan: LayerPlan
+    const: np.ndarray | None
+    counters: OpCounters
+
+
+def _fit(name: str, ratios, magnitudes) -> int:
+    try:
+        return fit_frac_bits(ratios, magnitudes)
+    except AccumulatorOverflowError as exc:
+        raise AccumulatorOverflowError(f"layer {name!r}: {exc}") from None
 
 
 @lru_cache(maxsize=1024)
@@ -330,7 +367,7 @@ def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: Qu
     """
     px, po = derive_params(x_grid, b), derive_params(other_grid, b)
     if kind == "residual_add":
-        frac_bits = fit_frac_bits(add_ratios(px, po, out_grid), (px.qmax, po.qmax))
+        frac_bits = _fit(name, add_ratios(px, po, out_grid), (px.qmax, po.qmax))
         k = add_constants(px, po, out_grid, frac_bits).k
         pad = 0
     else:
@@ -338,7 +375,7 @@ def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: Qu
         if s1_max > INT64_MAX:
             raise AccumulatorOverflowError(f"layer {name!r}: product sums exceed int64")
         qb_max = bias_grid.qmax if bias_grid is not None else 0
-        frac_bits = fit_frac_bits(dot_ratios(px, po, out_grid, length, bias_grid), (
+        frac_bits = _fit(name, dot_ratios(px, po, out_grid, length, bias_grid), (
             s1_max, length * px.qmax, length * po.qmax, qb_max))
         k = dot_constants(px, po, out_grid, length, bias_grid, frac_bits).k
         pad = int(quantize(np.float64(0.0), px)) if kind == "conv2d" else 0
@@ -398,6 +435,34 @@ def _requant(raw: np.ndarray, frac_bits: int, py: QuantParams) -> np.ndarray:
     return v.astype(storage_dtype(py.bitwidth))
 
 
+def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams,
+          w: np.ndarray | None = None) -> LayerStep:
+    """The policy layer's step at b, compiled now unless built from these very objects.
+
+    ``other_grid`` is the weight grid, or the residual branch's grid; ``w`` is
+    a fc or conv layer's weights as this call shifted them to b, in int64 with
+    one row per output, from which a new step takes its weight-side constant.
+    """
+    sources = (x_grid, other_grid, layer.weight_q, layer.bias_q, layer.output_params,
+               layer.bias_params)
+    step = layer.steps.get(b)
+    if step is not None and all(map(is_, step.sources, sources)):
+        return step
+    plan = build_plan(
+        layer.kind, layer.name, b, x_grid, other_grid,
+        layer.bias_params if layer.bias_q is not None else None, layer.output_params,
+        layer.weight_elements() // layer.output_shape[0])  # dot length, 0 for an add
+    const = None
+    if w is not None:
+        k = plan.k
+        bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
+        const = k[2] * w.sum(axis=1) + k[3] * bias + k[4]
+    step = LayerStep(sources, plan, const,
+                     layer_counters(layer, b, x_grid.master_bitwidth))
+    layer.steps[b] = step
+    return step
+
+
 def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
               aux: NestedTensor | None = None) -> tuple[NestedTensor, LayerRecord]:
     """Execute one layer at bit-width b, returning a master-width output.
@@ -405,89 +470,93 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     ``x`` is one sample shaped ``layer.input_shape`` or a batch of them on a
     leading axis; the output has the same form. Weights and the incoming
     activation are shifted down to b on every call, once for the whole batch;
-    the rest comes from the cached ``build_plan``. A MAC layer evaluates its
-    dot and bias as one integer expression (the array form of ``int_dot`` with
-    its bias term) and rounds it once onto the calibrated output grid, whose
-    clipping realizes any following clamp, so the next layer again sees a
-    master-width tensor. A residual add is the array form of ``int_add``,
-    rounded and clipped the same way; a clamp passes its input through.
+    the rest comes from the layer's compiled step at b. A MAC layer evaluates
+    its dot and bias as one integer expression (the array form of ``int_dot``
+    with its bias term), ``k1*(rows @ w.T) + k2*rowsum + c``, and rounds it
+    once onto the calibrated output grid, whose clipping realizes any
+    following clamp, so the next layer again sees a master-width tensor. A
+    residual add is the array form of ``int_add``, rounded and clipped the
+    same way; a clamp passes its input through and a flatten reshapes it.
     ``aux`` carries the second operand for residual adds, shaped like ``x``.
     The record counts one sample's work.
     """
-    if layer.output_params is None:
+    py = layer.output_params
+    if py is None:
         raise ValueError(f"layer {layer.name!r} is not calibrated")
     n = x.params.master_bitwidth
     if b > n:
         raise ValueError(f"policy bit-width {b} above master width {n}")
     shape = tuple(layer.input_shape)
-    single = tuple(x.shape) == shape
-    if not single and tuple(x.shape[1:]) != shape:
+    xd = x.data
+    single = xd.shape == shape
+    if single:
+        xd = xd[None]  # (B, *input_shape)
+    elif xd.shape[1:] != shape:
         raise ShapeMismatchError(
             f"layer {layer.name!r} expects input {shape} or a batch of it, got {x.shape}")
-    xd = x.data[None] if single else x.data  # (B, *input_shape)
+    kind = layer.kind
     bsz = len(xd)
-    py = layer.output_params
-    if layer.kind in POLICY_KINDS:
-        if layer.has_weights and layer.weight_q is None:
-            raise ValueError(f"layer {layer.name!r} has no quantized weights")
-        if layer.kind == "residual_add":
-            if aux is None:
-                raise ValueError("residual_add needs the stored branch output")
-            if aux.shape != x.shape:
-                raise ShapeMismatchError(
-                    f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
-        # dot length: weights per output row (0 for a residual add)
-        plan = build_plan(
-            layer.kind, layer.name, b, x.params,
-            layer.weight_q.params if layer.has_weights else aux.params,
-            layer.bias_params if layer.bias_q is not None else None,
-            py, layer.weight_elements() // layer.output_shape[0])
-        xq = shift_down(xd, n, b)
 
-    if layer.kind in ("fc", "conv2d"):
-        # One row of weights per output feature or channel; the input unfolds
-        # into one row per sample (fc) or per sample and output pixel (conv),
-        # outputs leave as (rows, channels) and are laid out channel-major per
-        # sample. Tensors are stored as uint8/uint16: in that dtype the matmul
-        # would wrap, and a row sum (uint64) meeting int64 constants would turn
-        # float64, so both operands widen to int64 first, as does the bias
-        # under k4 * q_b.
-        w = shift_down(layer.weight_q.data, n, b).astype(np.int64).reshape(
-            layer.output_shape[0], -1)
-        xq = xq.astype(np.int64)
-        rows = xq.reshape(bsz, w.shape[1]) if layer.kind == "fc" else _im2col(
-            xq, layer.kernel, layer.stride, layer.padding, plan.pad)
-        bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
-        raw = dot_raw(plan.k, rows @ w.T, rows.sum(axis=1, keepdims=True),
-                      w.sum(axis=1), bias)
-        out = _requant(raw, plan.frac_bits, py)
-        pixels = math.prod(layer.output_shape[1:])  # 1 for a fc
-        out = out.reshape(bsz, pixels, len(w)).transpose(0, 2, 1).reshape(
-            (bsz,) + layer.output_shape)
+    if kind in ("relu_pact", "flatten"):
+        # A clamp is its producer's output grid, which already clipped.
+        out = xd.reshape((bsz,) + layer.output_shape)
+        return (NestedTensor.trusted(out[0] if single else out, x.params),
+                LayerRecord(index=-1, kind=kind, bitwidth=b, counters=OpCounters()))
 
-    elif layer.kind == "residual_add":
-        k = plan.k
-        branch = aux.data[None] if single else aux.data
-        raw = k[0] * xq.astype(np.int64) \
-            + k[1] * shift_down(branch, n, b).astype(np.int64) + k[2]
-        out = _requant(raw, plan.frac_bits, py)
-
-    elif layer.kind == "avgpool":
+    if kind == "avgpool":
         # Same-grid integer mean per window; exact under a shared affine grid.
         c, h, w = shape
         p = layer.pool
         view = xd[:, :, :h - h % p, :w - w % p].reshape(bsz, c, h // p, p, w // p, p)
         sums = view.sum(axis=(3, 5), dtype=np.int64)
         area = p * p
-        out = (sums + area // 2) // area
+        out = ((sums + area // 2) // area).astype(storage_dtype(py.bitwidth))
+        counters = layer_counters(layer, b, n)
 
-    else:  # flatten, or a clamp: its producer's output grid already clamped
-        out, py = xd.reshape((bsz,) + layer.output_shape), x.params
+    else:
+        if layer.has_weights and layer.weight_q is None:
+            raise ValueError(f"layer {layer.name!r} has no quantized weights")
+        if kind == "residual_add":
+            if aux is None:
+                raise ValueError("residual_add needs the stored branch output")
+            if aux.shape != x.shape:
+                raise ShapeMismatchError(
+                    f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
+        xq = shift_down(xd, n, b)
 
-    result = NestedTensor(data=out[0] if single else out, params=py)
-    record = LayerRecord(index=-1, kind=layer.kind, bitwidth=b,
-                         counters=layer_counters(layer, b, n))
-    return result, record
+        if kind == "residual_add":
+            step = _step(layer, b, x.params, aux.params)
+            k = step.plan.k
+            branch = aux.data[None] if single else aux.data
+            raw = k[0] * xq.astype(np.int64) \
+                + k[1] * shift_down(branch, n, b).astype(np.int64) + k[2]
+        else:
+            # One row of weights per output feature or channel; the input
+            # unfolds into one row per sample (fc) or per sample and output
+            # pixel (conv), and outputs leave as (rows, channels). Tensors are
+            # stored as uint8/uint16: in that dtype the matmul would wrap, and a
+            # row sum (uint64) meeting int64 constants would turn float64, so
+            # both operands widen to int64 first.
+            w = shift_down(layer.weight_q.data, n, b).astype(np.int64).reshape(
+                layer.output_shape[0], -1)
+            step = _step(layer, b, x.params, layer.weight_q.params, w)
+            k = step.plan.k
+            xq = xq.astype(np.int64)
+            rows = xq.reshape(bsz, w.shape[1]) if kind == "fc" else _im2col(
+                xq, layer.kernel, layer.stride, layer.padding, step.plan.pad)
+            raw = rows @ w.T
+            raw *= k[0]
+            raw += k[1] * rows.sum(axis=1, keepdims=True)
+            raw += step.const
+        out = _requant(raw, step.plan.frac_bits, py)
+        if kind == "conv2d":  # (B*pixels, channels) to channel-major per sample
+            channels, *pixels = layer.output_shape
+            out = out.reshape(bsz, math.prod(pixels), channels).transpose(0, 2, 1).reshape(
+                (bsz,) + layer.output_shape)
+        counters = step.counters
+
+    return (NestedTensor.trusted(out[0] if single else out, py),
+            LayerRecord(index=-1, kind=kind, bitwidth=b, counters=counters.copy()))
 
 
 def forward(model: ModelGraph, x: np.ndarray,
@@ -498,7 +567,8 @@ def forward(model: ModelGraph, x: np.ndarray,
     leading axis; the output has the same form. MAC layers run at their policy
     bit-width; element-wise layers stay at the master width. The trace is one
     sample's inference, the same for every sample of a batch: per-layer
-    bit-widths, shifted element counts, and primitive-op tallies.
+    bit-widths, shifted element counts, primitive-op tallies, and the number
+    of non-integer tensors seen at layer boundaries (``fp_tensor_ops``).
     """
     if not model.is_calibrated:
         raise ValueError("model is not calibrated")
@@ -508,10 +578,12 @@ def forward(model: ModelGraph, x: np.ndarray,
     trace = ExecutionTrace()
     t = NestedTensor(data=quantize(x[None] if single else x, model.input_params),
                      params=model.input_params)
+    trace.fp_tensor_ops += t.data.dtype.kind not in "iu"
     outputs: list[NestedTensor] = []
     for i, (layer, b) in enumerate(zip(model.layers, bits)):
         aux = outputs[layer.source] if layer.kind == "residual_add" else None
         t, record = run_layer(layer, t, b, aux=aux)
+        trace.fp_tensor_ops += t.data.dtype.kind not in "iu"
         record.index = i
         trace.records.append(record)
         trace.counters.merge(record.counters)

@@ -16,9 +16,11 @@ engine's dot products and integer adds) upcasts to int64 first.
 
 Range checks run where integers enter a grid: ``NestedTensor`` (so also
 every tensor ``load_model`` reads), ``shift_down`` and ``dequantize``, all
-through :func:`check_grid_ints`. Each is one reduction at most, and none when
-the dtype itself bounds the range (uint8 at n=8, uint16 at n=16). A value
-out of range is refused before it is narrowed, so a cast never wraps it.
+through :func:`check_grid_ints`. Only the layer engine's own outputs, which
+its clip or mean already bounds, skip it (``NestedTensor.trusted``). Each
+check is one reduction at most, and none when the dtype itself bounds the
+range (uint8 at n=8, uint16 at n=16). A value out of range is refused before
+it is narrowed, so a cast never wraps it.
 """
 
 from __future__ import annotations
@@ -155,9 +157,33 @@ class NestedTensor:
         object.__setattr__(self, "data",
                            data.astype(storage_dtype(self.params.bitwidth), copy=False))
 
+    @classmethod
+    def trusted(cls, data: np.ndarray, params: QuantParams) -> "NestedTensor":
+        """Wrap indices the layer engine has already bounded, without any check.
+
+        For layer outputs only: ``_requant``'s clip or an average pool's mean
+        of grid indices keeps ``data`` in [0, qmax] of ``params``, a master
+        grid, and it is already in ``storage_dtype``. Data from anywhere else
+        goes through the checked constructor.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "data", data)
+        object.__setattr__(t, "params", params)
+        return t
+
     @property
     def shape(self):
         return self.data.shape
+
+
+def read_only(t: NestedTensor) -> NestedTensor:
+    """``t`` with its data array made read-only in place, so a write to it raises.
+
+    For the weight-side tensors a layer's compiled steps are built from: a
+    step notices a replaced tensor, not one written in place.
+    """
+    t.data.flags.writeable = False
+    return t
 
 
 def make_master_params(range_min: float, range_max: float, n: int) -> QuantParams:

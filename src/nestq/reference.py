@@ -7,6 +7,7 @@ the "right answer" a different way.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -50,10 +51,10 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
     outputs = {}
     for i, (layer, b) in enumerate(zip(model.layers, bits)):
         if layer.kind in ("fc", "conv2d"):
-            shadow = layer.__class__(**{**layer.__dict__})
             w_master = np.asarray(layer.weight_q.data, dtype=np.float64) \
                 * layer.weight_params.scale + layer.weight_params.offset
-            shadow.weight = fake_quantize(w_master, derive_params(layer.weight_params, b))
+            shadow = replace(layer, weight=fake_quantize(
+                w_master, derive_params(layer.weight_params, b)))
             if layer.bias_q is not None:
                 shadow.bias = np.asarray(layer.bias_q.data, dtype=np.float64) \
                     * layer.bias_params.scale + layer.bias_params.offset

@@ -1,6 +1,8 @@
 """On-disk formats and the command-line front end."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from nestq.cli import (
     resolve_seed,
 )
 from nestq.controller import ControllerSpec
-from nestq.layers import forward
+from nestq.layers import BitPolicy, forward
 
 
 class TestTensorBlob:
@@ -103,6 +105,26 @@ class TestManifest:
                    np.broadcast_to(blob, weight_q.shape))
         with pytest.raises(ManifestError):
             blobio.load_model(tmp_path / "m")
+
+    def test_loaded_weights_are_read_only(self, tmp_path, mlp):
+        blobio.save_model(mlp, tmp_path / "m")
+        loaded = blobio.load_model(tmp_path / "m")
+        for layer in loaded.layers:
+            for t in (layer.weight_q, layer.bias_q):
+                if t is not None:
+                    with pytest.raises(ValueError):
+                        t.data[0] = 0
+
+    def test_loaded_and_run_model_is_collected(self, tmp_path, mlp, blob_data):
+        blobio.save_model(mlp, tmp_path / "m")
+        model = blobio.load_model(tmp_path / "m")
+        forward(model, blob_data[0][:3], BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8)))
+        # the model, a layer and a compiled step it holds all go with the model
+        refs = [weakref.ref(model), weakref.ref(model.layers[0]),
+                weakref.ref(model.layers[0].steps[8])]
+        del model
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_unknown_version_rejected(self, tmp_path, mlp):
         path = blobio.save_model(mlp, tmp_path / "m")
@@ -419,7 +441,7 @@ class TestCommands:
                      "--input", str(tmp_path / "x.nqtb"), "--policy", "static:16",
                      "--out", str(tmp_path / "o.txt")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "int64" in err
+        assert err.startswith("error: ") and "int64" in err and "'head'" in err
         assert len(err.splitlines()) == 1
 
     def test_shape_mismatch_exit_code(self, workspace, tmp_path):

@@ -1,5 +1,7 @@
 """Bit-width controller: forward shape, argmax selection, sampling, cost term."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,29 @@ class TestSelectArgmax:
         base = select_argmax(logits, (2, 4, 8))
         assert select_argmax(logits + c, (2, 4, 8)).bits == base.bits
         assert select_argmax(logits * s, (2, 4, 8)).bits == base.bits
+
+
+class TestPoliciesUnchanged:
+    """The controller's arithmetic may get faster, never change a bit."""
+
+    def test_seeded_pool(self):
+        rng = np.random.default_rng(23)
+        spec = ControllerSpec(num_layers=3, candidates=(4, 8, 12), feature_dim=8, hidden=16,
+                              source="loaded", w1=rng.standard_normal((16, 8)),
+                              b1=rng.standard_normal(16), w2=rng.standard_normal((9, 16)),
+                              b2=rng.standard_normal(9))
+        pool = rng.uniform(0.0, 2.0, size=(1024, 32))
+        bits = []
+        for x in pool:
+            logits = controller_forward(spec, x)
+            feats = x.reshape(8, -1).mean(axis=1)
+            plain = spec.w2 @ np.maximum(spec.w1 @ feats + spec.b1, 0.0) + spec.b2
+            assert np.array_equal(logits, plain.reshape(3, 3))
+            bits.append(select_argmax(logits, spec.candidates).bits)
+            assert bits[-1] == tuple(spec.candidates[int(np.argmax(r))] for r in logits)
+        assert len(set(bits)) > 1
+        digest = hashlib.sha256(np.array(bits, dtype="<i8").tobytes()).hexdigest()
+        assert digest == "1c3dcd369eb9c51c2ae2a65c15570670f0d4f098a4b09c70a9f697b5b5ae0798"
 
 
 class TestGumbelSoftmax:

@@ -428,26 +428,36 @@ def small_resnet():
 
 
 class TestArrayPathMatchesScalarOracles:
-    @pytest.fixture(autouse=True)
-    def plans(self, monkeypatch):
-        self.plans = recorded_plans(monkeypatch)
-
     def check(self, model, xs, policies):
-        for x in xs:
-            for policy in policies:
+        """Each policy layer against its scalar oracle at the plan of the layer's
+        step; then a warm batched ``forward`` against the chain, outputs and trace."""
+        for policy in policies:
+            finals = []
+            for x in xs:
                 t = NestedTensor(data=quantize(x, model.input_params),
                                  params=model.input_params)
-                outputs, bits = [], iter(policy.bits)
-                for layer in model.layers:
+                outputs, chain, bits = [], [], iter(policy.bits)
+                for i, layer in enumerate(model.layers):
                     b = next(bits) if layer.kind in POLICY_KINDS else model.master_bitwidth
                     aux = outputs[layer.source] if layer.kind == "residual_add" else None
                     out, record = run_layer(layer, t, b, aux=aux)
                     if layer.kind in POLICY_KINDS:
-                        want, counters = oracle_layer(layer, t, b, self.plans[-1][1], aux)
+                        want, counters = oracle_layer(layer, t, b, layer.steps[b].plan, aux)
                         assert np.array_equal(out.data, want), (layer.name, policy)
                         assert record.counters == counters, (layer.name, policy)
+                    record.index = i
+                    chain.append(record)
                     outputs.append(out)
                     t = out
+                finals.append(dequantize(t.data, t.params))
+            forward(model, xs, policy)
+            ys, trace = forward(model, xs, policy)  # every step already compiled
+            assert np.array_equal(ys, np.array(finals)), policy
+            assert trace.records == chain, policy
+            total = OpCounters()
+            for record in chain:
+                total.merge(record.counters)
+            assert trace.counters == total, policy
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_mlp(self, n, blob_data):
@@ -521,6 +531,8 @@ class TestPlanPrecision:
         self.check(plans, "fc")
 
     def test_conv(self, cnn, cnn_data, monkeypatch):
+        for layer in cnn.layers:  # the shared model may hold these steps already
+            layer.steps.clear()
         plans = recorded_plans(monkeypatch)
         forward(cnn, cnn_data[0][0], BitPolicy(bits=(6, 4, 8), candidates=(4, 6, 8)))
         self.check(plans, "conv2d")
@@ -600,16 +612,45 @@ class TestLayerPlan:
         for sample in shifted[:5]:
             assert np.array_equal(forward(model, sample, policy)[0],
                                   forward(fresh, sample, policy)[0])
+        # A replaced weight_q rebuilds the steps that hold its constants.
+        fc = model.layers[2]
+        flipped = NestedTensor(data=fc.weight_q.params.qmax - fc.weight_q.data,
+                               params=fc.weight_q.params)
+        fc.weight_q = fresh.layers[2].weight_q = flipped
+        fresh_again = build_toy_mlp(seed=7, means=means)
+        calibrate(fresh_again, [shifted])
+        fresh_again.layers[2].weight_q = flipped
+        for sample in shifted[:5]:
+            got = forward(model, sample, policy)[0]
+            assert np.array_equal(got, forward(fresh_again, sample, policy)[0])
+            assert np.array_equal(got, forward(fresh, sample, policy)[0])
+
+    def test_calibrated_weights_are_read_only(self, mlp):
+        for layer in mlp.layers:
+            for t in (layer.weight_q, layer.bias_q):
+                if t is not None:
+                    with pytest.raises(ValueError):
+                        t.data[0] = 0
+
+    def test_steps_live_on_their_layers(self, mlp, blob_data):
+        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        forward(mlp, blob_data[0][:2], policy)
+        for i, b in zip(mlp.policy_indices, policy.bits):
+            step = mlp.layers[i].steps[b]
+            assert step.counters == layers.layer_counters(mlp.layers[i], b, 8)
+        assert all(not l.steps for l in mlp.layers if l.kind not in POLICY_KINDS)
 
     def test_refused_layer_raises_on_every_call(self):
         # The refusal is not cached: each call rebuilds the plan and raises again.
         x = NestedTensor(data=np.array([200]), params=unit_params())
         tiny = QuantParams(scale=2.0 ** -60, offset=0.0, bitwidth=8, master_bitwidth=8)
         build_plan.cache_clear()
+        layer = identity_fc(out_grid=tiny)
         for calls in range(1, 4):
-            with pytest.raises(AccumulatorOverflowError):
-                run_layer(identity_fc(out_grid=tiny), x, 8)
+            with pytest.raises(AccumulatorOverflowError, match="layer 'id'"):
+                run_layer(layer, x, 8)
             assert build_plan.cache_info().misses == calls
+            assert not layer.steps
 
     def test_record_counters_are_copies(self, mlp, blob_data):
         policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
@@ -760,6 +801,27 @@ class TestRoundingShift:
             assert np.array_equal(np.maximum(got, 0), np.maximum(want, 0)), s
             # on non-negative values no clip is needed
             assert np.array_equal(got[v >= 0], want[v >= 0]), s
+
+
+class TestFloatTensorCount:
+    def test_counts_a_non_integer_layer_output(self, mlp, blob_data, monkeypatch):
+        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        x = blob_data[0][:2]
+        want, clean = forward(mlp, x, policy)
+        assert clean.fp_tensor_ops == 0
+        run = layers.run_layer
+
+        def float_head(layer, t, b, aux=None):
+            out, record = run(layer, t, b, aux=aux)
+            if layer is mlp.layers[-1]:
+                out = NestedTensor.trusted(out.data.astype(np.float64), out.params)
+            return out, record
+
+        monkeypatch.setattr(layers, "run_layer", float_head)
+        monkeypatch.setattr(layers, "dequantize", lambda q, p: q * p.scale + p.offset)
+        got, trace = forward(mlp, x, policy)
+        assert trace.fp_tensor_ops == 1
+        assert np.array_equal(got, want)
 
 
 class TestClampIndex:

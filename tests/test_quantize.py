@@ -1,5 +1,6 @@
 """Quantization grids, nested derivation, and the shift transition."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nestq import blobio
+from nestq.blobio import write_blob
 from nestq.intops import OpCounters
+from nestq.layers import BitPolicy, forward
 from nestq.quantize import (
     DegenerateRangeError,
     NestedTensor,
@@ -23,6 +27,9 @@ from nestq.quantize import (
     storage_dtype,
 )
 from nestq.reference import exact_nested_shift, exact_requantize
+
+# The package re-exports the quantize() function under the submodule's name.
+quantize_mod = importlib.import_module("nestq.quantize")
 
 
 def unit8():
@@ -285,6 +292,36 @@ def test_out_of_range_refused(n, q):
     for b in (n, max(2, n - 3)):
         with pytest.raises(ValueError):
             shift_down(q, n, b)
+
+
+@pytest.mark.parametrize("entry", ["NestedTensor", "load_model", "shift_down", "dequantize"])
+@pytest.mark.parametrize("q", [np.array([1.5]), np.array([256])], ids=["float", "out_of_range"])
+def test_external_entries_still_refuse(entry, q, tmp_path, mlp):
+    """Layer outputs skip the range check; every way in from outside keeps it."""
+    error = TypeError if q.dtype.kind == "f" else ValueError
+    if entry == "NestedTensor":
+        call = lambda: NestedTensor(data=q, params=unit8())
+    elif entry == "shift_down":
+        call = lambda: shift_down(q, 8, 4)
+    elif entry == "dequantize":
+        call = lambda: dequantize(q, unit8())
+    else:
+        blobio.save_model(mlp, tmp_path / "m")
+        write_blob(tmp_path / "m" / "blobs" / "layer0_weight_q.nqtb",
+                   np.broadcast_to(q, mlp.layers[0].weight_q.shape))
+        call, error = (lambda: blobio.load_model(tmp_path / "m")), blobio.ManifestError
+    with pytest.raises(error):
+        call()
+
+
+def test_layer_outputs_skip_the_range_check(mlp, blob_data, monkeypatch):
+    checked = []
+    check = quantize_mod.check_grid_ints
+    monkeypatch.setattr(quantize_mod, "check_grid_ints",
+                        lambda q, qmax: checked.append(q) or check(q, qmax))
+    forward(mlp, blob_data[0][:2], BitPolicy.uniform(8, 3))
+    # the entry NestedTensor, each fc's shift of its input and weights, the exit dequantize
+    assert len(checked) == 1 + 2 * 3 + 1
 
 
 class TestRounding:
