@@ -49,15 +49,16 @@ def _range_reduction(dtype: np.dtype, qmax: int):
     """How to check an array of ``dtype`` against [0, qmax] in one reduction.
 
     None if the dtype bounds the range already. Else ("max", view): the max of
-    the array viewed as ``view`` exceeds qmax iff an element is out of range,
-    since a negative signed element views as an unsigned value above the
-    signed maximum. If the signed maximum is itself within qmax, that view
-    cannot tell -1 from a valid index, and only negatives can be out of
-    range: ("min", None).
+    the array, viewed as ``view`` unless that is None, exceeds qmax iff an
+    element is out of range. An unsigned array is reduced as it is; a signed
+    one is viewed as its unsigned twin, in which a negative element reads as a
+    value above the signed maximum. If the signed maximum is itself within
+    qmax, that view cannot tell -1 from a valid index, and only negatives can
+    be out of range: ("min", None).
     """
     top = int(np.iinfo(dtype).max)
     if dtype.kind == "u":
-        return None if top <= qmax else ("max", dtype)
+        return None if top <= qmax else ("max", None)
     if top <= qmax:
         return ("min", None)
     return ("max", np.dtype(dtype.str.replace("i", "u")))
@@ -78,7 +79,7 @@ def check_grid_ints(q, qmax: int) -> np.ndarray:
         # costs as much as the reduction itself on a 1k-element tensor.
         how, view = rule
         if np.minimum.reduce(q, None) < 0 if how == "min" \
-                else np.maximum.reduce(q.view(view), None) > qmax:
+                else np.maximum.reduce(q if view is None else q.view(view), None) > qmax:
             raise ValueError(f"grid indices outside [0, {qmax}]")
     return q
 
@@ -220,10 +221,17 @@ def quantize(x, params: QuantParams) -> np.ndarray:
     """Map real values onto the integer grid; out-of-range inputs clip.
 
     The indices come back in ``storage_dtype`` of the grid's bit-width.
+    Rounds with floor(v + 1/2), which equals ``round_half_away`` here: for
+    v >= 0 the two are the same expression, and for v < 0 both give at most
+    0, which the clip sends to 0.
     """
     x = np.asarray(x, dtype=np.float64)
-    q = round_half_away((x - params.offset) / params.scale)
-    return np.clip(q, 0, params.qmax).astype(storage_dtype(params.bitwidth))
+    # one fresh array (0-d included), then in place: no further temporaries
+    q = np.asarray((x - params.offset) / params.scale)
+    q += 0.5
+    np.floor(q, out=q)
+    np.clip(q, 0, params.qmax, out=q)
+    return q.astype(storage_dtype(params.bitwidth))
 
 
 def dequantize(q, params: QuantParams) -> np.ndarray:
@@ -234,43 +242,48 @@ def dequantize(q, params: QuantParams) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _shift_plan(dtype: np.dtype, n: int, b: int):
-    """NumPy-typed constants of the n -> b shift in ``dtype``, and its form.
+    """The dtype the n -> b shift of a ``dtype`` input runs in, and its constants.
 
-    ``((q >> (s-1)) + 1) >> 1`` takes one pass fewer than
-    ``(q >> s) + ((q >> (s-1)) & 1)``; both equal ``(q + 2^(s-1)) >> s`` for
-    q >= 0, but the first reaches 2^(b+1) before its last shift, which wraps a
-    dtype whose maximum is below it (uint16 at b=15, uint8 at b=7).
+    With s = n - b and h = 2^(s-1), the shift is (min(q, cap) + h) >> s with
+    cap = 2^n - 1 - h. For q <= cap that is (q + h) >> s, at most 2^b - 1.
+    Every q above cap would round to 2^b and be clipped to 2^b - 1, which is
+    what cap itself maps to. So the largest intermediate is 2^n - 1, and one
+    form serves every b in every dtype that holds 2^n - 1, as every storage
+    dtype does. The dtypes that do not (int8 at n = 8, int16 at n = 16,
+    uint8 at n >= 9) run in ``storage_dtype(n)`` instead: the range check has
+    passed, so the cast there is exact, and the result, at most the input,
+    casts back exactly. Decided once per (dtype, n, b), as ``np.iinfo``
+    costs about a microsecond a call.
     """
-    s, dtype_max = n - b, int(np.iinfo(dtype).max)
-    t = dtype.type
-    top = min((1 << b) - 1, dtype_max)  # an index narrower than n may not reach 2^b - 1
-    return t(s), t(s - 1), t(1), t(top), (1 << (b + 1)) <= dtype_max
+    s = n - b
+    work = dtype if np.iinfo(dtype).max >= (1 << n) - 1 else storage_dtype(n)
+    t = work.type
+    return work, t((1 << n) - 1 - (1 << (s - 1))), t(1 << (s - 1)), t(s)
 
 
 def shift_down(q_n, n: int, b: int) -> np.ndarray:
     """Reduce master-width integers to b bits with one rounded right shift.
 
-    Equals clip(round(q / 2^(n-b)), 0, 2^b - 1), computed in the input's own
-    integer dtype without widening: the rounding half is added after a shift
-    by s-1 (or as the bit shifted out last), so no intermediate exceeds 2^b,
-    or 2^(b+1) where the dtype holds it. At b = n there is nothing to do and
-    the (range-checked) input itself is returned. Refuses a non-integer
-    input (TypeError) and an element outside [0, 2^n - 1] (ValueError).
+    Equals clip(round(q / 2^(n-b)), 0, 2^b - 1) in the input's dtype, in
+    three passes over one fresh array: clamp at cap = 2^n - 1 - 2^(s-1), add
+    2^(s-1), shift right by s = n - b. Clamping first makes the add exact: no
+    intermediate exceeds 2^n - 1, and the clamped values all map to 2^b - 1,
+    where the rounding would have clipped them (see ``_shift_plan``). At b = n
+    there is nothing to do and the (range-checked) input itself is returned.
+    Refuses a non-integer input (TypeError) and an element outside
+    [0, 2^n - 1] (ValueError).
     """
     if b > n:
         raise ValueError(f"cannot shift up: b={b} > n={n}")
     q_n = check_grid_ints(q_n, (1 << n) - 1)
     if b == n:
         return q_n
-    s, s1, one, top, one_pass_fewer = _shift_plan(q_n.dtype, n, b)
-    out = np.asarray(q_n >> s1)  # a fresh array, 0-d included, to work on in place
-    if one_pass_fewer:
-        np.add(out, one, out=out)
-        np.right_shift(out, one, out=out)
-    else:
-        np.bitwise_and(out, one, out=out)
-        out += np.right_shift(q_n, s)
-    return np.minimum(out, top, out=out)
+    work, cap, half, s = _shift_plan(q_n.dtype, n, b)
+    # asarray: np.minimum of a 0-d array is a scalar, which cannot be worked on in place
+    out = np.asarray(np.minimum(q_n.astype(work, copy=False), cap))
+    out += half
+    out >>= s
+    return out.astype(q_n.dtype, copy=False)
 
 
 ROUNDTRIP_CONVERSIONS, ROUNDTRIP_FP_OPS = 2, 5

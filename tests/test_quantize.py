@@ -1,6 +1,7 @@
 """Quantization grids, nested derivation, and the shift transition."""
 
 import importlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +131,31 @@ class TestQuantizeDequantize:
         assert q.dtype == storage_dtype(n)
         assert q.min() == 0 and q.max() == p.qmax
 
+    @pytest.mark.parametrize("n", [2, 8, 12, 16])
+    def test_matches_half_away_rounding(self, n):
+        """floor(v + 1/2) then clip equals the clipped half-away rounding of v.
+
+        On a grid with a power-of-two step every x below is exact, so the
+        ±k.5 ties are exact ties: below zero, inside the grid, above 2^n - 1.
+        """
+        p = QuantParams(scale=0.25, offset=-3.0, bitwidth=n, master_bitwidth=n)
+        k = np.concatenate([np.arange(-6, 7), np.arange(p.qmax - 6, p.qmax + 7)])
+        v = np.concatenate([k, k + 0.5, k - 0.5, k + 0.49, k - 0.49, [-1e9, 1e9, -0.0]])
+        x = np.concatenate([p.offset + v * p.scale,
+                            np.random.default_rng(n).uniform(-5.0, p.qmax * 0.3, 1000)])
+
+        def old(x, p):
+            q = round_half_away((x - p.offset) / p.scale)
+            return np.clip(q, 0, p.qmax).astype(storage_dtype(p.bitwidth))
+
+        for grid in (p, make_master_params(-1.3, 2.7, n)):
+            got = quantize(x, grid)
+            assert got.dtype == storage_dtype(n) and np.array_equal(got, old(x, grid))
+            for xi in x[:len(v)]:
+                got = quantize(np.array(xi), grid)
+                assert isinstance(got, np.ndarray) and got.shape == () \
+                    and got.dtype == storage_dtype(n) and got == old(xi, grid), xi
+
     @given(st.floats(-1.0, 1.0), st.integers(2, 10))
     def test_round_trip_within_half_step(self, x, n):
         p = make_master_params(-1.0, 1.0, n)
@@ -178,21 +204,48 @@ class TestShiftDown:
                 assert np.max(np.abs(unclipped - q / (1 << s))) <= 0.5
 
     def test_exact_rational_oracle_exhaustive(self):
-        """Every q < 2^n, n = 2..16, every b <= n, from int64 and storage-dtype input.
+        """Every q < 2^n, n = 2..16, every b <= n, in every NumPy integer dtype.
 
-        The oracle runs once per shift s over all 2^16 indices, at n = 16. For
-        n < 16 no q < 2^n reaches that clip at 2^(16-s) - 1, so the n-bit
-        oracle is the same rounding clipped at 2^b - 1.
+        A dtype gets the indices it can hold, and its own dtype back. That
+        includes the ones that cannot hold 2^n - 1 (int8 at n = 8, int16 at
+        n = 16, uint8 at n >= 9), which shift in ``storage_dtype(n)``. The
+        largest index a dtype holds is also shifted as a 0-d array, which
+        must come back 0-d. The oracle runs once per shift s over all 2^16
+        indices, at n = 16. For n < 16 no q < 2^n reaches that clip at
+        2^(16-s) - 1, so the n-bit oracle is the same rounding clipped at
+        2^b - 1.
         """
         q = np.arange(1 << 16)
+        dtypes = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
         for s in range(0, 15):
             rounded = np.array([exact_nested_shift(v, 16, 16 - s) for v in range(1 << 16)])
             for n in range(max(2, s + 2), 17):
                 b = n - s
-                want = np.minimum(rounded[:1 << n], (1 << b) - 1)
-                for dtype in (np.int64, storage_dtype(n)):
-                    got = shift_down(q[:1 << n].astype(dtype), n, b)
-                    assert got.dtype == dtype and np.array_equal(got, want), (n, b, dtype)
+                want = np.minimum(rounded, (1 << b) - 1)
+                for dtype in dtypes:
+                    size = min(1 << n, int(np.iinfo(dtype).max) + 1)
+                    got = shift_down(q[:size].astype(dtype), n, b)
+                    assert got.dtype == dtype and np.array_equal(got, want[:size]), \
+                        (n, b, dtype)
+                    got = shift_down(np.array(size - 1, dtype=dtype), n, b)
+                    assert isinstance(got, np.ndarray) and got.shape == () \
+                        and got.dtype == dtype and got == want[size - 1], (n, b, dtype)
+
+    def test_no_widened_temporaries(self):
+        """A uint16 master at n = 12 shifts with no buffer beyond its output.
+
+        Peak traced memory stays within 1.1x the output (2 MiB), where one
+        int64 intermediate would add 8 MiB.
+        """
+        q = np.random.default_rng(0).integers(0, 1 << 12, size=1 << 20, dtype=np.uint16)
+        tracemalloc.start()
+        try:
+            out = shift_down(q, 12, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.uint16
+        assert peak <= 1.1 * out.nbytes, (peak, out.nbytes)
 
     def test_computes_in_the_input_dtype(self):
         q = np.array([0, 1, 2, 3], dtype=np.int32)
