@@ -18,7 +18,7 @@ import numpy as np
 
 from .controller import ControllerSpec
 from .layers import LayerSpec, ModelGraph, ShapeMismatchError
-from .quantize import NestedTensor, QuantParams, make_master_params, read_only
+from .quantize import NestedTensor, QuantParams, make_master_params
 
 BLOB_MAGIC = b"NQTB"
 MANIFEST_VERSION = 1
@@ -218,15 +218,12 @@ def _model_from_manifest(manifest: dict, base: Path) -> ModelGraph:
             layer.weight = read_blob(base / entry["weight"]).astype(np.float64)
         if "bias" in entry:
             layer.bias = read_blob(base / entry["bias"]).astype(np.float64)
-        # Read-only, as calibrate leaves them: compiled steps hold constants of them.
         if "weight_q" in entry:
-            layer.weight_q = read_only(NestedTensor(
-                data=read_blob(base / entry["weight_q"]),
-                params=layer.weight_params))
+            layer.weight_q = NestedTensor(data=read_blob(base / entry["weight_q"]),
+                                          params=layer.weight_params)
         if "bias_q" in entry:
-            layer.bias_q = read_only(NestedTensor(
-                data=read_blob(base / entry["bias_q"]),
-                params=layer.bias_params))
+            layer.bias_q = NestedTensor(data=read_blob(base / entry["bias_q"]),
+                                        params=layer.bias_params)
         layers.append(layer)
     return ModelGraph(
         layers=layers,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .layers import POLICY_KINDS, LayerSpec, ModelGraph
-from .quantize import NestedTensor, make_master_params, quantize, read_only
+from .quantize import NestedTensor, make_master_params, quantize
 
 DEFAULT_EMA_MOMENTUM = 0.9
 ALPHA_PERCENTILE = 99.9
@@ -62,9 +62,9 @@ def _widened(lo: float, hi: float) -> tuple[float, float, bool]:
 def quantize_weights(layer: LayerSpec, n: int) -> bool:
     """Fix a MAC layer's weight and bias grids from their min/max and quantize both.
 
-    The quantized tensors are read-only: a layer's compiled steps hold
-    constants derived from them. Returns True if either range was degenerate
-    and had to be widened.
+    The quantized tensors are read-only, as every NestedTensor is: a layer's
+    compiled steps hold constants derived from them. Returns True if either
+    range was degenerate and had to be widened.
     """
     flagged = False
     for attr in ("weight", "bias"):
@@ -74,8 +74,7 @@ def quantize_weights(layer: LayerSpec, n: int) -> bool:
         lo, hi, widened = _widened(float(t.min()), float(t.max()))
         params = make_master_params(lo, hi, n)
         setattr(layer, attr + "_params", params)
-        setattr(layer, attr + "_q",
-                read_only(NestedTensor(data=quantize(t, params), params=params)))
+        setattr(layer, attr + "_q", NestedTensor(data=quantize(t, params), params=params))
         flagged |= widened
     return flagged
 

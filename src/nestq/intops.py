@@ -17,9 +17,14 @@ A dot's product sum accumulates exactly in int64, and the int64 proof behind
 The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
 reference oracles for tests and error analysis. ``nestq.layers`` compiles a
 layer's constants at their fitted F, its int64 overflow proof and its
-weight-side constant once per bit-width, then runs each call as one integer
+additive constant once per bit-width, then runs each call as one integer
 array expression with the same rounding; only the shift of weights and
-activations down to b is redone per call.
+activations down to b is redone per call. That expression reassociates the
+operator's sum: a dot runs as ``rows @ (k1*w + k2).T + c'`` with
+``c' = k3*s3 + k4*q_b + k5 + 2^(F-1)``, the rounding half folded in, and an
+add folds the half into its k3. ``linear_bound`` counts the half and bounds
+every partial sum, so the reassociated sum is exact in int64 wherever the
+proof holds, and the rounding shift becomes a floor shift.
 """
 
 from __future__ import annotations
@@ -224,8 +229,9 @@ def dot_raw(k, s1, s2, s3, qb):
     """Pre-shift, pre-clip dot plus bias: k1*s1 + k2*s2 + k3*s3 + k4*q_b + k5.
 
     ``s1`` is the exact product sum. The same expression serves scalar oracles
-    and error analysis; the layer engine evaluates it with the weight-side
-    terms k3*s3 + k4*q_b + k5 folded into one constant per output.
+    and error analysis; the layer engine evaluates it reassociated, with k1
+    and k2 folded into the weights and k3*s3 + k4*q_b + k5 plus the rounding
+    half into one constant per output.
     """
     return k[0] * s1 + k[1] * s2 + k[2] * s3 + k[3] * qb + k[4]
 

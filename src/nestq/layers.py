@@ -7,24 +7,34 @@ down to its assigned bit-width, and only the final output is dequantized.
 
 A fc or conv layer is one integer expression, its dot plus the bias term,
 rounded once onto its output grid; a residual add is the integer add, also
-rounded once. A clamp (``relu_pact``) runs no code: calibration gives the
+rounded once. The expression's constants are folded where integer addition
+lets them: a fc or conv computes ``rows @ (k1*w_b + k2).T + c'`` with
+``c' = k3*sum_j w_b + k4*q_b + k5 + 2^(F-1)`` per output, which is
+``k1*(rows @ w_b.T) + k2*rowsum + k3*sum_j w_b + k4*q_b + k5`` plus the
+rounding half, reassociated; a residual add folds the half into its additive
+constant. Every partial sum stays within the plan's ``linear_bound``, which
+counts the half, so the fold is exact in int64 wherever the plan's proof
+holds, and that proof is its only guard; the rounding is then a plain floor
+shift by F. A clamp (``relu_pact``) runs no code: calibration gives the
 policy layer before it the clamp's [0, alpha] grid, whose clip is the clamp,
-ReLU included, and ``ModelGraph`` refuses graphs where that cannot hold. The
-product sum ``rows @ w.T`` is exact in int64; the plan's proof is its only
-guard.
+ReLU included, and ``ModelGraph`` refuses graphs where that cannot hold.
 
 Each policy layer compiles one :class:`LayerStep` per bit-width b on its first
 call at b and keeps it in ``LayerSpec.steps``, so the steps go with the model.
 A step caches what does not change between calls: the :func:`build_plan`
 result (constants at the F ``intops.fit_frac_bits`` fits, padding index, int64
-proof), a fc or conv layer's weight-side constant per output,
-``c = k3*sum_j w_b + k4*q_b + k5``, and the layer's :func:`layer_counters`.
-It caches no tensor: weights and activations are shifted down to b on every
-call, and the trace charges those shifts on every call, since that shift is
-the transition the scheme prices. A step is reused only while the input,
-weight or branch, bias and output grids and ``weight_q``/``bias_q`` are the
-very objects it was built from; ``calibrate`` and ``load_model`` replace them
-all, and store the weight-side arrays read-only, so a step is never stale.
+proof), the additive constant ``c'`` (per output for a fc or conv), and the
+layer's :func:`layer_counters`. It caches no tensor: weights and activations
+are shifted down to b on every call, and the trace charges those shifts on
+every call, since that shift is the transition the scheme prices. A step is
+reused only while the input, weight or branch, bias and output grids and
+``weight_q``/``bias_q`` are the very objects it was built from;
+``calibrate`` and ``load_model`` replace them all, and a NestedTensor's data
+is read-only, so a step is never stale.
+
+Every tensor passed between layers is a :class:`NestedTensor`, and
+``run_layer`` hands those, not their arrays, to ``shift_down``: the tensor is
+the range proof, so a ``forward`` runs no range reduction of its own.
 
 Execution is batch-first. ``run_layer`` and ``forward`` take one sample
 (shaped like the layer's or model's input) or a batch of them on a leading
@@ -314,8 +324,11 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
     Only H and W are padded; rows run sample-major, then pixel-major.
     """
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                   constant_values=pad_value)
+        # np.full and a slice assignment: np.pad's wrapper costs five times as much
+        bsz, c, h, w = x.shape
+        padded = np.full((bsz, c, h + 2 * padding, w + 2 * padding), pad_value, dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
     windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
     bsz, c, oh, ow = windows.shape[:4]
     return windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * oh * ow, c * kernel * kernel)
@@ -336,13 +349,15 @@ class LayerStep:
 
     ``sources`` are the objects it was built from: input grid, weight or
     branch grid, ``weight_q``, ``bias_q``, output grid and bias grid. ``const``
-    is a fc or conv layer's int64 weight-side constant per output,
-    ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5``, and None for a residual add.
+    is the expression's additive constant with the rounding half 2^(F-1)
+    folded in: for a fc or conv layer one int64 per output,
+    ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5 + 2^(F-1)``, for a residual add the
+    int ``k3 + 2^(F-1)``.
     """
 
     sources: tuple
     plan: LayerPlan
-    const: np.ndarray | None
+    const: np.ndarray | int
     counters: OpCounters
 
 
@@ -409,30 +424,22 @@ def layer_counters(layer: LayerSpec, b: int, n: int) -> OpCounters:
                       shifts=layer.weight_elements() + layer.input_elements() if b < n else 0)
 
 
-def _shift_half_up(v: np.ndarray, s: int) -> np.ndarray:
-    """``(v + 2^(s-1)) >> s`` in place on a fresh int64 array: divide by 2^s, halves up.
-
-    It stands in for ``rounding_right_shift`` (halves away from zero) in
-    ``_requant``, where the two cannot differ: for v >= 0 they are the same
-    expression, and for v < 0 both land at <= 0 (v + 2^(s-1) < 2^s floors to
-    <= 0), which the clip at 0 right after the shift maps to 0.
-    """
-    if s:
-        v += 1 << (s - 1)
-        v >>= s
-    return v
-
-
 def _requant(raw: np.ndarray, frac_bits: int, py: QuantParams) -> np.ndarray:
-    """Rounded right shift by F, clipped onto the output grid [0, qmax] in place.
+    """Floor shift by F, clipped onto the output grid [0, qmax] in place.
 
-    ``raw`` is a fresh int64 array and may be overwritten; the result is in
-    the grid's storage dtype.
+    ``raw`` is a fresh int64 array that already holds the rounding half
+    2^(F-1) (the step's ``const``) and may be overwritten; the result is in
+    the grid's storage dtype. ``(v + 2^(F-1)) >> F`` stands in for
+    ``rounding_right_shift(v, F)`` (halves away from zero), and after the clip
+    the two cannot differ: for v >= 0 they are the same expression, and for
+    v < 0 both land at <= 0 (v + 2^(F-1) < 2^F floors to <= 0), which the
+    clip at 0 maps to 0.
     """
-    v = _shift_half_up(raw, frac_bits)
-    np.maximum(v, 0, out=v)
-    np.minimum(v, py.qmax, out=v)
-    return v.astype(storage_dtype(py.bitwidth))
+    if frac_bits:
+        raw >>= frac_bits
+    np.maximum(raw, 0, out=raw)
+    np.minimum(raw, py.qmax, out=raw)
+    return raw.astype(storage_dtype(py.bitwidth))
 
 
 def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams,
@@ -441,7 +448,7 @@ def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams
 
     ``other_grid`` is the weight grid, or the residual branch's grid; ``w`` is
     a fc or conv layer's weights as this call shifted them to b, in int64 with
-    one row per output, from which a new step takes its weight-side constant.
+    one row per output, from which a new step takes its additive constant.
     """
     sources = (x_grid, other_grid, layer.weight_q, layer.bias_q, layer.output_params,
                layer.bias_params)
@@ -452,11 +459,12 @@ def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams
         layer.kind, layer.name, b, x_grid, other_grid,
         layer.bias_params if layer.bias_q is not None else None, layer.output_params,
         layer.weight_elements() // layer.output_shape[0])  # dot length, 0 for an add
-    const = None
-    if w is not None:
-        k = plan.k
+    k, half = plan.k, (1 << plan.frac_bits) >> 1
+    if w is None:
+        const = k[2] + half
+    else:
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
-        const = k[2] * w.sum(axis=1) + k[3] * bias + k[4]
+        const = k[2] * w.sum(axis=1) + k[3] * bias + (k[4] + half)
     step = LayerStep(sources, plan, const,
                      layer_counters(layer, b, x_grid.master_bitwidth))
     layer.steps[b] = step
@@ -472,13 +480,13 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     activation are shifted down to b on every call, once for the whole batch;
     the rest comes from the layer's compiled step at b. A MAC layer evaluates
     its dot and bias as one integer expression (the array form of ``int_dot``
-    with its bias term), ``k1*(rows @ w.T) + k2*rowsum + c``, and rounds it
-    once onto the calibrated output grid, whose clipping realizes any
-    following clamp, so the next layer again sees a master-width tensor. A
-    residual add is the array form of ``int_add``, rounded and clipped the
-    same way; a clamp passes its input through and a flatten reshapes it.
-    ``aux`` carries the second operand for residual adds, shaped like ``x``.
-    The record counts one sample's work.
+    with its bias term), ``rows @ (k1*w + k2).T + c'``, and rounds it once
+    onto the calibrated output grid, whose clipping realizes any following
+    clamp, so the next layer again sees a master-width tensor. A residual add
+    is the array form of ``int_add``, ``k1*x + k2*branch + c'``, rounded and
+    clipped the same way; a clamp passes its input through and a flatten
+    reshapes it. ``aux`` carries the second operand for residual adds, shaped
+    like ``x``. The record counts one sample's work.
     """
     py = layer.output_params
     if py is None:
@@ -487,13 +495,11 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     if b > n:
         raise ValueError(f"policy bit-width {b} above master width {n}")
     shape = tuple(layer.input_shape)
-    xd = x.data
-    single = xd.shape == shape
-    if single:
-        xd = xd[None]  # (B, *input_shape)
-    elif xd.shape[1:] != shape:
+    single = x.shape == shape
+    if not single and x.shape[1:] != shape:
         raise ShapeMismatchError(
             f"layer {layer.name!r} expects input {shape} or a batch of it, got {x.shape}")
+    xd = x.data[None] if single else x.data  # (B, *input_shape)
     kind = layer.kind
     bsz = len(xd)
 
@@ -522,32 +528,32 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             if aux.shape != x.shape:
                 raise ShapeMismatchError(
                     f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
-        xq = shift_down(xd, n, b)
+        # Tensors are stored as uint8/uint16, where the products would wrap,
+        # so every operand widens to int64 before its constant meets it.
+        xq = shift_down(x, n, b).astype(np.int64).reshape(xd.shape)
 
         if kind == "residual_add":
             step = _step(layer, b, x.params, aux.params)
             k = step.plan.k
-            branch = aux.data[None] if single else aux.data
-            raw = k[0] * xq.astype(np.int64) \
-                + k[1] * shift_down(branch, n, b).astype(np.int64) + k[2]
+            raw = xq
+            raw *= k[0]
+            branch = shift_down(aux, n, b).astype(np.int64).reshape(xd.shape)
+            branch *= k[1]
+            raw += branch
         else:
             # One row of weights per output feature or channel; the input
             # unfolds into one row per sample (fc) or per sample and output
-            # pixel (conv), and outputs leave as (rows, channels). Tensors are
-            # stored as uint8/uint16: in that dtype the matmul would wrap, and a
-            # row sum (uint64) meeting int64 constants would turn float64, so
-            # both operands widen to int64 first.
-            w = shift_down(layer.weight_q.data, n, b).astype(np.int64).reshape(
+            # pixel (conv), and outputs leave as (rows, channels).
+            w = shift_down(layer.weight_q, n, b).astype(np.int64).reshape(
                 layer.output_shape[0], -1)
             step = _step(layer, b, x.params, layer.weight_q.params, w)
             k = step.plan.k
-            xq = xq.astype(np.int64)
+            w *= k[0]
+            w += k[1]
             rows = xq.reshape(bsz, w.shape[1]) if kind == "fc" else _im2col(
                 xq, layer.kernel, layer.stride, layer.padding, step.plan.pad)
             raw = rows @ w.T
-            raw *= k[0]
-            raw += k[1] * rows.sum(axis=1, keepdims=True)
-            raw += step.const
+        raw += step.const
         out = _requant(raw, step.plan.frac_bits, py)
         if kind == "conv2d":  # (B*pixels, channels) to channel-major per sample
             channels, *pixels = layer.output_shape
@@ -576,8 +582,9 @@ def forward(model: ModelGraph, x: np.ndarray,
     x = np.asarray(x)
     single = x.shape == tuple(model.input_shape)
     trace = ExecutionTrace()
-    t = NestedTensor(data=quantize(x[None] if single else x, model.input_params),
-                     params=model.input_params)
+    # quantize clips onto its grid, so its result needs no range check
+    t = NestedTensor.trusted(quantize(x[None] if single else x, model.input_params),
+                             model.input_params)
     trace.fp_tensor_ops += t.data.dtype.kind not in "iu"
     outputs: list[NestedTensor] = []
     for i, (layer, b) in enumerate(zip(model.layers, bits)):
@@ -588,4 +595,8 @@ def forward(model: ModelGraph, x: np.ndarray,
         trace.records.append(record)
         trace.counters.merge(record.counters)
         outputs.append(t)
-    return dequantize(t.data[0] if single else t.data, t.params), trace
+    if single:
+        # squeezed before the dequantize, so the result owns its memory
+        # rather than being a view that keeps a batch-of-one array alive
+        t = NestedTensor.trusted(t.data[0], t.params)
+    return dequantize(t, t.params), trace

@@ -14,13 +14,17 @@ returns that dtype for its grid's bit-width, and a :class:`NestedTensor`
 narrows its data to it. Arithmetic that can leave the grid (the layer
 engine's dot products and integer adds) upcasts to int64 first.
 
-Range checks run where integers enter a grid: ``NestedTensor`` (so also
-every tensor ``load_model`` reads), ``shift_down`` and ``dequantize``, all
-through :func:`check_grid_ints`. Only the layer engine's own outputs, which
-its clip or mean already bounds, skip it (``NestedTensor.trusted``). Each
-check is one reduction at most, and none when the dtype itself bounds the
-range (uint8 at n=8, uint16 at n=16). A value out of range is refused before
-it is narrowed, so a cast never wraps it.
+Range checks run once, at the :class:`NestedTensor` that admits the
+integers: its checked constructor (so also every tensor ``load_model`` reads)
+range-checks them and keeps its own read-only copy, so its data stays in range
+for good. ``shift_down`` and ``dequantize`` take a NestedTensor or a raw
+array, through :func:`check_grid_ints`: a NestedTensor is its own proof and
+costs no reduction, a raw array is checked. The layer engine wraps its own
+outputs, which its clip or mean already bounds, and ``quantize``'s clipped
+result with ``NestedTensor.trusted``, so a ``forward`` makes no range
+reduction at all. A check is one reduction at most, and none when the dtype
+itself bounds the range (uint8 at n=8, uint16 at n=16). A value out of range
+is refused before it is narrowed, so a cast never wraps it.
 """
 
 from __future__ import annotations
@@ -67,9 +71,16 @@ def _range_reduction(dtype: np.dtype, qmax: int):
 def check_grid_ints(q, qmax: int) -> np.ndarray:
     """``q`` as an integer array, refused unless every element is in [0, qmax].
 
-    Raises TypeError for a non-integer (or bool) dtype and ValueError for an
-    element out of range; costs one reduction at most.
+    A :class:`NestedTensor` was checked when it was made and cannot change:
+    its data comes back as it is, unless its grid is wider than [0, qmax]
+    (ValueError). A raw array raises TypeError for a non-integer (or bool)
+    dtype and ValueError for an element out of range; costs one reduction at
+    most.
     """
+    if isinstance(q, NestedTensor):
+        if q.params.qmax > qmax:
+            raise ValueError(f"a {q.params.bitwidth}-bit tensor is not within [0, {qmax}]")
+        return q.data
     q = np.asarray(q)
     if q.dtype.kind not in "iu":
         raise TypeError(f"grid indices must be integers, got {q.dtype}")
@@ -140,12 +151,14 @@ class QuantParams:
 
 @dataclass(frozen=True)
 class NestedTensor:
-    """Integer tensor stored at the master bit-width of its params.
+    """Integer tensor stored at the master bit-width of its params: a range proof.
 
-    ``data`` is range-checked, then held in ``storage_dtype(n)``: an array
-    already in that dtype is kept as given, any other is copied, so a caller's
-    array is never changed. Lower-precision views are produced with
-    :func:`shift_down`; they are never stored back into a NestedTensor.
+    ``data`` is range-checked, then held as the tensor's own read-only copy in
+    ``storage_dtype(n)``: the caller's array is never aliased or changed, and
+    a write to ``data`` raises. So the data stays in [0, qmax] for the
+    tensor's life, and :func:`check_grid_ints` takes the tensor itself as the
+    proof. Lower-precision views are produced with :func:`shift_down`; they
+    are never stored back into a NestedTensor.
     """
 
     data: np.ndarray
@@ -154,19 +167,22 @@ class NestedTensor:
     def __post_init__(self):
         if not self.params.is_master:
             raise ValueError("NestedTensor params must be at master bit-width")
-        data = check_grid_ints(self.data, self.params.qmax)
-        object.__setattr__(self, "data",
-                           data.astype(storage_dtype(self.params.bitwidth), copy=False))
+        data = check_grid_ints(self.data, self.params.qmax).astype(
+            storage_dtype(self.params.bitwidth))
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @classmethod
     def trusted(cls, data: np.ndarray, params: QuantParams) -> "NestedTensor":
-        """Wrap indices the layer engine has already bounded, without any check.
+        """Wrap indices already bounded on ``params``, without a check.
 
-        For layer outputs only: ``_requant``'s clip or an average pool's mean
-        of grid indices keeps ``data`` in [0, qmax] of ``params``, a master
-        grid, and it is already in ``storage_dtype``. Data from anywhere else
-        goes through the checked constructor.
+        For the engine's own results (or views of them) only: ``quantize``'s
+        clip, ``_requant``'s clip or an average pool's mean of grid indices
+        keeps ``data`` in [0, qmax] of ``params``, a master grid, and it is
+        already in ``storage_dtype``. ``data`` is made read-only in place.
+        Data from anywhere else goes through the checked constructor.
         """
+        data.flags.writeable = False
         t = object.__new__(cls)
         object.__setattr__(t, "data", data)
         object.__setattr__(t, "params", params)
@@ -176,15 +192,9 @@ class NestedTensor:
     def shape(self):
         return self.data.shape
 
-
-def read_only(t: NestedTensor) -> NestedTensor:
-    """``t`` with its data array made read-only in place, so a write to it raises.
-
-    For the weight-side tensors a layer's compiled steps are built from: a
-    step notices a replaced tensor, not one written in place.
-    """
-    t.data.flags.writeable = False
-    return t
+    @property
+    def size(self) -> int:
+        return self.data.size
 
 
 def make_master_params(range_min: float, range_max: float, n: int) -> QuantParams:
@@ -230,12 +240,17 @@ def quantize(x, params: QuantParams) -> np.ndarray:
     q = np.asarray((x - params.offset) / params.scale)
     q += 0.5
     np.floor(q, out=q)
-    np.clip(q, 0, params.qmax, out=q)
+    # in-place maximum/minimum: np.clip's wrapper costs more than the clip itself on small tensors
+    np.maximum(q, 0, out=q)
+    np.minimum(q, params.qmax, out=q)
     return q.astype(storage_dtype(params.bitwidth))
 
 
 def dequantize(q, params: QuantParams) -> np.ndarray:
-    """Reconstruct real values from grid indices; refuses any index off the grid."""
+    """Reconstruct real values from grid indices (an array or a NestedTensor).
+
+    Refuses any index off the grid.
+    """
     q = check_grid_ints(q, params.qmax)
     return q.astype(np.float64) * params.scale + params.offset
 
@@ -270,8 +285,9 @@ def shift_down(q_n, n: int, b: int) -> np.ndarray:
     intermediate exceeds 2^n - 1, and the clamped values all map to 2^b - 1,
     where the rounding would have clipped them (see ``_shift_plan``). At b = n
     there is nothing to do and the (range-checked) input itself is returned.
-    Refuses a non-integer input (TypeError) and an element outside
-    [0, 2^n - 1] (ValueError).
+    ``q_n`` is a raw array or a NestedTensor, which needs no range check (see
+    ``check_grid_ints``). Refuses a non-integer input (TypeError) and an
+    element outside [0, 2^n - 1] (ValueError).
     """
     if b > n:
         raise ValueError(f"cannot shift up: b={b} > n={n}")

@@ -268,6 +268,11 @@ class TestForward:
         assert trace.transition_ops == expected
         assert trace.counters.shifts == expected
 
+    def test_single_sample_output_owns_its_memory(self, mlp, blob_data):
+        # a view would keep the batch-of-one array alive with every kept output
+        y, _ = forward(mlp, blob_data[0][0], BitPolicy.uniform(4, 3))
+        assert y.shape == mlp.output_shape and y.base is None
+
     def test_policy_length_checked(self, mlp, blob_data):
         with pytest.raises(ValueError):
             forward(mlp, blob_data[0][0], BitPolicy.uniform(8, 2))
@@ -544,6 +549,78 @@ class TestPlanPrecision:
         self.check(plans, "residual_add")
 
 
+def edge_model(kind, tiny):
+    """A fc or conv layer alone, or two fc layers and the residual add of their
+    outputs, at n = 16, each with its plan's int64 bound within 2x of INT64_MAX.
+
+    The fc dot is 2,048 long and the conv dot 288. Inputs, weights and biases
+    are positive, so every term of a dot has one sign, and the first output's
+    weights all sit at the top of their grid: an input at the top of its grid
+    then drives that output's sum close to its plan's bound. At ``tiny`` = 0
+    the output grids are the calibrated ones and the plans fit F of about 40.
+    Otherwise each output grid is [0, 2^-tiny of the calibrated range], which
+    cuts F to a few bits and leaves no negative constant to offset the sum.
+    Returns the model and four inputs, the first at the top of the input grid.
+    """
+    rng = np.random.default_rng(41)
+
+    def weights(*shape):
+        w = rng.uniform(0.1, 0.5, shape)
+        w[0] = 0.5
+        return w
+
+    if kind == "conv2d":
+        shape = (32, 5, 5)
+        specs = [LayerSpec(kind="conv2d", name="c0", in_channels=32, out_channels=4,
+                           kernel=3, padding=1, weight=weights(4, 32, 3, 3),
+                           bias=rng.uniform(0.1, 1.0, 4))]
+    else:
+        shape = (2048,)
+        specs = [LayerSpec(kind="fc", name="fc0", in_features=2048, out_features=8,
+                           weight=weights(8, 2048), bias=rng.uniform(0.1, 1.0, 8))]
+    if kind == "residual_add":
+        specs += [LayerSpec(kind="fc", name="fc1", in_features=8, out_features=8,
+                            weight=weights(8, 8), bias=rng.uniform(0.1, 1.0, 8)),
+                  LayerSpec(kind="residual_add", name="add", source=0)]
+    model = ModelGraph(layers=specs, input_shape=shape, master_bitwidth=16)
+    data = rng.uniform(0.5, 2.0, size=(16,) + shape)
+    calibrate(model, [data])
+    if tiny:
+        for layer in model.layers:
+            layer.output_params = QuantParams(scale=layer.output_params.scale / 2.0 ** tiny,
+                                              offset=0.0, bitwidth=16, master_bitwidth=16)
+    return model, np.concatenate([np.full((1,) + shape, 2.0), np.full((1,) + shape, 0.5),
+                                  data[:2]])
+
+
+class TestInt64Edge:
+    """The folded expression at plans whose int64 bound is within 2x of INT64_MAX."""
+
+    @pytest.mark.parametrize("tiny", [0, 30])
+    @pytest.mark.parametrize("kind", ["fc", "conv2d", "residual_add"])
+    def test_forward_equals_the_scalar_oracles(self, kind, tiny, monkeypatch):
+        model, xs = edge_model(kind, tiny)
+        plans = recorded_plans(monkeypatch)
+        build_plan.cache_clear()
+        cands = (16, 13, 10, 7)
+        for b in cands:
+            policy = BitPolicy.uniform(b, model.num_policy_layers, cands)
+            ys, _ = forward(model, xs, policy)
+            for x, y in zip(xs, ys):
+                t = NestedTensor(data=quantize(x, model.input_params),
+                                 params=model.input_params)
+                outputs = []
+                for layer in model.layers:
+                    aux = outputs[layer.source] if layer.kind == "residual_add" else None
+                    want, _ = oracle_layer(layer, t, b, layer.steps[b].plan, aux)
+                    t = NestedTensor(data=want, params=layer.output_params)
+                    outputs.append(t)
+                assert np.array_equal(y, dequantize(t.data, t.params)), (kind, tiny, b)
+        assert kind in {args[0] for args, _ in plans}
+        for args, plan in plans:
+            assert INT64_MAX // 2 < plan_proof(args, plan) <= INT64_MAX, args[:3]
+
+
 class TestIntegerRange:
     def test_constants_past_int64_refused(self):
         # A tiny output step makes k = step_x * step_w / step_y * 2^F about 2^76.
@@ -792,15 +869,21 @@ class TestBatchedEngine:
 
 class TestRoundingShift:
     def test_half_up_equals_rounding_right_shift_after_the_clip(self):
+        """The folded rounding: with 2^(s-1) added ahead (in a step's ``const``),
+        a floor shift and the clip equal the clipped half-away-from-zero shift."""
         rng = np.random.default_rng(5)
         v = np.concatenate([rng.integers(-(1 << 40), 1 << 40, size=4000),
                             np.arange(-70, 70), [0, 1, -1, 1 << 50, -(1 << 50)]])
+        py = unit_params(16)
         for s in (0, 1, 2, 3, 7, 16, 33, 45):
-            got = layers._shift_half_up(v.copy(), s)
+            half = (1 << s) >> 1
+            folded = (v + half) >> s
             want = np.array([rounding_right_shift(int(a), s) for a in v])
-            assert np.array_equal(np.maximum(got, 0), np.maximum(want, 0)), s
+            assert np.array_equal(np.maximum(folded, 0), np.maximum(want, 0)), s
             # on non-negative values no clip is needed
-            assert np.array_equal(got[v >= 0], want[v >= 0]), s
+            assert np.array_equal(folded[v >= 0], want[v >= 0]), s
+            got = layers._requant(v + half, s, py)
+            assert np.array_equal(got, np.clip(want, 0, py.qmax)), s
 
 
 class TestFloatTensorCount:
@@ -818,7 +901,7 @@ class TestFloatTensorCount:
             return out, record
 
         monkeypatch.setattr(layers, "run_layer", float_head)
-        monkeypatch.setattr(layers, "dequantize", lambda q, p: q * p.scale + p.offset)
+        monkeypatch.setattr(layers, "dequantize", lambda q, p: q.data * p.scale + p.offset)
         got, trace = forward(mlp, x, policy)
         assert trace.fp_tensor_ops == 1
         assert np.array_equal(got, want)

@@ -52,6 +52,11 @@ def test_every_patched_attribute_exists_and_is_restored(tracing, mlp, blob_data)
     assert spans["layers.forward"][0] == 1
     assert {"layers.run_layer." + l.kind for l in mlp.layers} <= set(spans)
     assert tracer.counts["quantize.shift_down.elems"] > 0
+    # One sample below n: the tracer sees every element the trace charges a shift.
+    single = tracing.Tracer()
+    with single.patched():
+        _, trace = layers.forward(mlp, blob_data[0][0], BitPolicy.uniform(4, 3))
+    assert single.counts["quantize.shift_down.elems"] == trace.counters.shifts > 0
 
 
 def test_restored_when_the_traced_code_raises(tracing):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nestq import blobio
 from nestq.blobio import write_blob
 from nestq.intops import OpCounters
-from nestq.layers import BitPolicy, forward
+from nestq.layers import BitPolicy, forward, run_layer
 from nestq.quantize import (
     DegenerateRangeError,
     NestedTensor,
@@ -317,12 +317,26 @@ class TestNestedTensor:
         data = np.array([[0, 7], [255, 3]], dtype=np.int64)
         before = data.copy()
         t = NestedTensor(data=data, params=unit8())
-        t.data[0, 0] = 9
+        with pytest.raises(ValueError):
+            t.data[0, 0] = 9
         assert data.dtype == np.int64 and np.array_equal(data, before)
 
+    def test_a_wider_grid_is_refused(self):
+        t = NestedTensor(data=np.array([4095]), params=make_master_params(0.0, 1.0, 12))
+        with pytest.raises(ValueError):
+            shift_down(t, 8, 4)
+        with pytest.raises(ValueError):
+            dequantize(t, unit8())
+        assert shift_down(t, 12, 4) == 15
+        assert shift_down(t, 16, 4) == 1  # a narrower grid is within range
+
     def test_storage_dtype_array_kept(self):
+        # kept equal, as the tensor's own read-only copy: the caller's array is never aliased
         data = np.arange(4, dtype=np.uint8)
-        assert NestedTensor(data=data, params=unit8()).data is data
+        t = NestedTensor(data=data, params=unit8())
+        assert t.data.dtype == np.uint8 and np.array_equal(t.data, data)
+        assert not t.data.flags.writeable
+        assert not np.shares_memory(t.data, data)
 
 
 # Out-of-range elements per master width: below zero, one past 2^n - 1, the
@@ -368,13 +382,29 @@ def test_external_entries_still_refuse(entry, q, tmp_path, mlp):
 
 
 def test_layer_outputs_skip_the_range_check(mlp, blob_data, monkeypatch):
-    checked = []
+    raw = []
     check = quantize_mod.check_grid_ints
-    monkeypatch.setattr(quantize_mod, "check_grid_ints",
-                        lambda q, qmax: checked.append(q) or check(q, qmax))
+
+    def counted(q, qmax):
+        if not isinstance(q, NestedTensor):
+            raw.append(q)
+        return check(q, qmax)
+
+    monkeypatch.setattr(quantize_mod, "check_grid_ints", counted)
     forward(mlp, blob_data[0][:2], BitPolicy.uniform(8, 3))
-    # the entry NestedTensor, each fc's shift of its input and weights, the exit dequantize
-    assert len(checked) == 1 + 2 * 3 + 1
+    # Every shift and the exit dequantize take a NestedTensor, its own proof.
+    assert len(raw) == 0
+
+
+def test_tensors_are_immutable(mlp, blob_data, tmp_path):
+    checked = NestedTensor(data=quantize(blob_data[0][:2], mlp.input_params),
+                           params=mlp.input_params)
+    out, _ = run_layer(mlp.layers[0], checked, 4)
+    blobio.save_model(mlp, tmp_path / "m")
+    loaded = blobio.load_model(tmp_path / "m").layers[0].weight_q
+    for t in (checked, out, loaded):
+        with pytest.raises(ValueError):
+            t.data.flat[0] = 0
 
 
 class TestRounding:
