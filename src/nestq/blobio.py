@@ -4,11 +4,20 @@ Blob layout: 4 magic bytes, one dtype code byte, one rank byte, rank little-
 endian uint32 dims, then the little-endian row-major payload. Manifests are a
 JSON tree referencing blobs by relative path. All writes go through a temp
 file plus rename so partially written files are never observed.
+
+A MAC layer's manifest entry names up to four blobs: the float ``weight`` and
+``bias`` it was calibrated from and their master-width integers ``weight_q``
+and ``bias_q``. :func:`load_model` reads a model to run, which needs only the
+integers: it reads a float tensor only where its quantized twin is absent.
+:func:`load_for_calibration` reads every blob, since calibration starts from
+the floats. :func:`save_model` refuses a layer that lost its floats that way,
+so every manifest it writes can be recalibrated.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -23,7 +32,8 @@ from .quantize import NestedTensor, QuantParams, make_master_params
 BLOB_MAGIC = b"NQTB"
 MANIFEST_VERSION = 1
 
-_DTYPES = {0: "<f4", 1: "u1", 2: "<u2", 3: "<i4", 4: "<i8"}
+_DTYPES = {code: np.dtype(s) for code, s in
+           {0: "<f4", 1: "u1", 2: "<u2", 3: "<i4", 4: "<i8"}.items()}
 _DTYPE_CODES = {"float32": 0, "uint8": 1, "uint16": 2, "int32": 3, "int64": 4}
 
 
@@ -65,19 +75,33 @@ def write_blob(path: Path, array: np.ndarray) -> None:
 
 
 def read_blob(path: Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    """The tensor a blob file holds, as a read-only view of the file's bytes.
+
+    Copy it to write to it: ``astype`` and the ``NestedTensor`` constructor
+    do. A missing or unreadable file, a bad magic or dtype code, a header cut
+    short and a payload of the wrong length are each a ManifestError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ManifestError(f"cannot read blob {path}: {exc}") from exc
     if raw[:4] != BLOB_MAGIC:
         raise ManifestError(f"{path}: bad blob magic")
-    code, rank = struct.unpack("<BB", raw[4:6])
-    if code not in _DTYPES:
+    try:
+        code, rank = struct.unpack_from("<BB", raw, 4)
+        dims = struct.unpack_from(f"<{rank}I", raw, 6)
+    except struct.error as exc:
+        raise ManifestError(f"{path}: blob header cut short at {len(raw)} bytes") from exc
+    dtype = _DTYPES.get(code)
+    if dtype is None:
         raise ManifestError(f"{path}: unknown dtype code {code}")
-    dims = struct.unpack(f"<{rank}I", raw[6:6 + 4 * rank])
-    dtype = np.dtype(_DTYPES[code])
-    expected = int(np.prod(dims)) * dtype.itemsize
-    payload = raw[6 + 4 * rank:]
-    if len(payload) != expected:
-        raise ManifestError(f"{path}: payload length {len(payload)} != {expected}")
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    offset = 6 + 4 * rank
+    count = math.prod(dims)
+    if len(raw) - offset != count * dtype.itemsize:
+        raise ManifestError(
+            f"{path}: payload length {len(raw) - offset} != {count * dtype.itemsize}")
+    return np.frombuffer(raw, dtype, count, offset).reshape(dims)
 
 
 def _params_to_json(p: QuantParams | None):
@@ -100,7 +124,19 @@ _LAYER_PARAMS = ("input_params", "weight_params", "bias_params", "output_params"
 
 
 def save_model(model: ModelGraph, directory: Path, provenance: dict | None = None) -> Path:
-    """Write the manifest plus one blob per stored tensor; returns manifest path."""
+    """Write the manifest plus one blob per stored tensor; returns manifest path.
+
+    Refuses (ValueError), before it writes anything, a layer that holds a
+    quantized tensor without the float tensor it was quantized from, as a
+    model read by :func:`load_model` does: its manifest could not be
+    recalibrated.
+    """
+    for layer in model.layers:
+        for attr in ("weight", "bias"):
+            if getattr(layer, attr + "_q") is not None and getattr(layer, attr) is None:
+                raise ValueError(
+                    f"layer {layer.name!r} holds {attr}_q without its float {attr}; "
+                    f"read a model to save with load_for_calibration, not load_model")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     layers_json = []
@@ -152,6 +188,12 @@ def _read_json(path: Path, what: str):
 def load_model(manifest_path: Path) -> ModelGraph:
     """Read a model to run; any missing or ill-typed entry is a ManifestError.
 
+    Reads each layer's quantized ``weight_q``/``bias_q`` blobs and skips the
+    float ``weight``/``bias`` blob of every tensor that has them, since only
+    the integers run; a float tensor without a quantized twin is still read,
+    so an uncalibrated manifest loads whole. Such a model cannot be saved
+    (see :func:`save_model`).
+
     ``calibrate`` gives a clamp's producer the clamp's [0, alpha] grid, which
     is the clamp in the integer path. A calibrated manifest whose clamp lacks
     that grid, as every one saved before a clamp became its producer's grid
@@ -159,7 +201,7 @@ def load_model(manifest_path: Path) -> ModelGraph:
     refused: recalibrate it (``nestq calibrate`` reads it with
     :func:`load_for_calibration`). An uncalibrated manifest loads as it is.
     """
-    model = load_for_calibration(manifest_path)
+    model = _load(manifest_path, floats=False)
     n = model.master_bitwidth
     for i, layer in enumerate(model.layers):
         producer = model.layers[i - 1]  # ModelGraph puts a clamp right after its producer
@@ -180,18 +222,24 @@ def _clamp_grid(alpha, n: int) -> QuantParams | None:
 
 
 def load_for_calibration(manifest_path: Path) -> ModelGraph:
-    """Read a manifest and its blobs as saved; any missing or ill-typed entry is a ManifestError.
+    """Read a manifest and every blob it names; any missing or ill-typed entry is a ManifestError.
 
-    Its grids are not checked, since ``calibrate`` replaces them all; run a
-    model through :func:`load_model`. Keys added after version 1
-    (``range_flagged``) are optional and default to the values a model had
-    before they were saved. Keys older manifests carry are ignored:
-    ``quantization.frac_bits``, as each layer plan fits its own fixed-point
-    precision; ``quantization.working_bits`` and ``quantization.rescale``, as a
-    dot's product sum accumulates exactly in int64; and a MAC layer's pre-bias
-    grid, as the layer adds its bias inside the dot and rounds once onto its
-    output grid.
+    Calibration starts from the float weights and biases, so this reads them
+    as well as their quantized twins. Its grids are not checked, since
+    ``calibrate`` replaces them all; run a model through :func:`load_model`.
+    Keys added after version 1 (``range_flagged``) are optional and default to
+    the values a model had before they were saved. Keys older manifests carry
+    are ignored: ``quantization.frac_bits``, as each layer plan fits its own
+    fixed-point precision; ``quantization.working_bits`` and
+    ``quantization.rescale``, as a dot's product sum accumulates exactly in
+    int64; and a MAC layer's pre-bias grid, as the layer adds its bias inside
+    the dot and rounds once onto its output grid.
     """
+    return _load(manifest_path, floats=True)
+
+
+def _load(manifest_path: Path, floats: bool) -> ModelGraph:
+    """The model a manifest describes; float tensors with a quantized twin only if ``floats``."""
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
@@ -200,30 +248,30 @@ def load_for_calibration(manifest_path: Path) -> ModelGraph:
     if version != MANIFEST_VERSION:
         raise ManifestError(f"unrecognized manifest version {version!r}")
     try:
-        return _model_from_manifest(manifest, manifest_path.parent)
+        return _model_from_manifest(manifest, str(manifest_path.parent), floats)
     except (ManifestError, ShapeMismatchError):
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a quantized tensor whose grid is null
         raise ManifestError(f"ill-formed manifest {manifest_path}: {exc!r}") from exc
 
 
-def _model_from_manifest(manifest: dict, base: Path) -> ModelGraph:
+def _model_from_manifest(manifest: dict, base: str, floats: bool) -> ModelGraph:
     layers = []
     for entry in manifest["layers"]:
         layer = LayerSpec(**{k: entry[k] for k in _LAYER_SCALARS})
         layer.range_flagged = _typed(entry, "range_flagged", bool, False)
         for k in _LAYER_PARAMS:
             setattr(layer, k, _params_from_json(entry.get(k)))
-        if "weight" in entry:
-            layer.weight = read_blob(base / entry["weight"]).astype(np.float64)
-        if "bias" in entry:
-            layer.bias = read_blob(base / entry["bias"]).astype(np.float64)
-        if "weight_q" in entry:
-            layer.weight_q = NestedTensor(data=read_blob(base / entry["weight_q"]),
-                                          params=layer.weight_params)
-        if "bias_q" in entry:
-            layer.bias_q = NestedTensor(data=read_blob(base / entry["bias_q"]),
-                                        params=layer.bias_params)
+        for attr in ("weight", "bias"):
+            quantized = attr + "_q" in entry
+            if quantized:
+                setattr(layer, attr + "_q", NestedTensor(
+                    data=read_blob(os.path.join(base, entry[attr + "_q"])),
+                    params=getattr(layer, attr + "_params")))
+            if attr in entry and (floats or not quantized):
+                setattr(layer, attr,
+                        read_blob(os.path.join(base, entry[attr])).astype(np.float64))
         layers.append(layer)
     return ModelGraph(
         layers=layers,

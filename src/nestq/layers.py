@@ -100,7 +100,8 @@ class LayerSpec:
     """One layer: kind, shape metadata, float parameters, calibrated grids.
 
     Float ``weight``/``bias`` are the source of truth until calibration
-    quantizes them into ``weight_q``/``bias_q`` at the master width. ``steps``
+    quantizes them into ``weight_q``/``bias_q`` at the master width; a layer
+    read by ``blobio.load_model`` holds the quantized tensors only. ``steps``
     holds the layer's compiled steps, one per bit-width; replace a quantized
     tensor or grid rather than write into it.
     """
@@ -529,13 +530,14 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
                 raise ShapeMismatchError(
                     f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
         # Tensors are stored as uint8/uint16, where the products would wrap,
-        # so every operand widens to int64 before its constant meets it.
-        xq = shift_down(x, n, b).astype(np.int64).reshape(xd.shape)
+        # so every operand widens to int64 before its constant meets it; a
+        # conv input widens after it unfolds, as the unfold copies it anyway.
+        xs = shift_down(x, n, b).reshape(xd.shape)
 
         if kind == "residual_add":
             step = _step(layer, b, x.params, aux.params)
             k = step.plan.k
-            raw = xq
+            raw = xs.astype(np.int64)
             raw *= k[0]
             branch = shift_down(aux, n, b).astype(np.int64).reshape(xd.shape)
             branch *= k[1]
@@ -550,9 +552,10 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             k = step.plan.k
             w *= k[0]
             w += k[1]
-            rows = xq.reshape(bsz, w.shape[1]) if kind == "fc" else _im2col(
-                xq, layer.kernel, layer.stride, layer.padding, step.plan.pad)
-            raw = rows @ w.T
+            # the padding index is a b-bit index, so it fits the narrow dtype
+            rows = xs.reshape(bsz, w.shape[1]) if kind == "fc" else _im2col(
+                xs, layer.kernel, layer.stride, layer.padding, step.plan.pad)
+            raw = rows.astype(np.int64) @ w.T
         raw += step.const
         out = _requant(raw, step.plan.frac_bits, py)
         if kind == "conv2d":  # (B*pixels, channels) to channel-major per sample

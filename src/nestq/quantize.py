@@ -29,6 +29,7 @@ is refused before it is narrowed, so a cast never wraps it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -228,12 +229,14 @@ def derive_params(master: QuantParams, b: int) -> QuantParams:
 
 
 def quantize(x, params: QuantParams) -> np.ndarray:
-    """Map real values onto the integer grid; out-of-range inputs clip.
+    """Map real values onto the integer grid; out-of-range inputs, ±inf too, clip.
 
     The indices come back in ``storage_dtype`` of the grid's bit-width.
     Rounds with floor(v + 1/2), which equals ``round_half_away`` here: for
     v >= 0 the two are the same expression, and for v < 0 both give at most
-    0, which the clip sends to 0.
+    0, which the clip sends to 0. A NaN has no grid index and is refused
+    (ValueError): the clipped values are finite unless one is NaN, which
+    ``maximum`` and ``minimum`` propagate, so one sum tells.
     """
     x = np.asarray(x, dtype=np.float64)
     # one fresh array (0-d included), then in place: no further temporaries
@@ -243,6 +246,8 @@ def quantize(x, params: QuantParams) -> np.ndarray:
     # in-place maximum/minimum: np.clip's wrapper costs more than the clip itself on small tensors
     np.maximum(q, 0, out=q)
     np.minimum(q, params.qmax, out=q)
+    if math.isnan(np.add.reduce(q, None)):
+        raise ValueError("quantize: the input holds NaN, which has no grid index")
     return q.astype(storage_dtype(params.bitwidth))
 
 

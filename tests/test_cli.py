@@ -2,6 +2,8 @@
 
 import gc
 import json
+import os
+import shutil
 import weakref
 
 import numpy as np
@@ -21,8 +23,9 @@ from nestq.cli import (
     parse_policy,
     resolve_seed,
 )
+from nestq.calibration import calibrate
 from nestq.controller import ControllerSpec
-from nestq.layers import BitPolicy, forward
+from nestq.layers import BitPolicy, LayerSpec, ModelGraph, forward
 
 
 class TestTensorBlob:
@@ -56,6 +59,34 @@ class TestTensorBlob:
         p.write_bytes(p.read_bytes()[:-4])
         with pytest.raises(ManifestError):
             read_blob(p)
+
+    @pytest.mark.parametrize("array", [
+        np.arange(6, dtype=np.uint16).reshape(2, 3),
+        np.empty((0, 4), dtype=np.float32),
+        np.array(7, dtype=np.int64),
+    ], ids=["2x3", "empty", "0-d"])
+    def test_every_prefix_rejected(self, tmp_path, array):
+        p = tmp_path / "t.nqtb"
+        write_blob(p, array)
+        raw = p.read_bytes()
+        assert np.array_equal(read_blob(p), array) and read_blob(p).shape == array.shape
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(ManifestError):
+                read_blob(p)
+
+    def test_missing_or_unreadable_file_rejected(self, tmp_path):
+        for p in (tmp_path / "missing.nqtb", tmp_path):
+            with pytest.raises(ManifestError, match="cannot read blob"):
+                read_blob(p)
+
+    def test_result_is_a_read_only_view(self, tmp_path):
+        p = tmp_path / "t.nqtb"
+        write_blob(p, np.arange(4, dtype=np.int32))
+        got = read_blob(p)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 9
 
     def test_unsupported_dtype_rejected(self, tmp_path):
         with pytest.raises(ManifestError):
@@ -166,7 +197,9 @@ class TestManifest:
         lambda doc: {"version": 1, "input_shape": [4]},
         lambda doc: {**doc, "layers": 5},
         lambda doc: {**doc, "layers": [{**doc["layers"][0], "kind": "lstm"}]},
-    ], ids=["missing_layers", "layers_not_a_list", "unknown_kind"])
+        lambda doc: {**doc, "layers": [{**doc["layers"][0], "weight_params": None},
+                                       *doc["layers"][1:]]},
+    ], ids=["missing_layers", "layers_not_a_list", "unknown_kind", "quantized_without_grid"])
     def test_missing_or_mistyped_entries_rejected(self, tmp_path, mlp, edit):
         path = blobio.save_model(mlp, tmp_path / "m")
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
@@ -257,6 +290,15 @@ class TestManifest:
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ManifestError):
             blobio.load_controller(path)
+
+    def test_loaded_controller_weights_are_writable_float64(self, tmp_path):
+        blobio.save_controller(ControllerSpec(num_layers=3, candidates=(4, 6), seed=1),
+                               tmp_path / "c")
+        loaded = blobio.load_controller(tmp_path / "c")
+        for name in ("w1", "b1", "w2", "b2"):
+            w = getattr(loaded, name)
+            assert w.dtype == np.float64 and w.flags.writeable
+            w[...] = 0.0
 
     def test_unreadable_controller_rejected(self, tmp_path):
         (tmp_path / "controller.json").write_text("{not json")
@@ -450,6 +492,35 @@ class TestCommands:
                      "--input", str(tmp_path / "bad.nqtb"),
                      "--out", str(tmp_path / "o.txt")]) == EXIT_SHAPE
 
+    def test_bad_input_blob_exit_code(self, workspace, tmp_path, capsys):
+        cut = tmp_path / "cut.nqtb"
+        cut.write_bytes(b"NQTB\x00\x02\x05\x00")  # a rank-2 header cut inside its dims
+        for blob in (cut, tmp_path / "missing.nqtb"):
+            capsys.readouterr()
+            assert main(["infer", "--model", str(workspace / "model"),
+                         "--input", str(blob), "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(blob) in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o.txt").exists()
+
+    def test_missing_quantized_blob_exit_code(self, workspace, tmp_path):
+        shutil.copytree(workspace / "model", tmp_path / "m")
+        (tmp_path / "m/blobs/layer0_bias_q.nqtb").unlink()
+        assert main(["infer", "--model", str(tmp_path / "m"),
+                     "--input", str(workspace / "data/x.nqtb"),
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+
+    def test_nan_input_exit_code(self, workspace, tmp_path, capsys):
+        x = read_blob(workspace / "data/x.nqtb")[:3].copy()
+        x[1, 2] = np.nan
+        write_blob(tmp_path / "nan.nqtb", x)
+        capsys.readouterr()
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(tmp_path / "nan.nqtb"),
+                     "--out", str(tmp_path / "o.txt")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NaN" in err and len(err.splitlines()) == 1
+
     def test_unknown_policy_source_exit_code(self, workspace, tmp_path):
         assert main(["infer", "--model", str(workspace / "model"),
                      "--input", str(workspace / "data/x.nqtb"),
@@ -615,3 +686,107 @@ class TestParserBuiltOnce:
         assert read_blob(tmp_path / "1/means.nqtb").shape[0] == 3
         assert read_blob(tmp_path / "3/x.nqtb").shape == (9, 16)
         assert read_blob(tmp_path / "3/means.nqtb").shape[0] == 4
+
+
+def residual_cnn(seed: int = 5):
+    """A residual conv net over 1x16x16 inputs with four biased MAC layers,
+    calibrated on seeded data; returns the model and further inputs."""
+    rng = np.random.default_rng(seed)
+
+    def conv(name, cin, cout, stride=1):
+        return LayerSpec(kind="conv2d", name=name, in_channels=cin, out_channels=cout,
+                         kernel=3, stride=stride, padding=1,
+                         weight=rng.normal(0.0, 1.0 / np.sqrt(9 * cin), (cout, cin, 3, 3)),
+                         bias=rng.normal(0.0, 0.05, cout))
+
+    model = ModelGraph(layers=[
+        conv("conv1", 1, 8),
+        LayerSpec(kind="relu_pact", name="act1"),
+        conv("conv2", 8, 8),
+        LayerSpec(kind="relu_pact", name="act2"),
+        LayerSpec(kind="residual_add", name="res", source=1),
+        LayerSpec(kind="avgpool", name="pool", pool=2),
+        conv("conv3", 8, 16, stride=2),
+        LayerSpec(kind="relu_pact", name="act3"),
+        LayerSpec(kind="flatten", name="flat"),
+        LayerSpec(kind="fc", name="head", in_features=256, out_features=4,
+                  weight=rng.normal(0.0, 1.0 / 16, (4, 256)), bias=rng.normal(0.0, 0.05, 4)),
+    ], input_shape=(1, 16, 16), master_bitwidth=8)
+    x = rng.normal(0.0, 1.0, (40, 1, 16, 16))
+    calibrate(model, [x[:16], x[16:32]])
+    return model, x[32:]
+
+
+@pytest.fixture
+def saved_resnet(tmp_path):
+    """The residual CNN saved to ``tmp_path/m`` and its inputs in ``tmp_path/x.nqtb``."""
+    model, x = residual_cnn()
+    blobio.save_model(model, tmp_path / "m")
+    write_blob(tmp_path / "x.nqtb", x.astype(np.float32))
+    return model, tmp_path / "m", tmp_path / "x.nqtb"
+
+
+QUANTIZED_BLOBS = sorted(f"layer{i}_{t}_q.nqtb" for i in (0, 2, 6, 9) for t in ("weight", "bias"))
+
+
+class TestRunLoader:
+    """``load_model`` reads the quantized tensors only; calibration reads them all."""
+
+    def test_reads_each_quantized_tensor_once_and_no_float(self, saved_resnet, monkeypatch):
+        _, model_dir, _ = saved_resnet
+        reads = []
+        read = blobio.read_blob
+        monkeypatch.setattr(blobio, "read_blob",
+                            lambda path: reads.append(os.path.basename(path)) or read(path))
+        loaded = blobio.load_model(model_dir)
+        assert len(reads) == 8 and sorted(reads) == QUANTIZED_BLOBS
+        assert all(l.weight is None and l.bias is None for l in loaded.layers)
+        reads.clear()
+        for_calibration = blobio.load_for_calibration(model_dir)
+        assert len(reads) == 16 and len(set(reads)) == 16
+        assert all(l.weight is not None for l in for_calibration.layers if l.has_weights)
+
+    def test_uncalibrated_manifest_loads_its_floats(self, tmp_path):
+        from nestq.models import build_toy_cnn
+        blobio.save_model(build_toy_cnn(seed=11), tmp_path / "m")
+        loaded = blobio.load_model(tmp_path / "m")
+        assert all(l.weight is not None for l in loaded.layers if l.has_weights)
+        assert not loaded.is_calibrated
+
+    def test_runs_without_its_float_blobs(self, saved_resnet, tmp_path):
+        model, model_dir, x_blob = saved_resnet
+        x = read_blob(x_blob).astype(np.float64)
+
+        def infer(out):
+            return main(["infer", "--model", str(model_dir), "--input", str(x_blob),
+                         "--policy", "fixed:8,4,6,3,5", "--out", str(tmp_path / out)])
+
+        assert infer("with.txt") == EXIT_OK
+        for blob in (model_dir / "blobs").iterdir():
+            if not blob.stem.endswith("_q"):
+                blob.unlink()
+        assert sorted(p.name for p in (model_dir / "blobs").iterdir()) == QUANTIZED_BLOBS
+        loaded = blobio.load_model(model_dir)
+        for policy in (BitPolicy.uniform(8, 5), BitPolicy(bits=(8, 4, 6, 3, 5),
+                                                          candidates=(3, 4, 5, 6, 8))):
+            (want, want_trace), (got, got_trace) = forward(model, x, policy), \
+                forward(loaded, x, policy)
+            assert np.array_equal(got, want) and got_trace == want_trace
+        assert infer("without.txt") == EXIT_OK
+        assert same_report(tmp_path / "with.txt", tmp_path / "without.txt")
+        assert main(["calibrate", "--model", str(model_dir),
+                     "--data", str(x_blob)]) == EXIT_MANIFEST
+
+    def test_a_model_loaded_to_run_is_not_saved(self, saved_resnet, tmp_path):
+        _, model_dir, _ = saved_resnet
+        with pytest.raises(ValueError, match="load_for_calibration") as exc:
+            blobio.save_model(blobio.load_model(model_dir), tmp_path / "out")
+        assert "'conv1'" in str(exc.value)
+        assert not (tmp_path / "out").exists()
+        # Read for calibration, it saves back byte for byte.
+        blobio.save_model(blobio.load_for_calibration(model_dir), tmp_path / "again")
+        saved = sorted(p.relative_to(model_dir) for p in model_dir.rglob("*") if p.is_file())
+        assert saved == sorted(p.relative_to(tmp_path / "again")
+                               for p in (tmp_path / "again").rglob("*") if p.is_file())
+        for rel in saved:
+            assert (model_dir / rel).read_bytes() == (tmp_path / "again" / rel).read_bytes()

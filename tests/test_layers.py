@@ -37,6 +37,7 @@ from nestq.quantize import (
     quantize,
     rounding_right_shift,
     shift_down,
+    storage_dtype,
 )
 
 
@@ -821,6 +822,32 @@ class TestBatchedEngine:
     def test_conv_residual_pool_fc(self, n):
         model, data = pooled_resnet(n)
         self.check(model, data[:4], random_policies(model, np.random.default_rng(200 + n)))
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 16])
+    def test_conv_unfolds_narrow_as_it_did_wide(self, n, cnn_data, make_block, monkeypatch):
+        """A conv unfolds its shifted input in its storage dtype, then widens
+        the rows: bit-identical to unfolding the input widened to int64 first."""
+        x = cnn_data[0][:4]
+        cnn = build_toy_cnn(seed=11, n=n)
+        calibrate(cnn, [cnn_data[0][:50], cnn_data[0][50:]])
+        im2col, dtypes = layers._im2col, []
+
+        def widened_first(xs, *args):
+            dtypes.append(xs.dtype)
+            return im2col(xs.astype(np.int64), *args)
+
+        for model in (cnn, make_block(n)):
+            for policy in random_policies(model, np.random.default_rng(300 + n), 3):
+                dtypes.clear()
+                want = outcome(model, x, policy)
+                with monkeypatch.context() as m:
+                    m.setattr(layers, "_im2col", widened_first)
+                    got = outcome(model, x, policy)
+                assert dtypes and all(d == storage_dtype(n) for d in dtypes)
+                if isinstance(want[0], type):
+                    assert want == got, policy
+                else:
+                    assert np.array_equal(want[0], got[0]) and want[1] == got[1], policy
 
     def test_refused_layer_raises_the_same_error_batched(self, cnn_data):
         x = cnn_data[0]

@@ -107,6 +107,16 @@ class TestQuantizeDequantize:
         assert quantize(np.array(-10.0), p) == 0
         assert quantize(np.array(999.0), p) == 255
 
+    @pytest.mark.parametrize("x", [np.array([0.5, np.nan]), np.array(np.nan),
+                                   np.full((2, 3), np.nan)], ids=["one", "0-d", "all"])
+    def test_nan_refused(self, x):
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(x, make_master_params(0.0, 1.0, 12))
+
+    def test_infinities_clip(self):
+        p = make_master_params(0.0, 1.0, 12)
+        assert quantize(np.array([np.inf, -np.inf, 0.5]), p).tolist() == [4095, 0, 2048]
+
     def test_dequantize_zero_is_offset(self):
         p = make_master_params(-2.0, 6.0, 4)
         assert dequantize(np.array(0), p) == -2.0
