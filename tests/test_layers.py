@@ -823,7 +823,7 @@ class TestBatchedEngine:
         model, data = pooled_resnet(n)
         self.check(model, data[:4], random_policies(model, np.random.default_rng(200 + n)))
 
-    @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14, 16])
+    @pytest.mark.parametrize("n", range(4, 17))
     def test_conv_unfolds_narrow_as_it_did_wide(self, n, cnn_data, make_block, monkeypatch):
         """A conv unfolds its shifted input in its storage dtype, then widens
         the rows: bit-identical to unfolding the input widened to int64 first."""
