@@ -7,8 +7,10 @@ file plus rename so partially written files are never observed.
 
 A MAC layer's manifest entry names up to four blobs: the float ``weight`` and
 ``bias`` it was calibrated from and their master-width integers ``weight_q``
-and ``bias_q``. :func:`load_model` reads a model to run, which needs only the
-integers: it reads a float tensor only where its quantized twin is absent.
+and ``bias_q`` with their grids; the only other grids stored are the model's
+and each policy layer's output grid. :func:`load_model` reads a model to run,
+which needs only the integers: it reads a float tensor only where its
+quantized twin is absent.
 :func:`load_for_calibration` reads every blob, since calibration starts from
 the floats. :func:`save_model` refuses a layer that lost its floats that way,
 so every manifest it writes can be recalibrated.
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import ControllerSpec
-from .layers import LayerSpec, ModelGraph, ShapeMismatchError
+from .layers import POLICY_KINDS, LayerSpec, ModelGraph, ShapeMismatchError
 from .quantize import NestedTensor, QuantParams, make_master_params
 
 BLOB_MAGIC = b"NQTB"
@@ -120,7 +122,6 @@ def _params_from_json(d) -> QuantParams | None:
 _LAYER_SCALARS = ("kind", "name", "in_features", "out_features", "in_channels",
                   "out_channels", "kernel", "stride", "padding", "pool",
                   "source", "alpha")
-_LAYER_PARAMS = ("input_params", "weight_params", "bias_params", "output_params")
 
 
 def save_model(model: ModelGraph, directory: Path, provenance: dict | None = None) -> Path:
@@ -143,19 +144,21 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
     for i, layer in enumerate(model.layers):
         entry = {k: getattr(layer, k) for k in _LAYER_SCALARS}
         entry["range_flagged"] = layer.range_flagged
-        entry.update({k: _params_to_json(getattr(layer, k)) for k in _LAYER_PARAMS})
-        for attr, suffix in (("weight", "weight"), ("bias", "bias")):
+        if layer.kind in POLICY_KINDS:
+            entry["output_params"] = _params_to_json(layer.output_params)
+        for attr in ("weight", "bias"):
             t = getattr(layer, attr)
             if t is not None:
-                ref = f"blobs/layer{i}_{suffix}.nqtb"
+                ref = f"blobs/layer{i}_{attr}.nqtb"
                 write_blob(directory / ref, np.asarray(t))
                 entry[attr] = ref
             qt = getattr(layer, attr + "_q")
             if qt is not None:
-                ref = f"blobs/layer{i}_{suffix}_q.nqtb"
+                ref = f"blobs/layer{i}_{attr}_q.nqtb"
                 # Files keep their int64 payload whatever the storage dtype.
                 write_blob(directory / ref, qt.data.astype(np.int64))
                 entry[attr + "_q"] = ref
+                entry[attr + "_params"] = _params_to_json(qt.params)
         layers_json.append(entry)
     manifest = {
         "version": MANIFEST_VERSION,
@@ -232,8 +235,10 @@ def load_for_calibration(manifest_path: Path) -> ModelGraph:
     are ignored: ``quantization.frac_bits``, as each layer plan fits its own
     fixed-point precision; ``quantization.working_bits`` and
     ``quantization.rescale``, as a dot's product sum accumulates exactly in
-    int64; and a MAC layer's pre-bias grid, as the layer adds its bias inside
-    the dot and rounds once onto its output grid.
+    int64; a MAC layer's pre-bias grid, as the layer adds its bias inside
+    the dot and rounds once onto its output grid; and each layer's input grid
+    and a clamp's, pool's or flatten's output grid, as each is its producer's.
+    :func:`load_model` ignores the same keys.
     """
     return _load(manifest_path, floats=True)
 
@@ -261,14 +266,14 @@ def _model_from_manifest(manifest: dict, base: str, floats: bool) -> ModelGraph:
     for entry in manifest["layers"]:
         layer = LayerSpec(**{k: entry[k] for k in _LAYER_SCALARS})
         layer.range_flagged = _typed(entry, "range_flagged", bool, False)
-        for k in _LAYER_PARAMS:
-            setattr(layer, k, _params_from_json(entry.get(k)))
+        if layer.kind in POLICY_KINDS:
+            layer.output_params = _params_from_json(entry.get("output_params"))
         for attr in ("weight", "bias"):
             quantized = attr + "_q" in entry
             if quantized:
                 setattr(layer, attr + "_q", NestedTensor(
                     data=read_blob(os.path.join(base, entry[attr + "_q"])),
-                    params=getattr(layer, attr + "_params")))
+                    params=_params_from_json(entry.get(attr + "_params"))))
             if attr in entry and (floats or not quantized):
                 setattr(layer, attr,
                         read_blob(os.path.join(base, entry[attr])).astype(np.float64))
@@ -286,7 +291,7 @@ def save_controller(spec: ControllerSpec, directory: Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     for name in ("w1", "b1", "w2", "b2"):
         t = getattr(spec, name)
-        if t is not None and t.size:
+        if t is not None:
             write_blob(directory / f"{name}.nqtb", np.asarray(t, dtype=np.float64))
     meta = {
         "num_layers": spec.num_layers,
@@ -302,9 +307,11 @@ def save_controller(spec: ControllerSpec, directory: Path) -> Path:
 
 
 def load_controller(path: Path) -> ControllerSpec:
-    """Read a saved controller and its blobs.
+    """Read a saved controller and its four weight blobs.
 
-    An unreadable file, or a missing or ill-typed key, is a ManifestError.
+    An unreadable file, a missing or ill-typed key, a missing blob and a blob
+    whose shape is not the one ``controller.json`` implies are each a
+    ManifestError.
     """
     path = Path(path)
     if path.is_dir():
@@ -324,11 +331,14 @@ def load_controller(path: Path) -> ControllerSpec:
         )
     except (AttributeError, TypeError) as exc:
         raise ManifestError(f"ill-formed controller {path}: {exc!r}") from exc
-    base = path.parent
-    for name in ("w1", "b1", "w2", "b2"):
-        blob = base / f"{name}.nqtb"
-        if blob.exists():
-            setattr(spec, name, read_blob(blob).astype(np.float64))
+    logits = spec.num_layers * len(spec.candidates)
+    for name, shape in (("w1", (spec.hidden, spec.feature_dim)), ("b1", (spec.hidden,)),
+                        ("w2", (logits, spec.hidden)), ("b2", (logits,))):
+        blob = path.parent / f"{name}.nqtb"
+        t = read_blob(blob)
+        if t.shape != shape:
+            raise ManifestError(f"{blob}: shape {t.shape}, {path.name} implies {shape}")
+        setattr(spec, name, t.astype(np.float64))
     return spec
 
 

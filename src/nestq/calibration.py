@@ -5,9 +5,10 @@ range with an exponential moving average, picks each activation clamp from a
 high percentile of observed values, and then freezes all master grids and
 quantizes the weights. A MAC layer's bias has its own grid but its result does
 not: the integer path adds the bias inside the dot and rounds once, onto the
-output grid. One rule sets output grids: a fc, conv2d or residual_add takes
-the [0, alpha] grid of a clamp after it, else its widened EMA range; other
-layers keep their input grid. The clamp is that grid alone and runs no code.
+output grid. Each grid is set once, where it is stored: a fc, conv2d or
+residual_add's output grid is the [0, alpha] grid of a clamp after it, else its
+widened EMA range; other layers keep their input grid and store none. The
+clamp is that grid alone and runs no code.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ def _widened(lo: float, hi: float) -> tuple[float, float, bool]:
 
 
 def quantize_weights(layer: LayerSpec, n: int) -> bool:
-    """Fix a MAC layer's weight and bias grids from their min/max and quantize both.
+    """Quantize a MAC layer's weight and bias onto grids fixed by their min/max.
 
-    The quantized tensors are read-only, as every NestedTensor is: a layer's
-    compiled steps hold constants derived from them. Returns True if either
-    range was degenerate and had to be widened.
+    Each grid is stored only on its tensor, which is read-only, as every
+    NestedTensor is: a layer's compiled steps hold constants derived from it.
+    Returns True if either range was degenerate and had to be widened.
     """
     flagged = False
     for attr in ("weight", "bias"):
@@ -73,7 +74,6 @@ def quantize_weights(layer: LayerSpec, n: int) -> bool:
             continue
         lo, hi, widened = _widened(float(t.min()), float(t.max()))
         params = make_master_params(lo, hi, n)
-        setattr(layer, attr + "_params", params)
         setattr(layer, attr + "_q", NestedTensor(data=quantize(t, params), params=params))
         flagged |= widened
     return flagged
@@ -166,22 +166,17 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
     lo, hi, _ = _widened(in_lo, data_max)
     model.input_params = make_master_params(lo, hi, n)
 
-    prev_params = model.input_params
     for i, layer in enumerate(model.layers):
-        layer.input_params = prev_params
         if layer.has_weights:
             layer.range_flagged |= quantize_weights(layer, n)
         nxt = model.layers[i + 1] if i + 1 < len(model.layers) else None
-        if layer.kind not in POLICY_KINDS:
-            layer.output_params = prev_params
-        elif nxt is not None and nxt.kind == "relu_pact":
+        if nxt is not None and nxt.kind == "relu_pact":
             # ModelGraph puts every clamp right after a policy layer, so each gets its bound here.
             alpha = float(np.percentile(np.concatenate(act_values[i + 1]), ALPHA_PERCENTILE))
             nxt.alpha = alpha if alpha > 0 else DEGENERATE_ABS_EPS
             layer.output_params = make_master_params(0.0, nxt.alpha, n)
-        else:
+        elif layer.kind in POLICY_KINDS:
             lo, hi, f = _widened(states[i].y_min, states[i].y_max)
             layer.range_flagged |= f
             layer.output_params = make_master_params(lo, hi, n)
-        prev_params = layer.output_params
     return model

@@ -290,6 +290,16 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _float_in(low: float, high: float) -> Callable[[str], float]:
+    """argparse type: a float in [low, high]; NaN or anything else is a usage error (exit 2)."""
+    def parse(text: str) -> float:
+        if not low <= float(text) <= high:
+            raise argparse.ArgumentTypeError(f"must be in [{low}, {high}], got {text}")
+        return float(text)
+    parse.__name__ = "float"
+    return parse
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
@@ -308,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="freeze grids from data and quantize weights")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="input blob, samples on axis 0")
-    p.add_argument("--momentum", type=float, default=DEFAULT_EMA_MOMENTUM)
+    p.add_argument("--momentum", type=_float_in(0.0, 1.0), default=DEFAULT_EMA_MOMENTUM,
+                   help="EMA weight g of the running range, in [0, 1]")
     p.add_argument("--passes", type=_int_at_least(1), default=1)
     p.add_argument("--batch-size", type=_int_at_least(1), default=64)
     p.add_argument("--out", default=None, help="defaults to updating --model in place")
@@ -335,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check integer operators against their bounds")
     p.add_argument("--suite", choices=VERIFY_SUITES, default="bounds")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=_int_at_least(1), default=100_000)
     p.add_argument("--frac-bits", type=int, default=None,
                    help="fixed-point precision F of every sampled operator; by default "
                         "each operator gets its own F from intops.fit_frac_bits, "

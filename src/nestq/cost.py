@@ -9,8 +9,8 @@ costs the primitives of the float round trip,
 The in-loop counts are every arithmetic primitive of one inference as the
 trace charges them: MAC loops, fused bias terms, residual adds and pooling
 adds. The report sums ``layers.layer_counters``, the rule the trace charges,
-over the layers; a model without calibrated grids is charged the factored
-MAC loop.
+over the layers, each at the input grid ``ModelGraph.output_grid`` resolves
+for it; a model without calibrated grids is charged the factored MAC loop.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ def cost_report(model: ModelGraph, policy: BitPolicy, mode: str = "dqt") -> Cost
     if mode not in ("dqt", "standard"):
         raise ValueError(f"unknown transition mode {mode!r}")
     counters = OpCounters()
-    for layer, b in zip(model.layers, model.layer_bitwidths(policy)):
-        counters.merge(layer_counters(layer, b, model.master_bitwidth))
+    for i, (layer, b) in enumerate(zip(model.layers, model.layer_bitwidths(policy))):
+        counters.merge(layer_counters(layer, b, model.master_bitwidth, model.output_grid(i - 1)))
     e = counters.shifts
     report = CostReport(
         bitops=bitops(model, policy),

@@ -27,10 +27,10 @@ proof), the additive constant ``c'`` (per output for a fc or conv), and the
 layer's :func:`layer_counters`. It caches no tensor: weights and activations
 are shifted down to b on every call, and the trace charges those shifts on
 every call, since that shift is the transition the scheme prices. A step is
-reused only while the input, weight or branch, bias and output grids and
-``weight_q``/``bias_q`` are the very objects it was built from;
-``calibrate`` and ``load_model`` replace them all, and a NestedTensor's data
-is read-only, so a step is never stale.
+reused only while the input, weight or branch and output grids and
+``weight_q``/``bias_q`` (which carry the weight and bias grids) are the very
+objects it was built from; ``calibrate`` and ``load_model`` replace them all,
+and a NestedTensor's data is read-only, so a step is never stale.
 
 Every tensor passed between layers is a :class:`NestedTensor`, and
 ``run_layer`` hands those, not their arrays, to ``shift_down``: the tensor is
@@ -97,13 +97,12 @@ class ShapeMismatchError(ValueError):
 
 @dataclass
 class LayerSpec:
-    """One layer: kind, shape metadata, float parameters, calibrated grids.
+    """One layer: kind, shape metadata, float parameters, the grids it owns.
 
-    Float ``weight``/``bias`` are the source of truth until calibration
-    quantizes them into ``weight_q``/``bias_q`` at the master width; a layer
-    read by ``blobio.load_model`` holds the quantized tensors only. ``steps``
-    holds the layer's compiled steps, one per bit-width; replace a quantized
-    tensor or grid rather than write into it.
+    Calibration quantizes float ``weight``/``bias`` into ``weight_q``/``bias_q``,
+    each carrying its grid (``blobio.load_model`` reads only these). Only a
+    policy layer holds a grid of its own, ``output_params``. ``steps`` holds the
+    compiled steps, one per bit-width; replace a tensor or grid, never write into it.
     """
 
     kind: str
@@ -129,10 +128,7 @@ class LayerSpec:
     weight_q: NestedTensor | None = None
     bias_q: NestedTensor | None = None
 
-    input_params: QuantParams | None = None
-    weight_params: QuantParams | None = None
-    bias_params: QuantParams | None = None
-    output_params: QuantParams | None = None
+    output_params: QuantParams | None = None  # policy layers only
 
     input_shape: tuple[int, ...] = ()
     output_shape: tuple[int, ...] = ()
@@ -243,8 +239,16 @@ class ModelGraph:
     @property
     def is_calibrated(self) -> bool:
         return self.input_params is not None and all(
-            l.output_params is not None for l in self.layers
-        )
+            l.output_params is not None for l in self.layers if l.kind in POLICY_KINDS)
+
+    def output_grid(self, i: int) -> QuantParams | None:
+        """The grid layer i's output is on, so layer i + 1's input grid; i = -1 is
+        the model input. A policy layer's own ``output_params``, else its input's:
+        a clamp, pool or flatten keeps the grid it reads.
+        """
+        while i >= 0 and self.layers[i].kind not in POLICY_KINDS:
+            i -= 1
+        return self.layers[i].output_params if i >= 0 else self.input_params
 
     def layer_bitwidths(self, policy: "BitPolicy") -> list[int]:
         """Each layer's bit-width: its policy entry for a policy layer, else n.
@@ -349,7 +353,7 @@ class LayerStep:
     """A policy layer compiled at one bit-width: everything a call needs but its shifts.
 
     ``sources`` are the objects it was built from: input grid, weight or
-    branch grid, ``weight_q``, ``bias_q``, output grid and bias grid. ``const``
+    branch grid, ``weight_q``, ``bias_q`` and output grid. ``const``
     is the expression's additive constant with the rounding half 2^(F-1)
     folded in: for a fc or conv layer one int64 per output,
     ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5 + 2^(F-1)``, for a residual add the
@@ -398,11 +402,11 @@ def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: Qu
     return LayerPlan(k, frac_bits, pad)
 
 
-def layer_counters(layer: LayerSpec, b: int, n: int) -> OpCounters:
+def layer_counters(layer: LayerSpec, b: int, n: int, x_grid: QuantParams | None) -> OpCounters:
     """Primitives one call of ``layer`` at bit-width b under master width n runs.
 
-    A fc/conv runs its MAC loop per MAC (general if its input grid has an
-    offset, else factored) and, if biased, the bias term per output; a
+    A fc/conv runs its MAC loop per MAC (general if its input grid ``x_grid``
+    has an offset, else factored) and, if biased, the bias term per output; a
     residual add runs the integer add per output and an average pool one add
     per input element it sums, the rows and columns its windows crop excluded.
     Below n a policy layer shifts each weight and input once.
@@ -417,7 +421,7 @@ def layer_counters(layer: LayerSpec, b: int, n: int) -> OpCounters:
     if layer.kind == "residual_add":
         ops = [(ADD_PRIMITIVES, outputs)]
     else:
-        ops = [(MAC_PRIMITIVES[mac_loop(layer.input_params)], layer.mac_count())]
+        ops = [(MAC_PRIMITIVES[mac_loop(x_grid)], layer.mac_count())]
         if layer.bias_q is not None or layer.bias is not None:
             ops.append((BIAS_PRIMITIVES, outputs))
     return OpCounters(mults=sum(t["mul"] * c for t, c in ops),
@@ -451,14 +455,13 @@ def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams
     a fc or conv layer's weights as this call shifted them to b, in int64 with
     one row per output, from which a new step takes its additive constant.
     """
-    sources = (x_grid, other_grid, layer.weight_q, layer.bias_q, layer.output_params,
-               layer.bias_params)
+    sources = (x_grid, other_grid, layer.weight_q, layer.bias_q, layer.output_params)
     step = layer.steps.get(b)
     if step is not None and all(map(is_, step.sources, sources)):
         return step
     plan = build_plan(
         layer.kind, layer.name, b, x_grid, other_grid,
-        layer.bias_params if layer.bias_q is not None else None, layer.output_params,
+        layer.bias_q.params if layer.bias_q is not None else None, layer.output_params,
         layer.weight_elements() // layer.output_shape[0])  # dot length, 0 for an add
     k, half = plan.k, (1 << plan.frac_bits) >> 1
     if w is None:
@@ -467,7 +470,7 @@ def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
         const = k[2] * w.sum(axis=1) + k[3] * bias + (k[4] + half)
     step = LayerStep(sources, plan, const,
-                     layer_counters(layer, b, x_grid.master_bitwidth))
+                     layer_counters(layer, b, x_grid.master_bitwidth, x_grid))
     layer.steps[b] = step
     return step
 
@@ -485,13 +488,11 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     onto the calibrated output grid, whose clipping realizes any following
     clamp, so the next layer again sees a master-width tensor. A residual add
     is the array form of ``int_add``, ``k1*x + k2*branch + c'``, rounded and
-    clipped the same way; a clamp passes its input through and a flatten
-    reshapes it. ``aux`` carries the second operand for residual adds, shaped
-    like ``x``. The record counts one sample's work.
+    clipped the same way; a clamp passes its input through, a flatten reshapes
+    it and an average pool takes window means, each on ``x``'s grid. ``aux``
+    carries the second operand for residual adds, shaped like ``x``. The
+    record counts one sample's work.
     """
-    py = layer.output_params
-    if py is None:
-        raise ValueError(f"layer {layer.name!r} is not calibrated")
     n = x.params.master_bitwidth
     if b > n:
         raise ValueError(f"policy bit-width {b} above master width {n}")
@@ -504,68 +505,67 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     kind = layer.kind
     bsz = len(xd)
 
-    if kind in ("relu_pact", "flatten"):
-        # A clamp is its producer's output grid, which already clipped.
-        out = xd.reshape((bsz,) + layer.output_shape)
+    if kind not in POLICY_KINDS:
+        if kind == "avgpool":
+            # Same-grid integer mean per window; exact under a shared affine grid.
+            c, h, w = shape
+            p = layer.pool
+            view = xd[:, :, :h - h % p, :w - w % p].reshape(bsz, c, h // p, p, w // p, p)
+            sums = view.sum(axis=(3, 5), dtype=np.int64)
+            area = p * p
+            out = ((sums + area // 2) // area).astype(storage_dtype(n))
+        else:  # a clamp is its producer's output grid, which already clipped
+            out = xd.reshape((bsz,) + layer.output_shape)
         return (NestedTensor.trusted(out[0] if single else out, x.params),
-                LayerRecord(index=-1, kind=kind, bitwidth=b, counters=OpCounters()))
+                LayerRecord(index=-1, kind=kind, bitwidth=b,
+                            counters=layer_counters(layer, b, n, x.params)))
 
-    if kind == "avgpool":
-        # Same-grid integer mean per window; exact under a shared affine grid.
-        c, h, w = shape
-        p = layer.pool
-        view = xd[:, :, :h - h % p, :w - w % p].reshape(bsz, c, h // p, p, w // p, p)
-        sums = view.sum(axis=(3, 5), dtype=np.int64)
-        area = p * p
-        out = ((sums + area // 2) // area).astype(storage_dtype(py.bitwidth))
-        counters = layer_counters(layer, b, n)
+    py = layer.output_params
+    if py is None:
+        raise ValueError(f"layer {layer.name!r} is not calibrated")
+    if layer.has_weights and layer.weight_q is None:
+        raise ValueError(f"layer {layer.name!r} has no quantized weights")
+    if kind == "residual_add":
+        if aux is None:
+            raise ValueError("residual_add needs the stored branch output")
+        if aux.shape != x.shape:
+            raise ShapeMismatchError(
+                f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
+    # Tensors are stored as uint8/uint16, where the products would wrap,
+    # so every operand widens to int64 before its constant meets it; a
+    # conv input widens after it unfolds, as the unfold copies it anyway.
+    xs = shift_down(x, n, b).reshape(xd.shape)
 
+    if kind == "residual_add":
+        step = _step(layer, b, x.params, aux.params)
+        k = step.plan.k
+        raw = xs.astype(np.int64)
+        raw *= k[0]
+        branch = shift_down(aux, n, b).astype(np.int64).reshape(xd.shape)
+        branch *= k[1]
+        raw += branch
     else:
-        if layer.has_weights and layer.weight_q is None:
-            raise ValueError(f"layer {layer.name!r} has no quantized weights")
-        if kind == "residual_add":
-            if aux is None:
-                raise ValueError("residual_add needs the stored branch output")
-            if aux.shape != x.shape:
-                raise ShapeMismatchError(
-                    f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
-        # Tensors are stored as uint8/uint16, where the products would wrap,
-        # so every operand widens to int64 before its constant meets it; a
-        # conv input widens after it unfolds, as the unfold copies it anyway.
-        xs = shift_down(x, n, b).reshape(xd.shape)
-
-        if kind == "residual_add":
-            step = _step(layer, b, x.params, aux.params)
-            k = step.plan.k
-            raw = xs.astype(np.int64)
-            raw *= k[0]
-            branch = shift_down(aux, n, b).astype(np.int64).reshape(xd.shape)
-            branch *= k[1]
-            raw += branch
-        else:
-            # One row of weights per output feature or channel; the input
-            # unfolds into one row per sample (fc) or per sample and output
-            # pixel (conv), and outputs leave as (rows, channels).
-            w = shift_down(layer.weight_q, n, b).astype(np.int64).reshape(
-                layer.output_shape[0], -1)
-            step = _step(layer, b, x.params, layer.weight_q.params, w)
-            k = step.plan.k
-            w *= k[0]
-            w += k[1]
-            # the padding index is a b-bit index, so it fits the narrow dtype
-            rows = xs.reshape(bsz, w.shape[1]) if kind == "fc" else _im2col(
-                xs, layer.kernel, layer.stride, layer.padding, step.plan.pad)
-            raw = rows.astype(np.int64) @ w.T
-        raw += step.const
-        out = _requant(raw, step.plan.frac_bits, py)
-        if kind == "conv2d":  # (B*pixels, channels) to channel-major per sample
-            channels, *pixels = layer.output_shape
-            out = out.reshape(bsz, math.prod(pixels), channels).transpose(0, 2, 1).reshape(
-                (bsz,) + layer.output_shape)
-        counters = step.counters
-
+        # One row of weights per output feature or channel; the input
+        # unfolds into one row per sample (fc) or per sample and output
+        # pixel (conv), and outputs leave as (rows, channels).
+        w = shift_down(layer.weight_q, n, b).astype(np.int64).reshape(
+            layer.output_shape[0], -1)
+        step = _step(layer, b, x.params, layer.weight_q.params, w)
+        k = step.plan.k
+        w *= k[0]
+        w += k[1]
+        # the padding index is a b-bit index, so it fits the narrow dtype
+        rows = xs.reshape(bsz, w.shape[1]) if kind == "fc" else _im2col(
+            xs, layer.kernel, layer.stride, layer.padding, step.plan.pad)
+        raw = rows.astype(np.int64) @ w.T
+    raw += step.const
+    out = _requant(raw, step.plan.frac_bits, py)
+    if kind == "conv2d":  # (B*pixels, channels) to channel-major per sample
+        channels, *pixels = layer.output_shape
+        out = out.reshape(bsz, math.prod(pixels), channels).transpose(0, 2, 1).reshape(
+            (bsz,) + layer.output_shape)
     return (NestedTensor.trusted(out[0] if single else out, py),
-            LayerRecord(index=-1, kind=kind, bitwidth=b, counters=counters.copy()))
+            LayerRecord(index=-1, kind=kind, bitwidth=b, counters=step.counters.copy()))
 
 
 def forward(model: ModelGraph, x: np.ndarray,

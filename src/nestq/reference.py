@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .calibration import float_layer
-from .layers import BitPolicy, ModelGraph
+from .layers import POLICY_KINDS, BitPolicy, ModelGraph
 from .quantize import QuantParams, derive_params, round_half_away, round_half_away_int
 
 
@@ -50,21 +50,21 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
     sources = {l.source for l in model.layers if l.kind == "residual_add"}
     outputs = {}
     for i, (layer, b) in enumerate(zip(model.layers, bits)):
+        if layer.kind in POLICY_KINDS:  # the input enters at b
+            t = fake_quantize(t, derive_params(model.output_grid(i - 1), b))
         if layer.kind in ("fc", "conv2d"):
-            w_master = np.asarray(layer.weight_q.data, dtype=np.float64) \
-                * layer.weight_params.scale + layer.weight_params.offset
-            shadow = replace(layer, weight=fake_quantize(
-                w_master, derive_params(layer.weight_params, b)))
+            pw = layer.weight_q.params
+            w_master = np.asarray(layer.weight_q.data, dtype=np.float64) * pw.scale + pw.offset
+            shadow = replace(layer, weight=fake_quantize(w_master, derive_params(pw, b)))
             if layer.bias_q is not None:
+                pb = layer.bias_q.params
                 shadow.bias = np.asarray(layer.bias_q.data, dtype=np.float64) \
-                    * layer.bias_params.scale + layer.bias_params.offset
-            t = fake_quantize(float_layer(shadow, fake_quantize(
-                t, derive_params(layer.input_params, b))), layer.output_params)
+                    * pb.scale + pb.offset
+            t = fake_quantize(float_layer(shadow, t), layer.output_params)
         elif layer.kind == "residual_add":
             aux = fake_quantize(outputs[layer.source], derive_params(
-                model.layers[layer.source].output_params, b))
-            t = fake_quantize(fake_quantize(t, derive_params(layer.input_params, b)) + aux,
-                              layer.output_params)
+                model.output_grid(layer.source), b))
+            t = fake_quantize(t + aux, layer.output_params)
         else:
             t = float_layer(layer, t)
         if i in sources:

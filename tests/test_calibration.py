@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nestq.calibration import RangeState, calibrate, ema_update
-from nestq.layers import LayerSpec, ModelGraph
+from nestq.layers import POLICY_KINDS, LayerSpec, ModelGraph
 from nestq.quantize import MAX_BITWIDTH, MIN_BITWIDTH, make_master_params
 
 
@@ -72,7 +72,7 @@ class TestCalibrate:
         model = ModelGraph(layers=[layer], input_shape=(2,))
         calibrate(model, [np.random.default_rng(0).uniform(0, 1, (32, 2))])
         assert model.layers[0].range_flagged
-        assert model.layers[0].weight_params.scale > 0
+        assert model.layers[0].weight_q.params.scale > 0
 
     def test_two_passes_deterministic(self, blob_data):
         from nestq.models import build_toy_mlp
@@ -84,17 +84,20 @@ class TestCalibrate:
             assert a.output_params == b.output_params
 
     def test_activation_grids_have_zero_offset(self, mlp):
-        for layer in mlp.layers:
+        for i, layer in enumerate(mlp.layers):
             if layer.kind == "relu_pact":
                 assert layer.alpha > 0
-                assert layer.output_params.offset == 0.0
+                assert mlp.output_grid(i).offset == 0.0
 
     def test_all_grids_satisfy_core_invariants(self, mlp, cnn):
         for model in (mlp, cnn):
             assert model.is_calibrated
-            for layer in model.layers:
-                for p in (layer.input_params, layer.weight_params,
-                          layer.bias_params, layer.output_params):
+            for i, layer in enumerate(model.layers):
+                assert (layer.output_params is None) == (layer.kind not in POLICY_KINDS)
+                tensors = [t for t in (layer.weight_q, layer.bias_q) if t is not None]
+                assert len(tensors) == (layer.weight is not None) + (layer.bias is not None)
+                for p in (model.output_grid(i - 1), model.output_grid(i),
+                          *(t.params for t in tensors)):
                     if p is not None:
                         assert p.scale > 0
                         assert MIN_BITWIDTH <= p.bitwidth <= p.master_bitwidth \
@@ -126,9 +129,9 @@ class TestCalibrate:
         producers = 0
         for model in (mlp, cnn, make_block(8)):
             n = model.master_bitwidth
-            for layer, nxt in zip(model.layers, model.layers[1:]):
+            for i, (layer, nxt) in enumerate(zip(model.layers, model.layers[1:])):
                 if nxt.kind == "relu_pact" and layer.kind == kind:
                     assert layer.output_params == make_master_params(0.0, nxt.alpha, n)
-                    assert nxt.output_params == layer.output_params
+                    assert model.output_grid(i + 1) is layer.output_params
                     producers += 1
         assert producers

@@ -107,16 +107,16 @@ class TestManifest:
         assert loaded.master_bitwidth == mlp.master_bitwidth
         assert loaded.input_params == mlp.input_params
         assert len(loaded.layers) == len(mlp.layers)
-        for a, b in zip(loaded.layers, mlp.layers):
+        for i, (a, b) in enumerate(zip(loaded.layers, mlp.layers)):
             assert a.kind == b.kind and a.name == b.name
             assert a.alpha == b.alpha
-            for field in ("input_params", "weight_params", "bias_params",
-                          "output_params"):
-                assert getattr(a, field) == getattr(b, field)
-            if b.weight_q is not None:
-                assert np.array_equal(a.weight_q.data, b.weight_q.data)
-            if b.bias_q is not None:
-                assert np.array_equal(a.bias_q.data, b.bias_q.data)
+            assert a.output_params == b.output_params
+            assert loaded.output_grid(i) == mlp.output_grid(i)
+            for qa, qb in ((a.weight_q, b.weight_q), (a.bias_q, b.bias_q)):
+                assert (qa is None) == (qb is None)
+                if qb is not None:
+                    assert qa.params == qb.params
+                    assert np.array_equal(qa.data, qb.data)
 
     def test_quantized_blobs_int64_on_disk_narrow_in_memory(self, tmp_path, mlp):
         blobio.save_model(mlp, tmp_path / "m")
@@ -259,7 +259,7 @@ class TestManifest:
         doc = json.loads(path.read_text())
         assert not any("prebias_params" in entry for entry in doc["layers"])
         for entry in doc["layers"]:
-            if entry["bias_params"] is not None:
+            if "bias_q" in entry:
                 entry["prebias_params"] = {"scale": 0.05, "offset": -3.0,
                                            "bitwidth": 8, "master_bitwidth": 8}
         path.write_text(json.dumps(doc))
@@ -304,6 +304,38 @@ class TestManifest:
         (tmp_path / "controller.json").write_text("{not json")
         with pytest.raises(ManifestError):
             blobio.load_controller(tmp_path)
+
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+    def test_controller_missing_blob_rejected(self, workspace, tmp_path, name):
+        path = blobio.save_controller(ControllerSpec(num_layers=3, candidates=(4, 8), seed=1),
+                                      tmp_path / "c")
+        (tmp_path / "c" / f"{name}.nqtb").unlink()
+        with pytest.raises(ManifestError, match=f"{name}.nqtb"):
+            blobio.load_controller(path)
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(workspace / "data/x.nqtb"),
+                     "--policy", f"controller-file:{tmp_path / 'c'}",
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+
+    @pytest.mark.parametrize("name, misshape", [
+        ("w1", lambda w: w.T),  # (feature_dim, hidden) for (hidden, feature_dim)
+        ("w2", lambda w: w[:4]),  # logits for two of the three layers
+    ])
+    def test_controller_misshapen_blob_rejected(self, workspace, tmp_path, name, misshape):
+        spec = ControllerSpec(num_layers=3, candidates=(4, 8), seed=1)
+        path = blobio.save_controller(spec, tmp_path / "c")
+        write_blob(tmp_path / "c" / f"{name}.nqtb", misshape(getattr(spec, name)))
+        with pytest.raises(ManifestError, match=f"{name}.nqtb: shape"):
+            blobio.load_controller(path)
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(workspace / "data/x.nqtb"),
+                     "--policy", f"controller-file:{tmp_path / 'c'}",
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+
+    def test_controller_without_policy_layers_round_trips(self, tmp_path):
+        spec = ControllerSpec(num_layers=0, candidates=(4, 8), seed=1)
+        loaded = blobio.load_controller(blobio.save_controller(spec, tmp_path / "c"))
+        assert loaded.w2.shape == (0, spec.hidden) and loaded.b2.shape == (0,)
 
 
 class TestSeedResolution:
@@ -644,6 +676,9 @@ class TestNumericFlags:
         ("calibrate", "--batch-size", "0"),
         ("calibrate", "--passes", "0"),
         ("calibrate", "--passes", "two"),
+        ("calibrate", "--momentum", "7"),
+        ("calibrate", "--momentum", "-3"),
+        ("calibrate", "--momentum", "nan"),
     ])
     def test_out_of_range_is_a_usage_error(self, workspace, tmp_path, capsys,
                                            command, flag, value):
@@ -656,6 +691,15 @@ class TestNumericFlags:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_verify_without_samples_is_a_usage_error(self, tmp_path, capsys, value):
+        # zero cases would write a passing report that no bound violation could fail
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--samples", value, "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_USAGE
+        assert "--samples" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_lowest_allowed_values_run(self, workspace, tmp_path):
         assert main(["infer", "--model", str(workspace / "model"),
                      "--input", str(workspace / "data/x.nqtb"), "--limit", "0",
@@ -664,6 +708,12 @@ class TestNumericFlags:
         assert main(["calibrate", "--model", str(workspace / "model"),
                      "--data", str(workspace / "data/x.nqtb"), "--batch-size", "1",
                      "--passes", "1", "--out", str(tmp_path / "m")]) == EXIT_OK
+        for momentum in ("0", "1"):
+            assert main(["calibrate", "--model", str(workspace / "model"),
+                         "--data", str(workspace / "data/x.nqtb"), "--momentum", momentum,
+                         "--out", str(tmp_path / f"m{momentum}")]) == EXIT_OK
+        assert main(["verify", "--samples", "1", "--out", str(tmp_path / "v.txt")]) == EXIT_OK
+        assert "total_violations=0" in (tmp_path / "v.txt").read_text()
 
 
 class TestParserBuiltOnce:
@@ -790,3 +840,73 @@ class TestRunLoader:
                                for p in (tmp_path / "again").rglob("*") if p.is_file())
         for rel in saved:
             assert (model_dir / rel).read_bytes() == (tmp_path / "again" / rel).read_bytes()
+
+
+class TestEachGridStoredOnce:
+    """A manifest stores each grid once; a copy an older manifest carries is ignored."""
+
+    def check_edit_ignored(self, model, path, edit, x, policies):
+        from nestq.cost import cost_report
+        from nestq.reference import fake_quant_forward
+        doc = json.loads(path.read_text())
+        edit(doc["layers"])
+        path.write_text(json.dumps(doc))
+        edited = blobio.load_model(path)
+        for policy in policies:
+            (want, want_trace), (got, got_trace) = forward(model, x, policy), \
+                forward(edited, x, policy)
+            assert np.array_equal(got, want) and got_trace == want_trace
+            assert cost_report(edited, policy) == cost_report(model, policy)
+            assert np.array_equal(fake_quant_forward(edited, x, policy),
+                                  fake_quant_forward(model, x, policy))
+
+    def test_input_grid_copy_ignored(self, tmp_path, mlp, blob_data):
+        # fc2's input is fc1's zero-offset grid; a copy at offset -3 would
+        # charge it the general MAC loop and move the oracle.
+        def edit(layers):
+            layers[2]["input_params"] = {**layers[0]["output_params"], "offset": -3.0}
+        self.check_edit_ignored(
+            mlp, blobio.save_model(mlp, tmp_path / "m"), edit, blob_data[0][:20],
+            [BitPolicy.uniform(8, 3), BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))])
+
+    def test_pool_grid_copy_ignored(self, saved_resnet):
+        model, model_dir, x_blob = saved_resnet
+        assert model.layers[5].kind == "avgpool"
+
+        def edit(layers):
+            grid = layers[4]["output_params"]
+            layers[5]["output_params"] = {**grid, "offset": grid["offset"] + 1.0}
+        self.check_edit_ignored(
+            model, model_dir / "manifest.json", edit, read_blob(x_blob).astype(np.float64),
+            [BitPolicy.uniform(8, 5), BitPolicy(bits=(8, 4, 6, 3, 5), candidates=(3, 4, 5, 6, 8))])
+
+    def test_saved_manifest_stores_each_grid_once(self, tmp_path, mlp, cnn, make_block):
+        from nestq.layers import POLICY_KINDS
+        for k, model in enumerate((mlp, cnn, make_block(8), residual_cnn()[0])):
+            doc = json.loads(blobio.save_model(model, tmp_path / str(k)).read_text())
+            for entry in doc["layers"]:
+                assert "input_params" not in entry
+                assert ("output_params" in entry) == (entry["kind"] in POLICY_KINDS)
+                for attr in ("weight", "bias"):
+                    assert (attr + "_params" in entry) == (attr + "_q" in entry)
+
+    def test_legacy_grid_copies_ignored(self, tmp_path, mlp, make_block, blob_data, cnn_data):
+        from nestq.layers import POLICY_KINDS
+        for model, x in ((mlp, blob_data[0][:5]), (make_block(8), cnn_data[0][:5])):
+            path = blobio.save_model(model, tmp_path / str(len(model.layers)))
+            doc = json.loads(path.read_text())
+            # every grid as a manifest carried it before each was stored once
+            for i, (entry, layer) in enumerate(zip(doc["layers"], model.layers)):
+                entry["input_params"] = blobio._params_to_json(model.output_grid(i - 1))
+                entry["output_params"] = blobio._params_to_json(model.output_grid(i))
+                for attr in ("weight", "bias"):
+                    t = getattr(layer, attr + "_q")
+                    entry[attr + "_params"] = blobio._params_to_json(t and t.params)
+            path.write_text(json.dumps(doc))
+            loaded = blobio.load_model(path)
+            assert all(l.output_params is None for l in loaded.layers
+                       if l.kind not in POLICY_KINDS)
+            policy = BitPolicy.uniform(8, model.num_policy_layers)
+            (want, want_trace), (got, got_trace) = forward(model, x, policy), \
+                forward(loaded, x, policy)
+            assert np.array_equal(got, want) and got_trace == want_trace

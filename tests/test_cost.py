@@ -103,12 +103,12 @@ class TestTransitionCost:
             n = model.master_bitwidth
             policy = BitPolicy(bits=(n, 4, 2), candidates=(2, 4, n))
             counters = OpCounters()
-            for layer, b in zip(model.layers, model.layer_bitwidths(policy)):
+            for i, (layer, b) in enumerate(zip(model.layers, model.layer_bitwidths(policy))):
                 if b == n or layer.kind not in POLICY_KINDS:
                     continue
-                grids = [(layer.input_params, layer.input_elements())]
+                grids = [(model.output_grid(i - 1), layer.input_elements())]
                 if layer.has_weights:
-                    grids.append((layer.weight_params, layer.weight_q.data.size))
+                    grids.append((layer.weight_q.params, layer.weight_q.data.size))
                 for grid, size in grids:
                     dequant_requant_reference(np.zeros(size, dtype=np.int64), grid,
                                               derive_params(grid, b), counters)
@@ -287,7 +287,7 @@ class TestReportEqualsTrace:
         calibrate(model, [data[:50]])
         # Every policy layer reads a zero-offset grid, so a model without
         # grids (charged the factored loop) is counted the same.
-        assert all(model.layers[i].input_params.offset == 0 for i in model.policy_indices)
+        assert all(model.output_grid(i - 1).offset == 0 for i in model.policy_indices)
         self.check([model, build()], data[50], self.policies(model, 0))
 
     def test_offset_inputs(self, net):
@@ -295,5 +295,5 @@ class TestReportEqualsTrace:
         model = build()
         shifted = data - data.max()  # negative inputs: the first layer runs the general loop
         calibrate(model, [shifted[:50]])
-        assert model.layers[0].input_params.offset != 0
+        assert model.output_grid(-1).offset != 0
         self.check([model], shifted[50], self.policies(model, 1))

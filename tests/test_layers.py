@@ -49,8 +49,6 @@ def identity_fc(out_grid=None):
     p = unit_params()
     layer = LayerSpec(kind="fc", name="id", in_features=1, out_features=1,
                       weight=np.array([[1.0]]))
-    layer.input_params = p
-    layer.weight_params = p
     layer.weight_q = NestedTensor(data=np.array([[1]]), params=p)
     layer.output_params = out_grid or p
     layer.input_shape = (1,)
@@ -70,8 +68,6 @@ class TestRunLayer:
         p = unit_params()
         layer = LayerSpec(kind="fc", name="sum", in_features=2, out_features=1,
                           weight=np.array([[1.0, 1.0]]))
-        layer.input_params = p
-        layer.weight_params = p
         layer.weight_q = NestedTensor(data=np.array([[1, 1]]), params=p)
         layer.output_params = p
         layer.input_shape = (2,)
@@ -320,17 +316,16 @@ class TestAvgPoolFlatten:
         layer = LayerSpec(kind="avgpool", pool=2)
         layer.input_shape = (1, 2, 2)
         layer.output_shape = (1, 1, 1)
-        layer.output_params = p
         x = NestedTensor(data=np.array([[[1, 2], [3, 4]]]), params=p)
         out, _ = run_layer(layer, x, 8)
         assert out.data[0, 0, 0] == 3  # round(10/4) half away
+        assert out.params is p
 
     def test_flatten_preserves_grid(self):
         p = unit_params()
         layer = LayerSpec(kind="flatten")
         layer.input_shape = (1, 2, 2)
         layer.output_shape = (4,)
-        layer.output_params = p
         x = NestedTensor(data=np.arange(4).reshape(1, 2, 2), params=p)
         out, _ = run_layer(layer, x, 8)
         assert out.data.shape == (4,)
@@ -385,7 +380,7 @@ def oracle_layer(layer, x, b, plan, aux=None):
         rows = [xp[:, i * s:i * s + k, j * s:j * s + k].reshape(-1)
                 for i in range(oh) for j in range(ow)]
     length = rows[0].size
-    pb = layer.bias_params if layer.bias_q is not None else None
+    pb = layer.bias_q.params if layer.bias_q is not None else None
     c_dot = dot_constants(px, derive_params(layer.weight_q.params, b), py,
                           length, pb, plan.frac_bits)
     out = np.empty((len(rows), len(wq)), dtype=np.int64)
@@ -642,10 +637,8 @@ class TestIntegerRange:
         for dtype in (np.int32, np.int64):
             layer = identity_fc(out_grid=QuantParams(scale=2.0 ** -20, offset=0.0,
                                                      bitwidth=8, master_bitwidth=8))
-            layer.bias_params = QuantParams(scale=2.0 ** -9, offset=0.0, bitwidth=8,
-                                            master_bitwidth=8)
-            layer.bias_q = NestedTensor(data=np.array([255], dtype=dtype),
-                                        params=layer.bias_params)
+            layer.bias_q = NestedTensor(data=np.array([255], dtype=dtype), params=QuantParams(
+                scale=2.0 ** -9, offset=0.0, bitwidth=8, master_bitwidth=8))
             x = NestedTensor(data=np.array([0]), params=unit_params())
             outs.append(run_layer(layer, x, 8)[0].data[0])
         assert outs == [255, 255]
@@ -715,7 +708,8 @@ class TestLayerPlan:
         forward(mlp, blob_data[0][:2], policy)
         for i, b in zip(mlp.policy_indices, policy.bits):
             step = mlp.layers[i].steps[b]
-            assert step.counters == layers.layer_counters(mlp.layers[i], b, 8)
+            assert step.counters == layers.layer_counters(mlp.layers[i], b, 8,
+                                                          mlp.output_grid(i - 1))
         assert all(not l.steps for l in mlp.layers if l.kind not in POLICY_KINDS)
 
     def test_refused_layer_raises_on_every_call(self):
@@ -887,9 +881,9 @@ class TestBatchedEngine:
         model, data = pooled_resnet(8)
         layer = model.layers[3]
         x = NestedTensor(data=np.zeros((2,) + layer.input_shape, dtype=np.uint8),
-                         params=layer.input_params)
+                         params=model.output_grid(2))
         aux = NestedTensor(data=np.zeros((3,) + layer.input_shape, dtype=np.uint8),
-                           params=model.layers[1].output_params)
+                           params=model.output_grid(1))
         with pytest.raises(ShapeMismatchError):
             run_layer(layer, x, 8, aux=aux)
 
