@@ -17,17 +17,21 @@ import numpy as np
 from .intops import (
     IntOpConstants,
     add_constants,
-    add_ratios,
+    add_frac_bits,
     add_raw,
     dot_constants,
-    dot_ratios,
+    dot_frac_bits,
     dot_raw,
-    fit_frac_bits,
     mul_constants,
-    mul_ratios,
     mul_raw,
 )
-from .quantize import QuantParams, make_master_params, round_half_away_int
+from .quantize import (
+    MAX_BITWIDTH,
+    MIN_BITWIDTH,
+    QuantParams,
+    make_master_params,
+    round_half_away_int,
+)
 
 OP_KINDS = ("add", "mul", "dot", "shift")
 
@@ -139,8 +143,7 @@ def _common_denominator_terms(c: IntOpConstants):
     return m, nums, delta_nums
 
 
-def _sampled_operator(op_kind: str, rng, param_sampler, frac_bits: int | None,
-                      length: int):
+def _sampled_operator(op_kind: str, rng, frac_bits: int | None, length: int):
     """Draw one operator instance: its grids, constants and CASES_PER_TUPLE cases.
 
     Every operator's value is sum(r_i * t_i) + r_last over its terms t, returned
@@ -149,43 +152,39 @@ def _sampled_operator(op_kind: str, rng, param_sampler, frac_bits: int | None,
     drawn bias grid, as in a biased layer. ``raw`` maps a case's terms to the
     operator's own pre-shift integer (``add_raw``, ``mul_raw``, ``dot_raw``),
     so the check covers the code inference runs. Constants are at F, or at the
-    operator's ``fit_frac_bits`` F if F is None, the precision inference runs at.
+    operator's fitted F if F is None, the precision inference runs at.
     """
-    p1, p2, py = param_sampler(rng)
+    n = int(rng.integers(MIN_BITWIDTH, MAX_BITWIDTH + 1))
+    p1, p2, py = (_random_params(rng, n) for _ in range(3))
 
     def draw(p: QuantParams, *shape):
         return rng.integers(0, p.qmax + 1, size=(CASES_PER_TUPLE,) + shape)
 
     if op_kind == "dot":
-        pb = _random_params(rng, p1.master_bitwidth)
-        f = frac_bits if frac_bits is not None else fit_frac_bits(
-            dot_ratios(p1, p2, py, length, pb),
-            (length * p1.qmax * p2.qmax, length * p1.qmax, length * p2.qmax, pb.qmax))
+        pb = _random_params(rng, n)
+        f = frac_bits if frac_bits is not None else dot_frac_bits(p1, p2, py, length, pb)
         c = dot_constants(p1, p2, py, length, pb, f)
         xqs, wqs = draw(p1, length), draw(p2, length)
         cols = (np.einsum("ij,ij->i", xqs, wqs), xqs.sum(axis=1), wqs.sum(axis=1), draw(pb))
         return (p1, p2, py, pb), c, cols, lambda t: dot_raw(c.k, *t)
     q1s, q2s = draw(p1), draw(p2)
     if op_kind == "add":
-        mags = (p1.qmax, p2.qmax)
-        f = frac_bits if frac_bits is not None else fit_frac_bits(add_ratios(p1, p2, py), mags)
+        f = frac_bits if frac_bits is not None else add_frac_bits(p1, p2, py)
         c = add_constants(p1, p2, py, f)
         return (p1, p2, py), c, (q1s, q2s), lambda t: add_raw(t[0], t[1], c)
-    mags = (p1.qmax * p2.qmax, p1.qmax, p2.qmax)
-    f = frac_bits if frac_bits is not None else fit_frac_bits(mul_ratios(p1, p2, py), mags)
+    f = frac_bits if frac_bits is not None else dot_frac_bits(p1, p2, py, 1)
     c = mul_constants(p1, p2, py, f)
     return (p1, p2, py), c, (q1s * q2s, q1s, q2s), lambda t: mul_raw(t[1], t[2], c)
 
 
-def _verify_linear(op_kind: str, param_sampler, samples: int, seed: int,
+def _verify_linear(op_kind: str, samples: int, seed: int,
                    frac_bits: int | None, length: int = 64) -> VerificationReport:
     rng = np.random.default_rng(seed)
     report = VerificationReport(op_kind=op_kind, cases=0, max_observed=0.0,
                                 max_bound=0.0, seed=seed)
     signed_sum = Fraction(0)
     while report.cases < samples:
-        grids, c, cols, raw_fn = _sampled_operator(
-            op_kind, rng, param_sampler, frac_bits, length)
+        grids, c, cols, raw_fn = _sampled_operator(op_kind, rng, frac_bits, length)
         m, nums, deltas = _common_denominator_terms(c)
         m_over_f = m >> c.frac_bits
         ad = tuple(abs(d) for d in deltas)
@@ -214,12 +213,13 @@ def _verify_linear(op_kind: str, param_sampler, samples: int, seed: int,
     return report
 
 
-def _verify_shift(n_values=range(2, 9)) -> VerificationReport:
+def _verify_shift() -> VerificationReport:
+    """Every index at every n in 2..8 and every b <= n, against a half step."""
     report = VerificationReport(op_kind="shift", cases=0, max_observed=0.0,
                                 max_bound=0.5)
     half = Fraction(1, 2)
     signed_sum = Fraction(0)
-    for n in n_values:
+    for n in range(2, 9):
         for b in range(2, n + 1):
             for q in range(1 << n):
                 eps = shift_error(q, n, b)
@@ -233,31 +233,25 @@ def _verify_shift(n_values=range(2, 9)) -> VerificationReport:
     return report
 
 
-def default_param_sampler(rng) -> tuple[QuantParams, QuantParams, QuantParams]:
-    n = int(rng.integers(4, 9))
-    return _random_params(rng, n), _random_params(rng, n), _random_params(rng, n)
-
-
-def empirical_verify(op_kind: str, param_sampler=None, samples: int = 100_000,
-                     seed: int = 0, frac_bits: int | None = 0) -> VerificationReport:
+def empirical_verify(op_kind: str, samples: int = 100_000, seed: int = 0,
+                     frac_bits: int | None = 0) -> VerificationReport:
     """Sample operator instances and check every one against its bound.
 
-    Constants use ``frac_bits`` fractional bits, or with None each operator's
-    own F from ``intops.fit_frac_bits``, the precision inference runs at. A
+    Each instance's grids share a master width drawn from every supported one,
+    MIN_BITWIDTH..MAX_BITWIDTH. Constants use ``frac_bits`` fractional bits,
+    or with None each operator's own fitted F, the precision inference runs at. A
     passing report has zero violations; any violation carries the full tuple
     needed to reproduce it.
     """
     if op_kind not in OP_KINDS:
         raise ValueError(f"unknown op kind {op_kind!r}")
-    sampler = param_sampler or default_param_sampler
     if op_kind == "shift":
         return _verify_shift()
-    return _verify_linear(op_kind, sampler, samples, seed, frac_bits)
+    return _verify_linear(op_kind, samples, seed, frac_bits)
 
 
-def exhaustive_verify_binary(op_kind: str, n: int, param_tuples,
-                             frac_bits: int = 0) -> VerificationReport:
-    """Check every (q1, q2) pair for each given parameter triple."""
+def exhaustive_verify_binary(op_kind: str, n: int, param_tuples) -> VerificationReport:
+    """Check every (q1, q2) pair for each given parameter triple, at F = 0."""
     make_consts = add_constants if op_kind == "add" else mul_constants
     raw_fn = add_raw if op_kind == "add" else mul_raw
     exact_fn = exact_add_value if op_kind == "add" else exact_mul_value
@@ -265,11 +259,10 @@ def exhaustive_verify_binary(op_kind: str, n: int, param_tuples,
                                 max_bound=0.0)
     qmax = (1 << n) - 1
     for p1, p2, py in param_tuples:
-        c = make_consts(p1, p2, py, frac_bits)
-        two_f = 1 << frac_bits
+        c = make_consts(p1, p2, py, 0)
         for q1 in range(qmax + 1):
             for q2 in range(qmax + 1):
-                err = Fraction(raw_fn(q1, q2, c), two_f) - exact_fn(q1, q2, c)
+                err = raw_fn(q1, q2, c) - exact_fn(q1, q2, c)
                 bound = op_error_bound(c, (q1, q2)).bound
                 report.cases += 1
                 report.max_observed = max(report.max_observed, abs(float(err)))

@@ -197,6 +197,9 @@ def load_model(manifest_path: Path) -> ModelGraph:
     so an uncalibrated manifest loads whole. Such a model cannot be saved
     (see :func:`save_model`).
 
+    A stored grid that is not a master grid at the manifest's n is refused: the
+    layers shift from their grids' n, the trace and ``cost_report`` from the model's.
+
     ``calibrate`` gives a clamp's producer the clamp's [0, alpha] grid, which
     is the clamp in the integer path. A calibrated manifest whose clamp lacks
     that grid, as every one saved before a clamp became its producer's grid
@@ -206,6 +209,11 @@ def load_model(manifest_path: Path) -> ModelGraph:
     """
     model = _load(manifest_path, floats=False)
     n = model.master_bitwidth
+    tensors = [t for l in model.layers for t in (l.weight_q, l.bias_q) if t is not None]
+    for g in (model.input_params, *(l.output_params for l in model.layers),
+              *(t.params for t in tensors)):
+        if g is not None and not g.bitwidth == g.master_bitwidth == n:
+            raise ManifestError(f"{manifest_path}: {g} is not a master grid at the model's n={n}")
     for i, layer in enumerate(model.layers):
         producer = model.layers[i - 1]  # ModelGraph puts a clamp right after its producer
         if (layer.kind == "relu_pact" and producer.output_params is not None
@@ -287,12 +295,16 @@ def _model_from_manifest(manifest: dict, base: str, floats: bool) -> ModelGraph:
 
 
 def save_controller(spec: ControllerSpec, directory: Path) -> Path:
+    """Write ``controller.json`` and the four weight blobs, or refuse (ValueError),
+    before writing anything, a spec that lacks one of them."""
+    names = ("w1", "b1", "w2", "b2")
+    missing = [name for name in names if getattr(spec, name) is None]
+    if missing:
+        raise ValueError(f"controller has no {', '.join(missing)}; nothing to save")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name in ("w1", "b1", "w2", "b2"):
-        t = getattr(spec, name)
-        if t is not None:
-            write_blob(directory / f"{name}.nqtb", np.asarray(t, dtype=np.float64))
+    for name in names:
+        write_blob(directory / f"{name}.nqtb", np.asarray(getattr(spec, name), dtype=np.float64))
     meta = {
         "num_layers": spec.num_layers,
         "candidates": list(spec.candidates),

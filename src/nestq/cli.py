@@ -35,6 +35,7 @@ from .cost import cost_report
 from .intops import AccumulatorOverflowError
 from .layers import BitPolicy, ShapeMismatchError, forward
 from .models import build_toy_cnn, build_toy_mlp, make_blob_dataset
+from .quantize import MAX_BITWIDTH, MIN_BITWIDTH
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -243,8 +244,7 @@ def cmd_verify(args) -> int:
     report = {"command": "verify", "suite": args.suite, "seed": seed}
     total_violations = 0
     for op in ops:
-        r = empirical_verify(op, samples=args.samples, seed=seed,
-                             frac_bits=args.frac_bits)
+        r = empirical_verify(op, samples=args.samples, seed=seed, frac_bits=None)
         total_violations += len(r.violations)
         report[op] = {
             "cases": r.cases,
@@ -310,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="build a toy model and quantize its weights")
     p.add_argument("--arch", choices=("mlp", "cnn"), default="mlp")
-    p.add_argument("--bits", type=int, default=8, help="master bit-width n")
+    p.add_argument("--bits", type=int, choices=range(MIN_BITWIDTH, MAX_BITWIDTH + 1),
+                   default=8, metavar="N", help="master bit-width n")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_quantize)
@@ -346,20 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check integer operators against their bounds")
     p.add_argument("--suite", choices=VERIFY_SUITES, default="bounds")
-    p.add_argument("--samples", type=_int_at_least(1), default=100_000)
-    p.add_argument("--frac-bits", type=int, default=None,
-                   help="fixed-point precision F of every sampled operator; by default "
-                        "each operator gets its own F from intops.fit_frac_bits, "
-                        "as in inference")
+    p.add_argument("--samples", type=_int_at_least(1), default=100_000,
+                   help="cases per add, mul or dot suite; each sampled operator "
+                        "runs at the F inference fits for it")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("make-dataset", help="deterministic Gaussian-blob dataset")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--dims", type=int, default=16)
+    p.add_argument("--classes", type=_int_at_least(1), default=4)
+    p.add_argument("--samples", type=_int_at_least(0), default=1000)
+    p.add_argument("--dims", type=_int_at_least(1), default=16)
     p.add_argument("--image-shape", default=None, help="e.g. 1,8,8 to emit images")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_make_dataset)

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# MAC_PRIMITIVES and mac_primitive_counts are re-exported for callers of this module.
-from .intops import MAC_PRIMITIVES, OpCounters, mac_primitive_counts  # noqa: F401
+from .intops import OpCounters
 from .layers import BitPolicy, ModelGraph, layer_counters
-from .quantize import ROUNDTRIP_CONVERSIONS, ROUNDTRIP_FP_OPS
 
-STANDARD_PRIMITIVES_PER_ELEMENT = ROUNDTRIP_CONVERSIONS + ROUNDTRIP_FP_OPS
+# One element's float round trip: two int/float conversions and five float
+# ops (mul, div, add, sub, round).
+STANDARD_PRIMITIVES_PER_ELEMENT = 7
 # A model, not a measurement. Measured with NumPy (README, "Cost model"), the
 # float round trip takes 3x the shift's time per element at 2^10 elements and
 # 16-17x at 2^22, since small calls are dominated by per-call overhead.

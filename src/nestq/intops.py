@@ -5,7 +5,8 @@ combination of the integer inputs weighted by precomputed constants k_i. The
 constants are exact scale/offset ratios rounded to F fractional bits; F=0 gives
 literal rounded-integer constants, a larger F keeps small ratios from
 collapsing to zero. A final rounded right shift by F lands the result on the
-output grid; ``fit_frac_bits`` picks the largest F an operator's int64 proof allows.
+output grid; ``fit_frac_bits`` picks the largest F an operator's int64 proof allows,
+and ``add_frac_bits``/``dot_frac_bits`` apply it to an operator's own magnitudes.
 
 A MAC layer's bias is one more term of its dot, k4*q_b, with the bias offset
 folded into the additive constant, so the layer rounds once, onto its output
@@ -15,16 +16,11 @@ A dot's product sum accumulates exactly in int64, and the int64 proof behind
 ``fit_frac_bits`` is the accumulator's only guard.
 
 The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
-reference oracles for tests and error analysis. ``nestq.layers`` compiles a
-layer's constants at their fitted F, its int64 overflow proof and its
-additive constant once per bit-width, then runs each call as one integer
-array expression with the same rounding; only the shift of weights and
-activations down to b is redone per call. That expression reassociates the
-operator's sum: a dot runs as ``rows @ (k1*w + k2).T + c'`` with
-``c' = k3*s3 + k4*q_b + k5 + 2^(F-1)``, the rounding half folded in, and an
-add folds the half into its k3. ``linear_bound`` counts the half and bounds
-every partial sum, so the reassociated sum is exact in int64 wherever the
-proof holds, and the rounding shift becomes a floor shift.
+reference oracles for tests and error analysis. ``nestq.layers`` runs the same
+expressions on arrays with their sums reassociated and the rounding half
+folded into the additive constant (see its docstring); ``linear_bound``
+counts the half and bounds every partial sum, so the reassociated sum is
+exact in int64 wherever the proof holds.
 """
 
 from __future__ import annotations
@@ -75,21 +71,14 @@ class OpCounters:
     mults: int = 0
     adds: int = 0
     shifts: int = 0
-    fp_ops: int = 0
-    conversions: int = 0
 
     def merge(self, other: "OpCounters") -> None:
         self.mults += other.mults
         self.adds += other.adds
         self.shifts += other.shifts
-        self.fp_ops += other.fp_ops
-        self.conversions += other.conversions
 
     def copy(self) -> "OpCounters":
-        return OpCounters(self.mults, self.adds, self.shifts, self.fp_ops, self.conversions)
-
-    def total(self) -> int:
-        return self.mults + self.adds + self.shifts + self.fp_ops + self.conversions
+        return OpCounters(self.mults, self.adds, self.shifts)
 
 
 @dataclass(frozen=True)
@@ -190,6 +179,24 @@ def fit_frac_bits(ratios, magnitudes) -> int:
     raise AccumulatorOverflowError("intermediates exceed int64 even at F=0")
 
 
+def add_frac_bits(p1: QuantParams, p2: QuantParams, py: QuantParams) -> int:
+    """F of the integer add on these grids: its operands reach qmax each."""
+    return fit_frac_bits(add_ratios(p1, p2, py), (p1.qmax, p2.qmax))
+
+
+def dot_frac_bits(px: QuantParams, pw: QuantParams, py: QuantParams, length: int,
+                  pb: QuantParams | None = None) -> int:
+    """F of the length-N dot plus bias on these grids; a mul is the bias-free N=1 dot.
+
+    Refuses (AccumulatorOverflowError) a product sum beyond int64, which no F fixes.
+    """
+    s1_max = length * px.qmax * pw.qmax
+    if s1_max > INT64_MAX:
+        raise AccumulatorOverflowError("product sums exceed int64")
+    return fit_frac_bits(dot_ratios(px, pw, py, length, pb), (
+        s1_max, length * px.qmax, length * pw.qmax, pb.qmax if pb is not None else 0))
+
+
 def _clip_out(v: int, py: QuantParams) -> int:
     return min(max(v, 0), py.qmax)
 
@@ -228,10 +235,7 @@ def _dot_sums(xq, wq) -> tuple[int, int, int]:
 def dot_raw(k, s1, s2, s3, qb):
     """Pre-shift, pre-clip dot plus bias: k1*s1 + k2*s2 + k3*s3 + k4*q_b + k5.
 
-    ``s1`` is the exact product sum. The same expression serves scalar oracles
-    and error analysis; the layer engine evaluates it reassociated, with k1
-    and k2 folded into the weights and k3*s3 + k4*q_b + k5 plus the rounding
-    half into one constant per output.
+    ``s1`` is the exact product sum; scalar oracles and error analysis share it.
     """
     return k[0] * s1 + k[1] * s2 + k[2] * s3 + k[3] * qb + k[4]
 

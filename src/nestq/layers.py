@@ -63,14 +63,12 @@ from .intops import (
     ADD_PRIMITIVES,
     BIAS_PRIMITIVES,
     AccumulatorOverflowError,
-    INT64_MAX,
     MAC_PRIMITIVES,
     OpCounters,
     add_constants,
-    add_ratios,
+    add_frac_bits,
     dot_constants,
-    dot_ratios,
-    fit_frac_bits,
+    dot_frac_bits,
     mac_loop,
 )
 # Not called here; perfbench/tracing.py patches these names on this module.
@@ -366,13 +364,6 @@ class LayerStep:
     counters: OpCounters
 
 
-def _fit(name: str, ratios, magnitudes) -> int:
-    try:
-        return fit_frac_bits(ratios, magnitudes)
-    except AccumulatorOverflowError as exc:
-        raise AccumulatorOverflowError(f"layer {name!r}: {exc}") from None
-
-
 @lru_cache(maxsize=1024)
 def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: QuantParams,
                bias_grid: QuantParams | None, out_grid: QuantParams,
@@ -381,24 +372,26 @@ def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: Qu
 
     ``other_grid`` is the weight grid, or the residual branch's grid;
     ``bias_grid`` is None for a bias-free layer; ``length`` is the dot length.
-    The layer's one expression gets the largest F its int64 proof allows.
-    Cached by value, so a recalibrated or reloaded model never reads a stale
-    plan; a refusal is not cached.
+    The layer's one expression gets the largest F its int64 proof allows
+    (``intops.add_frac_bits``, ``intops.dot_frac_bits``). Refuses grids at
+    different master widths (ValueError), since the layer would shift one
+    operand from the wrong n. Cached by value, so a recalibrated or reloaded
+    model never reads a stale plan; a refusal is not cached.
     """
+    widths = {g.master_bitwidth for g in (x_grid, other_grid, bias_grid, out_grid)
+              if g is not None}
+    if len(widths) > 1:
+        raise ValueError(f"layer {name!r}: its grids are at master widths {sorted(widths)}")
     px, po = derive_params(x_grid, b), derive_params(other_grid, b)
+    try:
+        frac_bits = (add_frac_bits(px, po, out_grid) if kind == "residual_add"
+                     else dot_frac_bits(px, po, out_grid, length, bias_grid))
+    except AccumulatorOverflowError as exc:
+        raise AccumulatorOverflowError(f"layer {name!r}: {exc}") from None
     if kind == "residual_add":
-        frac_bits = _fit(name, add_ratios(px, po, out_grid), (px.qmax, po.qmax))
-        k = add_constants(px, po, out_grid, frac_bits).k
-        pad = 0
-    else:
-        s1_max = length * px.qmax * po.qmax
-        if s1_max > INT64_MAX:
-            raise AccumulatorOverflowError(f"layer {name!r}: product sums exceed int64")
-        qb_max = bias_grid.qmax if bias_grid is not None else 0
-        frac_bits = _fit(name, dot_ratios(px, po, out_grid, length, bias_grid), (
-            s1_max, length * px.qmax, length * po.qmax, qb_max))
-        k = dot_constants(px, po, out_grid, length, bias_grid, frac_bits).k
-        pad = int(quantize(np.float64(0.0), px)) if kind == "conv2d" else 0
+        return LayerPlan(add_constants(px, po, out_grid, frac_bits).k, frac_bits, 0)
+    k = dot_constants(px, po, out_grid, length, bias_grid, frac_bits).k
+    pad = int(quantize(np.float64(0.0), px)) if kind == "conv2d" else 0
     return LayerPlan(k, frac_bits, pad)
 
 

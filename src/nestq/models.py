@@ -18,6 +18,9 @@ CNN_INPUT = (1, 8, 8)
 DEFAULT_CLASSES = 4
 BLOB_SIGMA = 0.5
 BLOB_MIN_SEPARATION = 4.0  # in units of sigma
+# Draws of the class means before giving up: a layout whose means separate
+# with chance p per draw fails with chance (1 - p)^MAX_MEAN_DRAWS.
+MAX_MEAN_DRAWS = 100_000
 
 
 def make_blob_dataset(seed: int, classes: int = DEFAULT_CLASSES,
@@ -27,29 +30,34 @@ def make_blob_dataset(seed: int, classes: int = DEFAULT_CLASSES,
 
     Returns (X, labels, means). Class means are resampled until pairwise
     distances reach BLOB_MIN_SEPARATION sigmas; data is clipped at zero so the
-    input grid can use a zero offset.
+    input grid can use a zero offset. Refuses (ValueError) a layout whose means
+    do not separate within MAX_MEAN_DRAWS draws, as too many classes in too
+    few dims never do.
     """
     rng = np.random.default_rng(seed)
     min_dist = BLOB_MIN_SEPARATION * BLOB_SIGMA
-    while True:
+    for _ in range(MAX_MEAN_DRAWS):
         means = rng.uniform(2.0, 8.0, size=(classes, dims))
         dists = np.linalg.norm(means[:, None] - means[None, :], axis=-1)
         np.fill_diagonal(dists, np.inf)
         if dists.min() >= min_dist:
             break
+    else:
+        raise ValueError(f"classes={classes} means in dims={dims} did not separate "
+                         f"in {MAX_MEAN_DRAWS} draws; use fewer classes or more dims")
     labels = rng.integers(0, classes, size=samples)
     x = means[labels] + rng.normal(0.0, BLOB_SIGMA, size=(samples, dims))
     return np.clip(x, 0.0, None), labels, means
 
 
-def build_toy_mlp(seed: int = 7, n: int = 8, classes: int = DEFAULT_CLASSES,
+def build_toy_mlp(seed: int = 7, n: int = 8,
                   means: np.ndarray | None = None) -> ModelGraph:
     """The fixed MLP over blob features; pass the dataset means for templates."""
     d_in, d_h1, d_h2, d_out = MLP_DIMS
-    assert d_out == classes and d_h1 == 2 * d_in and d_h2 == d_in
+    assert d_h1 == 2 * d_in and d_h2 == d_in
     rng = np.random.default_rng(seed)
     if means is None:
-        _, _, means = make_blob_dataset(seed, classes=classes, dims=d_in)
+        _, _, means = make_blob_dataset(seed, classes=d_out, dims=d_in)
 
     eye = np.eye(d_in)
     w1 = np.vstack([eye, -eye]) + rng.normal(0, 1e-2, size=(d_h1, d_in))
@@ -70,15 +78,14 @@ def build_toy_mlp(seed: int = 7, n: int = 8, classes: int = DEFAULT_CLASSES,
     return ModelGraph(layers=layers, input_shape=(d_in,), master_bitwidth=n)
 
 
-def build_toy_cnn(seed: int = 11, n: int = 8,
-                  classes: int = DEFAULT_CLASSES) -> ModelGraph:
+def build_toy_cnn(seed: int = 11, n: int = 8) -> ModelGraph:
     """Two convolutions and a classifier head over 1x8x8 inputs."""
     rng = np.random.default_rng(seed)
     c, h, w = CNN_INPUT
     w1 = rng.normal(0, 0.4, size=(4, c, 3, 3))
     w2 = rng.normal(0, 0.25, size=(8, 4, 3, 3))
     fc_in = 8 * (h // 2) * (w // 2)
-    w3 = rng.normal(0, 0.2, size=(classes, fc_in))
+    w3 = rng.normal(0, 0.2, size=(DEFAULT_CLASSES, fc_in))
     layers = [
         LayerSpec(kind="conv2d", name="conv1", in_channels=c, out_channels=4,
                   kernel=3, stride=1, padding=1, weight=w1, bias=np.zeros(4)),
@@ -87,8 +94,8 @@ def build_toy_cnn(seed: int = 11, n: int = 8,
                   kernel=3, stride=2, padding=1, weight=w2, bias=np.zeros(8)),
         LayerSpec(kind="relu_pact", name="act2"),
         LayerSpec(kind="flatten", name="flat"),
-        LayerSpec(kind="fc", name="head", in_features=fc_in, out_features=classes,
-                  weight=w3, bias=np.zeros(classes)),
+        LayerSpec(kind="fc", name="head", in_features=fc_in, out_features=DEFAULT_CLASSES,
+                  weight=w3, bias=np.zeros(DEFAULT_CLASSES)),
     ]
     return ModelGraph(layers=layers, input_shape=CNN_INPUT, master_bitwidth=n)
 

@@ -307,22 +307,11 @@ def shift_down(q_n, n: int, b: int) -> np.ndarray:
     return out.astype(q_n.dtype, copy=False)
 
 
-ROUNDTRIP_CONVERSIONS, ROUNDTRIP_FP_OPS = 2, 5
-
-
-def dequant_requant_reference(q, from_params: QuantParams, to_params: QuantParams,
-                              counters=None) -> np.ndarray:
+def dequant_requant_reference(q, from_params: QuantParams,
+                              to_params: QuantParams) -> np.ndarray:
     """Change grids the conventional way: float round-trip per element.
 
     This is the baseline the shift transition replaces; it exists as an oracle
-    and as the cost reference. If ``counters`` (an OpCounters) is given, it is
-    charged per element ``ROUNDTRIP_CONVERSIONS`` int/float conversions plus
-    ``ROUNDTRIP_FP_OPS`` float ops (mul, div, add, sub, round).
+    and as the cost reference (``cost.STANDARD_PRIMITIVES_PER_ELEMENT``).
     """
-    q = np.asarray(q)
-    x = dequantize(q, from_params)
-    out = quantize(x, to_params)
-    if counters is not None:
-        counters.conversions += ROUNDTRIP_CONVERSIONS * q.size
-        counters.fp_ops += ROUNDTRIP_FP_OPS * q.size
-    return out
+    return quantize(dequantize(q, from_params), to_params)

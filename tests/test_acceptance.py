@@ -20,10 +20,15 @@ from nestq.cost import (
     bitops,
     cost_report,
     cycle_estimate,
-    mac_primitive_counts,
     transition_elements,
 )
-from nestq.intops import dot_constants, int_dot, int_dot_pact, standard_mac_dot
+from nestq.intops import (
+    dot_constants,
+    int_dot,
+    int_dot_pact,
+    mac_primitive_counts,
+    standard_mac_dot,
+)
 from nestq.layers import BitPolicy, forward
 from nestq.models import build_toy_cnn, build_toy_mlp
 from nestq.quantize import (

@@ -14,7 +14,7 @@ from nestq.analysis import (
     shift_error,
 )
 from nestq.intops import IntOpConstants, add_constants, dot_constants
-from nestq.quantize import QuantParams, make_master_params
+from nestq.quantize import MAX_BITWIDTH, MIN_BITWIDTH, QuantParams, make_master_params
 
 
 def params(scale, offset, b=8, n=8):
@@ -112,6 +112,18 @@ class TestEmpiricalVerify:
         monkeypatch.setattr(analysis, name, broken)
         report = empirical_verify(op, samples=500, seed=5, frac_bits=None)
         assert not report.passed
+
+    def test_samples_every_supported_width(self, monkeypatch):
+        widths = set()
+        draw = analysis._random_params
+
+        def recorded(rng, n):
+            widths.add(n)
+            return draw(rng, n)
+
+        monkeypatch.setattr(analysis, "_random_params", recorded)
+        empirical_verify("add", samples=300 * analysis.CASES_PER_TUPLE, seed=0, frac_bits=None)
+        assert widths == set(range(MIN_BITWIDTH, MAX_BITWIDTH + 1))
 
     def test_shift_exhaustive_max_exactly_half(self):
         report = empirical_verify("shift")

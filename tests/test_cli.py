@@ -1,9 +1,11 @@
 """On-disk formats and the command-line front end."""
 
+import argparse
 import gc
 import json
 import os
 import shutil
+import time
 import weakref
 
 import numpy as np
@@ -23,9 +25,11 @@ from nestq.cli import (
     parse_policy,
     resolve_seed,
 )
-from nestq.calibration import calibrate
+from nestq.calibration import calibrate, quantize_weights
 from nestq.controller import ControllerSpec
 from nestq.layers import BitPolicy, LayerSpec, ModelGraph, forward
+from nestq.models import build_toy_mlp
+from nestq.quantize import derive_params
 
 
 class TestTensorBlob:
@@ -332,6 +336,44 @@ class TestManifest:
                      "--policy", f"controller-file:{tmp_path / 'c'}",
                      "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
 
+    def test_controller_without_weights_not_saved(self, tmp_path):
+        spec = ControllerSpec(num_layers=3, candidates=(4, 8), source="loaded")
+        with pytest.raises(ValueError, match="w1, b1, w2, b2"):
+            blobio.save_controller(spec, tmp_path / "c")
+        spec = ControllerSpec(num_layers=3, candidates=(4, 8), seed=1)
+        spec.b2 = None
+        with pytest.raises(ValueError, match="no b2;"):
+            blobio.save_controller(spec, tmp_path / "c")
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("edit", ["manifest-n", "weights-at-8", "derived-output-grid"])
+    def test_grid_at_another_master_width_refused(self, tmp_path, blob_data, capsys, edit):
+        # Loaded, a 12-bit grid under an 8-bit manifest would be shifted where
+        # cost_report charges no shift, and 8-bit weights among 12-bit grids
+        # would run thousands of output steps off the oracle.
+        x, _, means = blob_data
+        model = build_toy_mlp(seed=7, n=12, means=means)
+        calibrate(model, [x[:200]])
+        if edit == "weights-at-8":
+            quantize_weights(model.layers[2], 8)
+        path = blobio.save_model(model, tmp_path / "m")
+        manifest = json.loads(path.read_text())
+        if edit == "manifest-n":
+            manifest["quantization"]["master_bitwidth"] = 8
+        elif edit == "derived-output-grid":
+            grid = derive_params(model.layers[2].output_params, 8)
+            manifest["layers"][2]["output_params"] = blobio._params_to_json(grid)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match="is not a master grid at the model's n="):
+            blobio.load_model(path)
+        write_blob(tmp_path / "x.nqtb", x[:2].astype(np.float32))
+        capsys.readouterr()
+        assert main(["infer", "--model", str(tmp_path / "m"), "--input", str(tmp_path / "x.nqtb"),
+                     "--policy", "static:8", "--out", str(tmp_path / "r.txt")]) == EXIT_MANIFEST
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "r.txt").exists()
+
     def test_controller_without_policy_layers_round_trips(self, tmp_path):
         spec = ControllerSpec(num_layers=0, candidates=(4, 8), seed=1)
         loaded = blobio.load_controller(blobio.save_controller(spec, tmp_path / "c"))
@@ -461,11 +503,6 @@ class TestCommands:
         fitted = empirical_verify("dot", samples=500, seed=0, frac_bits=None)
         assert doc["dot"]["max_observed"] == repr(fitted.max_observed)
         assert doc["dot"]["max_observed"] != repr(
-            empirical_verify("dot", samples=500, seed=0).max_observed)
-        assert main(["verify", "--suite", "dot", "--samples", "500", "--frac-bits", "0",
-                     "--out", str(tmp_path / "v0.txt")]) == EXIT_OK
-        doc = json.loads((tmp_path / "v0.txt.json").read_text())
-        assert doc["dot"]["max_observed"] == repr(
             empirical_verify("dot", samples=500, seed=0).max_observed)
 
     def test_verify_passes(self, tmp_path):
@@ -700,6 +737,36 @@ class TestNumericFlags:
         assert "--samples" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["make-dataset", "--dims", "0"],
+        ["make-dataset", "--classes", "0"],
+        ["make-dataset", "--samples", "-1"],
+        ["quantize", "--bits", "1"],
+        ["quantize", "--bits", "17"],
+        ["verify", "--frac-bits", "0"],
+    ], ids=["dims-0", "classes-0", "samples-neg", "bits-1", "bits-17", "frac-bits"])
+    def test_refused_before_any_work(self, tmp_path, capsys, argv):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "o")])
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.code == EXIT_USAGE
+        assert argv[1] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_every_numeric_flag_is_range_checked(self):
+        # --seed takes any integer; every other number has its range checked at the parser.
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        for command, parser in sub.choices.items():
+            for action in parser._actions:
+                if not action.option_strings or action.dest in ("help", "seed"):
+                    continue
+                numeric = action.type in (int, float) or type(action.default) in (int, float)
+                checked = action.choices is not None or getattr(
+                    action.type, "__qualname__", "").startswith(("_int_at_least.", "_float_in."))
+                assert checked or not numeric, f"{command} {action.option_strings[0]}"
+
     def test_lowest_allowed_values_run(self, workspace, tmp_path):
         assert main(["infer", "--model", str(workspace / "model"),
                      "--input", str(workspace / "data/x.nqtb"), "--limit", "0",
@@ -714,6 +781,12 @@ class TestNumericFlags:
                          "--out", str(tmp_path / f"m{momentum}")]) == EXIT_OK
         assert main(["verify", "--samples", "1", "--out", str(tmp_path / "v.txt")]) == EXIT_OK
         assert "total_violations=0" in (tmp_path / "v.txt").read_text()
+        assert main(["make-dataset", "--classes", "1", "--dims", "1", "--samples", "3",
+                     "--out", str(tmp_path / "d")]) == EXIT_OK
+        assert read_blob(tmp_path / "d/x.nqtb").shape == (3, 1)
+        for bits in ("2", "16"):
+            assert main(["quantize", "--bits", bits, "--out", str(tmp_path / bits)]) == EXIT_OK
+            assert blobio.load_model(tmp_path / bits).master_bitwidth == int(bits)
 
 
 class TestParserBuiltOnce:

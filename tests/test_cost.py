@@ -5,18 +5,16 @@ import pytest
 
 from nestq.cost import (
     CostReport,
-    MAC_PRIMITIVES,
     bitops,
     cost_report,
     cycle_estimate,
-    mac_primitive_counts,
     transition_elements,
 )
 from nestq.calibration import calibrate
-from nestq.intops import OpCounters
-from nestq.layers import POLICY_KINDS, BitPolicy, LayerSpec, ModelGraph, forward
+from nestq.intops import MAC_PRIMITIVES, mac_primitive_counts
+from nestq.layers import BitPolicy, LayerSpec, ModelGraph, forward
 from nestq.models import build_toy_cnn, build_toy_mlp
-from nestq.quantize import MIN_BITWIDTH, dequant_requant_reference, derive_params
+from nestq.quantize import MIN_BITWIDTH
 from nestq.reference import enumerate_macs
 
 
@@ -97,24 +95,6 @@ class TestTransitionCost:
     def test_unknown_mode_rejected(self, mlp):
         with pytest.raises(ValueError):
             cost_report(mlp, BitPolicy.uniform(8, 3), "gpu")
-
-    def test_standard_primitives_equal_what_the_round_trip_charges(self, mlp, cnn):
-        for model in (mlp, cnn):
-            n = model.master_bitwidth
-            policy = BitPolicy(bits=(n, 4, 2), candidates=(2, 4, n))
-            counters = OpCounters()
-            for i, (layer, b) in enumerate(zip(model.layers, model.layer_bitwidths(policy))):
-                if b == n or layer.kind not in POLICY_KINDS:
-                    continue
-                grids = [(model.output_grid(i - 1), layer.input_elements())]
-                if layer.has_weights:
-                    grids.append((layer.weight_q.params, layer.weight_q.data.size))
-                for grid, size in grids:
-                    dequant_requant_reference(np.zeros(size, dtype=np.int64), grid,
-                                              derive_params(grid, b), counters)
-            report = cost_report(model, policy, "standard")
-            assert report.transition_elements > 0
-            assert report.transition_fp_primitives == counters.conversions + counters.fp_ops
 
     def test_matches_execution_trace(self, mlp, blob_data):
         policy = BitPolicy(bits=(4, 6, 8), candidates=(4, 6, 8))

@@ -266,10 +266,12 @@ class TestStandardMacBaseline:
 
 
 class TestOpCounters:
-    def test_merge_and_total(self):
+    def test_merge_and_copy(self):
         a = OpCounters(mults=1, adds=2, shifts=3)
-        a.merge(OpCounters(fp_ops=4, conversions=5))
-        assert a.total() == 15
+        b = a.copy()
+        a.merge(OpCounters(mults=4, adds=5, shifts=6))
+        assert a == OpCounters(mults=5, adds=7, shifts=9)
+        assert b == OpCounters(mults=1, adds=2, shifts=3)
 
 
 class TestFitFracBits:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from nestq import blobio
 from nestq.blobio import write_blob
-from nestq.intops import OpCounters
 from nestq.layers import BitPolicy, forward, run_layer
 from nestq.quantize import (
     DegenerateRangeError,
@@ -287,12 +286,6 @@ class TestDequantRequantReference:
         for b in range(2, 8):
             ref = dequant_requant_reference(q, master, derive_params(master, b))
             assert np.max(np.abs(ref - shift_down(q, 8, b))) <= 1
-
-    def test_charges_standard_pipeline_counters(self):
-        p = make_master_params(0.0, 1.0, 8)
-        counters = OpCounters()
-        dequant_requant_reference(np.zeros(10, dtype=np.int64), p, p, counters)
-        assert counters.conversions == 20 and counters.fp_ops == 50
 
     def test_matches_exact_rational_requantize(self):
         src = make_master_params(-1.0, 3.0, 6)

@@ -1,10 +1,11 @@
 """Self-checks for the oracles and the toy model family."""
 
 import numpy as np
+import pytest
 
 from nestq.calibration import float_forward
 from nestq.layers import BitPolicy
-from nestq.models import cnn_dataset, make_blob_dataset
+from nestq.models import BLOB_SIGMA, cnn_dataset, make_blob_dataset
 from nestq.quantize import make_master_params
 from nestq.reference import (
     enumerate_macs,
@@ -43,6 +44,27 @@ class TestDataset:
     def test_image_variant(self):
         x, labels = cnn_dataset(4, samples=10)
         assert x.shape == (10, 1, 8, 8)
+
+    def test_layout_that_cannot_separate_raises(self):
+        with pytest.raises(ValueError, match="classes=20 .*dims=1 "):
+            make_blob_dataset(0, classes=20, dims=1)
+
+    # (3, 1) and (8, 2) need tens and thousands of draws of the means.
+    @pytest.mark.parametrize("seed, classes, dims", [
+        (3, 4, 16), (0, 1, 1), (0, 3, 1), (1, 8, 2), (5, 20, 16)])
+    def test_bounded_draws_give_the_unbounded_arrays(self, seed, classes, dims):
+        rng = np.random.default_rng(seed)
+        while True:  # the resampling loop, unbounded
+            means = rng.uniform(2.0, 8.0, size=(classes, dims))
+            dists = np.linalg.norm(means[:, None] - means[None, :], axis=-1)
+            np.fill_diagonal(dists, np.inf)
+            if dists.min() >= 4.0 * BLOB_SIGMA:
+                break
+        labels = rng.integers(0, classes, size=40)
+        x = np.clip(means[labels] + rng.normal(0.0, BLOB_SIGMA, size=(40, dims)), 0.0, None)
+        got = make_blob_dataset(seed, classes=classes, samples=40, dims=dims)
+        for a, b in zip(got, (x, labels, means)):
+            assert np.array_equal(a, b)
 
 
 class TestFakeQuant:
