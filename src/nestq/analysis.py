@@ -2,8 +2,9 @@
 
 Every operator's deviation from the exact quantized value is a linear
 combination of the constant rounding errors delta_i = k_real - k / 2^F, scaled
-by the integer inputs. The oracles here use exact rational arithmetic, so
-bound checks are never confounded by float rounding.
+by the integer inputs (``intops.terms``). The oracles here use exact rational
+arithmetic, so bound checks are never confounded by float rounding; the
+sampled and the exhaustive verifier check every case through one checker.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -18,12 +20,12 @@ from .intops import (
     IntOpConstants,
     add_constants,
     add_frac_bits,
-    add_raw,
     dot_constants,
     dot_frac_bits,
-    dot_raw,
+    linear_form,
     mul_constants,
-    mul_raw,
+    raw,
+    terms,
 )
 from .quantize import (
     MAX_BITWIDTH,
@@ -56,16 +58,7 @@ def op_error_bound(consts: IntOpConstants, magnitudes) -> ErrorBound:
     """
     deltas = consts.deltas()
     mags = tuple(int(m) for m in magnitudes)
-    if consts.role == "mul":
-        q1, q2 = mags
-        terms = (q1 * q2, q1, q2)
-    elif consts.role in ("add", "dot"):
-        terms = mags
-    else:
-        raise ValueError(f"no bound formula for role {consts.role!r}")
-    if len(terms) != len(deltas) - 1:
-        raise ValueError(f"{consts.role} needs {len(deltas) - 1} magnitudes, got {mags}")
-    bound = sum(abs(d) * t for d, t in zip(deltas, terms)) + abs(deltas[-1])
+    bound = linear_form([abs(d) for d in deltas], terms(consts.role, mags))
     return ErrorBound(op_kind=consts.role, deltas=deltas, bound=bound, magnitudes=mags)
 
 
@@ -77,15 +70,9 @@ def shift_error(q_n: int, n: int, b: int) -> Fraction:
     return exact - round_half_away_int(exact)
 
 
-def exact_add_value(q1: int, q2: int, c: IntOpConstants) -> Fraction:
-    """(x1 + x2 - m_y) / step_y with exact real-valued constants."""
-    r = c.exact
-    return r[0] * q1 + r[1] * q2 + r[2]
-
-
-def exact_mul_value(q1: int, q2: int, c: IntOpConstants) -> Fraction:
-    r = c.exact
-    return r[0] * q1 * q2 + r[1] * q1 + r[2] * q2 + r[3]
+def exact_value(c: IntOpConstants, operands) -> Fraction:
+    """The operator's value on the output grid with its exact, unrounded constants."""
+    return linear_form(c.exact, terms(c.role, operands))
 
 
 @dataclass
@@ -143,16 +130,51 @@ def _common_denominator_terms(c: IntOpConstants):
     return m, nums, delta_nums
 
 
+def _check(op_kind: str, instances, seed: int | None = None) -> VerificationReport:
+    """Check every case of every operator instance against its bound, exactly.
+
+    ``instances`` yields (grids, constants, cases), each case an operand tuple
+    of the constants' role. A case's error is the operator's own pre-shift
+    integer (``raw``, the code inference runs) over 2^F minus its exact value.
+    Error and bound are linear forms in the case's terms over the constant
+    set's shared denominator m, so the check is integer arithmetic.
+    """
+    report = VerificationReport(op_kind=op_kind, cases=0, max_observed=0.0,
+                                max_bound=0.0, seed=seed)
+    signed_sum = Fraction(0)
+    for grids, c, cases in instances:
+        m, nums, deltas = _common_denominator_terms(c)
+        m_over_f = m >> c.frac_bits
+        ad = tuple(abs(d) for d in deltas)
+        tuple_signed = worst_err = worst_bound = 0
+        for operands in cases:
+            # Compare at pre-shift resolution so the final output rounding does
+            # not enter: (raw / 2^F) - exact is the delta combination exactly.
+            t = terms(c.role, operands)
+            bound_num = linear_form(ad, t)
+            err_num = raw(c, operands) * m_over_f - linear_form(nums, t)
+            report.cases += 1
+            tuple_signed += err_num
+            worst_err = max(worst_err, abs(err_num))
+            worst_bound = max(worst_bound, bound_num)
+            if abs(err_num) > bound_num:
+                report.violations.append(Violation(
+                    op_kind, grids, tuple(operands),
+                    float(Fraction(err_num, m)), float(Fraction(bound_num, m))))
+        signed_sum += Fraction(tuple_signed, m)
+        report.max_observed = max(report.max_observed, float(Fraction(worst_err, m)))
+        report.max_bound = max(report.max_bound, float(Fraction(worst_bound, m)))
+    report.mean_signed_error = float(signed_sum / max(report.cases, 1))
+    return report
+
+
 def _sampled_operator(op_kind: str, rng, frac_bits: int | None, length: int):
     """Draw one operator instance: its grids, constants and CASES_PER_TUPLE cases.
 
-    Every operator's value is sum(r_i * t_i) + r_last over its terms t, returned
-    as one column per term: (q1, q2) for add, (q1*q2, q1, q2) for mul, and for
-    the length-N dot the sums of x*w, x and w plus the integer of a bias on a
-    drawn bias grid, as in a biased layer. ``raw`` maps a case's terms to the
-    operator's own pre-shift integer (``add_raw``, ``mul_raw``, ``dot_raw``),
-    so the check covers the code inference runs. Constants are at F, or at the
-    operator's fitted F if F is None, the precision inference runs at.
+    The cases are operand tuples: (q1, q2) for add and mul, and for the
+    length-N dot the sums of x*w, x and w plus the integer of a bias on a drawn
+    bias grid, as in a biased layer. Constants are at F, or at the operator's
+    fitted F if F is None, the precision inference runs at.
     """
     n = int(rng.integers(MIN_BITWIDTH, MAX_BITWIDTH + 1))
     p1, p2, py = (_random_params(rng, n) for _ in range(3))
@@ -162,55 +184,21 @@ def _sampled_operator(op_kind: str, rng, frac_bits: int | None, length: int):
 
     if op_kind == "dot":
         pb = _random_params(rng, n)
+        grids = (p1, p2, py, pb)
         f = frac_bits if frac_bits is not None else dot_frac_bits(p1, p2, py, length, pb)
         c = dot_constants(p1, p2, py, length, pb, f)
         xqs, wqs = draw(p1, length), draw(p2, length)
         cols = (np.einsum("ij,ij->i", xqs, wqs), xqs.sum(axis=1), wqs.sum(axis=1), draw(pb))
-        return (p1, p2, py, pb), c, cols, lambda t: dot_raw(c.k, *t)
-    q1s, q2s = draw(p1), draw(p2)
-    if op_kind == "add":
-        f = frac_bits if frac_bits is not None else add_frac_bits(p1, p2, py)
-        c = add_constants(p1, p2, py, f)
-        return (p1, p2, py), c, (q1s, q2s), lambda t: add_raw(t[0], t[1], c)
-    f = frac_bits if frac_bits is not None else dot_frac_bits(p1, p2, py, 1)
-    c = mul_constants(p1, p2, py, f)
-    return (p1, p2, py), c, (q1s * q2s, q1s, q2s), lambda t: mul_raw(t[1], t[2], c)
-
-
-def _verify_linear(op_kind: str, samples: int, seed: int,
-                   frac_bits: int | None, length: int = 64) -> VerificationReport:
-    rng = np.random.default_rng(seed)
-    report = VerificationReport(op_kind=op_kind, cases=0, max_observed=0.0,
-                                max_bound=0.0, seed=seed)
-    signed_sum = Fraction(0)
-    while report.cases < samples:
-        grids, c, cols, raw_fn = _sampled_operator(op_kind, rng, frac_bits, length)
-        m, nums, deltas = _common_denominator_terms(c)
-        m_over_f = m >> c.frac_bits
-        ad = tuple(abs(d) for d in deltas)
-        tuple_signed = 0
-        worst_err = 0
-        worst_bound = 0
-        for terms in zip(*(col.tolist() for col in cols)):
-            # Compare at pre-shift resolution so the final output rounding does
-            # not enter: (raw / 2^F) - exact is the delta combination exactly.
-            # All quantities are over the tuple's shared denominator m.
-            exact_num = sum(v * t for v, t in zip(nums, terms)) + nums[-1]
-            bound_num = sum(a * t for a, t in zip(ad, terms)) + ad[-1]
-            err_num = raw_fn(terms) * m_over_f - exact_num
-            report.cases += 1
-            tuple_signed += err_num
-            worst_err = max(worst_err, abs(err_num))
-            worst_bound = max(worst_bound, bound_num)
-            if abs(err_num) > bound_num:
-                report.violations.append(Violation(
-                    op_kind, grids, terms,
-                    float(Fraction(err_num, m)), float(Fraction(bound_num, m))))
-        signed_sum += Fraction(tuple_signed, m)
-        report.max_observed = max(report.max_observed, float(Fraction(worst_err, m)))
-        report.max_bound = max(report.max_bound, float(Fraction(worst_bound, m)))
-    report.mean_signed_error = float(signed_sum / max(report.cases, 1))
-    return report
+    else:
+        grids = (p1, p2, py)
+        if op_kind == "add":
+            f = frac_bits if frac_bits is not None else add_frac_bits(*grids)
+            c = add_constants(*grids, f)
+        else:
+            f = frac_bits if frac_bits is not None else dot_frac_bits(*grids, 1)
+            c = mul_constants(*grids, f)
+        cols = (draw(p1), draw(p2))
+    return grids, c, zip(*(col.tolist() for col in cols))
 
 
 def _verify_shift() -> VerificationReport:
@@ -247,27 +235,20 @@ def empirical_verify(op_kind: str, samples: int = 100_000, seed: int = 0,
         raise ValueError(f"unknown op kind {op_kind!r}")
     if op_kind == "shift":
         return _verify_shift()
-    return _verify_linear(op_kind, samples, seed, frac_bits)
+    rng = np.random.default_rng(seed)
+    draws = -(-samples // CASES_PER_TUPLE)
+    return _check(op_kind, (_sampled_operator(op_kind, rng, frac_bits, 64)
+                            for _ in range(draws)), seed)
 
 
 def exhaustive_verify_binary(op_kind: str, n: int, param_tuples) -> VerificationReport:
-    """Check every (q1, q2) pair for each given parameter triple, at F = 0."""
+    """Check every (q1, q2) pair for each given parameter triple, at F = 0.
+
+    Refuses (ValueError) an op kind other than add or mul.
+    """
+    if op_kind not in ("add", "mul"):
+        raise ValueError(f"no exhaustive check for op kind {op_kind!r}")
     make_consts = add_constants if op_kind == "add" else mul_constants
-    raw_fn = add_raw if op_kind == "add" else mul_raw
-    exact_fn = exact_add_value if op_kind == "add" else exact_mul_value
-    report = VerificationReport(op_kind=op_kind, cases=0, max_observed=0.0,
-                                max_bound=0.0)
-    qmax = (1 << n) - 1
-    for p1, p2, py in param_tuples:
-        c = make_consts(p1, p2, py, 0)
-        for q1 in range(qmax + 1):
-            for q2 in range(qmax + 1):
-                err = raw_fn(q1, q2, c) - exact_fn(q1, q2, c)
-                bound = op_error_bound(c, (q1, q2)).bound
-                report.cases += 1
-                report.max_observed = max(report.max_observed, abs(float(err)))
-                report.max_bound = max(report.max_bound, float(bound))
-                if abs(err) > bound:
-                    report.violations.append(Violation(
-                        op_kind, (p1, p2, py), (q1, q2), float(err), float(bound)))
-    return report
+    qs = range(1 << n)
+    return _check(op_kind, ((grids, make_consts(*grids, 0), product(qs, qs))
+                            for grids in param_tuples))

@@ -8,6 +8,12 @@ collapsing to zero. A final rounded right shift by F lands the result on the
 output grid; ``fit_frac_bits`` picks the largest F an operator's int64 proof allows,
 and ``add_frac_bits``/``dot_frac_bits`` apply it to an operator's own magnitudes.
 
+Each operator's value is one linear form, k . terms + k_last, and ``terms``
+is the one rule for which integers its constants weight: add (q1, q2), mul
+(q1*q2, q1, q2), dot (S_xw, S_x, S_w, q_b). ``raw`` (the pre-shift integer),
+the scalar operators and ``nestq.analysis`` (exact value, bound, verifiers)
+all derive from it.
+
 A MAC layer's bias is one more term of its dot, k4*q_b, with the bias offset
 folded into the additive constant, so the layer rounds once, onto its output
 grid, as Jacob et al. (2018) do with the bias in the integer accumulator.
@@ -25,6 +31,7 @@ exact in int64 wherever the proof holds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,11 +161,32 @@ def dot_constants(px: QuantParams, pw: QuantParams, py: QuantParams, length: int
     return _encode(dot_ratios(px, pw, py, length, pb), frac_bits, "dot")
 
 
+def terms(role: str, operands) -> tuple[int, ...]:
+    """The integers an operator's constants weight, before its additive constant.
+
+    add (q1, q2) and dot (S_xw, S_x, S_w, q_b) weight their operands as given;
+    mul (q1, q2) weights (q1*q2, q1, q2). Python ints, so no product wraps.
+    """
+    ints = tuple(map(int, operands))
+    if role == "mul":
+        q1, q2 = ints
+        return (q1 * q2, q1, q2)
+    if role in ("add", "dot"):
+        return ints
+    raise ValueError(f"no linear form for role {role!r}")
+
+
+def linear_form(weights, values):
+    """sum(w_i * v_i) + w_last; refuses (ValueError) a value count that does not fit."""
+    if len(values) != len(weights) - 1:
+        raise ValueError(f"{len(weights)} weights need {len(weights) - 1} values, "
+                         f"got {len(values)}")
+    return sum(map(operator.mul, weights, values)) + weights[-1]
+
+
 def linear_bound(k, magnitudes, frac_bits: int) -> int:
     """Bound on |sum(k_i * v_i) + k_last| plus the rounding half, for |v_i| <= magnitudes_i."""
-    *ks, k_last = k
-    return (sum(abs(ki) * m for ki, m in zip(ks, magnitudes)) + abs(k_last)
-            + ((1 << frac_bits) >> 1))
+    return linear_form([abs(ki) for ki in k], magnitudes) + ((1 << frac_bits) >> 1)
 
 
 def fit_frac_bits(ratios, magnitudes) -> int:
@@ -168,9 +196,8 @@ def fit_frac_bits(ratios, magnitudes) -> int:
     bound is at least 2^F * slope - slack, so the search starts at the largest
     F where that fits. Raises AccumulatorOverflowError if F=0 fails.
     """
-    terms = list(magnitudes) + [1]
-    slope = sum(abs(r) * m for r, m in zip(ratios, terms)) + Fraction(1, 2)
-    slack = Fraction(sum(terms) + 1, 2)
+    slope = linear_form([abs(r) for r in ratios], magnitudes) + Fraction(1, 2)
+    slack = Fraction(sum(magnitudes) + 2, 2)
     start = min(62, int((INT64_MAX + slack) / slope).bit_length() - 1)
     for frac_bits in range(start, -1, -1):
         k = _encode(ratios, frac_bits, "").k
@@ -197,30 +224,23 @@ def dot_frac_bits(px: QuantParams, pw: QuantParams, py: QuantParams, length: int
         s1_max, length * px.qmax, length * pw.qmax, pb.qmax if pb is not None else 0))
 
 
-def _clip_out(v: int, py: QuantParams) -> int:
-    return min(max(v, 0), py.qmax)
+def raw(c: IntOpConstants, operands) -> int:
+    """Pre-shift, pre-clip integer value k . terms + k_last; exposed for error analysis."""
+    return linear_form(c.k, terms(c.role, operands))
 
 
-def add_raw(q1: int, q2: int, c: IntOpConstants) -> int:
-    """Pre-shift, pre-clip integer combination; exposed for error analysis."""
-    return c.k[0] * int(q1) + c.k[1] * int(q2) + c.k[2]
+def _apply(c: IntOpConstants, role: str, operands, py: QuantParams) -> int:
+    if c.role != role:
+        raise ValueError(f"constants have role {c.role!r}, need {role!r}")
+    return min(max(rounding_right_shift(raw(c, operands), c.frac_bits), 0), py.qmax)
 
 
 def int_add(q1: int, q2: int, c: IntOpConstants, py: QuantParams) -> int:
-    if c.role != "add":
-        raise ValueError(f"constants have role {c.role!r}, need 'add'")
-    return _clip_out(rounding_right_shift(add_raw(q1, q2, c), c.frac_bits), py)
-
-
-def mul_raw(q1: int, q2: int, c: IntOpConstants) -> int:
-    q1, q2 = int(q1), int(q2)
-    return c.k[0] * q1 * q2 + c.k[1] * q1 + c.k[2] * q2 + c.k[3]
+    return _apply(c, "add", (q1, q2), py)
 
 
 def int_mul(q1: int, q2: int, c: IntOpConstants, py: QuantParams) -> int:
-    if c.role != "mul":
-        raise ValueError(f"constants have role {c.role!r}, need 'mul'")
-    return _clip_out(rounding_right_shift(mul_raw(q1, q2, c), c.frac_bits), py)
+    return _apply(c, "mul", (q1, q2), py)
 
 
 def _dot_sums(xq, wq) -> tuple[int, int, int]:
@@ -232,26 +252,9 @@ def _dot_sums(xq, wq) -> tuple[int, int, int]:
     return s1, int(xq.sum()), int(wq.sum())
 
 
-def dot_raw(k, s1, s2, s3, qb):
-    """Pre-shift, pre-clip dot plus bias: k1*s1 + k2*s2 + k3*s3 + k4*q_b + k5.
-
-    ``s1`` is the exact product sum; scalar oracles and error analysis share it.
-    """
-    return k[0] * s1 + k[1] * s2 + k[2] * s3 + k[3] * qb + k[4]
-
-
-def _apply_dot_constants(c: IntOpConstants, s1: int, s2: int, s3: int, qb: int,
-                         py: QuantParams) -> int:
-    raw = dot_raw(c.k, s1, s2, s3, int(qb))
-    return _clip_out(rounding_right_shift(raw, c.frac_bits), py)
-
-
 def int_dot(xq, wq, c: IntOpConstants, py: QuantParams, qb: int = 0) -> int:
     """General integer dot product plus bias ``qb``; handles offsets on both operands."""
-    if c.role != "dot":
-        raise ValueError(f"constants have role {c.role!r}, need 'dot'")
-    s1, s2, s3 = _dot_sums(xq, wq)
-    return _apply_dot_constants(c, s1, s2, s3, qb, py)
+    return _apply(c, "dot", (*_dot_sums(xq, wq), qb), py)
 
 
 def int_dot_pact(xq, wq, c: IntOpConstants, py: QuantParams,
@@ -262,15 +265,13 @@ def int_dot_pact(xq, wq, c: IntOpConstants, py: QuantParams,
     inner loop accumulates only sum(x*w) and sum(x): one multiply and two adds
     per element. Returns the result and the in-loop primitive counts.
     """
-    if c.role != "dot":
-        raise ValueError(f"constants have role {c.role!r}, need 'dot'")
-    if c.exact[2] != 0:
+    if c.role == "dot" and c.exact[2] != 0:  # other roles are refused by _apply
         raise ValueError("int_dot_pact requires zero-offset activations (m_x = 0)")
     s1, s2, _ = _dot_sums(xq, wq)
     n_elems = np.size(xq)
     loop = MAC_PRIMITIVES["dqt_pact"]
     counters = OpCounters(mults=loop["mul"] * n_elems, adds=loop["add"] * n_elems)
-    return _apply_dot_constants(c, s1, s2, 0, qb, py), counters
+    return _apply(c, "dot", (s1, s2, 0, qb), py), counters
 
 
 def standard_mac_dot(xq, wq, zero_x: int, zero_w: int) -> tuple[int, OpCounters]:

@@ -36,6 +36,21 @@ def fake_quantize(x: np.ndarray, params: QuantParams) -> np.ndarray:
     return q * params.scale + params.offset
 
 
+def nested_move(t: np.ndarray, grid: QuantParams, b: int) -> np.ndarray:
+    """Values on master grid ``grid`` moved to its nested grid at b, in float.
+
+    Recovers each master index q (rounding half away, clipping), then takes
+    floor(q / 2^(n-b) + 1/2) clipped at 2^b - 1: the division by a power of two
+    is exact, so a tie rounds up, where requantizing the value would divide by
+    the derived step and could land just below it.
+    """
+    q = np.clip(round_half_away((t - grid.offset) / grid.scale), 0, grid.qmax)
+    q_b = np.minimum(np.floor(q / float(1 << (grid.master_bitwidth - b)) + 0.5),
+                     (1 << b) - 1)
+    derived = derive_params(grid, b)
+    return q_b * derived.scale + derived.offset
+
+
 def fake_quant_forward(model: ModelGraph, x: np.ndarray,
                        policy: BitPolicy) -> np.ndarray:
     """Float forward with per-tensor fake quantization at the policy bit-widths.
@@ -51,19 +66,18 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
     outputs = {}
     for i, (layer, b) in enumerate(zip(model.layers, bits)):
         if layer.kind in POLICY_KINDS:  # the input enters at b
-            t = fake_quantize(t, derive_params(model.output_grid(i - 1), b))
+            t = nested_move(t, model.output_grid(i - 1), b)
         if layer.kind in ("fc", "conv2d"):
             pw = layer.weight_q.params
             w_master = np.asarray(layer.weight_q.data, dtype=np.float64) * pw.scale + pw.offset
-            shadow = replace(layer, weight=fake_quantize(w_master, derive_params(pw, b)))
+            shadow = replace(layer, weight=nested_move(w_master, pw, b))
             if layer.bias_q is not None:
                 pb = layer.bias_q.params
                 shadow.bias = np.asarray(layer.bias_q.data, dtype=np.float64) \
                     * pb.scale + pb.offset
             t = fake_quantize(float_layer(shadow, t), layer.output_params)
         elif layer.kind == "residual_add":
-            aux = fake_quantize(outputs[layer.source], derive_params(
-                model.output_grid(layer.source), b))
+            aux = nested_move(outputs[layer.source], model.output_grid(layer.source), b)
             t = fake_quantize(t + aux, layer.output_params)
         else:
             t = float_layer(layer, t)

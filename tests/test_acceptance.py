@@ -245,16 +245,23 @@ def test_n_sweep_fidelity(blob_data, cnn_data, make_block, arch, n):
         assert agree >= 0.99 * len(xs), (policy.bits, agree)
 
 
-@pytest.mark.parametrize("n", [14, 15, 16])
-def test_high_n_mixed_policy_within_one_step(blob_data, cnn_data, make_block, n):
-    """The toy MLP's outputs stay within one output step of the oracle at a high
-    master width under the sweep's mixed policy: its product sums are exact."""
-    model, xs, policies = sweep_model("mlp", n, blob_data, cnn_data, make_block)
-    policy = policies[1]
-    got, _ = forward(model, xs, policy)
-    steps = np.abs(got - fake_quant_forward(model, xs, policy)) \
-        / model.layers[-1].output_params.scale
-    assert np.max(steps) <= 1 + 1e-6, np.max(steps)  # 1e-6: float noise of dequantizing
+STEP_SWEEP = ([pytest.param("mlp", n, id=str(n)) for n in (4, 8, 12, 14, 15, 16)]
+              + [pytest.param("cnn", n, id=f"cnn-{n}") for n in (4, 8, 12, 16)])
+
+
+@pytest.mark.parametrize("arch, n", STEP_SWEEP)
+def test_high_n_mixed_policy_within_one_step(blob_data, cnn_data, make_block, arch, n):
+    """The toy MLP's and CNN's outputs stay within one output step of the oracle
+    under both sweep policies: their product sums are exact, and the oracle moves
+    a value to a nested grid as exactly as the shift does. The residual block is
+    left out: at n = 8 under the mixed policy it is 2 steps off."""
+    model, xs, policies = sweep_model(arch, n, blob_data, cnn_data, make_block)
+    for policy in policies:
+        got, _ = forward(model, xs, policy)
+        steps = np.abs(got - fake_quant_forward(model, xs, policy)) \
+            / model.layers[-1].output_params.scale
+        # 1e-6: float noise of dequantizing
+        assert np.max(steps) <= 1 + 1e-6, (policy.bits, np.max(steps))
 
 
 # sha256 prefixes of the toy models' batched outputs and per-layer trace

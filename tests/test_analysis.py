@@ -1,6 +1,7 @@
 """Analytic error bounds and their oracle-backed verification."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import pytest
 from nestq import analysis
 from nestq.analysis import (
     empirical_verify,
-    exact_add_value,
+    exact_value,
     exhaustive_verify_binary,
     op_error_bound,
     shift_error,
 )
-from nestq.intops import IntOpConstants, add_constants, dot_constants
+from nestq.intops import IntOpConstants, add_constants, dot_constants, mul_constants, raw
 from nestq.quantize import MAX_BITWIDTH, MIN_BITWIDTH, QuantParams, make_master_params
 
 
@@ -22,6 +23,18 @@ def params(scale, offset, b=8, n=8):
 
 
 UNIT = params(1.0, 0.0)
+
+# Each operator's pre-shift integer with one term dropped: the constant, the q2
+# term, the bias term.
+BROKEN_RAW = {
+    "add": lambda c, q: c.k[0] * q[0] + c.k[1] * q[1],
+    "mul": lambda c, q: c.k[0] * q[0] * q[1] + c.k[1] * q[0] + c.k[3],
+    "dot": lambda c, s: c.k[0] * s[0] + c.k[1] * s[1] + c.k[2] * s[2] + c.k[4],
+}
+
+
+def report_numbers(r):
+    return r.cases, len(r.violations), r.max_observed, r.max_bound, r.mean_signed_error
 
 
 class TestOpErrorBound:
@@ -101,17 +114,29 @@ class TestEmpiricalVerify:
         assert fitted.passed and fitted.cases == 500
         assert fitted.max_bound < at_zero.max_bound
 
-    @pytest.mark.parametrize("op, name, broken", [
-        ("add", "add_raw", lambda q1, q2, c: c.k[0] * q1 + c.k[1] * q2),
-        ("mul", "mul_raw", lambda q1, q2, c: c.k[0] * q1 * q2 + c.k[1] * q1 + c.k[3]),
-        ("dot", "dot_raw", lambda k, s1, s2, s3, qb: k[0] * s1 + k[1] * s2 + k[2] * s3 + k[4]),
-    ])
-    def test_catches_a_broken_operator(self, monkeypatch, op, name, broken):
+    @pytest.mark.parametrize("op", sorted(BROKEN_RAW))
+    def test_catches_a_broken_operator(self, monkeypatch, op):
         # The verifier evaluates the operator code, so an operator that drops
         # a term (the constant, the q2 term, the bias) fails its own bound.
-        monkeypatch.setattr(analysis, name, broken)
+        monkeypatch.setattr(analysis, "raw", BROKEN_RAW[op])
         report = empirical_verify(op, samples=500, seed=5, frac_bits=None)
         assert not report.passed
+
+    # Reports recorded before the sampled and exhaustive verifiers shared one
+    # checker: (cases, violations, max_observed, max_bound, mean_signed_error).
+    PINNED = {
+        "add": (2000, 0, 1.4563933571462573e-09, 1.4563933571462573e-09,
+                -1.725872120778383e-11),
+        "mul": (2000, 0, 0.0002609047953835704, 0.00026091117587859187,
+                -2.727994709240012e-06),
+        "dot": (2000, 0, 0.15448171310671077, 0.15449244253939348,
+                0.0014619083402038317),
+    }
+
+    @pytest.mark.parametrize("op", sorted(PINNED))
+    def test_fitted_reports_pinned(self, op):
+        report = empirical_verify(op, samples=2000, seed=2, frac_bits=None)
+        assert report_numbers(report) == self.PINNED[op]
 
     def test_samples_every_supported_width(self, monkeypatch):
         widths = set()
@@ -161,26 +186,57 @@ class TestEmpiricalVerify:
         assert abs(mean) <= 3 * stderr
 
 
+ADD_TUPLES = [
+    (make_master_params(-1.0, 2.0, 6), make_master_params(0.0, 3.0, 6),
+     make_master_params(-1.0, 5.0, 6)),
+    (make_master_params(0.0, 1.0, 6), make_master_params(0.0, 1.0, 6),
+     make_master_params(0.0, 2.0, 6)),
+]
+MUL_TUPLES = [(make_master_params(-0.5, 0.5, 4), make_master_params(-1.0, 1.0, 4),
+               make_master_params(-0.5, 0.5, 4))]
+
+
 class TestExhaustiveVerify:
     def test_add_exhaustive_small_width(self):
-        tuples = [
-            (make_master_params(-1.0, 2.0, 6), make_master_params(0.0, 3.0, 6),
-             make_master_params(-1.0, 5.0, 6)),
-            (make_master_params(0.0, 1.0, 6), make_master_params(0.0, 1.0, 6),
-             make_master_params(0.0, 2.0, 6)),
-        ]
-        report = exhaustive_verify_binary("add", 6, tuples)
+        report = exhaustive_verify_binary("add", 6, ADD_TUPLES)
         assert report.passed and report.cases == 2 * 64 * 64
 
     def test_mul_exhaustive_small_width(self):
-        tuples = [(make_master_params(-0.5, 0.5, 4), make_master_params(-1.0, 1.0, 4),
-                   make_master_params(-0.5, 0.5, 4))]
-        report = exhaustive_verify_binary("mul", 4, tuples)
+        report = exhaustive_verify_binary("mul", 4, MUL_TUPLES)
         assert report.passed and report.cases == 256
+
+    def test_report_pinned(self):
+        # Recorded when this verifier began computing mean_signed_error; the
+        # other fields match the reports from before. Constants at F = 0 round
+        # both 1/2 ratios up, so every case errs upward.
+        report = exhaustive_verify_binary("add", 6, ADD_TUPLES)
+        assert report_numbers(report) == (8192, 0, 63.0, 63.0, 31.5)
+
+    def test_mean_signed_error_is_the_mean_case_error(self):
+        report = exhaustive_verify_binary("mul", 4, MUL_TUPLES)
+        c = mul_constants(*MUL_TUPLES[0], 0)
+        errors = [raw(c, q) - exact_value(c, q) for q in product(range(16), repeat=2)]
+        assert report.mean_signed_error == float(sum(errors) / len(errors)) != 0
+
+    def test_rejects_other_op_kinds(self):
+        for op in ("dot", "shift", "conv"):
+            with pytest.raises(ValueError):
+                exhaustive_verify_binary(op, 2, MUL_TUPLES)
+
+    @pytest.mark.parametrize("op, n, tuples", [
+        # k3 = (m1 + m2 - m_y) / step_y = -12.6 at F = 0: the constant matters
+        ("add", 6, [(make_master_params(-1.0, 2.0, 6), make_master_params(0.0, 3.0, 6),
+                     make_master_params(0.0, 5.0, 6))]),
+        ("mul", 4, MUL_TUPLES),  # k3 = step_w * m_x / step_y = -1: the q2 term matters
+    ], ids=["add", "mul"])
+    def test_catches_a_broken_operator(self, monkeypatch, op, n, tuples):
+        assert exhaustive_verify_binary(op, n, tuples).passed
+        monkeypatch.setattr(analysis, "raw", BROKEN_RAW[op])
+        assert not exhaustive_verify_binary(op, n, tuples).passed
 
 
 class TestExactValues:
     def test_exact_add_value_matches_hand_computation(self):
         c = add_constants(params(0.5, 1.0), params(0.25, 0.5), params(0.25, 0.0),
                           frac_bits=0)
-        assert exact_add_value(3, 4, c) == Fraction(16)
+        assert exact_value(c, (3, 4)) == Fraction(16)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestq.analysis import exact_add_value, exact_mul_value
+from nestq.analysis import exact_value
 from nestq.intops import (
     INT64_MAX,
     AccumulatorOverflowError,
@@ -22,7 +22,9 @@ from nestq.intops import (
     int_mul,
     linear_bound,
     mul_constants,
+    raw,
     standard_mac_dot,
+    terms,
 )
 from nestq.quantize import QuantParams, make_master_params, round_half_away_int
 
@@ -32,6 +34,28 @@ def params(scale, offset, b=8, n=8):
 
 
 UNIT = params(1.0, 0.0)
+
+
+class TestTerms:
+    def test_add_and_dot_weight_operands_as_given(self):
+        assert terms("add", (3, 4)) == (3, 4)
+        assert terms("dot", (10, 3, 4, 7)) == (10, 3, 4, 7)
+
+    def test_mul_weights_product_and_factors(self):
+        assert terms("mul", (3, 4)) == (12, 3, 4)
+
+    def test_unknown_role_rejected(self):
+        with pytest.raises(ValueError):
+            terms("shift", (1,))
+
+    def test_uint8_operands_do_not_wrap(self):
+        assert terms("mul", (np.uint8(200), np.uint8(200)))[0] == 40_000
+        c = mul_constants(UNIT, UNIT, params(1.0, 0.0, 16, 16), frac_bits=0)
+        assert raw(c, (np.uint8(200), np.uint8(200))) == 40_000
+
+    def test_raw_refuses_wrong_operand_count(self):
+        with pytest.raises(ValueError):
+            raw(add_constants(UNIT, UNIT, UNIT), (1, 2, 3))
 
 
 class TestAddConstants:
@@ -104,7 +128,7 @@ class TestIntAdd:
         py = make_master_params(-1.0, 5.5, 8)
         c = add_constants(p1, p2, py, frac_bits=20)
         for q1, q2 in product(range(0, 256, 5), range(0, 256, 5)):
-            exact = exact_add_value(q1, q2, c)
+            exact = exact_value(c, (q1, q2))
             got = int_add(q1, q2, c, py)
             want = min(max(round(exact), 0), 255)
             assert abs(got - int(want)) <= 1
@@ -149,7 +173,7 @@ class TestIntMul:
         py = make_master_params(-1.0, 1.0, 8)
         c = mul_constants(p1, p2, py, frac_bits=20)
         for q1, q2 in product(range(0, 256, 5), range(0, 256, 5)):
-            exact = exact_mul_value(q1, q2, c)
+            exact = exact_value(c, (q1, q2))
             want = min(max(round(exact), 0), 255)
             assert abs(int_mul(q1, q2, c, py) - int(want)) <= 1
 
@@ -228,6 +252,12 @@ class TestPactDot:
             wq = rng.integers(0, 256, n_len)
             got, _ = int_dot_pact(xq, wq, c, py)
             assert got == int_dot(xq, wq, c, py)
+
+    def test_role_checked_first(self):
+        # mul constants with a nonzero exact[2] are refused for their role
+        c = mul_constants(make_master_params(-1.0, 1.0, 8), UNIT, UNIT)
+        with pytest.raises(ValueError, match="role"):
+            int_dot_pact([1], [1], c, UNIT)
 
     def test_rejects_nonzero_activation_offset(self):
         px = make_master_params(-1.0, 1.0, 8)

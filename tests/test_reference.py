@@ -6,13 +6,14 @@ import pytest
 from nestq.calibration import float_forward
 from nestq.layers import BitPolicy
 from nestq.models import BLOB_SIGMA, cnn_dataset, make_blob_dataset
-from nestq.quantize import make_master_params
+from nestq.quantize import derive_params, make_master_params
 from nestq.reference import (
     enumerate_macs,
     exact_nested_shift,
     exact_requantize,
     fake_quant_forward,
     fake_quantize,
+    nested_move,
 )
 
 
@@ -100,6 +101,18 @@ class TestExactOracles:
     def test_nested_shift_known_values(self):
         assert exact_nested_shift(100, 8, 4) == 6
         assert exact_nested_shift(255, 8, 2) == 3
+
+    @pytest.mark.parametrize("lo, hi, n, stride", [
+        (-3.0, 5.0, 8, 1), (0.37, 11.1, 12, 1), (-0.9, 1.3, 16, 7)])
+    def test_nested_move_is_the_exact_shift(self, lo, hi, n, stride):
+        # Every tie q = 2^(s-1) mod 2^s included: the float move rounds it up.
+        grid = make_master_params(lo, hi, n)
+        q = np.arange(0, 1 << n, stride)
+        for b in range(2, n + 1):
+            derived = derive_params(grid, b)
+            want = np.array([exact_nested_shift(int(v), n, b) for v in q])
+            got = nested_move(q * grid.scale + grid.offset, grid, b)
+            assert np.array_equal(got, want * derived.scale + derived.offset), b
 
 
 class TestMacEnumerator:
