@@ -18,6 +18,7 @@ CNN_INPUT = (1, 8, 8)
 DEFAULT_CLASSES = 4
 BLOB_SIGMA = 0.5
 BLOB_MIN_SEPARATION = 4.0  # in units of sigma
+BLOB_MEAN_RANGE = (2.0, 8.0)  # each coordinate of a class mean is uniform on it
 # Draws of the class means before giving up: a layout whose means separate
 # with chance p per draw fails with chance (1 - p)^MAX_MEAN_DRAWS.
 MAX_MEAN_DRAWS = 100_000
@@ -32,19 +33,25 @@ def make_blob_dataset(seed: int, classes: int = DEFAULT_CLASSES,
     distances reach BLOB_MIN_SEPARATION sigmas; data is clipped at zero so the
     input grid can use a zero offset. Refuses (ValueError) a layout whose means
     do not separate within MAX_MEAN_DRAWS draws, as too many classes in too
-    few dims never do.
+    few dims never do. In one dim that is known before any draw: the means
+    separate only if (classes - 1) gaps of the minimum distance fit strictly
+    inside BLOB_MEAN_RANGE, as a tight fit has chance zero.
     """
-    rng = np.random.default_rng(seed)
     min_dist = BLOB_MIN_SEPARATION * BLOB_SIGMA
+    refusal = (f"classes={classes} means in dims={dims} did not separate "
+               f"in {MAX_MEAN_DRAWS} draws; use fewer classes or more dims")
+    lo, hi = BLOB_MEAN_RANGE
+    if dims == 1 and (classes - 1) * min_dist >= hi - lo:
+        raise ValueError(refusal)
+    rng = np.random.default_rng(seed)
     for _ in range(MAX_MEAN_DRAWS):
-        means = rng.uniform(2.0, 8.0, size=(classes, dims))
+        means = rng.uniform(lo, hi, size=(classes, dims))
         dists = np.linalg.norm(means[:, None] - means[None, :], axis=-1)
         np.fill_diagonal(dists, np.inf)
         if dists.min() >= min_dist:
             break
     else:
-        raise ValueError(f"classes={classes} means in dims={dims} did not separate "
-                         f"in {MAX_MEAN_DRAWS} draws; use fewer classes or more dims")
+        raise ValueError(refusal)
     labels = rng.integers(0, classes, size=samples)
     x = means[labels] + rng.normal(0.0, BLOB_SIGMA, size=(samples, dims))
     return np.clip(x, 0.0, None), labels, means

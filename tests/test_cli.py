@@ -754,6 +754,16 @@ class TestNumericFlags:
         assert argv[1] in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unseparable_dataset_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # four means at least 2 apart in [2, 8] is a tight fit: no draw can find one
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was built for a layout that cannot separate")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        assert main(["make-dataset", "--dims", "1", "--out", str(tmp_path / "o")]) == 1
+        assert "classes=4 means in dims=1 did not separate" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_every_numeric_flag_is_range_checked(self):
         # --seed takes any integer; every other number has its range checked at the parser.
         sub = next(a for a in cli.build_parser()._actions

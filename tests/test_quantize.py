@@ -240,21 +240,72 @@ class TestShiftDown:
                     assert isinstance(got, np.ndarray) and got.shape == () \
                         and got.dtype == dtype and got == want[size - 1], (n, b, dtype)
 
-    def test_no_widened_temporaries(self):
-        """A uint16 master at n = 12 shifts with no buffer beyond its output.
+    @staticmethod
+    def _layout(v: np.ndarray, layout: str):
+        """``v`` laid out as ``layout``, and the same values as a fresh array."""
+        if layout == "stride-2":
+            base = np.zeros(2 * v.size, dtype=v.dtype)
+            base[::2] = v
+            return base[::2], v
+        if layout == "reversed":
+            return v[::-1].copy()[::-1], v
+        if layout == "transposed":
+            v = v[: v.size // 2 * 2].reshape(-1, 2)
+            return v.T, v.T.copy()
+        if layout == "read-only":
+            v = v.copy()
+            v.flags.writeable = False
+            return v, v.copy()
+        return np.array(v[-1]), np.array(v[-1])  # 0-d: the largest index
 
-        Peak traced memory stays within 1.1x the output (2 MiB), where one
-        int64 intermediate would add 8 MiB.
+    @pytest.mark.parametrize("layout", ["stride-2", "reversed", "transposed",
+                                        "read-only", "0-d"])
+    def test_every_input_layout(self, layout):
+        """Every 2 <= b < n <= 16 on a seeded sample, in every integer dtype.
+
+        The sample holds the top 2^(n-b) indices, which the clamp sends to
+        2^b - 1, and some below 128, so that every dtype, int8 at n = 16 too,
+        gets some of the sampled indices: those it can hold. The result has
+        the input's dtype and shape, equals the exact-rational oracle, shares
+        no memory with the input and leaves it unchanged.
         """
-        q = np.random.default_rng(0).integers(0, 1 << 12, size=1 << 20, dtype=np.uint16)
-        tracemalloc.start()
-        try:
-            out = shift_down(q, 12, 8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.dtype == np.uint16
-        assert peak <= 1.1 * out.nbytes, (peak, out.nbytes)
+        rng = np.random.default_rng(18)
+        dtypes = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
+        for n in range(3, 17):
+            for b in range(2, n):
+                top = np.arange((1 << n) - (1 << (n - b)), 1 << n)
+                sample = np.sort(np.concatenate([rng.integers(0, 1 << n, size=64),
+                                                 rng.integers(0, min(1 << n, 128), size=16), top]))
+                want = np.array([exact_nested_shift(v, n, b) for v in sample])
+                for dtype in dtypes:
+                    held = sample <= np.iinfo(dtype).max
+                    q, before = self._layout(sample[held].astype(dtype), layout)
+                    expect = self._layout(want[held], layout)[1]
+                    got = shift_down(q, n, b)
+                    assert got.dtype == dtype and got.shape == q.shape, (n, b, dtype)
+                    assert np.array_equal(got, expect), (n, b, dtype)
+                    assert np.array_equal(q, before), (n, b, dtype)
+                    assert not np.shares_memory(got, q), (n, b, dtype)
+
+    def test_no_widened_temporaries(self):
+        """A master shifts with no buffer beyond its output.
+
+        Peak traced memory stays within 1.1x the output, where one int64
+        intermediate would add 8 bytes an element, or a second buffer of the
+        output's dtype (say, a filled cap beside the output) 1 to 2. Checked
+        at n = 12 in uint16 and at n = 8 and n = 16, where the dtype is full.
+        """
+        rng = np.random.default_rng(0)
+        for n, b, dtype in ((8, 4, np.uint8), (12, 8, np.uint16), (16, 8, np.uint16)):
+            q = rng.integers(0, 1 << n, size=1 << 20, dtype=dtype)
+            tracemalloc.start()
+            try:
+                out = shift_down(q, n, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.dtype == dtype
+            assert peak <= 1.1 * out.nbytes, (n, peak, out.nbytes)
 
     def test_computes_in_the_input_dtype(self):
         q = np.array([0, 1, 2, 3], dtype=np.int32)

@@ -1,8 +1,11 @@
 """Self-checks for the oracles and the toy model family."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from nestq import models
 from nestq.calibration import float_forward
 from nestq.layers import BitPolicy
 from nestq.models import BLOB_SIGMA, cnn_dataset, make_blob_dataset
@@ -46,9 +49,31 @@ class TestDataset:
         x, labels = cnn_dataset(4, samples=10)
         assert x.shape == (10, 1, 8, 8)
 
-    def test_layout_that_cannot_separate_raises(self):
-        with pytest.raises(ValueError, match="classes=20 .*dims=1 "):
-            make_blob_dataset(0, classes=20, dims=1)
+    def test_layout_that_cannot_separate_raises(self, monkeypatch):
+        # in one dim, four or more means 2 apart cannot fit in [2, 8] but by
+        # chance zero: refused before a generator is built
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a generator was built for a layout that cannot separate")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        for classes in (4, 5, 20):
+            with pytest.raises(ValueError, match=f"classes={classes} means in dims=1 did not "
+                                                 "separate in 100000 draws"):
+                make_blob_dataset(0, classes=classes, dims=1)
+        # beyond one dim the draws decide
+        monkeypatch.undo()
+        monkeypatch.setattr(models, "MAX_MEAN_DRAWS", 10)
+        with pytest.raises(ValueError, match="classes=20 means in dims=2 did not separate "
+                                             "in 10 draws"):
+            make_blob_dataset(0, classes=20, dims=2)
+
+    @pytest.mark.parametrize("seed, digest", [(0, "c7bd9d468b268dc0"), (7, "d8b41caf8be55124")])
+    def test_default_dataset_pinned(self, seed, digest):
+        # sha256 of X, labels (as <i8) and means of the default 16-dim dataset
+        h = hashlib.sha256()
+        for a in make_blob_dataset(seed):
+            h.update(np.asarray(a, dtype="<f8" if a.dtype.kind == "f" else "<i8").tobytes())
+        assert h.hexdigest()[:16] == digest
 
     # (3, 1) and (8, 2) need tens and thousands of draws of the means.
     @pytest.mark.parametrize("seed, classes, dims", [
