@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """End-to-end demo: build a toy model, calibrate it, and compare the
 integer pipeline's predictions against the float fake-quantization oracle
-under several bit-width policies. The samples are grouped by the policy
-they get, and each group runs as one batch through both paths."""
+under several bit-width policies, each resolved from its `nestq infer
+--policy` string. The samples are grouped by the policy they get, and each
+group runs as one batch through both paths."""
 
 import argparse
 
 import numpy as np
 
 from nestq.calibration import calibrate
-from nestq.controller import ControllerSpec, controller_forward, select_argmax
+from nestq.cli import policy_source
 from nestq.layers import BitPolicy, forward
 from nestq.models import build_toy_mlp, make_blob_dataset
 from nestq.reference import fake_quant_forward
@@ -22,23 +23,19 @@ def main() -> int:
     ap.add_argument("--candidates", default="2,4,6,8")
     args = ap.parse_args()
 
-    cands = tuple(int(b) for b in args.candidates.split(","))
     x, labels, means = make_blob_dataset(args.seed, samples=args.samples)
     model = build_toy_mlp(seed=7, means=means)
     calibrate(model, [x[i:i + 100] for i in range(0, min(400, len(x)), 100)])
-    num_layers = model.num_policy_layers
-
     policies = {
-        "master (8,8,8)": lambda xi: BitPolicy.uniform(8, num_layers),
-        "mixed (8,4,8)": lambda xi: BitPolicy(bits=(8, 4, 8), candidates=(4, 8)),
-        "all-4": lambda xi: BitPolicy.uniform(4, num_layers),
+        "master (8,8,8)": "static:8",
+        "mixed (8,4,8)": "fixed:8,4,8",
+        "all-4": "static:4",
+        "controller": f"controller:{args.candidates}",
     }
-    ctrl = ControllerSpec(num_layers=num_layers, candidates=cands, seed=args.seed)
-    policies["controller"] = lambda xi: select_argmax(
-        controller_forward(ctrl, xi), cands)
 
-    print(f"{args.samples} samples, {num_layers} policy layers")
-    for name, pick in policies.items():
+    print(f"{args.samples} samples, {model.num_policy_layers} policy layers")
+    for name, source in policies.items():
+        pick = policy_source(source, model, seed=args.seed)
         groups: dict[BitPolicy, list[int]] = {}
         for i, xi in enumerate(x):
             groups.setdefault(pick(xi), []).append(i)

@@ -33,7 +33,9 @@ from .quantize import (
     QuantParams,
     make_master_params,
     round_half_away_int,
+    shift_down,
 )
+from .reference import exact_nested_shift
 
 OP_KINDS = ("add", "mul", "dot", "shift")
 
@@ -202,13 +204,19 @@ def _sampled_operator(op_kind: str, rng, frac_bits: int | None, length: int):
 
 
 def _verify_shift() -> VerificationReport:
-    """Every index at every n in 2..8 and every b <= n, against a half step."""
+    """Every index at every n in 2..8 and every b <= n, against a half step.
+
+    Also checks ``shift_down``, the shift inference runs, against the exact
+    nested index; a mismatch is a violation whose observed error is the
+    index difference, against a bound of 0.
+    """
     report = VerificationReport(op_kind="shift", cases=0, max_observed=0.0,
                                 max_bound=0.5)
     half = Fraction(1, 2)
     signed_sum = Fraction(0)
     for n in range(2, 9):
         for b in range(2, n + 1):
+            shifted = shift_down(np.arange(1 << n), n, b).tolist()
             for q in range(1 << n):
                 eps = shift_error(q, n, b)
                 report.cases += 1
@@ -217,6 +225,10 @@ def _verify_shift() -> VerificationReport:
                 if abs(eps) > half:
                     report.violations.append(Violation(
                         "shift", (n, b), (q,), float(eps), 0.5))
+                miss = shifted[q] - exact_nested_shift(q, n, b)
+                if miss:
+                    report.violations.append(Violation(
+                        "shift", (n, b), (q,), float(miss), 0.0))
     report.mean_signed_error = float(signed_sum / max(report.cases, 1))
     return report
 

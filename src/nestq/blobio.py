@@ -3,7 +3,8 @@
 Blob layout: 4 magic bytes, one dtype code byte, one rank byte, rank little-
 endian uint32 dims, then the little-endian row-major payload. Manifests are a
 JSON tree referencing blobs by relative path. All writes go through a temp
-file plus rename so partially written files are never observed.
+file plus rename so partially written files are never observed; every JSON
+file goes through :func:`write_json`.
 
 A MAC layer's manifest entry names up to four blobs: the float ``weight`` and
 ``bias`` it was calibrated from and their master-width integers ``weight_q``
@@ -23,6 +24,7 @@ import math
 import os
 import struct
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ MANIFEST_VERSION = 1
 
 _DTYPES = {code: np.dtype(s) for code, s in
            {0: "<f4", 1: "u1", 2: "<u2", 3: "<i4", 4: "<i8"}.items()}
-_DTYPE_CODES = {"float32": 0, "uint8": 1, "uint16": 2, "int32": 3, "int64": 4}
+_DTYPE_CODES = {dtype.name: code for code, dtype in _DTYPES.items()}
 
 
 class ManifestError(ValueError):
@@ -57,8 +59,8 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode())
+def write_json(path: Path, tree) -> None:
+    atomic_write_bytes(path, (json.dumps(tree, indent=2, sort_keys=True) + "\n").encode())
 
 
 def write_blob(path: Path, array: np.ndarray) -> None:
@@ -107,16 +109,11 @@ def read_blob(path: Path) -> np.ndarray:
 
 
 def _params_to_json(p: QuantParams | None):
-    if p is None:
-        return None
-    return {"scale": p.scale, "offset": p.offset,
-            "bitwidth": p.bitwidth, "master_bitwidth": p.master_bitwidth}
+    return None if p is None else asdict(p)
 
 
 def _params_from_json(d) -> QuantParams | None:
-    if d is None:
-        return None
-    return QuantParams(**d)
+    return None if d is None else QuantParams(**d)
 
 
 _LAYER_SCALARS = ("kind", "name", "in_features", "out_features", "in_channels",
@@ -169,7 +166,7 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
         "provenance": provenance or {},
     }
     path = directory / "manifest.json"
-    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
     return path
 
 
@@ -314,7 +311,7 @@ def save_controller(spec: ControllerSpec, directory: Path) -> Path:
         "seed": spec.seed,
     }
     path = directory / "controller.json"
-    atomic_write_text(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(path, meta)
     return path
 
 
@@ -354,25 +351,22 @@ def load_controller(path: Path) -> ControllerSpec:
     return spec
 
 
+def _report_lines(tree: dict, prefix: str = "") -> list[str]:
+    """``key=value`` per leaf in sorted key order; a nested dict's keys join with dots."""
+    lines = []
+    for key in sorted(tree):
+        value = tree[key]
+        if isinstance(value, dict):
+            lines += _report_lines(value, f"{prefix}{key}.")
+        else:
+            if isinstance(value, (list, tuple)):
+                value = ",".join(map(str, value))
+            lines.append(f"{prefix}{key}={value}")
+    return lines
+
+
 def write_report(path: Path, tree: dict) -> None:
     """Write a report as key=value lines plus a JSON twin next to it."""
-    lines = []
-
-    def walk(prefix: str, node):
-        if isinstance(node, dict):
-            for k in sorted(node):
-                walk(f"{prefix}{k}." if prefix else f"{k}.", node[k]) \
-                    if isinstance(node[k], dict) else walk_leaf(prefix, k, node[k])
-        else:
-            lines.append(f"{prefix.rstrip('.')}={node}")
-
-    def walk_leaf(prefix: str, key: str, value):
-        if isinstance(value, (list, tuple)):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{prefix}{key}={value}")
-
-    walk("", tree)
     path = Path(path)
-    atomic_write_text(path, "\n".join(lines) + "\n")
-    atomic_write_text(path.with_suffix(path.suffix + ".json"),
-                      json.dumps(tree, indent=2, sort_keys=True) + "\n")
+    atomic_write_bytes(path, ("\n".join(_report_lines(tree)) + "\n").encode())
+    write_json(path.with_suffix(path.suffix + ".json"), tree)

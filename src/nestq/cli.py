@@ -1,10 +1,11 @@
 """Command-line front end: build/calibrate models, run inference, report costs.
 
 Every command is a pure function of its flags and seeds and writes diffable
-key=value reports (plus a JSON twin) atomically. Exit codes: 0 success,
-2 usage error, 3 unreadable or ill-formed manifest/blob, 4 shape mismatch,
-5 unknown policy source, 6 bound violation in verify, 1 anything else (such as
-a layer refused because its accumulator would overflow).
+key=value reports (plus a JSON twin) atomically, built from the records the
+library returns. Exit codes (``EXIT_CODES``): 0 success, 2 usage error (a
+malformed NESTQ_SEED too), 3 unreadable or ill-formed manifest/blob, 4 shape
+mismatch, 5 unknown policy source, 6 bound violation in verify, 1 anything else
+(such as a layer refused because its accumulator would overflow).
 
 Seed precedence: an explicit --seed flag wins; otherwise the NESTQ_SEED
 environment variable; otherwise the command's built-in default.
@@ -17,12 +18,13 @@ import functools
 import os
 import sys
 from collections.abc import Callable
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import blobio
-from .analysis import empirical_verify
+from .analysis import OP_KINDS, empirical_verify
 from .blobio import ManifestError
 from .calibration import DEFAULT_EMA_MOMENTUM, calibrate, quantize_weights
 from .controller import (
@@ -47,7 +49,12 @@ EXIT_BOUND_VIOLATION = 6
 SEED_ENV_VAR = "NESTQ_SEED"
 # Samples per batched forward in `infer`: bounds the conv im2col buffers.
 INFER_CHUNK = 256
-VERIFY_SUITES = ("bounds", "add", "mul", "dot", "shift")
+VERIFY_SUITES = ("bounds", *OP_KINDS)
+TOY_BUILDERS = {"mlp": build_toy_mlp, "cnn": build_toy_cnn}
+
+
+class UsageError(ValueError):
+    """A command-line value argparse does not see, such as a malformed NESTQ_SEED."""
 
 
 class PolicySourceError(ValueError):
@@ -66,8 +73,7 @@ def resolve_seed(flag_value: int | None, default: int) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(
-                f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
+            raise UsageError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
     return default
 
 
@@ -132,17 +138,9 @@ def _parse_candidates(arg: str) -> tuple[int, ...]:
         raise PolicySourceError(f"bad candidate set {arg!r}") from exc
 
 
-def _build_toy(arch: str, n: int, seed: int):
-    if arch == "mlp":
-        return build_toy_mlp(seed=seed, n=n)
-    if arch == "cnn":
-        return build_toy_cnn(seed=seed, n=n)
-    raise PolicySourceError(f"unknown toy architecture {arch!r}")
-
-
 def cmd_quantize(args) -> int:
     seed = resolve_seed(args.seed, 7)
-    model = _build_toy(args.arch, args.bits, seed)
+    model = TOY_BUILDERS[args.arch](seed=seed, n=args.bits)
     for layer in model.layers:
         if layer.has_weights:
             quantize_weights(layer, model.master_bitwidth)
@@ -178,61 +176,41 @@ def cmd_infer(args) -> int:
     if data.shape[1:] != tuple(model.input_shape):
         raise ShapeMismatchError(
             f"input samples shaped {data.shape[1:]}, model expects {model.input_shape}")
-    limit = len(data) if args.limit is None else min(args.limit, len(data))
+    data = data[:args.limit]
     # Resolve the source once, then run each distinct policy as batches.
     pick = policy_source(args.policy, model, seed=seed)
     groups: dict[BitPolicy, list[int]] = {}
-    for i in range(limit):
-        groups.setdefault(pick(data[i]), []).append(i)
-    entries = [None] * limit
+    for i, x in enumerate(data):
+        groups.setdefault(pick(x), []).append(i)
+    report = {"command": "infer", "policy_source": args.policy, "seed": seed,
+              "samples_run": len(data), "master_bitwidth": model.master_bitwidth}
+    # Both files sort the keys: pad the index so they sort in input order.
+    width = max(4, len(str(len(data) - 1)))
     for policy, members in groups.items():
         for lo in range(0, len(members), INFER_CHUNK):
             chunk = members[lo:lo + INFER_CHUNK]
             ys, trace = forward(model, data[chunk], policy)
+            shared = {"policy": list(policy.bits),
+                      "shifted_elements": trace.shifted_elements,
+                      "transition_ops": trace.transition_ops,
+                      "fp_tensor_ops": trace.fp_tensor_ops,
+                      **asdict(trace.counters)}
             for i, y in zip(chunk, ys):
-                entries[i] = {
-                    "policy": list(policy.bits),
+                report[f"sample{i:0{width}d}"] = {
                     "argmax": int(np.argmax(y)),
                     "output": [repr(float(v)) for v in y.reshape(-1)],
-                    "shifted_elements": trace.shifted_elements,
-                    "transition_ops": trace.transition_ops,
-                    "fp_tensor_ops": trace.fp_tensor_ops,
-                    "mults": trace.counters.mults,
-                    "adds": trace.counters.adds,
-                    "shifts": trace.counters.shifts,
+                    **shared,
                 }
-    samples = {f"sample{i:04d}": entry for i, entry in enumerate(entries)}
-    report = {
-        "command": "infer",
-        "policy_source": args.policy,
-        "seed": seed,
-        "samples_run": limit,
-        "master_bitwidth": model.master_bitwidth,
-        **samples,
-    }
     blobio.write_report(Path(args.out), report)
-    print(f"wrote {args.out} ({limit} samples)")
+    print(f"wrote {args.out} ({len(data)} samples)")
     return EXIT_OK
 
 
 def cmd_cost(args) -> int:
     model = blobio.load_model(Path(args.model))
     policy = parse_policy(args.policy, model, seed=resolve_seed(args.seed, 0))
-    rep = cost_report(model, policy, mode=args.mode)
-    report = {
-        "command": "cost",
-        "mode": rep.mode,
-        "policy": list(policy.bits),
-        "bitops": rep.bitops,
-        "macs_per_layer": rep.macs_per_layer,
-        "transition_elements": rep.transition_elements,
-        "transition_shift_ops": rep.transition_shift_ops,
-        "transition_fp_primitives": rep.transition_fp_primitives,
-        "inloop_mults": rep.inloop_mults,
-        "inloop_adds": rep.inloop_adds,
-        "cycle_low": rep.cycle_low,
-        "cycle_high": rep.cycle_high,
-    }
+    report = {"command": "cost", "policy": list(policy.bits),
+              **asdict(cost_report(model, policy, mode=args.mode))}
     blobio.write_report(Path(args.out), report)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -240,19 +218,15 @@ def cmd_cost(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = resolve_seed(args.seed, 0)
-    ops = ("add", "mul", "dot", "shift") if args.suite == "bounds" else (args.suite,)
+    ops = OP_KINDS if args.suite == "bounds" else (args.suite,)
     report = {"command": "verify", "suite": args.suite, "seed": seed}
     total_violations = 0
     for op in ops:
         r = empirical_verify(op, samples=args.samples, seed=seed, frac_bits=None)
         total_violations += len(r.violations)
-        report[op] = {
-            "cases": r.cases,
-            "violations": len(r.violations),
-            "max_observed": repr(r.max_observed),
-            "max_bound": repr(r.max_bound),
-            "mean_signed_error": repr(r.mean_signed_error),
-        }
+        report[op] = {"cases": r.cases, "violations": len(r.violations),
+                      "max_observed": repr(r.max_observed), "max_bound": repr(r.max_bound),
+                      "mean_signed_error": repr(r.mean_signed_error)}
     report["total_violations"] = total_violations
     blobio.write_report(Path(args.out), report)
     print(f"wrote {args.out} ({total_violations} violations)")
@@ -309,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("quantize", help="build a toy model and quantize its weights")
-    p.add_argument("--arch", choices=("mlp", "cnn"), default="mlp")
+    p.add_argument("--arch", choices=TOY_BUILDERS, default="mlp")
     p.add_argument("--bits", type=int, choices=range(MIN_BITWIDTH, MAX_BITWIDTH + 1),
                    default=8, metavar="N", help="master bit-width n")
     p.add_argument("--seed", type=int, default=None)
@@ -365,26 +339,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each error a command may raise and its exit code, matched in order: a subclass
+# comes before its base. One class per entry, as ``main`` catches their tuple.
+EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    (ManifestError, EXIT_MANIFEST),
+    (ShapeMismatchError, EXIT_SHAPE),
+    (PolicySourceError, EXIT_POLICY_SOURCE),
+    (BoundViolationError, EXIT_BOUND_VIOLATION),
+    (ValueError, 1),
+    (OSError, 1),
+    (AccumulatorOverflowError, 1),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ManifestError as exc:
+    except tuple(cls for cls, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MANIFEST
-    except ShapeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except PolicySourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_POLICY_SOURCE
-    except BoundViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND_VIOLATION
-    except (ValueError, OSError, AccumulatorOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -5,29 +5,40 @@ import gc
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
 import weakref
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nestq import blobio
+from nestq import analysis, blobio
 from nestq.analysis import empirical_verify
 from nestq.blobio import ManifestError, read_blob, write_blob
 from nestq import cli
 from nestq.cli import (
+    EXIT_BOUND_VIOLATION,
+    EXIT_CODES,
     EXIT_MANIFEST,
     EXIT_OK,
     EXIT_POLICY_SOURCE,
     EXIT_SHAPE,
     EXIT_USAGE,
+    BoundViolationError,
+    PolicySourceError,
+    UsageError,
     main,
     parse_policy,
     resolve_seed,
 )
 from nestq.calibration import calibrate, quantize_weights
 from nestq.controller import ControllerSpec
-from nestq.layers import BitPolicy, LayerSpec, ModelGraph, forward
+from nestq.cost import CostReport
+from nestq.intops import AccumulatorOverflowError
+from nestq.layers import BitPolicy, LayerSpec, ModelGraph, ShapeMismatchError, forward
 from nestq.models import build_toy_mlp
 from nestq.quantize import derive_params
 
@@ -393,6 +404,28 @@ class TestSeedResolution:
         monkeypatch.delenv("NESTQ_SEED", raising=False)
         assert resolve_seed(None, 42) == 42
 
+    def test_malformed_env_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("NESTQ_SEED", "abc")
+        with pytest.raises(UsageError):
+            resolve_seed(None, 0)
+        assert resolve_seed(5, 0) == 5  # an explicit flag never reads the variable
+        capsys.readouterr()
+        assert main(["make-dataset", "--out", str(tmp_path / "d")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: NESTQ_SEED='abc' is not an integer\n"
+        assert not (tmp_path / "d").exists()
+        assert main(["make-dataset", "--seed", "3", "--samples", "4",
+                     "--out", str(tmp_path / "d")]) == EXIT_OK
+
+    def test_malformed_env_exits_2_without_a_traceback(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "NESTQ_SEED": "abc"}
+        proc = subprocess.run([sys.executable, "-m", "nestq.cli", "make-dataset",
+                               "--out", str(tmp_path / "d")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == "error: NESTQ_SEED='abc' is not an integer\n"
+        assert "Traceback" not in proc.stderr
+
 
 class TestParsePolicy:
     def test_static(self, mlp):
@@ -466,6 +499,12 @@ class TestCommands:
         assert doc["bitops"] == rep.bitops
         assert doc["transition_elements"] == rep.transition_elements
 
+    def test_cost_report_is_the_library_record(self, workspace, tmp_path):
+        assert main(["cost", "--model", str(workspace / "model"),
+                     "--out", str(tmp_path / "c.txt")]) == EXIT_OK
+        doc = json.loads((tmp_path / "c.txt.json").read_text())
+        assert set(doc) == {f.name for f in fields(CostReport)} | {"command", "policy"}
+
     def test_cost_counts_equal_infer_trace(self, workspace, tmp_path):
         args = ["--model", str(workspace / "model"), "--policy", "static:4"]
         assert main(["cost", *args, "--out", str(tmp_path / "c.txt")]) == EXIT_OK
@@ -511,6 +550,15 @@ class TestCommands:
         doc = json.loads((tmp_path / "v.txt.json").read_text())
         assert doc["total_violations"] == 0
         assert doc["shift"]["max_observed"] == "0.5"
+
+    def test_verify_shift_checks_the_shift_inference_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "shift_down", floor_shift)
+        report = empirical_verify("shift")
+        assert len(report.violations) == 1164  # every index whose remainder is >= half a step
+        assert report.max_observed == 0.5
+        assert main(["verify", "--suite", "shift",
+                     "--out", str(tmp_path / "v.txt")]) == EXIT_BOUND_VIOLATION
+        assert json.loads((tmp_path / "v.txt.json").read_text())["total_violations"] == 1164
 
     def test_missing_manifest_exit_code(self, tmp_path):
         assert main(["infer", "--model", str(tmp_path / "nope"),
@@ -610,6 +658,66 @@ class TestCommands:
         assert outs[0]["seed"] == 0 and outs[1]["seed"] == 1
 
 
+def floor_shift(q, n, b):
+    """A truncating shift: the nested index rounded down, not to nearest."""
+    return np.asarray(q) >> (n - b)
+
+
+def refuse_int64(*args, **kwargs):
+    raise AccumulatorOverflowError("layer 'head': accumulator exceeds int64")
+
+
+# One command per EXIT_CODES entry: (class, argv, setup), where setup patches
+# in the fault a command cannot otherwise reach.
+EXIT_CODE_CASES = [
+    (UsageError, lambda ws, tmp: ["make-dataset", "--out", str(tmp / "d")],
+     lambda mp: mp.setenv("NESTQ_SEED", "abc")),
+    (ManifestError, lambda ws, tmp: ["infer", "--model", str(tmp / "nope"),
+                                     "--input", str(ws / "data/x.nqtb"),
+                                     "--out", str(tmp / "o.txt")], None),
+    (ShapeMismatchError, lambda ws, tmp: ["infer", "--model", str(ws / "model"),
+                                          "--input", str(tmp / "wide.nqtb"),
+                                          "--out", str(tmp / "o.txt")], None),
+    (PolicySourceError, lambda ws, tmp: ["infer", "--model", str(ws / "model"),
+                                         "--input", str(ws / "data/x.nqtb"),
+                                         "--policy", "magic:3", "--out", str(tmp / "o.txt")],
+     None),
+    (BoundViolationError, lambda ws, tmp: ["verify", "--suite", "shift",
+                                           "--out", str(tmp / "v.txt")],
+     lambda mp: mp.setattr(analysis, "shift_down", floor_shift)),
+    (ValueError, lambda ws, tmp: ["cost", "--model", str(ws / "model"), "--policy", "static:9",
+                                  "--out", str(tmp / "c.txt")], None),
+    (OSError, lambda ws, tmp: ["infer", "--model", str(ws / "model"),
+                               "--input", str(ws / "data/x.nqtb"), "--limit", "1",
+                               "--out", str(ws / "data/x.nqtb/o.txt")], None),
+    (AccumulatorOverflowError, lambda ws, tmp: ["infer", "--model", str(ws / "model"),
+                                                "--input", str(ws / "data/x.nqtb"),
+                                                "--out", str(tmp / "o.txt")],
+     lambda mp: mp.setattr(cli, "forward", refuse_int64)),
+]
+
+
+class TestExitCodes:
+    def test_one_case_per_entry(self):
+        assert [cls for cls, _, _ in EXIT_CODE_CASES] == [cls for cls, _ in EXIT_CODES]
+
+    @pytest.mark.parametrize("cls, argv, setup", EXIT_CODE_CASES,
+                             ids=[cls.__name__ for cls, _, _ in EXIT_CODE_CASES])
+    def test_each_entry_reached(self, workspace, tmp_path, monkeypatch, capsys,
+                                cls, argv, setup):
+        write_blob(tmp_path / "wide.nqtb", np.zeros((2, 7), dtype=np.float32))
+        if setup:
+            setup(monkeypatch)
+        capsys.readouterr()
+        assert main(argv(workspace, tmp_path)) == dict(EXIT_CODES)[cls]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_subclass_before_base(self):
+        for i, (cls, _) in enumerate(EXIT_CODES):
+            assert not any(issubclass(cls, base) for base, _ in EXIT_CODES[:i])
+
+
 def reference_infer(model_dir, blob, policy_text, seed, out):
     """The `infer` report written by a per-sample loop: one policy parse and one
     single-sample forward per sample."""
@@ -679,6 +787,21 @@ class TestGroupedInfer:
                      "--out", str(tmp_path / "got.txt")]) == EXIT_OK
         assert len(loads) == 1
         assert same_report(tmp_path / "got.txt", tmp_path / "want.txt")
+
+    def test_samples_past_9999_listed_in_input_order(self, workspace, tmp_path):
+        assert main(["make-dataset", "--seed", "3", "--samples", "10001",
+                     "--out", str(tmp_path / "d")]) == EXIT_OK
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(tmp_path / "d/x.nqtb"),
+                     "--out", str(tmp_path / "r.txt")]) == EXIT_OK
+        order = []
+        for line in (tmp_path / "r.txt").read_text().splitlines():
+            key = line.split(".", 1)[0]
+            if key.startswith("sample") and key[6:].isdigit() and key not in order[-1:]:
+                order.append(key)
+        assert order == [f"sample{i:05d}" for i in range(10001)]
+        doc = json.loads((tmp_path / "r.txt.json").read_text())
+        assert [k for k in doc if k[6:].isdigit()] == order
 
     def test_bad_policy_source_refused_on_an_empty_run(self, workspace, tmp_path):
         assert main(["infer", "--model", str(workspace / "model"),
