@@ -19,9 +19,7 @@ import numpy as np
 from .intops import (
     IntOpConstants,
     add_constants,
-    add_frac_bits,
     dot_constants,
-    dot_frac_bits,
     linear_form,
     mul_constants,
     raw,
@@ -187,18 +185,12 @@ def _sampled_operator(op_kind: str, rng, frac_bits: int | None, length: int):
     if op_kind == "dot":
         pb = _random_params(rng, n)
         grids = (p1, p2, py, pb)
-        f = frac_bits if frac_bits is not None else dot_frac_bits(p1, p2, py, length, pb)
-        c = dot_constants(p1, p2, py, length, pb, f)
+        c = dot_constants(p1, p2, py, length, pb, frac_bits)
         xqs, wqs = draw(p1, length), draw(p2, length)
         cols = (np.einsum("ij,ij->i", xqs, wqs), xqs.sum(axis=1), wqs.sum(axis=1), draw(pb))
     else:
         grids = (p1, p2, py)
-        if op_kind == "add":
-            f = frac_bits if frac_bits is not None else add_frac_bits(*grids)
-            c = add_constants(*grids, f)
-        else:
-            f = frac_bits if frac_bits is not None else dot_frac_bits(*grids, 1)
-            c = mul_constants(*grids, f)
+        c = (add_constants if op_kind == "add" else mul_constants)(*grids, frac_bits)
         cols = (draw(p1), draw(p2))
     return grids, c, zip(*(col.tolist() for col in cols))
 

@@ -202,7 +202,9 @@ def load_model(manifest_path: Path) -> ModelGraph:
     that grid, as every one saved before a clamp became its producer's grid
     has after a residual add, would run without the ReLU at 0, so it is
     refused: recalibrate it (``nestq calibrate`` reads it with
-    :func:`load_for_calibration`). An uncalibrated manifest loads as it is.
+    :func:`load_for_calibration`). So is a padded conv whose input grid does
+    not hold 0.0, its padding, within half a step. An uncalibrated manifest
+    loads as it is.
     """
     model = _load(manifest_path, floats=False)
     n = model.master_bitwidth
@@ -219,6 +221,11 @@ def load_model(manifest_path: Path) -> ModelGraph:
                 f"{manifest_path}: the output grid of {producer.name!r} is not the "
                 f"[0, alpha] grid of clamp {layer.name!r}, so the integer path would "
                 f"skip the clamp; recalibrate the model")
+        grid = model.output_grid(i - 1) if layer.kind == "conv2d" and layer.padding else None
+        if grid is not None and not -0.5 <= -grid.offset / grid.scale <= grid.qmax + 0.5:
+            raise ManifestError(
+                f"{manifest_path}: conv {layer.name!r} pads with 0.0, which its input "
+                f"grid {grid} does not hold; recalibrate the model")
     return model
 
 

@@ -8,7 +8,8 @@ not: the integer path adds the bias inside the dot and rounds once, onto the
 output grid. Each grid is set once, where it is stored: a fc, conv2d or
 residual_add's output grid is the [0, alpha] grid of a clamp after it, else its
 widened EMA range; other layers keep their input grid and store none. The
-clamp is that grid alone and runs no code.
+clamp is that grid alone and runs no code. A padded conv pads with 0.0, so
+every grid one reads, the model input's or a policy layer's, holds 0.0.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ def ema_update(state: RangeState, batch_min: float, batch_max: float) -> RangeSt
     )
 
 
-def _widened(lo: float, hi: float) -> tuple[float, float, bool]:
+def _widened(lo: float, hi: float, zero: bool = False) -> tuple[float, float, bool]:
+    """[lo, hi], extended to 0.0 if ``zero``, widened if empty; and whether widened."""
+    if zero:
+        lo, hi = min(lo, 0.0), max(hi, 0.0)
     if hi > lo:
         return lo, hi, False
     eps = max(DEGENERATE_REL_EPS * max(abs(lo), abs(hi)), DEGENERATE_ABS_EPS)
@@ -135,12 +139,18 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
     set to the observed high percentile of pre-clamp values, giving each
     activation a zero-offset [0, alpha] grid. Output grids come from the final
     EMA range; a fc, conv2d or residual_add feeding a clamp adopts the clamp's
-    grid so its own clipping realizes the clamp. Recalibrating discards the
-    clamps and range flags of any earlier calibration.
+    grid so its own clipping realizes the clamp. An input or EMA range that a
+    padded conv reads is extended to hold 0.0, its padding. Recalibrating
+    discards the clamps and range flags of any earlier calibration. Refuses
+    (ValueError) batches that hold no sample, and an empty batch.
     """
     if passes < 1:
         raise ValueError("need at least one calibration pass")
+    if not batches or min(map(np.size, batches)) == 0:
+        raise ValueError("no calibration samples: every batch needs at least one")
     n = model.master_bitwidth
+    padded = {model.grid_owner(i - 1) for i, layer in enumerate(model.layers)
+              if layer.kind == "conv2d" and layer.padding}  # the grids padded convs read
     states = [RangeState(momentum=momentum) for _ in model.layers]
     act_values: list[list[np.ndarray]] = [[] for _ in model.layers]
     data_min, data_max = np.inf, -np.inf
@@ -163,7 +173,7 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
     # Non-negative data gets a zero-offset input grid; the factored MAC loop
     # needs m = 0 on activations.
     in_lo = 0.0 if data_min >= 0.0 else data_min
-    lo, hi, _ = _widened(in_lo, data_max)
+    lo, hi, _ = _widened(in_lo, data_max, -1 in padded)
     model.input_params = make_master_params(lo, hi, n)
 
     for i, layer in enumerate(model.layers):
@@ -176,7 +186,7 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
             nxt.alpha = alpha if alpha > 0 else DEGENERATE_ABS_EPS
             layer.output_params = make_master_params(0.0, nxt.alpha, n)
         elif layer.kind in POLICY_KINDS:
-            lo, hi, f = _widened(states[i].y_min, states[i].y_max)
+            lo, hi, f = _widened(states[i].y_min, states[i].y_max, i in padded)
             layer.range_flagged |= f
             layer.output_params = make_master_params(lo, hi, n)
     return model

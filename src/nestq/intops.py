@@ -5,8 +5,8 @@ combination of the integer inputs weighted by precomputed constants k_i. The
 constants are exact scale/offset ratios rounded to F fractional bits; F=0 gives
 literal rounded-integer constants, a larger F keeps small ratios from
 collapsing to zero. A final rounded right shift by F lands the result on the
-output grid; ``fit_frac_bits`` picks the largest F an operator's int64 proof allows,
-and ``add_frac_bits``/``dot_frac_bits`` apply it to an operator's own magnitudes.
+output grid. Unless given F, each constant builder fits its own: the largest
+its int64 proof allows over its operands' maxima (``fit_frac_bits``).
 
 Each operator's value is one linear form, k . terms + k_last, and ``terms``
 is the one rule for which integers its constants weight: add (q1, q2), mul
@@ -32,7 +32,7 @@ exact in int64 wherever the proof holds.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +40,6 @@ import numpy as np
 from .quantize import QuantParams, round_half_away_int, rounding_right_shift
 
 INT64_MAX = np.iinfo(np.int64).max
-DEFAULT_FRAC_BITS = 16  # the scalar builders' default; layer plans fit their own F
 
 # Per-element primitive ops of each inner MAC loop formulation. The factored
 # loop ("dqt_pact") applies when activations have zero offset.
@@ -110,7 +109,11 @@ class IntOpConstants:
         return tuple(r - Fraction(ki) / two_f for ki, r in zip(self.k, self.exact))
 
 
-def _encode(ratios: list[Fraction], frac_bits: int, role: str) -> IntOpConstants:
+def _encode(ratios: list[Fraction], frac_bits: int | None, role: str,
+            magnitudes=()) -> IntOpConstants:
+    """``ratios`` rounded to F fractional bits; with F None, F is fitted to ``magnitudes``."""
+    if frac_bits is None:
+        frac_bits = fit_frac_bits(ratios, magnitudes)
     two_f = 1 << frac_bits
     k = tuple(round_half_away_int(r * two_f) for r in ratios)
     degenerate = any(r != 0 and ki == 0 for r, ki in zip(ratios, k))
@@ -118,47 +121,44 @@ def _encode(ratios: list[Fraction], frac_bits: int, role: str) -> IntOpConstants
                           frac_bits=frac_bits, degenerate=degenerate)
 
 
-def add_ratios(p1: QuantParams, p2: QuantParams, py: QuantParams) -> list[Fraction]:
-    """Exact ratios of q1 (+) q2 = k1*q1 + k2*q2 + k3 on the output grid."""
+def add_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
+                  frac_bits: int | None = None) -> IntOpConstants:
+    """Constants of q1 (+) q2 = k1*q1 + k2*q2 + k3 on the output grid; with F
+    None, at the F fitted to operands of qmax each."""
     d1, d2, dy = Fraction(p1.scale), Fraction(p2.scale), Fraction(py.scale)
     m1, m2, my = Fraction(p1.offset), Fraction(p2.offset), Fraction(py.offset)
-    return [d1 / dy, d2 / dy, (m1 + m2 - my) / dy]
-
-
-def dot_ratios(px: QuantParams, pw: QuantParams, py: QuantParams, length: int,
-               pb: QuantParams | None = None) -> list[Fraction]:
-    """Exact ratios of k1*S_xw + k2*S_x + k3*S_w + k4*q_b + k5 on the output grid.
-
-    The S are the length-N sums of x*w, x and w; q_b is a bias on grid ``pb``.
-    k5 absorbs N*m_x*m_w and the bias offset m_b; with no bias grid k4 = 0.
-    """
-    dx, dw, dy = Fraction(px.scale), Fraction(pw.scale), Fraction(py.scale)
-    mx, mw, my = Fraction(px.offset), Fraction(pw.offset), Fraction(py.offset)
-    db, mb = (Fraction(pb.scale), Fraction(pb.offset)) if pb is not None else (0, 0)
-    return [dx * dw / dy, dx * mw / dy, dw * mx / dy, db / dy,
-            (length * mx * mw + mb - my) / dy]
-
-
-def mul_ratios(p1: QuantParams, p2: QuantParams, py: QuantParams) -> list[Fraction]:
-    """Exact ratios of q1 (*) q2 = k1*q1*q2 + k2*q1 + k3*q2 + k4: a bias-free N=1 dot."""
-    k1, k2, k3, _, k4 = dot_ratios(p1, p2, py, 1)
-    return [k1, k2, k3, k4]
-
-
-def add_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
-                  frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
-    return _encode(add_ratios(p1, p2, py), frac_bits, "add")
+    return _encode([d1 / dy, d2 / dy, (m1 + m2 - my) / dy], frac_bits, "add",
+                   (p1.qmax, p2.qmax))
 
 
 def mul_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
-                  frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
-    return _encode(mul_ratios(p1, p2, py), frac_bits, "mul")
+                  frac_bits: int | None = None) -> IntOpConstants:
+    """Constants of q1 (*) q2 = k1*q1*q2 + k2*q1 + k3*q2 + k4: the bias-free
+    length-1 dot's, at its F, without its bias constant (always 0)."""
+    c = dot_constants(p1, p2, py, 1, frac_bits=frac_bits)
+    return replace(c, role="mul", k=c.k[:3] + c.k[4:], exact=c.exact[:3] + c.exact[4:])
 
 
 def dot_constants(px: QuantParams, pw: QuantParams, py: QuantParams, length: int,
                   pb: QuantParams | None = None,
-                  frac_bits: int = DEFAULT_FRAC_BITS) -> IntOpConstants:
-    return _encode(dot_ratios(px, pw, py, length, pb), frac_bits, "dot")
+                  frac_bits: int | None = None) -> IntOpConstants:
+    """Constants of k1*S_xw + k2*S_x + k3*S_w + k4*q_b + k5 on the output grid.
+
+    The S are the length-N sums of x*w, x and w; q_b is a bias on grid ``pb``.
+    k5 absorbs N*m_x*m_w and the bias offset m_b; with no bias grid k4 = 0.
+    With F None, at the F fitted to the maxima of S and q_b. Refuses
+    (AccumulatorOverflowError) a product sum beyond int64, which no F fixes.
+    """
+    s1_max = length * px.qmax * pw.qmax
+    if s1_max > INT64_MAX:
+        raise AccumulatorOverflowError("product sums exceed int64")
+    dx, dw, dy = Fraction(px.scale), Fraction(pw.scale), Fraction(py.scale)
+    mx, mw, my = Fraction(px.offset), Fraction(pw.offset), Fraction(py.offset)
+    db, mb = (Fraction(pb.scale), Fraction(pb.offset)) if pb is not None else (0, 0)
+    ratios = [dx * dw / dy, dx * mw / dy, dw * mx / dy, db / dy,
+              (length * mx * mw + mb - my) / dy]
+    return _encode(ratios, frac_bits, "dot", (
+        s1_max, length * px.qmax, length * pw.qmax, pb.qmax if pb is not None else 0))
 
 
 def terms(role: str, operands) -> tuple[int, ...]:
@@ -204,24 +204,6 @@ def fit_frac_bits(ratios, magnitudes) -> int:
         if linear_bound(k, magnitudes, frac_bits) <= INT64_MAX:
             return frac_bits
     raise AccumulatorOverflowError("intermediates exceed int64 even at F=0")
-
-
-def add_frac_bits(p1: QuantParams, p2: QuantParams, py: QuantParams) -> int:
-    """F of the integer add on these grids: its operands reach qmax each."""
-    return fit_frac_bits(add_ratios(p1, p2, py), (p1.qmax, p2.qmax))
-
-
-def dot_frac_bits(px: QuantParams, pw: QuantParams, py: QuantParams, length: int,
-                  pb: QuantParams | None = None) -> int:
-    """F of the length-N dot plus bias on these grids; a mul is the bias-free N=1 dot.
-
-    Refuses (AccumulatorOverflowError) a product sum beyond int64, which no F fixes.
-    """
-    s1_max = length * px.qmax * pw.qmax
-    if s1_max > INT64_MAX:
-        raise AccumulatorOverflowError("product sums exceed int64")
-    return fit_frac_bits(dot_ratios(px, pw, py, length, pb), (
-        s1_max, length * px.qmax, length * pw.qmax, pb.qmax if pb is not None else 0))
 
 
 def raw(c: IntOpConstants, operands) -> int:

@@ -21,16 +21,17 @@ ReLU included, and ``ModelGraph`` refuses graphs where that cannot hold.
 
 Each policy layer compiles one :class:`LayerStep` per bit-width b on its first
 call at b and keeps it in ``LayerSpec.steps``, so the steps go with the model.
-A step caches what does not change between calls: the :func:`build_plan`
-result (constants at the F ``intops.fit_frac_bits`` fits, padding index, int64
-proof), the additive constant ``c'`` (per output for a fc or conv), and the
-layer's :func:`layer_counters`. It caches no tensor: weights and activations
-are shifted down to b on every call, and the trace charges those shifts on
-every call, since that shift is the transition the scheme prices. A step is
-reused only while the input, weight or branch and output grids and
-``weight_q``/``bias_q`` (which carry the weight and bias grids) are the very
-objects it was built from; ``calibrate`` and ``load_model`` replace them all,
-and a NestedTensor's data is read-only, so a step is never stale.
+A step caches what does not change between calls: its plan, the
+``IntOpConstants`` :func:`build_plan` returns (constants at the F the int64
+proof fits), a padded conv's padding index, the additive constant ``c'`` (per
+output for a fc or conv) and :func:`layer_counters`. It caches no tensor:
+weights and activations are shifted down to b on every call, and the trace
+charges those shifts on every call, since that shift is the transition the
+scheme prices. A step is reused only while the input, weight or branch and
+output grids and ``weight_q``/``bias_q`` (which carry the weight and bias
+grids) are the very objects it was built from; ``calibrate`` and ``load_model``
+replace them all, and a NestedTensor's data is read-only, so a step is never
+stale.
 
 Every tensor passed between layers is a :class:`NestedTensor`, and
 ``run_layer`` hands those, not their arrays, to ``shift_down``: the tensor is
@@ -63,12 +64,11 @@ from .intops import (
     ADD_PRIMITIVES,
     BIAS_PRIMITIVES,
     AccumulatorOverflowError,
+    IntOpConstants,
     MAC_PRIMITIVES,
     OpCounters,
     add_constants,
-    add_frac_bits,
     dot_constants,
-    dot_frac_bits,
     mac_loop,
 )
 # Not called here; perfbench/tracing.py patches these names on this module.
@@ -239,13 +239,17 @@ class ModelGraph:
         return self.input_params is not None and all(
             l.output_params is not None for l in self.layers if l.kind in POLICY_KINDS)
 
-    def output_grid(self, i: int) -> QuantParams | None:
-        """The grid layer i's output is on, so layer i + 1's input grid; i = -1 is
-        the model input. A policy layer's own ``output_params``, else its input's:
-        a clamp, pool or flatten keeps the grid it reads.
-        """
+    def grid_owner(self, i: int) -> int:
+        """The policy layer whose output grid layer i's output is on; -1: the input's.
+
+        A clamp, pool or flatten keeps the grid it reads."""
         while i >= 0 and self.layers[i].kind not in POLICY_KINDS:
             i -= 1
+        return i
+
+    def output_grid(self, i: int) -> QuantParams | None:
+        """Layer i's output grid, so layer i + 1's input grid; i = -1 is the model input."""
+        i = self.grid_owner(i)
         return self.layers[i].output_params if i >= 0 else self.input_params
 
     def layer_bitwidths(self, policy: "BitPolicy") -> list[int]:
@@ -338,45 +342,40 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
 
 
 @dataclass(frozen=True)
-class LayerPlan:
-    """What a policy layer at one bit-width takes from its grids alone: its constants."""
-
-    k: tuple[int, ...]  # dot constants or residual-add constants
-    frac_bits: int  # fractional bits F of k
-    pad: int  # b-bit grid index of 0.0, for conv padding
-
-
-@dataclass(frozen=True)
 class LayerStep:
     """A policy layer compiled at one bit-width: everything a call needs but its shifts.
 
     ``sources`` are the objects it was built from: input grid, weight or
-    branch grid, ``weight_q``, ``bias_q`` and output grid. ``const``
-    is the expression's additive constant with the rounding half 2^(F-1)
-    folded in: for a fc or conv layer one int64 per output,
-    ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5 + 2^(F-1)``, for a residual add the
-    int ``k3 + 2^(F-1)``.
+    branch grid, ``weight_q``, ``bias_q`` and output grid. ``plan`` is the
+    layer's one expression's constants (its ``k``, F and ``degenerate``
+    flag), as :func:`build_plan` returns them. ``const`` is the expression's
+    additive constant with the rounding half 2^(F-1) folded in: for a fc or
+    conv layer one int64 per output, ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5 +
+    2^(F-1)``, for a residual add the int ``k3 + 2^(F-1)``. ``pad`` is a
+    padded conv's b-bit index of 0.0, else 0.
     """
 
     sources: tuple
-    plan: LayerPlan
+    plan: IntOpConstants
     const: np.ndarray | int
     counters: OpCounters
+    pad: int
 
 
 @lru_cache(maxsize=1024)
 def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: QuantParams,
                bias_grid: QuantParams | None, out_grid: QuantParams,
-               length: int) -> LayerPlan:
-    """Compile a policy layer at bit-width b from values alone, or refuse it.
+               length: int) -> IntOpConstants:
+    """The constants of a policy layer's one expression at bit-width b, or a refusal.
 
     ``other_grid`` is the weight grid, or the residual branch's grid;
     ``bias_grid`` is None for a bias-free layer; ``length`` is the dot length.
-    The layer's one expression gets the largest F its int64 proof allows
-    (``intops.add_frac_bits``, ``intops.dot_frac_bits``). Refuses grids at
-    different master widths (ValueError), since the layer would shift one
-    operand from the wrong n. Cached by value, so a recalibrated or reloaded
-    model never reads a stale plan; a refusal is not cached.
+    The result is what ``intops.add_constants`` or ``intops.dot_constants``
+    returns on the b-bit grids, at the largest F its int64 proof allows.
+    Refuses grids at different master widths (ValueError), since the layer
+    would shift one operand from the wrong n, and names the layer in every
+    refusal. Cached by value, so a recalibrated or reloaded model never reads
+    a stale plan; a refusal is not cached.
     """
     widths = {g.master_bitwidth for g in (x_grid, other_grid, bias_grid, out_grid)
               if g is not None}
@@ -384,15 +383,17 @@ def build_plan(kind: str, name: str, b: int, x_grid: QuantParams, other_grid: Qu
         raise ValueError(f"layer {name!r}: its grids are at master widths {sorted(widths)}")
     px, po = derive_params(x_grid, b), derive_params(other_grid, b)
     try:
-        frac_bits = (add_frac_bits(px, po, out_grid) if kind == "residual_add"
-                     else dot_frac_bits(px, po, out_grid, length, bias_grid))
+        if kind == "residual_add":
+            return add_constants(px, po, out_grid)
+        return dot_constants(px, po, out_grid, length, bias_grid)
     except AccumulatorOverflowError as exc:
         raise AccumulatorOverflowError(f"layer {name!r}: {exc}") from None
-    if kind == "residual_add":
-        return LayerPlan(add_constants(px, po, out_grid, frac_bits).k, frac_bits, 0)
-    k = dot_constants(px, po, out_grid, length, bias_grid, frac_bits).k
-    pad = int(quantize(np.float64(0.0), px)) if kind == "conv2d" else 0
-    return LayerPlan(k, frac_bits, pad)
+
+
+@lru_cache(maxsize=1024)
+def _pad_index(x_grid: QuantParams, b: int) -> int:
+    """The b-bit index of 0.0 on master grid ``x_grid``: a padded conv's padding."""
+    return int(quantize(np.float64(0.0), derive_params(x_grid, b)))
 
 
 def layer_counters(layer: LayerSpec, b: int, n: int, x_grid: QuantParams | None) -> OpCounters:
@@ -462,8 +463,9 @@ def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams
     else:
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
         const = k[2] * w.sum(axis=1) + k[3] * bias + (k[4] + half)
+    pad = _pad_index(x_grid, b) if layer.kind == "conv2d" and layer.padding else 0
     step = LayerStep(sources, plan, const,
-                     layer_counters(layer, b, x_grid.master_bitwidth, x_grid))
+                     layer_counters(layer, b, x_grid.master_bitwidth, x_grid), pad)
     layer.steps[b] = step
     return step
 
@@ -549,7 +551,7 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         w += k[1]
         # the padding index is a b-bit index, so it fits the narrow dtype
         rows = xs.reshape(bsz, w.shape[1]) if kind == "fc" else _im2col(
-            xs, layer.kernel, layer.stride, layer.padding, step.plan.pad)
+            xs, layer.kernel, layer.stride, layer.padding, step.pad)
         raw = rows.astype(np.int64) @ w.T
     raw += step.const
     out = _requant(raw, step.plan.frac_bits, py)

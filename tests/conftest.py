@@ -70,6 +70,24 @@ def build_block(n: int = 8, seed: int = 11, width: int = 8) -> ModelGraph:
     return ModelGraph(layers=layers, input_shape=CNN_INPUT, master_bitwidth=n)
 
 
+def build_padded_chain(n: int = 8, seed: int = 0) -> tuple[ModelGraph, np.ndarray]:
+    """conv -> conv -> flatten over 1x6x6 inputs in [0, 1], both convs padded and
+    unclamped, and 64 inputs to calibrate on. The first conv's weights are
+    non-negative and its bias 5.0, so its outputs, the second conv's inputs,
+    are all well above 0.0, the second conv's padding."""
+    rng = np.random.default_rng(seed)
+    layers = [
+        LayerSpec(kind="conv2d", name="conv1", in_channels=1, out_channels=2, kernel=3,
+                  padding=1, weight=np.abs(rng.normal(0, 0.5, size=(2, 1, 3, 3))),
+                  bias=np.full(2, 5.0)),
+        LayerSpec(kind="conv2d", name="conv2", in_channels=2, out_channels=2, kernel=3,
+                  padding=1, weight=rng.normal(0, 0.5, size=(2, 2, 3, 3))),
+        LayerSpec(kind="flatten", name="flat"),
+    ]
+    model = ModelGraph(layers=layers, input_shape=(1, 6, 6), master_bitwidth=n)
+    return model, rng.uniform(0.0, 1.0, size=(64, 1, 6, 6))
+
+
 @pytest.fixture(scope="session")
 def make_block(cnn_data):
     """Builds the residual block at master width n, calibrated on the CNN data."""

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import build_padded_chain
 from nestq.calibration import RangeState, calibrate, ema_update
-from nestq.layers import POLICY_KINDS, LayerSpec, ModelGraph
+from nestq.layers import POLICY_KINDS, BitPolicy, LayerSpec, ModelGraph, forward
 from nestq.quantize import MAX_BITWIDTH, MIN_BITWIDTH, make_master_params
+from nestq.reference import fake_quant_forward
 
 
 class TestEmaUpdate:
@@ -117,6 +119,33 @@ class TestCalibrate:
     def test_rejects_zero_passes(self):
         with pytest.raises(ValueError):
             calibrate(single_fc_model(), [np.ones((1, 1))], passes=0)
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_padded_conv_reads_a_grid_holding_its_padding(self, n):
+        # Unextended, the first conv's grid starts near 5.0 and the second
+        # conv pads with that grid's bottom: 107-109 output steps off at n = 8.
+        model, x = build_padded_chain(n)
+        calibrate(model, [x])
+        assert model.layers[0].output_params.offset <= 0.0
+        step = model.layers[1].output_params.scale
+        for b in (n, n // 2):
+            policy = BitPolicy(bits=(n, b), candidates=tuple({n, b}))
+            got, _ = forward(model, x, policy)
+            assert np.max(np.abs(got - fake_quant_forward(model, x, policy))) <= step * (1 + 1e-9)
+
+    def test_only_a_padded_input_grid_is_extended(self):
+        # All-negative data: a padded conv's input grid tops out at 0.0, a fc's at the data.
+        model, x = build_padded_chain()
+        calibrate(model, [x - 2.0])
+        top = model.input_params.offset + model.input_params.scale * 255
+        assert top == pytest.approx(0.0, abs=1e-12)
+        fc = calibrate(single_fc_model(), [np.linspace(-2.0, -1.0, 8).reshape(-1, 1)])
+        assert fc.input_params.offset + fc.input_params.scale * 255 == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("batches", [[], [np.ones((2, 1)), np.ones((0, 1))]])
+    def test_no_samples_refused(self, batches):
+        with pytest.raises(ValueError, match="no calibration samples"):
+            calibrate(single_fc_model(), batches)
 
     def test_mac_layer_feeding_clamp_adopts_clamp_grid(self, mlp):
         fc1, act1 = mlp.layers[0], mlp.layers[1]

@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import build_padded_chain
 from nestq import analysis, blobio
 from nestq.analysis import empirical_verify
 from nestq.blobio import ManifestError, read_blob, write_blob
@@ -267,6 +269,23 @@ class TestManifest:
         assert main(["calibrate", "--model", str(tmp_path / "m"),
                      "--data", str(tmp_path / "x.nqtb")]) == EXIT_OK
         assert blobio.load_model(path).is_calibrated
+
+    def test_padding_off_its_conv_input_grid_refused(self, tmp_path, capsys):
+        # A grid from before calibrate held 0.0 for padded convs: the first
+        # conv's outputs, all near 5.0, on a grid from 5.0 up.
+        model, x = build_padded_chain()
+        path = blobio.save_model(calibrate(model, [x]), tmp_path / "m")
+        doc = json.loads(path.read_text())
+        doc["layers"][0]["output_params"]["offset"] = 5.0
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match="conv 'conv2' pads with 0.0.*recalibrate"):
+            blobio.load_model(path)
+        write_blob(tmp_path / "x.nqtb", x[:4].astype(np.float32))
+        capsys.readouterr()
+        assert main(["infer", "--model", str(tmp_path / "m"),
+                     "--input", str(tmp_path / "x.nqtb"),
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+        assert "recalibrate" in capsys.readouterr().err
 
     def test_legacy_prebias_grid_ignored(self, tmp_path, mlp, blob_data):
         from nestq.layers import BitPolicy, forward
@@ -543,6 +562,25 @@ class TestCommands:
         assert doc["dot"]["max_observed"] == repr(fitted.max_observed)
         assert doc["dot"]["max_observed"] != repr(
             empirical_verify("dot", samples=500, seed=0).max_observed)
+
+    def test_verify_report_pinned(self, tmp_path):
+        # sha256 prefixes of the report and its twin: every constant the
+        # builders fit and every figure the verifier derives from them.
+        out = tmp_path / "v.txt"
+        assert main(["verify", "--suite", "bounds", "--samples", "2000", "--seed", "2",
+                     "--out", str(out)]) == EXIT_OK
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                   for p in (out, tmp_path / "v.txt.json")]
+        assert digests == ["daf4a09c404ea7c8", "203effaff95ad395"]
+
+    def test_calibrate_without_samples_refused(self, workspace, tmp_path, capsys):
+        assert main(["quantize", "--arch", "mlp", "--out", str(tmp_path / "m")]) == EXIT_OK
+        x = read_blob(workspace / "data/x.nqtb")
+        write_blob(tmp_path / "x.nqtb", x[:0])
+        capsys.readouterr()
+        assert main(["calibrate", "--model", str(tmp_path / "m"),
+                     "--data", str(tmp_path / "x.nqtb")]) == 1
+        assert "no calibration samples" in capsys.readouterr().err
 
     def test_verify_passes(self, tmp_path):
         assert main(["verify", "--suite", "shift",

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestq.analysis import exact_value
+from nestq.analysis import _random_params, exact_value
 from nestq.intops import (
     INT64_MAX,
     AccumulatorOverflowError,
     OpCounters,
+    _encode,
     add_constants,
     dot_constants,
     fit_frac_bits,
@@ -338,3 +339,58 @@ class TestFitFracBits:
         assert linear_bound([k0 << 5, 0], [1000], f) <= INT64_MAX
         k0 = round_half_away_int(Fraction(3, 7) * (1 << (f + 1)))
         assert linear_bound([k0 << 5, 0], [1000], f + 1) > INT64_MAX
+
+
+class TestBuildersFitTheirOwnPrecision:
+    """With no F given, each builder encodes at the largest F its int64 proof allows."""
+
+    @staticmethod
+    def cases(n, rng):
+        """(default constants, operand magnitudes) per builder at master width n."""
+        p1, p2, py, pb = (_random_params(rng, n) for _ in range(4))
+        length = int(rng.integers(1, 1000))
+        yield add_constants(p1, p2, py), (p1.qmax, p2.qmax)
+        yield mul_constants(p1, p2, py), (p1.qmax * p2.qmax, p1.qmax, p2.qmax)
+        for bias in (None, pb):
+            yield dot_constants(p1, p2, py, length, bias), (
+                length * p1.qmax * p2.qmax, length * p1.qmax, length * p2.qmax,
+                bias.qmax if bias is not None else 0)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_default_is_the_largest_proven_f(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            for c, mags in self.cases(n, rng):
+                f = c.frac_bits
+                assert c == _encode(c.exact, f, c.role)
+                assert linear_bound(c.k, mags, f) <= INT64_MAX
+                if f < 62:
+                    wider = _encode(c.exact, f + 1, c.role)
+                    assert linear_bound(wider.k, mags, f + 1) > INT64_MAX
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_mul_fits_as_the_bias_free_unit_dot(self, n):
+        rng = np.random.default_rng(200 + n)
+        for _ in range(5):
+            grids = [_random_params(rng, n) for _ in range(3)]
+            assert mul_constants(*grids).frac_bits == dot_constants(*grids, 1).frac_bits
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_explicit_f_is_kept(self, n):
+        rng = np.random.default_rng(300 + n)
+        p1, p2, py, pb = (_random_params(rng, n) for _ in range(4))
+        builders = [lambda f: add_constants(p1, p2, py, f),
+                    lambda f: mul_constants(p1, p2, py, f),
+                    lambda f: dot_constants(p1, p2, py, 64, None, f),
+                    lambda f: dot_constants(p1, p2, py, 64, pb, f)]
+        for build in builders:
+            exact = build(None).exact  # the ratios do not depend on F
+            for f in (0, 7, 16, 30):
+                c = build(f)
+                assert c == _encode(exact, f, c.role)
+
+    def test_product_sums_past_int64_refused(self):
+        p16 = make_master_params(-1.0, 1.0, 16)
+        for f in (None, 0):
+            with pytest.raises(AccumulatorOverflowError, match="product sums exceed int64"):
+                dot_constants(p16, p16, p16, 2 ** 32, frac_bits=f)

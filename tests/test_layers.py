@@ -34,6 +34,7 @@ from nestq.quantize import (
     QuantParams,
     dequantize,
     derive_params,
+    make_master_params,
     quantize,
     rounding_right_shift,
     shift_down,
@@ -643,6 +644,13 @@ class TestIntegerRange:
             outs.append(run_layer(layer, x, 8)[0].data[0])
         assert outs == [255, 255]
         assert plans[0][1].k[3] * 255 > np.iinfo(np.int32).max
+
+
+    def test_product_sums_past_int64_refused_by_name(self):
+        p16 = make_master_params(-1.0, 1.0, 16)
+        with pytest.raises(AccumulatorOverflowError,
+                           match=r"layer 'big'.*product sums exceed int64"):
+            build_plan("fc", "big", 16, p16, p16, None, p16, 2 ** 32)
 
 
 class TestOneMasterWidth:
