@@ -23,10 +23,11 @@ A dot's product sum accumulates exactly in int64, and the int64 proof behind
 
 The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
 reference oracles for tests and error analysis. ``nestq.layers`` runs the same
-expressions on arrays with their sums reassociated and the rounding half
-folded into the additive constant (see its docstring); ``linear_bound``
-counts the half and bounds every partial sum, so the reassociated sum is
-exact in int64 wherever the proof holds.
+expressions on arrays, with the product and input sums of a dot taken in the
+narrowest type its bound proves exact, their terms reassociated and the
+rounding half folded into the additive constant (see its docstring);
+``linear_bound`` counts the half and bounds every partial sum, so the
+reassociated sum is exact in int64 wherever the proof holds.
 """
 
 from __future__ import annotations

@@ -7,15 +7,20 @@ down to its assigned bit-width, and only the final output is dequantized.
 
 A fc or conv layer is one integer expression, its dot plus the bias term,
 rounded once onto its output grid; a residual add is the integer add, also
-rounded once. The expression's constants are folded where integer addition
-lets them: a fc or conv computes ``rows @ (k1*w_b + k2).T + c'`` with
-``c' = k3*sum_j w_b + k4*q_b + k5 + 2^(F-1)`` per output, which is
-``k1*(rows @ w_b.T) + k2*rowsum + k3*sum_j w_b + k4*q_b + k5`` plus the
-rounding half, reassociated; a residual add folds the half into its additive
-constant. Every partial sum stays within the plan's ``linear_bound``, which
-counts the half, so the fold is exact in int64 wherever the plan's proof
-holds, and that proof is its only guard; the rounding is then a plain floor
-shift by F. A clamp (``relu_pact``) runs no code: calibration gives the
+rounded once. A fc or conv takes the dot's two input-dependent sums, the
+product sum ``S1 = rows @ w_b.T`` and the row sum ``S2``, from one GEMM
+against its b-bit weights with a row of ones appended, run in the step's
+``sum_dtype``: float32 where the dot's bound ``L*qmax_x*qmax_w`` at b is at
+most 2^24, float64 where it is at most 2^53, else int64. Every index is
+non-negative, so no partial sum exceeds that bound, and the float sum is
+exact in any order: a float GEMM is how the host evaluates an integer dot
+fast, not float quantization math. The sums widen to int64 for the rest,
+``k1*S1 + k2*S2 + c'`` with ``c' = k3*sum_j w_b + k4*q_b + k5 + 2^(F-1)``
+per output: the rounding half joins the additive constant, as it does a
+residual add's. Every partial sum stays within the plan's ``linear_bound``,
+which counts the half, so the int64 expression is exact wherever the plan's
+proof holds, and that proof is its only guard; the rounding is then a plain
+floor shift by F. A clamp (``relu_pact``) runs no code: calibration gives the
 policy layer before it the clamp's [0, alpha] grid, whose clip is the clamp,
 ReLU included, and ``ModelGraph`` refuses graphs where that cannot hold.
 
@@ -24,7 +29,8 @@ call at b and keeps it in ``LayerSpec.steps``, so the steps go with the model.
 A step caches what does not change between calls: its plan, the
 ``IntOpConstants`` :func:`build_plan` returns (constants at the F the int64
 proof fits), a padded conv's padding index, the additive constant ``c'`` (per
-output for a fc or conv) and :func:`layer_counters`. It caches no tensor:
+output for a fc or conv), a fc or conv's ``sum_dtype`` and
+:func:`layer_counters`. It caches no tensor:
 weights and activations are shifted down to b on every call, and the trace
 charges those shifts on every call, since that shift is the transition the
 scheme prices. A step is reused only while the input, weight or branch and
@@ -58,7 +64,6 @@ from functools import lru_cache
 from operator import is_
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .intops import (
     ADD_PRIMITIVES,
@@ -293,10 +298,16 @@ class BitPolicy:
 
 @dataclass
 class LayerRecord:
+    """One layer's part of a trace. ``frac_bits`` is a policy layer's F, its
+    int64 headroom, and ``sum_dtype`` the type a fc or conv sums its products
+    in, both from its step; None where the layer has neither."""
+
     index: int
     kind: str
     bitwidth: int
     counters: OpCounters
+    sum_dtype: np.dtype | None = None
+    frac_bits: int | None = None
 
     @property
     def shifted_elements(self) -> int:
@@ -325,20 +336,46 @@ class ExecutionTrace:
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int,
-            pad_value: int) -> np.ndarray:
-    """Unfold (B, C, H, W) into rows of receptive fields, one per output pixel.
+            pad_value: int, dtype: np.dtype) -> np.ndarray:
+    """Unfold (B, C, H, W) into columns of receptive fields in ``dtype``.
 
-    Only H and W are padded; rows run sample-major, then pixel-major.
+    One column per output pixel, sample-major, then pixel-major; a column
+    holds its field as a (C, k, k) weight flattens. Only H and W are padded.
+    Each of the k^2 kernel offsets copies one strided slice of the input
+    into its rows of the result, casting it to ``dtype``: the fields are
+    unfolded and cast in one copy, and each slice lands as a contiguous block.
     """
+    bsz, c, h, w = x.shape
     if padding:
         # np.full and a slice assignment: np.pad's wrapper costs five times as much
-        bsz, c, h, w = x.shape
         padded = np.full((bsz, c, h + 2 * padding, w + 2 * padding), pad_value, dtype=x.dtype)
         padded[:, :, padding:padding + h, padding:padding + w] = x
         x = padded
-    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    bsz, c, oh, ow = windows.shape[:4]
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(bsz * oh * ow, c * kernel * kernel)
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
+    x = x.transpose(1, 0, 2, 3)  # (C, B, H, W)
+    fields = np.empty((c, kernel, kernel, bsz, oh, ow), dtype)
+    for i in range(kernel):
+        for j in range(kernel):
+            fields[:, i, j] = x[:, :, i:i + stride * (oh - 1) + 1:stride,
+                                j:j + stride * (ow - 1) + 1:stride]
+    return fields.reshape(c * kernel * kernel, bsz * oh * ow)
+
+
+def exact_sum_dtype(bound: int) -> np.dtype:
+    """The narrowest dtype in which non-negative integers summing to at most
+    ``bound`` sum exactly.
+
+    float32 holds every integer up to 2^24 and float64 every integer up to
+    2^53. A sum of non-negative terms never has a partial sum above its
+    total, so every partial sum, in any order and with or without a fused
+    multiply-add, is such an integer, and no step rounds. Past 2^53, int64.
+    """
+    if bound <= 1 << 24:
+        return np.dtype(np.float32)
+    if bound <= 1 << 53:
+        return np.dtype(np.float64)
+    return np.dtype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -353,6 +390,15 @@ class LayerStep:
     conv layer one int64 per output, ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5 +
     2^(F-1)``, for a residual add the int ``k3 + 2^(F-1)``. ``pad`` is a
     padded conv's b-bit index of 0.0, else 0.
+
+    A fc or conv sums its products in ``sum_dtype``, the narrowest type
+    :func:`exact_sum_dtype` proves exact for the dot's bound ``length *
+    qmax_x * qmax_w`` at b, and ``k`` weights those sums in int64: ``k1``
+    for each output's product sum, then ``k2`` for the input's sum, one per
+    row. A residual add has neither (None). ``shift`` is F, ``qmax`` and
+    ``out_dtype`` the output grid's qmax and storage dtype. ``k``, ``shift``
+    and ``qmax`` are read-only int64 arrays, which a ufunc takes as they are,
+    where it converts a Python int on every call.
     """
 
     sources: tuple
@@ -360,6 +406,11 @@ class LayerStep:
     const: np.ndarray | int
     counters: OpCounters
     pad: int
+    sum_dtype: np.dtype | None
+    k: np.ndarray | None
+    shift: np.ndarray
+    qmax: np.ndarray
+    out_dtype: np.dtype
 
 
 @lru_cache(maxsize=1024)
@@ -423,22 +474,33 @@ def layer_counters(layer: LayerSpec, b: int, n: int, x_grid: QuantParams | None)
                       shifts=layer.weight_elements() + layer.input_elements() if b < n else 0)
 
 
-def _requant(raw: np.ndarray, frac_bits: int, py: QuantParams) -> np.ndarray:
-    """Floor shift by F, clipped onto the output grid [0, qmax] in place.
+def _constant(v) -> np.ndarray:
+    """``v`` as a read-only int64 array."""
+    a = np.array(v, dtype=np.int64)
+    a.flags.writeable = False
+    return a
 
-    ``raw`` is a fresh int64 array that already holds the rounding half
-    2^(F-1) (the step's ``const``) and may be overwritten; the result is in
-    the grid's storage dtype. ``(v + 2^(F-1)) >> F`` stands in for
-    ``rounding_right_shift(v, F)`` (halves away from zero), and after the clip
-    the two cannot differ: for v >= 0 they are the same expression, and for
-    v < 0 both land at <= 0 (v + 2^(F-1) < 2^F floors to <= 0), which the
-    clip at 0 maps to 0.
+
+_ZERO = _constant(0)
+
+
+def _requant(raw: np.ndarray, frac_bits, qmax, dtype: np.dtype) -> np.ndarray:
+    """Floor shift by F, clipped onto an output grid's [0, qmax] in place.
+
+    ``raw`` is a fresh int64 array, or a view of one, that already holds the
+    rounding half 2^(F-1) (the step's ``const``) and may be overwritten; the
+    result is a C-ordered array in ``dtype``, the grid's storage dtype.
+    ``(v + 2^(F-1)) >> F`` stands in for ``rounding_right_shift(v, F)``
+    (halves away from zero), and after the clip the two cannot differ: for
+    v >= 0 they are the same expression, and for v < 0 both land at <= 0
+    (v + 2^(F-1) < 2^F floors to <= 0), which the clip at 0 maps to 0. F
+    and qmax may be read-only int64 arrays (a step's ``shift`` and ``qmax``).
     """
     if frac_bits:
         raw >>= frac_bits
-    np.maximum(raw, 0, out=raw)
-    np.minimum(raw, py.qmax, out=raw)
-    return raw.astype(storage_dtype(py.bitwidth))
+    np.maximum(raw, _ZERO, out=raw)
+    np.minimum(raw, qmax, out=raw)
+    return raw.astype(dtype, order="C")
 
 
 def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams,
@@ -446,26 +508,32 @@ def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams
     """The policy layer's step at b, compiled now unless built from these very objects.
 
     ``other_grid`` is the weight grid, or the residual branch's grid; ``w`` is
-    a fc or conv layer's weights as this call shifted them to b, in int64 with
-    one row per output, from which a new step takes its additive constant.
+    a fc or conv layer's weights as this call shifted them to b, one row per
+    output, from which a new step takes its additive constant.
     """
     sources = (x_grid, other_grid, layer.weight_q, layer.bias_q, layer.output_params)
     step = layer.steps.get(b)
     if step is not None and all(map(is_, step.sources, sources)):
         return step
+    length = layer.weight_elements() // layer.output_shape[0]  # 0 for an add
     plan = build_plan(
         layer.kind, layer.name, b, x_grid, other_grid,
         layer.bias_q.params if layer.bias_q is not None else None, layer.output_params,
-        layer.weight_elements() // layer.output_shape[0])  # dot length, 0 for an add
+        length)
     k, half = plan.k, (1 << plan.frac_bits) >> 1
     if w is None:
-        const = k[2] + half
+        const, dtype, row_k = k[2] + half, None, None
     else:
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
-        const = k[2] * w.sum(axis=1) + k[3] * bias + (k[4] + half)
+        const = (k[2] * w.sum(axis=1, dtype=np.int64) + k[3] * bias + (k[4] + half))[:, None]
+        top = (1 << b) - 1  # the qmax of both b-bit grids
+        dtype = exact_sum_dtype(length * top * top)
+        row_k = _constant([[k[0]]] * len(w) + [[k[1]]])
     pad = _pad_index(x_grid, b) if layer.kind == "conv2d" and layer.padding else 0
     step = LayerStep(sources, plan, const,
-                     layer_counters(layer, b, x_grid.master_bitwidth, x_grid), pad)
+                     layer_counters(layer, b, x_grid.master_bitwidth, x_grid), pad, dtype,
+                     row_k, _constant(plan.frac_bits), _constant(layer.output_params.qmax),
+                     storage_dtype(layer.output_params.bitwidth))
     layer.steps[b] = step
     return step
 
@@ -479,9 +547,10 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     activation are shifted down to b on every call, once for the whole batch;
     the rest comes from the layer's compiled step at b. A MAC layer evaluates
     its dot and bias as one integer expression (the array form of ``int_dot``
-    with its bias term), ``rows @ (k1*w + k2).T + c'``, and rounds it once
-    onto the calibrated output grid, whose clipping realizes any following
-    clamp, so the next layer again sees a master-width tensor. A residual add
+    with its bias term), ``k1*S1 + k2*S2 + c'`` with the sums from one exact
+    GEMM in the step's ``sum_dtype``, and rounds it once onto the calibrated
+    output grid, whose clipping realizes any following clamp, so the next
+    layer again sees a master-width tensor. A residual add
     is the array form of ``int_add``, ``k1*x + k2*branch + c'``, rounded and
     clipped the same way; a clamp passes its input through, a flatten reshapes
     it and an average pool takes window means, each on ``x``'s grid. ``aux``
@@ -512,8 +581,7 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         else:  # a clamp is its producer's output grid, which already clipped
             out = xd.reshape((bsz,) + layer.output_shape)
         return (NestedTensor.trusted(out[0] if single else out, x.params),
-                LayerRecord(index=-1, kind=kind, bitwidth=b,
-                            counters=layer_counters(layer, b, n, x.params)))
+                LayerRecord(-1, kind, b, layer_counters(layer, b, n, x.params)))
 
     py = layer.output_params
     if py is None:
@@ -527,8 +595,9 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             raise ShapeMismatchError(
                 f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
     # Tensors are stored as uint8/uint16, where the products would wrap,
-    # so every operand widens to int64 before its constant meets it; a
-    # conv input widens after it unfolds, as the unfold copies it anyway.
+    # so every operand widens before it is multiplied: to int64 for a
+    # residual add, to the step's sum_dtype for a GEMM, whose sums widen to
+    # int64 before a constant meets them; a conv input widens as it unfolds.
     xs = shift_down(x, n, b).reshape(xd.shape)
 
     if kind == "residual_add":
@@ -540,27 +609,31 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         branch *= k[1]
         raw += branch
     else:
-        # One row of weights per output feature or channel; the input
-        # unfolds into one row per sample (fc) or per sample and output
-        # pixel (conv), and outputs leave as (rows, channels).
-        w = shift_down(layer.weight_q, n, b).astype(np.int64).reshape(
-            layer.output_shape[0], -1)
+        # One row of weights per output feature or channel, then a row of
+        # ones for the input's sum; the input unfolds into one column per
+        # sample (fc) or per sample and output pixel (conv).
+        w = shift_down(layer.weight_q, n, b).reshape(layer.output_shape[0], -1)
         step = _step(layer, b, x.params, layer.weight_q.params, w)
-        k = step.plan.k
-        w *= k[0]
-        w += k[1]
-        # the padding index is a b-bit index, so it fits the narrow dtype
-        rows = xs.reshape(bsz, w.shape[1]) if kind == "fc" else _im2col(
-            xs, layer.kernel, layer.stride, layer.padding, step.pad)
-        raw = rows.astype(np.int64) @ w.T
+        w_ones = np.empty((len(w) + 1, w.shape[1]), step.sum_dtype)
+        w_ones[:-1] = w
+        w_ones[-1] = 1
+        # the padding index is a b-bit index, so it fits the narrow dtype;
+        # a fc's input widens inside the matmul
+        fields = xs.reshape(bsz, w.shape[1]).T if kind == "fc" else _im2col(
+            xs, layer.kernel, layer.stride, layer.padding, step.pad, step.sum_dtype)
+        # exact in sum_dtype: integer sums within the step's proven bound
+        sums = (w_ones @ fields).astype(np.int64, copy=False)
+        sums *= step.k
+        raw = sums[:-1]
+        raw += sums[-1]
     raw += step.const
-    out = _requant(raw, step.plan.frac_bits, py)
-    if kind == "conv2d":  # (B*pixels, channels) to channel-major per sample
-        channels, *pixels = layer.output_shape
-        out = out.reshape(bsz, math.prod(pixels), channels).transpose(0, 2, 1).reshape(
-            (bsz,) + layer.output_shape)
+    if kind == "fc":  # (outputs, samples) to (samples, outputs)
+        raw = raw.T
+    elif kind == "conv2d":  # (channels, samples * pixels) to (samples, channels, pixels)
+        raw = raw.reshape(len(raw), bsz, math.prod(layer.output_shape[1:])).transpose(1, 0, 2)
+    out = _requant(raw, step.shift, step.qmax, step.out_dtype).reshape((bsz,) + layer.output_shape)
     return (NestedTensor.trusted(out[0] if single else out, py),
-            LayerRecord(index=-1, kind=kind, bitwidth=b, counters=step.counters.copy()))
+            LayerRecord(-1, kind, b, step.counters.copy(), step.sum_dtype, step.plan.frac_bits))
 
 
 def forward(model: ModelGraph, x: np.ndarray,

@@ -1,9 +1,11 @@
 """Layer execution: integer dataflow, traces, clamps."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from nestq import layers
 from nestq.calibration import calibrate, float_forward, quantize_weights
@@ -591,7 +593,11 @@ def edge_model(kind, tiny):
 
 
 class TestInt64Edge:
-    """The folded expression at plans whose int64 bound is within 2x of INT64_MAX."""
+    """The int64 expression at plans whose int64 bound is within 2x of INT64_MAX.
+
+    Its product and input sums come from the step's exact GEMM: float64 for
+    every fc here and for the conv at b >= 10, float32 for the conv at b = 7
+    and the residual case's 8-long fc at b <= 10."""
 
     @pytest.mark.parametrize("tiny", [0, 30])
     @pytest.mark.parametrize("kind", ["fc", "conv2d", "residual_add"])
@@ -846,8 +852,8 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("n", range(4, 17))
     def test_conv_unfolds_narrow_as_it_did_wide(self, n, cnn_data, make_block, monkeypatch):
-        """A conv unfolds its shifted input in its storage dtype, then widens
-        the rows: bit-identical to unfolding the input widened to int64 first."""
+        """A conv unfolds its shifted input from its storage dtype, widening it
+        as it copies: bit-identical to unfolding the input widened to int64 first."""
         x = cnn_data[0][:4]
         cnn = build_toy_cnn(seed=11, n=n)
         calibrate(cnn, [cnn_data[0][:50], cnn_data[0][50:]])
@@ -930,7 +936,7 @@ class TestRoundingShift:
             assert np.array_equal(np.maximum(folded, 0), np.maximum(want, 0)), s
             # on non-negative values no clip is needed
             assert np.array_equal(folded[v >= 0], want[v >= 0]), s
-            got = layers._requant(v + half, s, py)
+            got = layers._requant(v + half, s, py.qmax, storage_dtype(16))
             assert np.array_equal(got, np.clip(want, 0, py.qmax)), s
 
 
@@ -969,3 +975,122 @@ class TestClampIndex:
         forward(mlp, blob_data[0][:3], policy)
         forward(mlp, blob_data[0][5], policy)
         assert len(calls) == 2  # the entry quantize of each call
+
+
+def top_fc(length: int) -> tuple[LayerSpec, NestedTensor]:
+    """A fc at n = 8 on unit grids whose ``length`` weights and inputs all sit at
+    index 255, so its product sum is its bound, length * 255^2. Its output grid
+    starts 100 steps below that sum: the exact output is index 100, and a sum
+    off by one is an output off by one."""
+    p = unit_params()
+    total = length * 255 * 255
+    layer = LayerSpec(kind="fc", name="top", in_features=length, out_features=1,
+                      weight=np.ones((1, length)))
+    layer.weight_q = NestedTensor(data=np.full((1, length), 255), params=p)
+    layer.output_params = QuantParams(scale=1.0, offset=float(total - 100), bitwidth=8,
+                                      master_bitwidth=8)
+    layer.input_shape = (length,)
+    layer.output_shape = (1,)
+    return layer, NestedTensor(data=np.full(length, 255), params=p)
+
+
+class TestExactSumDtype:
+    @pytest.mark.parametrize("length, dtype", [(258, np.float32), (259, np.float64)])
+    def test_the_rule_at_the_float32_edge(self, length, dtype):
+        """258 * 255^2 = 16,776,450 <= 2^24 sums in float32; one more term does
+        not, and sums in float64. Both equal the scalar oracle."""
+        layer, x = top_fc(length)
+        out, record = run_layer(layer, x, 8)
+        assert record.sum_dtype == dtype
+        want, _ = oracle_layer(layer, x, 8, layer.steps[8].plan)
+        assert out.data[0] == want[0] == 100
+
+    def test_float32_past_its_edge_is_wrong(self, monkeypatch):
+        # 259 * 255^2 is odd and above 2^24, so no float32 holds it
+        layer, x = top_fc(259)
+        monkeypatch.setattr(layers, "exact_sum_dtype", lambda bound: np.dtype(np.float32))
+        out, record = run_layer(layer, x, 8)
+        assert record.sum_dtype == np.float32
+        assert out.data[0] != 100
+
+    def test_past_float64_falls_back_to_int64(self):
+        # n = 16: a dot of 2^21 terms stays within 2^53; the rule is called
+        # with the bound alone, so no tensor of that length is built
+        q = (1 << 16) - 1
+        assert layers.exact_sum_dtype((1 << 21) * q * q) == np.float64
+        first = (1 << 53) // (q * q) + 1
+        assert first > 1 << 21
+        assert layers.exact_sum_dtype(first * q * q) == np.int64
+        assert [layers.exact_sum_dtype(v) for v in (1 << 24, (1 << 24) + 1, 1 << 53,
+                                                    (1 << 53) + 1)] == \
+            [np.float32, np.float64, np.float64, np.int64]
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_records_carry_the_narrowest_type_and_f(self, n, blob_data, make_block):
+        """A fc or conv's record holds its step's sum type, the narrowest its
+        bound L * (2^b - 1)^2 allows, and every policy layer's its plan's F."""
+        mlp = build_toy_mlp(seed=7, n=n, means=blob_data[2])
+        calibrate(mlp, [blob_data[0][:100]])
+        seen = set()
+        for model, x in ((mlp, blob_data[0][:2]), (make_block(n), None)):
+            k = model.num_policy_layers
+            x = np.zeros((2,) + model.input_shape) if x is None else x
+            for b in sorted({n, max(2, n // 2), 2}):
+                _, trace = forward(model, x, BitPolicy.uniform(b, k))
+                for r in trace.records:
+                    layer = model.layers[r.index]
+                    if layer.kind not in POLICY_KINDS:
+                        assert (r.sum_dtype, r.frac_bits) == (None, None)
+                        continue
+                    step = layer.steps[b]
+                    assert r.frac_bits == step.plan.frac_bits
+                    if layer.kind == "residual_add":
+                        assert r.sum_dtype is None
+                        continue
+                    bound = layer.weight_elements() // layer.output_shape[0] \
+                        * ((1 << b) - 1) ** 2
+                    want = np.float32 if bound <= 1 << 24 else \
+                        np.float64 if bound <= 1 << 53 else np.int64
+                    assert r.sum_dtype == want == step.sum_dtype, (layer.name, b)
+                    seen.add(np.dtype(want).name)
+        assert "float32" in seen
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_int64_sums_change_no_bit(self, n, cnn_data, make_block, monkeypatch):
+        """Forced to sum in int64, every fc and conv gives the same outputs."""
+        x = cnn_data[0][:6]
+        model = make_block(n)
+        policies = random_policies(model, np.random.default_rng(500 + n), 3)
+        want = [forward(model, x, policy)[0] for policy in policies]
+        monkeypatch.setattr(layers, "exact_sum_dtype", lambda bound: np.dtype(np.int64))
+        model = make_block(n)
+        for policy, y in zip(policies, want):
+            got, trace = forward(model, x, policy)
+            assert np.array_equal(got, y), policy
+            assert {r.sum_dtype for r in trace.records if r.kind != "residual_add"} \
+                <= {np.dtype(np.int64), None}
+
+
+def im2col_reference(x, kernel, stride, padding, pad_value):
+    """The unfold by ``sliding_window_view``: (C*k*k, B*OH*OW), one field per column."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+                constant_values=pad_value)
+    windows = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    bsz, c, oh, ow = windows.shape[:4]
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(c * kernel * kernel, bsz * oh * ow)
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32, np.float64])
+    @pytest.mark.parametrize("bsz", [0, 1, 5])
+    def test_equals_the_sliding_window_unfold(self, dtype, bsz):
+        """H != W, sizes not multiples of the stride, a padding index not 0."""
+        rng = np.random.default_rng(bsz)
+        for source in (np.uint8, np.uint16):
+            x = rng.integers(0, 256, size=(bsz, 3, 7, 10)).astype(source)
+            for kernel, stride, padding in itertools.product((1, 3, 5), (1, 2, 3), (0, 1, 2)):
+                got = layers._im2col(x, kernel, stride, padding, 7, np.dtype(dtype))
+                want = im2col_reference(x, kernel, stride, padding, 7)
+                assert got.dtype == dtype
+                assert got.shape == want.shape and np.array_equal(got, want), \
+                    (source, kernel, stride, padding)
