@@ -36,7 +36,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     for bits in itertools.product(cands, repeat=model.num_policy_layers):
-        policy = BitPolicy(bits=bits, candidates=cands)
+        policy = BitPolicy(bits)
         dqt = cost_report(model, policy, "dqt")
         std = cost_report(model, policy, "standard")
         lo, hi = cycle_estimate(std)

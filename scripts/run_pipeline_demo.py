@@ -45,7 +45,7 @@ def main() -> int:
             oracle = fake_quant_forward(model, x[members], policy)
             agree += int(np.sum(np.argmax(y, axis=1) == np.argmax(oracle, axis=1)))
             correct += int(np.sum(np.argmax(y, axis=1) == labels[members]))
-            shifted += trace.shifted_elements * len(members)  # the trace is per sample
+            shifted += trace.counters.shifts * len(members)  # the trace is per sample
         print(f"{name:>16}: oracle agreement {agree / len(x):6.1%}  "
               f"accuracy {correct / len(x):6.1%}  "
               f"shifts/sample {shifted / len(x):8.1f}  policies {len(groups)}")

@@ -103,7 +103,7 @@ def policy_source(text: str, model, seed: int = 0) -> Callable[[np.ndarray], Bit
         if len(bits) != length:
             raise ShapeMismatchError(
                 f"fixed policy has {len(bits)} entries, model has {length} MAC layers")
-        policy = BitPolicy(bits=bits, candidates=tuple(sorted(set(bits))))
+        policy = BitPolicy(bits)
     elif kind == "heuristic":
         policy = range_heuristic_policy(model, _parse_candidates(arg))
     elif kind == "controller":
@@ -191,8 +191,6 @@ def cmd_infer(args) -> int:
             chunk = members[lo:lo + INFER_CHUNK]
             ys, trace = forward(model, data[chunk], policy)
             shared = {"policy": list(policy.bits),
-                      "shifted_elements": trace.shifted_elements,
-                      "transition_ops": trace.transition_ops,
                       "fp_tensor_ops": trace.fp_tensor_ops,
                       **asdict(trace.counters)}
             for i, y in zip(chunk, ys):

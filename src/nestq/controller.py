@@ -83,7 +83,7 @@ def select_argmax(logits: np.ndarray, candidates) -> BitPolicy:
     cands = tuple(sorted(candidates))
     # argmax returns the first maximum, which is the smallest candidate
     bits = tuple(cands[i] for i in logits.argmax(axis=1).tolist())
-    return BitPolicy(bits=bits, candidates=cands)
+    return BitPolicy(bits)
 
 
 def gumbel_softmax_sample(logits: np.ndarray, temperature: float,
@@ -129,4 +129,4 @@ def range_heuristic_policy(model: ModelGraph, candidates) -> BitPolicy:
     k = len(cands)
     bins = (order * k) // max(len(spans), 1)
     bits = tuple(cands[min(int(b), k - 1)] for b in bins)
-    return BitPolicy(bits=bits, candidates=cands)
+    return BitPolicy(bits)

@@ -5,9 +5,10 @@ calibration, and then runs as a pure integer pipeline: the input is quantized
 once at the master width, every MAC layer shifts its weights and activations
 down to its assigned bit-width, and only the final output is dequantized.
 
-A fc or conv layer is one integer expression, its dot plus the bias term,
-rounded once onto its output grid; a residual add is the integer add, also
-rounded once. A fc or conv takes the dot's two input-dependent sums, the
+Every policy layer is one integer expression, ``k . S + c'`` over int64
+sum rows S, rounded once onto its output grid: a fc or conv's dot plus the
+bias term, a residual add's integer add, whose two rows are its two shifted
+operands. A fc or conv takes the dot's two input-dependent sums, the
 product sum ``S1 = rows @ w_b.T`` and the row sum ``S2``, from one GEMM
 against its b-bit weights with a row of ones appended, run in the step's
 ``sum_dtype``: float32 where the dot's bound ``L*qmax_x*qmax_w`` at b is at
@@ -43,13 +44,13 @@ Every tensor passed between layers is a :class:`NestedTensor`, and
 ``run_layer`` hands those, not their arrays, to ``shift_down``: the tensor is
 the range proof, so a ``forward`` runs no range reduction of its own.
 
-Execution is batch-first. ``run_layer`` and ``forward`` take one sample
-(shaped like the layer's or model's input) or a batch of them on a leading
-axis; a single sample is lifted to a batch of one at entry and squeezed at
-exit, so both run the same code. A batch runs under one policy: its weights
-are shifted once for all its samples, while the trace is that of one sample's
-inference, the same for every sample, and equal to ``cost.cost_report`` for
-the policy.
+Execution is batch-first. ``run_layer`` takes a batch on a leading axis,
+and only a batch; ``forward`` takes one sample (shaped like the model's
+input) or a batch, and lifts a single sample to a batch of one at entry and
+squeezes it at exit, so both forms run the same code. A batch runs under one
+policy: its weights are shifted once for all its samples, while the trace is
+that of one sample's inference, the same for every sample, and equal to
+``cost.cost_report`` for the policy.
 
 :func:`layer_counters` is the one counting rule: the primitives a layer is
 charged, from its shapes, bias and input grid alone. ``run_layer`` charges it
@@ -277,23 +278,19 @@ class ModelGraph:
 
 @dataclass(frozen=True)
 class BitPolicy:
-    """Per-MAC-layer bit-width assignment drawn from a candidate set."""
+    """One bit-width per policy layer, in layer order: the policy is its bits.
+
+    ``ModelGraph.layer_bitwidths`` checks them against a model.
+    """
 
     bits: tuple[int, ...]
-    candidates: tuple[int, ...]
-
-    def __post_init__(self):
-        bad = [b for b in self.bits if b not in self.candidates]
-        if bad:
-            raise ValueError(f"bit-widths {bad} outside candidate set {self.candidates}")
 
     def __len__(self):
         return len(self.bits)
 
     @classmethod
-    def uniform(cls, b: int, length: int, candidates=None) -> "BitPolicy":
-        cands = tuple(candidates) if candidates is not None else (b,)
-        return cls(bits=(b,) * length, candidates=cands)
+    def uniform(cls, b: int, length: int) -> "BitPolicy":
+        return cls((b,) * length)
 
 
 @dataclass
@@ -309,27 +306,17 @@ class LayerRecord:
     sum_dtype: np.dtype | None = None
     frac_bits: int | None = None
 
-    @property
-    def shifted_elements(self) -> int:
-        return self.counters.shifts
-
 
 @dataclass
 class ExecutionTrace:
-    """What one inference did: per-layer precisions, shift counts, op tallies."""
+    """What one inference did: per-layer precisions and op tallies.
+
+    ``counters.shifts`` is the transition count, one shift per element moved
+    below the master width."""
 
     records: list[LayerRecord] = field(default_factory=list)
     counters: OpCounters = field(default_factory=OpCounters)
     fp_tensor_ops: int = 0  # non-integer tensors between entry quantize and exit dequantize
-
-    @property
-    def shifted_elements(self) -> int:
-        return self.counters.shifts
-
-    @property
-    def transition_ops(self) -> int:
-        # one shift per element moved below the master width
-        return self.shifted_elements
 
     def bitwidths(self) -> list[int]:
         return [r.bitwidth for r in self.records]
@@ -385,20 +372,23 @@ class LayerStep:
     ``sources`` are the objects it was built from: input grid, weight or
     branch grid, ``weight_q``, ``bias_q`` and output grid. ``plan`` is the
     layer's one expression's constants (its ``k``, F and ``degenerate``
-    flag), as :func:`build_plan` returns them. ``const`` is the expression's
-    additive constant with the rounding half 2^(F-1) folded in: for a fc or
-    conv layer one int64 per output, ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5 +
-    2^(F-1)``, for a residual add the int ``k3 + 2^(F-1)``. ``pad`` is a
-    padded conv's b-bit index of 0.0, else 0.
+    flag), as :func:`build_plan` returns them. A call evaluates ``k . S +
+    const`` over int64 sum rows S, the last row added to each of the others,
+    with one weight per row in ``k``: a fc or conv's rows are its GEMM's, one
+    product sum per output weighted ``k1`` and the input's sum weighted
+    ``k2``; a residual add's two rows are its two shifted operands, so its
+    ``k`` is ``[[k1], [k2]]``. ``const`` is the additive constant with the
+    rounding half 2^(F-1) folded in: for a fc or conv layer one int64 per
+    output, ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5 + 2^(F-1)``, for a residual
+    add the int ``k3 + 2^(F-1)``. ``pad`` is a padded conv's b-bit index of
+    0.0, else 0.
 
     A fc or conv sums its products in ``sum_dtype``, the narrowest type
     :func:`exact_sum_dtype` proves exact for the dot's bound ``length *
-    qmax_x * qmax_w`` at b, and ``k`` weights those sums in int64: ``k1``
-    for each output's product sum, then ``k2`` for the input's sum, one per
-    row. A residual add has neither (None). ``shift`` is F, ``qmax`` and
-    ``out_dtype`` the output grid's qmax and storage dtype. ``k``, ``shift``
-    and ``qmax`` are read-only int64 arrays, which a ufunc takes as they are,
-    where it converts a Python int on every call.
+    qmax_x * qmax_w`` at b; a residual add runs no GEMM (None). ``shift`` is
+    F, ``qmax`` and ``out_dtype`` the output grid's qmax and storage dtype.
+    ``k``, ``shift`` and ``qmax`` are read-only int64 arrays, which a ufunc
+    takes as they are, where it converts a Python int on every call.
     """
 
     sources: tuple
@@ -407,7 +397,7 @@ class LayerStep:
     counters: OpCounters
     pad: int
     sum_dtype: np.dtype | None
-    k: np.ndarray | None
+    k: np.ndarray
     shift: np.ndarray
     qmax: np.ndarray
     out_dtype: np.dtype
@@ -521,18 +511,18 @@ def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams
         layer.bias_q.params if layer.bias_q is not None else None, layer.output_params,
         length)
     k, half = plan.k, (1 << plan.frac_bits) >> 1
-    if w is None:
-        const, dtype, row_k = k[2] + half, None, None
+    if w is None:  # a residual add: one row of outputs
+        const, dtype, rows = k[2] + half, None, 1
     else:
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
         const = (k[2] * w.sum(axis=1, dtype=np.int64) + k[3] * bias + (k[4] + half))[:, None]
         top = (1 << b) - 1  # the qmax of both b-bit grids
-        dtype = exact_sum_dtype(length * top * top)
-        row_k = _constant([[k[0]]] * len(w) + [[k[1]]])
+        dtype, rows = exact_sum_dtype(length * top * top), len(w)
     pad = _pad_index(x_grid, b) if layer.kind == "conv2d" and layer.padding else 0
     step = LayerStep(sources, plan, const,
                      layer_counters(layer, b, x_grid.master_bitwidth, x_grid), pad, dtype,
-                     row_k, _constant(plan.frac_bits), _constant(layer.output_params.qmax),
+                     _constant([[k[0]]] * rows + [[k[1]]]), _constant(plan.frac_bits),
+                     _constant(layer.output_params.qmax),
                      storage_dtype(layer.output_params.bitwidth))
     layer.steps[b] = step
     return step
@@ -540,47 +530,51 @@ def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams
 
 def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
               aux: NestedTensor | None = None) -> tuple[NestedTensor, LayerRecord]:
-    """Execute one layer at bit-width b, returning a master-width output.
+    """Execute one layer at bit-width b on a batch, returning a master-width batch.
 
-    ``x`` is one sample shaped ``layer.input_shape`` or a batch of them on a
-    leading axis; the output has the same form. Weights and the incoming
-    activation are shifted down to b on every call, once for the whole batch;
-    the rest comes from the layer's compiled step at b. A MAC layer evaluates
-    its dot and bias as one integer expression (the array form of ``int_dot``
-    with its bias term), ``k1*S1 + k2*S2 + c'`` with the sums from one exact
-    GEMM in the step's ``sum_dtype``, and rounds it once onto the calibrated
-    output grid, whose clipping realizes any following clamp, so the next
-    layer again sees a master-width tensor. A residual add
-    is the array form of ``int_add``, ``k1*x + k2*branch + c'``, rounded and
-    clipped the same way; a clamp passes its input through, a flatten reshapes
-    it and an average pool takes window means, each on ``x``'s grid. ``aux``
-    carries the second operand for residual adds, shaped like ``x``. The
-    record counts one sample's work.
+    ``x`` is a batch of samples shaped ``layer.input_shape`` on a leading
+    axis; ``forward`` lifts a single sample to a batch of one. Weights and
+    the incoming activation are shifted down to b on every call, once for the
+    whole batch; the rest comes from the layer's compiled step at b. A policy
+    layer evaluates one integer expression, ``k . S + c'`` over the int64 sum
+    rows S of its step (see :class:`LayerStep`), and rounds it once onto the
+    calibrated output grid, whose clipping realizes any following clamp, so
+    the next layer again sees a master-width tensor. A fc or conv's rows, the
+    array form of ``int_dot`` with its bias term, are the product sums and
+    the input's sum from one exact GEMM in the step's ``sum_dtype``; a
+    residual add's, the array form of ``int_add``, are its two shifted
+    operands. A clamp passes its input through, a flatten reshapes it and an
+    average pool takes window means, each on ``x``'s grid. ``aux`` carries
+    the second operand for residual adds, shaped like ``x``. The record
+    counts one sample's work.
     """
     n = x.params.master_bitwidth
     if b > n:
         raise ValueError(f"policy bit-width {b} above master width {n}")
     shape = tuple(layer.input_shape)
-    single = x.shape == shape
-    if not single and x.shape[1:] != shape:
+    if x.shape[1:] != shape:
         raise ShapeMismatchError(
-            f"layer {layer.name!r} expects input {shape} or a batch of it, got {x.shape}")
-    xd = x.data[None] if single else x.data  # (B, *input_shape)
+            f"layer {layer.name!r} expects a batch of {shape}, got {x.shape}")
     kind = layer.kind
-    bsz = len(xd)
+    bsz = x.shape[0]
 
     if kind not in POLICY_KINDS:
         if kind == "avgpool":
-            # Same-grid integer mean per window; exact under a shared affine grid.
+            # Same-grid integer mean per window, exact under a shared affine
+            # grid: the p^2 strided slices of the windows sum into int64 that
+            # starts at the rounding half, then one floor division.
             c, h, w = shape
             p = layer.pool
-            view = xd[:, :, :h - h % p, :w - w % p].reshape(bsz, c, h // p, p, w // p, p)
-            sums = view.sum(axis=(3, 5), dtype=np.int64)
             area = p * p
-            out = ((sums + area // 2) // area).astype(storage_dtype(n))
+            sums = np.full((bsz, c, h // p, w // p), area // 2, np.int64)
+            for i in range(p):
+                for j in range(p):
+                    sums += x.data[:, :, i:h - h % p:p, j:w - w % p:p]
+            sums //= area
+            out = sums.astype(storage_dtype(n))
         else:  # a clamp is its producer's output grid, which already clipped
-            out = xd.reshape((bsz,) + layer.output_shape)
-        return (NestedTensor.trusted(out[0] if single else out, x.params),
+            out = x.data.reshape((bsz,) + layer.output_shape)
+        return (NestedTensor.trusted(out, x.params),
                 LayerRecord(-1, kind, b, layer_counters(layer, b, n, x.params)))
 
     py = layer.output_params
@@ -594,20 +588,16 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         if aux.shape != x.shape:
             raise ShapeMismatchError(
                 f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
-    # Tensors are stored as uint8/uint16, where the products would wrap,
-    # so every operand widens before it is multiplied: to int64 for a
-    # residual add, to the step's sum_dtype for a GEMM, whose sums widen to
-    # int64 before a constant meets them; a conv input widens as it unfolds.
-    xs = shift_down(x, n, b).reshape(xd.shape)
-
+    # Tensors are stored as uint8/uint16, where the products would wrap, so
+    # every sum row is int64 before a constant meets it: a residual add's
+    # operands widen as they are copied into their rows, a GEMM's sums after
+    # it runs in the step's sum_dtype; a conv input widens as it unfolds.
+    xs = shift_down(x, n, b)
     if kind == "residual_add":
         step = _step(layer, b, x.params, aux.params)
-        k = step.plan.k
-        raw = xs.astype(np.int64)
-        raw *= k[0]
-        branch = shift_down(aux, n, b).astype(np.int64).reshape(xd.shape)
-        branch *= k[1]
-        raw += branch
+        sums = np.empty((2, xs.size), np.int64)
+        sums[0] = xs.reshape(-1)
+        sums[1] = shift_down(aux, n, b).reshape(-1)
     else:
         # One row of weights per output feature or channel, then a row of
         # ones for the input's sum; the input unfolds into one column per
@@ -623,16 +613,16 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
             xs, layer.kernel, layer.stride, layer.padding, step.pad, step.sum_dtype)
         # exact in sum_dtype: integer sums within the step's proven bound
         sums = (w_ones @ fields).astype(np.int64, copy=False)
-        sums *= step.k
-        raw = sums[:-1]
-        raw += sums[-1]
+    sums *= step.k
+    raw = sums[:-1]
+    raw += sums[-1]
     raw += step.const
-    if kind == "fc":  # (outputs, samples) to (samples, outputs)
-        raw = raw.T
-    elif kind == "conv2d":  # (channels, samples * pixels) to (samples, channels, pixels)
-        raw = raw.reshape(len(raw), bsz, math.prod(layer.output_shape[1:])).transpose(1, 0, 2)
+    # (rows, samples * columns) to (samples, rows, columns): a fc has one
+    # column per sample, a residual add one row
+    rows = len(raw)
+    raw = raw.reshape(rows, bsz, math.prod(layer.output_shape) // rows).transpose(1, 0, 2)
     out = _requant(raw, step.shift, step.qmax, step.out_dtype).reshape((bsz,) + layer.output_shape)
-    return (NestedTensor.trusted(out[0] if single else out, py),
+    return (NestedTensor.trusted(out, py),
             LayerRecord(-1, kind, b, step.counters.copy(), step.sum_dtype, step.plan.frac_bits))
 
 

@@ -57,7 +57,8 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
 
     Mirrors the integer pipeline's structure (weights and activations at the
     policy width, outputs on the calibrated master grid) while computing
-    everything in float. Batch on the leading axis.
+    everything in float; an average pool's mean rounds onto its input's grid,
+    as the integer pool's does. Batch on the leading axis.
     """
     bits = model.layer_bitwidths(policy)
     t = fake_quantize(np.asarray(x, dtype=np.float64), model.input_params)
@@ -79,6 +80,13 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
         elif layer.kind == "residual_add":
             aux = nested_move(outputs[layer.source], model.output_grid(layer.source), b)
             t = fake_quantize(t + aux, layer.output_params)
+        elif layer.kind == "avgpool":
+            # the window mean of the input's indices, rounded half up onto that
+            # grid as the integer pool rounds it: floor(mean + 1/2) equals
+            # (sum + area // 2) // area for every integer window sum
+            grid = model.output_grid(i - 1)
+            q = np.clip(round_half_away((t - grid.offset) / grid.scale), 0, grid.qmax)
+            t = np.floor(float_layer(layer, q) + 0.5) * grid.scale + grid.offset
         else:
             t = float_layer(layer, t)
         if i in sources:

@@ -129,7 +129,7 @@ class TestCalibrate:
         assert model.layers[0].output_params.offset <= 0.0
         step = model.layers[1].output_params.scale
         for b in (n, n // 2):
-            policy = BitPolicy(bits=(n, b), candidates=tuple({n, b}))
+            policy = BitPolicy((n, b))
             got, _ = forward(model, x, policy)
             assert np.max(np.abs(got - fake_quant_forward(model, x, policy))) <= step * (1 + 1e-9)
 

@@ -38,7 +38,7 @@ from nestq.cli import (
 )
 from nestq.calibration import calibrate, quantize_weights
 from nestq.controller import ControllerSpec
-from nestq.cost import CostReport
+from nestq.cost import CostReport, cost_report
 from nestq.intops import AccumulatorOverflowError
 from nestq.layers import BitPolicy, LayerSpec, ModelGraph, ShapeMismatchError, forward
 from nestq.models import build_toy_mlp
@@ -166,7 +166,7 @@ class TestManifest:
     def test_loaded_and_run_model_is_collected(self, tmp_path, mlp, blob_data):
         blobio.save_model(mlp, tmp_path / "m")
         model = blobio.load_model(tmp_path / "m")
-        forward(model, blob_data[0][:3], BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8)))
+        forward(model, blob_data[0][:3], BitPolicy((8, 4, 6)))
         # the model, a layer and a compiled step it holds all go with the model
         refs = [weakref.ref(model), weakref.ref(model.layers[0]),
                 weakref.ref(model.layers[0].steps[8])]
@@ -229,7 +229,7 @@ class TestManifest:
 
     def test_legacy_precision_key_ignored(self, tmp_path, mlp, blob_data):
         from nestq.layers import BitPolicy, forward
-        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        policy = BitPolicy((8, 4, 6))
         # frac_bits, and the accumulator policy's working width and rescale flag
         for key, value in (("frac_bits", 16), ("working_bits", 24), ("rescale", False)):
             path = blobio.save_model(mlp, tmp_path / key)
@@ -299,7 +299,7 @@ class TestManifest:
         path.write_text(json.dumps(doc))
         legacy = blobio.load_model(path)
         fresh = blobio.load_model(blobio.save_model(mlp, tmp_path / "fresh"))
-        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        policy = BitPolicy((8, 4, 6))
         for x in blob_data[0][:3]:
             assert np.array_equal(forward(legacy, x, policy)[0], forward(fresh, x, policy)[0])
 
@@ -453,6 +453,11 @@ class TestParsePolicy:
     def test_fixed(self, mlp):
         assert parse_policy("fixed:8,4,8", mlp).bits == (8, 4, 8)
 
+    def test_fixed_is_the_policy_of_its_bits(self, mlp):
+        # the grouping in `infer` keys on the policy, so it must be the bits alone
+        assert parse_policy("fixed:8,4,8", mlp) == BitPolicy((8, 4, 8))
+        assert hash(parse_policy("fixed:8,4,8", mlp)) == hash(BitPolicy((8, 4, 8)))
+
     def test_fixed_length_checked(self, mlp):
         from nestq.layers import ShapeMismatchError
         with pytest.raises(ShapeMismatchError):
@@ -535,6 +540,20 @@ class TestCommands:
         for name in ("sample0000", "sample0001"):
             sample = infer[name]
             assert (sample["mults"], sample["adds"], sample["shifts"]) == want
+
+    @pytest.mark.parametrize("source", ["fixed:8,4,6", "controller:3,5,8"])
+    def test_infer_sample_records_name_each_count_once(self, workspace, tmp_path, source):
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(workspace / "data/x.nqtb"), "--policy", source,
+                     "--limit", "8", "--out", str(tmp_path / "i.txt")]) == EXIT_OK
+        doc = json.loads((tmp_path / "i.txt.json").read_text())
+        model = blobio.load_model(workspace / "model")
+        for i in range(8):
+            sample = doc[f"sample{i:04d}"]
+            assert set(sample) == {"argmax", "output", "policy", "fp_tensor_ops",
+                                   "mults", "adds", "shifts"}
+            policy = BitPolicy(tuple(sample["policy"]))
+            assert sample["shifts"] == cost_report(model, policy).transition_elements
 
     def test_cost_refuses_policy_above_master(self, workspace, tmp_path, capsys):
         n = blobio.load_model(workspace / "model").master_bitwidth
@@ -770,8 +789,6 @@ def reference_infer(model_dir, blob, policy_text, seed, out):
             "policy": list(policy.bits),
             "argmax": int(np.argmax(y)),
             "output": [repr(float(v)) for v in y.reshape(-1)],
-            "shifted_elements": trace.shifted_elements,
-            "transition_ops": trace.transition_ops,
             "fp_tensor_ops": trace.fp_tensor_ops,
             "mults": trace.counters.mults,
             "adds": trace.counters.adds,
@@ -1061,8 +1078,7 @@ class TestRunLoader:
                 blob.unlink()
         assert sorted(p.name for p in (model_dir / "blobs").iterdir()) == QUANTIZED_BLOBS
         loaded = blobio.load_model(model_dir)
-        for policy in (BitPolicy.uniform(8, 5), BitPolicy(bits=(8, 4, 6, 3, 5),
-                                                          candidates=(3, 4, 5, 6, 8))):
+        for policy in (BitPolicy.uniform(8, 5), BitPolicy((8, 4, 6, 3, 5))):
             (want, want_trace), (got, got_trace) = forward(model, x, policy), \
                 forward(loaded, x, policy)
             assert np.array_equal(got, want) and got_trace == want_trace
@@ -1111,7 +1127,7 @@ class TestEachGridStoredOnce:
             layers[2]["input_params"] = {**layers[0]["output_params"], "offset": -3.0}
         self.check_edit_ignored(
             mlp, blobio.save_model(mlp, tmp_path / "m"), edit, blob_data[0][:20],
-            [BitPolicy.uniform(8, 3), BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))])
+            [BitPolicy.uniform(8, 3), BitPolicy((8, 4, 6))])
 
     def test_pool_grid_copy_ignored(self, saved_resnet):
         model, model_dir, x_blob = saved_resnet
@@ -1122,7 +1138,7 @@ class TestEachGridStoredOnce:
             layers[5]["output_params"] = {**grid, "offset": grid["offset"] + 1.0}
         self.check_edit_ignored(
             model, model_dir / "manifest.json", edit, read_blob(x_blob).astype(np.float64),
-            [BitPolicy.uniform(8, 5), BitPolicy(bits=(8, 4, 6, 3, 5), candidates=(3, 4, 5, 6, 8))])
+            [BitPolicy.uniform(8, 5), BitPolicy((8, 4, 6, 3, 5))])
 
     def test_saved_manifest_stores_each_grid_once(self, tmp_path, mlp, cnn, make_block):
         from nestq.layers import POLICY_KINDS

@@ -16,6 +16,7 @@ from nestq.controller import (
     range_heuristic_policy,
     select_argmax,
 )
+from nestq.layers import BitPolicy
 
 
 class TestControllerForward:
@@ -84,6 +85,11 @@ class TestSelectArgmax:
 
     def test_plain_argmax(self):
         assert select_argmax(np.array([[0.1, 0.9, 0.3]]), (2, 4, 8)).bits == (4,)
+
+    def test_returns_the_policy_of_its_bits(self):
+        # equal to, and hashed as, the policy a caller builds from the bits alone
+        policy = select_argmax(np.array([[0, 10, 0], [10, 0, 0]]), (8, 2, 4))
+        assert policy == BitPolicy((4, 2)) and hash(policy) == hash(BitPolicy((4, 2)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -206,6 +212,10 @@ class TestRangeHeuristic:
         assert p1.bits == p2.bits
         assert all(b in cands for b in p1.bits)
         assert len(p1) == mlp.num_policy_layers
+
+    def test_returns_the_policy_of_its_bits(self, mlp):
+        policy = range_heuristic_policy(mlp, (6, 4, 5))
+        assert policy == BitPolicy(policy.bits) and hash(policy) == hash(BitPolicy(policy.bits))
 
     def test_wider_range_gets_more_bits(self, mlp):
         policy = range_heuristic_policy(mlp, (4, 5, 6))

@@ -46,7 +46,7 @@ def residual_pool_net():
 class TestBitops:
     def test_empty_model(self):
         model = ModelGraph(layers=[], input_shape=(4,))
-        assert bitops(model, BitPolicy(bits=(), candidates=(8,))) == 0
+        assert bitops(model, BitPolicy(())) == 0
 
     def test_single_fc_at_four_bits(self):
         model = fc_model()
@@ -64,7 +64,7 @@ class TestBitops:
             for _ in range(10):
                 bits = tuple(int(b) for b in
                              rng.choice([2, 4, 5, 6, 8], model.num_policy_layers))
-                policy = BitPolicy(bits=bits, candidates=(2, 4, 5, 6, 8))
+                policy = BitPolicy(bits)
                 assert bitops(model, policy) == sum(m * b * b
                                                     for m, b in zip(macs, bits))
 
@@ -84,7 +84,7 @@ class TestTransitionCost:
         assert cost_report(mlp, policy, "dqt").transition_shift_ops == expected
 
     def test_standard_primitives_are_seven_per_element(self, mlp):
-        policy = BitPolicy(bits=(8, 4, 8), candidates=(4, 8))
+        policy = BitPolicy((8, 4, 8))
         rep_std = cost_report(mlp, policy, "standard")
         rep_dqt = cost_report(mlp, policy, "dqt")
         e = transition_elements(mlp, policy)
@@ -97,9 +97,9 @@ class TestTransitionCost:
             cost_report(mlp, BitPolicy.uniform(8, 3), "gpu")
 
     def test_matches_execution_trace(self, mlp, blob_data):
-        policy = BitPolicy(bits=(4, 6, 8), candidates=(4, 6, 8))
+        policy = BitPolicy((4, 6, 8))
         _, trace = forward(mlp, blob_data[0][0], policy)
-        assert transition_elements(mlp, policy) == trace.shifted_elements
+        assert transition_elements(mlp, policy) == trace.counters.shifts
 
 
 class TestMacPrimitives:
@@ -150,7 +150,7 @@ class TestCycleEstimate:
 
 class TestCostReport:
     def test_pure_function_of_inputs(self, cnn):
-        policy = BitPolicy.uniform(5, 3, (5,))
+        policy = BitPolicy.uniform(5, 3)
         a = cost_report(cnn, policy, "dqt")
         b = cost_report(cnn, policy, "dqt")
         assert a == b
@@ -224,14 +224,14 @@ class TestPolicyRefused:
     @pytest.mark.parametrize("bits", [(8, 8), (8, 8, 8, 8), (8, 9, 8), (8, 1, 8)],
                              ids=["too-short", "too-long", "above-n", "below-min"])
     def test_cost_report_refuses(self, mlp, blob_data, bits):
-        policy = BitPolicy(bits=bits, candidates=tuple(sorted(set(bits))))
+        policy = BitPolicy(bits)
         for fn in (cost_report, bitops, transition_elements,
                    lambda m, p: forward(m, blob_data[0][0], p)):
             with pytest.raises(ValueError):
                 fn(mlp, policy)
 
     def test_bitwidths_per_layer(self, mlp):
-        policy = BitPolicy(bits=(4, MIN_BITWIDTH, 8), candidates=(MIN_BITWIDTH, 4, 8))
+        policy = BitPolicy((4, MIN_BITWIDTH, 8))
         assert mlp.layer_bitwidths(policy) == [4, 8, MIN_BITWIDTH, 8, 8]
 
 
@@ -250,8 +250,8 @@ class TestReportEqualsTrace:
     def policies(self, model, seed):
         rng = np.random.default_rng(seed)
         cands = tuple(range(MIN_BITWIDTH, model.master_bitwidth + 1))
-        return [BitPolicy(bits=tuple(int(b) for b in rng.choice(cands, model.num_policy_layers)),
-                          candidates=cands) for _ in range(12)]
+        return [BitPolicy(tuple(int(b) for b in rng.choice(cands, model.num_policy_layers)))
+                for _ in range(12)]
 
     def check(self, models, x, policies):
         for policy in policies:

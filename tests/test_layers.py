@@ -62,10 +62,10 @@ def identity_fc(out_grid=None):
 class TestRunLayer:
     def test_identity_fc_full_width(self):
         layer = identity_fc()
-        x = NestedTensor(data=np.array([123]), params=unit_params())
+        x = NestedTensor(data=np.array([[123]]), params=unit_params())
         out, record = run_layer(layer, x, 8)
-        assert out.data[0] == 123
-        assert record.shifted_elements == 0
+        assert out.data[0, 0] == 123
+        assert record.counters.shifts == 0
 
     def test_two_input_sum_exact(self):
         p = unit_params()
@@ -75,33 +75,32 @@ class TestRunLayer:
         layer.output_params = p
         layer.input_shape = (2,)
         layer.output_shape = (1,)
-        x = NestedTensor(data=np.array([1, 2]), params=p)
+        x = NestedTensor(data=np.array([[1, 2]]), params=p)
         out, _ = run_layer(layer, x, 8)
-        assert dequantize(out.data, p)[0] == 3.0
+        assert dequantize(out.data, p)[0, 0] == 3.0
 
     def test_low_bitwidth_shifts_weights_and_input(self):
         layer = identity_fc()
-        x = NestedTensor(data=np.array([123]), params=unit_params())
+        x = NestedTensor(data=np.array([[123]]), params=unit_params())
         _, record = run_layer(layer, x, 4)
-        assert record.shifted_elements == 2  # one weight + one input element
-        assert record.counters.shifts == 2
+        assert record.counters.shifts == 2  # one weight + one input element
 
     def test_rejects_policy_above_master(self):
         layer = identity_fc()
-        x = NestedTensor(data=np.array([1]), params=unit_params())
+        x = NestedTensor(data=np.array([[1]]), params=unit_params())
         with pytest.raises(ValueError):
             run_layer(layer, x, 9)
 
     def test_rejects_shape_mismatch(self):
         layer = identity_fc()
-        x = NestedTensor(data=np.array([1, 2]), params=unit_params())
+        x = NestedTensor(data=np.array([[1, 2]]), params=unit_params())
         with pytest.raises(ShapeMismatchError):
             run_layer(layer, x, 8)
 
     def test_uncalibrated_layer_rejected(self):
         layer = LayerSpec(kind="fc", in_features=1, out_features=1)
         layer.input_shape = (1,)
-        x = NestedTensor(data=np.array([1]), params=unit_params())
+        x = NestedTensor(data=np.array([[1]]), params=unit_params())
         with pytest.raises(ValueError):
             run_layer(layer, x, 8)
 
@@ -231,10 +230,6 @@ class TestClampRunsNoCode:
 
 
 class TestBitPolicy:
-    def test_bits_must_be_in_candidates(self):
-        with pytest.raises(ValueError):
-            BitPolicy(bits=(3,), candidates=(4, 8))
-
     def test_uniform(self):
         p = BitPolicy.uniform(8, 3)
         assert p.bits == (8, 8, 8) and len(p) == 3
@@ -244,28 +239,24 @@ class TestForward:
     def test_all_master_policy_no_shifts(self, mlp, blob_data):
         x = blob_data[0]
         _, trace = forward(mlp, x[0], BitPolicy.uniform(8, 3))
-        assert trace.shifted_elements == 0
         assert trace.counters.shifts == 0
         assert trace.bitwidths() == [8, 8, 8, 8, 8]
 
     def test_no_float_tensor_ops_between_quant_and_dequant(self, mlp, cnn,
                                                            blob_data, cnn_data):
-        _, t1 = forward(mlp, blob_data[0][0], BitPolicy(bits=(8, 4, 8),
-                                                        candidates=(4, 8)))
-        _, t2 = forward(cnn, cnn_data[0][0], BitPolicy.uniform(6, 3, (6,)))
+        _, t1 = forward(mlp, blob_data[0][0], BitPolicy((8, 4, 8)))
+        _, t2 = forward(cnn, cnn_data[0][0], BitPolicy.uniform(6, 3))
         assert t1.fp_tensor_ops == 0
         assert t2.fp_tensor_ops == 0
 
     def test_shifted_elements_counting_contract(self, mlp, blob_data):
-        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        policy = BitPolicy((8, 4, 6))
         _, trace = forward(mlp, blob_data[0][0], policy)
         expected = 0
         for b, idx in zip(policy.bits, mlp.policy_indices):
             if b < mlp.master_bitwidth:
                 layer = mlp.layers[idx]
                 expected += layer.weight_elements() + layer.input_elements()
-        assert trace.shifted_elements == expected
-        assert trace.transition_ops == expected
         assert trace.counters.shifts == expected
 
     def test_single_sample_output_owns_its_memory(self, mlp, blob_data):
@@ -304,13 +295,13 @@ class TestForward:
         data = rng.uniform(0, 4, size=(64, 4))
         calibrate(model, [data])
         x = data[0]
-        y, trace = forward(model, x, BitPolicy(bits=(8, 8), candidates=(8,)))
+        y, trace = forward(model, x, BitPolicy((8, 8)))
         want = float_forward(model, x[None])[-1][0]
         assert np.max(np.abs(y - want)) <= 4 * model.layers[1].output_params.scale
-        _, trace4 = forward(model, x, BitPolicy(bits=(4, 4), candidates=(4,)))
+        _, trace4 = forward(model, x, BitPolicy((4, 4)))
         # residual add shifts both operands: 2 * 4 elements, plus the fc's 16+4
-        assert trace4.records[1].shifted_elements == 8
-        assert trace4.shifted_elements == 16 + 4 + 8
+        assert trace4.records[1].counters.shifts == 8
+        assert trace4.counters.shifts == 16 + 4 + 8
 
 
 class TestAvgPoolFlatten:
@@ -319,19 +310,36 @@ class TestAvgPoolFlatten:
         layer = LayerSpec(kind="avgpool", pool=2)
         layer.input_shape = (1, 2, 2)
         layer.output_shape = (1, 1, 1)
-        x = NestedTensor(data=np.array([[[1, 2], [3, 4]]]), params=p)
+        x = NestedTensor(data=np.array([[[[1, 2], [3, 4]]]]), params=p)
         out, _ = run_layer(layer, x, 8)
-        assert out.data[0, 0, 0] == 3  # round(10/4) half away
+        assert out.data[0, 0, 0, 0] == 3  # round(10/4) half away
         assert out.params is p
+
+    @pytest.mark.parametrize("batch", [0, 1, 5])
+    @pytest.mark.parametrize("pool", [1, 2, 3])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_avgpool_equals_float_window_means(self, n, pool, batch):
+        """Every window's mean rounded half up, on 7 x 10 inputs that no pool
+        but 1 divides: the rows and columns past the last window are dropped."""
+        layer = LayerSpec(kind="avgpool", pool=pool)
+        ModelGraph(layers=[layer], input_shape=(3, 7, 10))
+        dtype = storage_dtype(n)
+        rng = np.random.default_rng(100 * n + 10 * pool + batch)
+        q = rng.integers(0, 1 << n, size=(batch, 3, 7, 10)).astype(dtype)
+        out, _ = run_layer(layer, NestedTensor(data=q, params=unit_params(n)), n)
+        windows = sliding_window_view(q.astype(np.float64), (pool, pool), axis=(2, 3))
+        means = windows[:, :, ::pool, ::pool].mean(axis=(-2, -1))
+        assert out.data.dtype == dtype and out.shape == (batch,) + layer.output_shape
+        assert np.array_equal(out.data, np.floor(means + 0.5))
 
     def test_flatten_preserves_grid(self):
         p = unit_params()
         layer = LayerSpec(kind="flatten")
         layer.input_shape = (1, 2, 2)
         layer.output_shape = (4,)
-        x = NestedTensor(data=np.arange(4).reshape(1, 2, 2), params=p)
+        x = NestedTensor(data=np.arange(4).reshape(1, 1, 2, 2), params=p)
         out, _ = run_layer(layer, x, 8)
-        assert out.data.shape == (4,)
+        assert out.data.shape == (1, 4)
         assert out.params == p
 
 
@@ -433,30 +441,30 @@ def small_resnet():
 
 class TestArrayPathMatchesScalarOracles:
     def check(self, model, xs, policies):
-        """Each policy layer against its scalar oracle at the plan of the layer's
-        step; then a warm batched ``forward`` against the chain, outputs and trace."""
+        """A batch through each layer, each sample of each policy layer against
+        its scalar oracle at the plan of the layer's step; then a warm batched
+        ``forward`` against the chain, outputs and trace."""
+        def sample(t, j):
+            return None if t is None else NestedTensor.trusted(t.data[j], t.params)
+
         for policy in policies:
-            finals = []
-            for x in xs:
-                t = NestedTensor(data=quantize(x, model.input_params),
-                                 params=model.input_params)
-                outputs, chain, bits = [], [], iter(policy.bits)
-                for i, layer in enumerate(model.layers):
-                    b = next(bits) if layer.kind in POLICY_KINDS else model.master_bitwidth
-                    aux = outputs[layer.source] if layer.kind == "residual_add" else None
-                    out, record = run_layer(layer, t, b, aux=aux)
-                    if layer.kind in POLICY_KINDS:
-                        want, counters = oracle_layer(layer, t, b, layer.steps[b].plan, aux)
-                        assert np.array_equal(out.data, want), (layer.name, policy)
-                        assert record.counters == counters, (layer.name, policy)
-                    record.index = i
-                    chain.append(record)
-                    outputs.append(out)
-                    t = out
-                finals.append(dequantize(t.data, t.params))
-            forward(model, xs, policy)
+            t = NestedTensor(data=quantize(xs, model.input_params), params=model.input_params)
+            outputs, chain, bits = [], [], iter(policy.bits)
+            for i, layer in enumerate(model.layers):
+                b = next(bits) if layer.kind in POLICY_KINDS else model.master_bitwidth
+                aux = outputs[layer.source] if layer.kind == "residual_add" else None
+                out, record = run_layer(layer, t, b, aux=aux)
+                for j in range(len(xs) if layer.kind in POLICY_KINDS else 0):
+                    want, counters = oracle_layer(layer, sample(t, j), b,
+                                                  layer.steps[b].plan, sample(aux, j))
+                    assert np.array_equal(out.data[j], want), (layer.name, policy)
+                    assert record.counters == counters, (layer.name, policy)
+                record.index = i
+                chain.append(record)
+                outputs.append(out)
+                t = out
             ys, trace = forward(model, xs, policy)  # every step already compiled
-            assert np.array_equal(ys, np.array(finals)), policy
+            assert np.array_equal(ys, dequantize(t.data, t.params)), policy
             assert trace.records == chain, policy
             total = OpCounters()
             for record in chain:
@@ -472,22 +480,17 @@ class TestArrayPathMatchesScalarOracles:
             calibrate(model, [data[:100], data[100:]])
             cands = tuple(range(2, n + 1))
             policies = [BitPolicy.uniform(n, 3)] + [
-                BitPolicy(bits=tuple(int(b) for b in rng.choice(cands, 3)),
-                          candidates=cands) for _ in range(3)]
+                BitPolicy(tuple(int(b) for b in rng.choice(cands, 3))) for _ in range(3)]
             self.check(model, data[:3], policies)
 
     def test_cnn(self, cnn, cnn_data):
-        policies = [BitPolicy.uniform(8, 3),
-                    BitPolicy(bits=(6, 4, 8), candidates=(4, 6, 8)),
-                    BitPolicy(bits=(3, 8, 5), candidates=(3, 5, 8))]
+        policies = [BitPolicy.uniform(8, 3), BitPolicy((6, 4, 8)), BitPolicy((3, 8, 5))]
         self.check(cnn, cnn_data[0][:2], policies)
 
     def test_residual_net(self):
         model, data = small_resnet()
-        cands = (3, 4, 6, 8)
-        policies = [BitPolicy.uniform(8, 5, cands),
-                    BitPolicy(bits=(4, 8, 6, 3, 8), candidates=cands),
-                    BitPolicy(bits=(8, 3, 4, 6, 4), candidates=cands)]
+        policies = [BitPolicy.uniform(8, 5), BitPolicy((4, 8, 6, 3, 8)),
+                    BitPolicy((8, 3, 4, 6, 4))]
         self.check(model, data[:2], policies)
 
 
@@ -531,20 +534,20 @@ class TestPlanPrecision:
         calibrate(model, [x[:200]])
         plans = recorded_plans(monkeypatch)
         for bits in ((12, 12, 12), (12, 6, 4), (3, 9, 12)):
-            forward(model, x[0], BitPolicy(bits=bits, candidates=tuple(range(2, 13))))
+            forward(model, x[0], BitPolicy(bits))
         self.check(plans, "fc")
 
     def test_conv(self, cnn, cnn_data, monkeypatch):
         for layer in cnn.layers:  # the shared model may hold these steps already
             layer.steps.clear()
         plans = recorded_plans(monkeypatch)
-        forward(cnn, cnn_data[0][0], BitPolicy(bits=(6, 4, 8), candidates=(4, 6, 8)))
+        forward(cnn, cnn_data[0][0], BitPolicy((6, 4, 8)))
         self.check(plans, "conv2d")
 
     def test_residual(self, monkeypatch):
         model, data = small_resnet()
         plans = recorded_plans(monkeypatch)
-        forward(model, data[0], BitPolicy(bits=(4, 8, 6, 3, 8), candidates=(3, 4, 6, 8)))
+        forward(model, data[0], BitPolicy((4, 8, 6, 3, 8)))
         self.check(plans, "residual_add")
 
 
@@ -605,9 +608,8 @@ class TestInt64Edge:
         model, xs = edge_model(kind, tiny)
         plans = recorded_plans(monkeypatch)
         build_plan.cache_clear()
-        cands = (16, 13, 10, 7)
-        for b in cands:
-            policy = BitPolicy.uniform(b, model.num_policy_layers, cands)
+        for b in (16, 13, 10, 7):
+            policy = BitPolicy.uniform(b, model.num_policy_layers)
             ys, _ = forward(model, xs, policy)
             for x, y in zip(xs, ys):
                 t = NestedTensor(data=quantize(x, model.input_params),
@@ -628,7 +630,7 @@ class TestIntegerRange:
     def test_constants_past_int64_refused(self):
         # A tiny output step makes k = step_x * step_w / step_y * 2^F about 2^76.
         tiny = QuantParams(scale=2.0 ** -60, offset=0.0, bitwidth=8, master_bitwidth=8)
-        x = NestedTensor(data=np.array([200]), params=unit_params())
+        x = NestedTensor(data=np.array([[200]]), params=unit_params())
         with pytest.raises(AccumulatorOverflowError):
             run_layer(identity_fc(out_grid=tiny), x, 8)
         layer = LayerSpec(kind="residual_add", name="skip", source=0)
@@ -646,8 +648,8 @@ class TestIntegerRange:
                                                      bitwidth=8, master_bitwidth=8))
             layer.bias_q = NestedTensor(data=np.array([255], dtype=dtype), params=QuantParams(
                 scale=2.0 ** -9, offset=0.0, bitwidth=8, master_bitwidth=8))
-            x = NestedTensor(data=np.array([0]), params=unit_params())
-            outs.append(run_layer(layer, x, 8)[0].data[0])
+            x = NestedTensor(data=np.array([[0]]), params=unit_params())
+            outs.append(run_layer(layer, x, 8)[0].data[0, 0])
         assert outs == [255, 255]
         assert plans[0][1].k[3] * 255 > np.iinfo(np.int32).max
 
@@ -675,7 +677,7 @@ class TestOneMasterWidth:
         quantize_weights(model.layers[2], 8)
         for b in (12, 8, 4):
             with pytest.raises(ValueError, match="layer 'fc2'"):
-                forward(model, x[:3], BitPolicy.uniform(b, 3, (4, 8, 12)))
+                forward(model, x[:3], BitPolicy.uniform(b, 3))
 
 
 class TestLayerPlan:
@@ -692,7 +694,7 @@ class TestLayerPlan:
 
         monkeypatch.setattr(layers, "dot_constants", counted(layers.dot_constants))
         monkeypatch.setattr(layers, "add_constants", counted(layers.add_constants))
-        policy = BitPolicy(bits=(4, 8, 6, 3, 8), candidates=(3, 4, 6, 8))
+        policy = BitPolicy((4, 8, 6, 3, 8))
         forward(model, data[0], policy)
         # three biased convs and the bias-free head; the residual add
         assert sorted(calls) == ["add_constants"] + ["dot_constants"] * 4
@@ -702,7 +704,7 @@ class TestLayerPlan:
 
     def test_recalibration_matches_fresh_model(self, blob_data):
         x, _, means = blob_data
-        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        policy = BitPolicy((8, 4, 6))
         model = build_toy_mlp(seed=7, means=means)
         calibrate(model, [x[:200]])
         first_grid = model.input_params
@@ -737,7 +739,7 @@ class TestLayerPlan:
                         t.data[0] = 0
 
     def test_steps_live_on_their_layers(self, mlp, blob_data):
-        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        policy = BitPolicy((8, 4, 6))
         forward(mlp, blob_data[0][:2], policy)
         for i, b in zip(mlp.policy_indices, policy.bits):
             step = mlp.layers[i].steps[b]
@@ -747,7 +749,7 @@ class TestLayerPlan:
 
     def test_refused_layer_raises_on_every_call(self):
         # The refusal is not cached: each call rebuilds the plan and raises again.
-        x = NestedTensor(data=np.array([200]), params=unit_params())
+        x = NestedTensor(data=np.array([[200]]), params=unit_params())
         tiny = QuantParams(scale=2.0 ** -60, offset=0.0, bitwidth=8, master_bitwidth=8)
         build_plan.cache_clear()
         layer = identity_fc(out_grid=tiny)
@@ -758,7 +760,7 @@ class TestLayerPlan:
             assert not layer.steps
 
     def test_record_counters_are_copies(self, mlp, blob_data):
-        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        policy = BitPolicy((8, 4, 6))
         x = blob_data[0][0]
         _, first = forward(mlp, x, policy)
         want = [replace(r.counters) for r in first.records]
@@ -806,8 +808,8 @@ def outcome(model, x, policy):
 def random_policies(model, rng, count=4):
     n, length = model.master_bitwidth, model.num_policy_layers
     cands = tuple(range(2, n + 1))
-    return [BitPolicy.uniform(n, length, cands)] + [
-        BitPolicy(bits=tuple(int(b) for b in rng.choice(cands, length)), candidates=cands)
+    return [BitPolicy.uniform(n, length)] + [
+        BitPolicy(tuple(int(b) for b in rng.choice(cands, length)))
         for _ in range(count)]
 
 
@@ -894,17 +896,7 @@ class TestBatchedEngine:
         assert ys.shape == (0,) + model.output_shape
         assert trace == forward(model, data[0], BitPolicy.uniform(8, 4))[1]
 
-    def test_run_layer_takes_a_sample_or_a_batch(self):
-        layer = identity_fc()
-        one = NestedTensor(data=np.array([123]), params=unit_params())
-        many = NestedTensor(data=np.array([[1], [2], [250]]), params=unit_params())
-        out1, rec1 = run_layer(layer, one, 8)
-        out3, rec3 = run_layer(layer, many, 8)
-        assert out1.shape == (1,) and out1.data[0] == 123
-        assert out3.shape == (3, 1) and out3.data.reshape(-1).tolist() == [1, 2, 250]
-        assert rec1 == rec3
-
-    @pytest.mark.parametrize("shape", [(2,), (3, 2), (1, 1, 1), ()])
+    @pytest.mark.parametrize("shape", [(2,), (3, 2), (1, 1, 1), (), (1,)])
     def test_run_layer_rejects_other_shapes(self, shape):
         x = NestedTensor(data=np.ones(shape, dtype=np.int64), params=unit_params())
         with pytest.raises(ShapeMismatchError):
@@ -942,7 +934,7 @@ class TestRoundingShift:
 
 class TestFloatTensorCount:
     def test_counts_a_non_integer_layer_output(self, mlp, blob_data, monkeypatch):
-        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        policy = BitPolicy((8, 4, 6))
         x = blob_data[0][:2]
         want, clean = forward(mlp, x, policy)
         assert clean.fp_tensor_ops == 0
@@ -963,7 +955,7 @@ class TestFloatTensorCount:
 
 class TestClampIndex:
     def test_forward_quantizes_only_its_input(self, mlp, blob_data, monkeypatch):
-        policy = BitPolicy(bits=(8, 4, 6), candidates=(4, 6, 8))
+        policy = BitPolicy((8, 4, 6))
         forward(mlp, blob_data[0][:3], policy)  # warm the plan cache
         calls = []
 
@@ -978,10 +970,10 @@ class TestClampIndex:
 
 
 def top_fc(length: int) -> tuple[LayerSpec, NestedTensor]:
-    """A fc at n = 8 on unit grids whose ``length`` weights and inputs all sit at
-    index 255, so its product sum is its bound, length * 255^2. Its output grid
-    starts 100 steps below that sum: the exact output is index 100, and a sum
-    off by one is an output off by one."""
+    """A fc at n = 8 on unit grids and a batch of one input, whose ``length``
+    weights and inputs all sit at index 255, so its product sum is its bound,
+    length * 255^2. Its output grid starts 100 steps below that sum: the exact
+    output is index 100, and a sum off by one is an output off by one."""
     p = unit_params()
     total = length * 255 * 255
     layer = LayerSpec(kind="fc", name="top", in_features=length, out_features=1,
@@ -991,7 +983,7 @@ def top_fc(length: int) -> tuple[LayerSpec, NestedTensor]:
                                       master_bitwidth=8)
     layer.input_shape = (length,)
     layer.output_shape = (1,)
-    return layer, NestedTensor(data=np.full(length, 255), params=p)
+    return layer, NestedTensor(data=np.full((1, length), 255), params=p)
 
 
 class TestExactSumDtype:
@@ -1003,7 +995,7 @@ class TestExactSumDtype:
         out, record = run_layer(layer, x, 8)
         assert record.sum_dtype == dtype
         want, _ = oracle_layer(layer, x, 8, layer.steps[8].plan)
-        assert out.data[0] == want[0] == 100
+        assert out.data[0, 0] == want[0] == 100
 
     def test_float32_past_its_edge_is_wrong(self, monkeypatch):
         # 259 * 255^2 is odd and above 2^24, so no float32 holds it
@@ -1011,7 +1003,7 @@ class TestExactSumDtype:
         monkeypatch.setattr(layers, "exact_sum_dtype", lambda bound: np.dtype(np.float32))
         out, record = run_layer(layer, x, 8)
         assert record.sum_dtype == np.float32
-        assert out.data[0] != 100
+        assert out.data[0, 0] != 100
 
     def test_past_float64_falls_back_to_int64(self):
         # n = 16: a dot of 2^21 terms stays within 2^53; the rule is called

@@ -1,4 +1,4 @@
-"""The scripts under ``scripts/`` still run against this ``src/``."""
+"""The scripts under ``scripts/`` and README's Quick start still run against this ``src/``."""
 
 import itertools
 import os
@@ -9,12 +9,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def run_script(name, *args):
+    return run_python(str(ROOT / "scripts" / name), *args)
+
+
+def test_readme_quick_start_runs():
+    """The first Python block under README's Quick start runs as written."""
+    section = (ROOT / "README.md").read_text().split("\n## Quick start\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "forward(" in code
+    run_python("-c", code)
 
 
 def test_pipeline_demo_reports_every_policy():
