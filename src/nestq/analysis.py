@@ -168,13 +168,12 @@ def _check(op_kind: str, instances, seed: int | None = None) -> VerificationRepo
     return report
 
 
-def _sampled_operator(op_kind: str, rng, frac_bits: int | None, length: int):
+def _sampled_operator(op_kind: str, rng, length: int):
     """Draw one operator instance: its grids, constants and CASES_PER_TUPLE cases.
 
     The cases are operand tuples: (q1, q2) for add and mul, and for the
     length-N dot the sums of x*w, x and w plus the integer of a bias on a drawn
-    bias grid, as in a biased layer. Constants are at F, or at the operator's
-    fitted F if F is None, the precision inference runs at.
+    bias grid, as in a biased layer. Constants are at the F inference fits.
     """
     n = int(rng.integers(MIN_BITWIDTH, MAX_BITWIDTH + 1))
     p1, p2, py = (_random_params(rng, n) for _ in range(3))
@@ -185,12 +184,12 @@ def _sampled_operator(op_kind: str, rng, frac_bits: int | None, length: int):
     if op_kind == "dot":
         pb = _random_params(rng, n)
         grids = (p1, p2, py, pb)
-        c = dot_constants(p1, p2, py, length, pb, frac_bits)
+        c = dot_constants(p1, p2, py, length, pb)
         xqs, wqs = draw(p1, length), draw(p2, length)
         cols = (np.einsum("ij,ij->i", xqs, wqs), xqs.sum(axis=1), wqs.sum(axis=1), draw(pb))
     else:
         grids = (p1, p2, py)
-        c = (add_constants if op_kind == "add" else mul_constants)(*grids, frac_bits)
+        c = (add_constants if op_kind == "add" else mul_constants)(*grids)
         cols = (draw(p1), draw(p2))
     return grids, c, zip(*(col.tolist() for col in cols))
 
@@ -225,14 +224,12 @@ def _verify_shift() -> VerificationReport:
     return report
 
 
-def empirical_verify(op_kind: str, samples: int = 100_000, seed: int = 0,
-                     frac_bits: int | None = 0) -> VerificationReport:
+def empirical_verify(op_kind: str, samples: int = 100_000, seed: int = 0) -> VerificationReport:
     """Sample operator instances and check every one against its bound.
 
     Each instance's grids share a master width drawn from every supported one,
-    MIN_BITWIDTH..MAX_BITWIDTH. Constants use ``frac_bits`` fractional bits,
-    or with None each operator's own fitted F, the precision inference runs at. A
-    passing report has zero violations; any violation carries the full tuple
+    MIN_BITWIDTH..MAX_BITWIDTH, and its constants are at the F inference fits.
+    A passing report has zero violations; any violation carries the full tuple
     needed to reproduce it.
     """
     if op_kind not in OP_KINDS:
@@ -241,12 +238,11 @@ def empirical_verify(op_kind: str, samples: int = 100_000, seed: int = 0,
         return _verify_shift()
     rng = np.random.default_rng(seed)
     draws = -(-samples // CASES_PER_TUPLE)
-    return _check(op_kind, (_sampled_operator(op_kind, rng, frac_bits, 64)
-                            for _ in range(draws)), seed)
+    return _check(op_kind, (_sampled_operator(op_kind, rng, 64) for _ in range(draws)), seed)
 
 
 def exhaustive_verify_binary(op_kind: str, n: int, param_tuples) -> VerificationReport:
-    """Check every (q1, q2) pair for each given parameter triple, at F = 0.
+    """Check every (q1, q2) pair for each given parameter triple, at the F inference fits.
 
     Refuses (ValueError) an op kind other than add or mul.
     """
@@ -254,5 +250,5 @@ def exhaustive_verify_binary(op_kind: str, n: int, param_tuples) -> Verification
         raise ValueError(f"no exhaustive check for op kind {op_kind!r}")
     make_consts = add_constants if op_kind == "add" else mul_constants
     qs = range(1 << n)
-    return _check(op_kind, ((grids, make_consts(*grids, 0), product(qs, qs))
+    return _check(op_kind, ((grids, make_consts(*grids), product(qs, qs))
                             for grids in param_tuples))

@@ -192,7 +192,8 @@ def load_model(manifest_path: Path) -> ModelGraph:
     float ``weight``/``bias`` blob of every tensor that has them, since only
     the integers run; a float tensor without a quantized twin is still read,
     so an uncalibrated manifest loads whole. Such a model cannot be saved
-    (see :func:`save_model`).
+    (see :func:`save_model`). A weight or bias blob whose shape is not its
+    layer's is refused, here and in :func:`load_for_calibration`.
 
     A stored grid that is not a master grid at the manifest's n is refused: the
     layers shift from their grids' n, the trace and ``cost_report`` from the model's.
@@ -273,10 +274,31 @@ def _load(manifest_path: Path, floats: bool) -> ModelGraph:
         raise ManifestError(f"ill-formed manifest {manifest_path}: {exc!r}") from exc
 
 
+def _layer_blob(base: str, ref: str, layer: LayerSpec, attr: str) -> np.ndarray:
+    """The ``weight`` or ``bias`` blob of a fc or conv, refused (ManifestError)
+    unless its shape is the layer's (``LayerSpec.weight_shape``), which
+    ``run_layer`` would not notice: it reshapes the weights by their output
+    count, and the bias broadcasts."""
+    path = os.path.join(base, ref)
+    if not layer.has_weights:
+        raise ManifestError(f"{path}: {layer.kind} {layer.name!r} takes no {attr}")
+    shape = layer.weight_shape if attr == "weight" else layer.weight_shape[:1]
+    t = read_blob(path)
+    if t.shape != shape:
+        raise ManifestError(f"{path}: shape {t.shape}, layer {layer.name!r} needs {shape}")
+    return t
+
+
 def _model_from_manifest(manifest: dict, base: str, floats: bool) -> ModelGraph:
-    layers = []
-    for entry in manifest["layers"]:
-        layer = LayerSpec(**{k: entry[k] for k in _LAYER_SCALARS})
+    """The graph from the layers' scalars, then each layer's grids and blobs."""
+    entries = manifest["layers"]
+    model = ModelGraph(
+        layers=[LayerSpec(**{k: entry[k] for k in _LAYER_SCALARS}) for entry in entries],
+        input_shape=tuple(manifest["input_shape"]),
+        input_params=_params_from_json(manifest.get("input_params")),
+        master_bitwidth=manifest["quantization"]["master_bitwidth"],
+    )
+    for layer, entry in zip(model.layers, entries):
         layer.range_flagged = _typed(entry, "range_flagged", bool, False)
         if layer.kind in POLICY_KINDS:
             layer.output_params = _params_from_json(entry.get("output_params"))
@@ -284,18 +306,12 @@ def _model_from_manifest(manifest: dict, base: str, floats: bool) -> ModelGraph:
             quantized = attr + "_q" in entry
             if quantized:
                 setattr(layer, attr + "_q", NestedTensor(
-                    data=read_blob(os.path.join(base, entry[attr + "_q"])),
+                    data=_layer_blob(base, entry[attr + "_q"], layer, attr),
                     params=_params_from_json(entry.get(attr + "_params"))))
             if attr in entry and (floats or not quantized):
                 setattr(layer, attr,
-                        read_blob(os.path.join(base, entry[attr])).astype(np.float64))
-        layers.append(layer)
-    return ModelGraph(
-        layers=layers,
-        input_shape=tuple(manifest["input_shape"]),
-        input_params=_params_from_json(manifest.get("input_params")),
-        master_bitwidth=manifest["quantization"]["master_bitwidth"],
-    )
+                        _layer_blob(base, entry[attr], layer, attr).astype(np.float64))
+    return model
 
 
 def save_controller(spec: ControllerSpec, directory: Path) -> Path:

@@ -220,7 +220,7 @@ def cmd_verify(args) -> int:
     report = {"command": "verify", "suite": args.suite, "seed": seed}
     total_violations = 0
     for op in ops:
-        r = empirical_verify(op, samples=args.samples, seed=seed, frac_bits=None)
+        r = empirical_verify(op, samples=args.samples, seed=seed)
         total_violations += len(r.violations)
         report[op] = {"cases": r.cases, "violations": len(r.violations),
                       "max_observed": repr(r.max_observed), "max_bound": repr(r.max_bound),

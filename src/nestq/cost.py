@@ -23,9 +23,9 @@ from .layers import BitPolicy, ModelGraph, layer_counters
 # One element's float round trip: two int/float conversions and five float
 # ops (mul, div, add, sub, round).
 STANDARD_PRIMITIVES_PER_ELEMENT = 7
-# A model, not a measurement. Measured with NumPy (README, "Cost model"), the
-# float round trip takes 3x the shift's time per element at 2^10 elements and
-# 16-17x at 2^22, since small calls are dominated by per-call overhead.
+# A model, not a measurement: README's "Cost model" table gives the measured
+# per-element ratio of the float round trip to the shift, which grows with
+# tensor size, since small calls are dominated by per-call overhead.
 STANDARD_CYCLES_PER_ELEMENT = (20, 55)
 SHIFT_CYCLES_PER_ELEMENT = 1
 

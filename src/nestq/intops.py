@@ -2,11 +2,11 @@
 
 Each operator replaces a float computation on dequantized values with a linear
 combination of the integer inputs weighted by precomputed constants k_i. The
-constants are exact scale/offset ratios rounded to F fractional bits; F=0 gives
-literal rounded-integer constants, a larger F keeps small ratios from
-collapsing to zero. A final rounded right shift by F lands the result on the
-output grid. Unless given F, each constant builder fits its own: the largest
-its int64 proof allows over its operands' maxima (``fit_frac_bits``).
+constants are exact scale/offset ratios rounded to F fractional bits; a larger
+F keeps small ratios from collapsing to zero. A final rounded right shift by F
+lands the result on the output grid. Each constant builder fits its own F from
+its grids alone: the largest its int64 proof allows over its operands' maxima
+(``fit_frac_bits``).
 
 Each operator's value is one linear form, k . terms + k_last, and ``terms``
 is the one rule for which integers its constants weight: add (q1, q2), mul
@@ -18,14 +18,13 @@ A MAC layer's bias is one more term of its dot, k4*q_b, with the bias offset
 folded into the additive constant, so the layer rounds once, onto its output
 grid, as Jacob et al. (2018) do with the bias in the integer accumulator.
 
-A dot's product sum accumulates exactly in int64, and the int64 proof behind
-``fit_frac_bits`` is the accumulator's only guard.
-
 The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
-reference oracles for tests and error analysis. ``nestq.layers`` runs the same
-expressions on arrays, with the product and input sums of a dot taken in the
-narrowest type its bound proves exact, their terms reassociated and the
-rounding half folded into the additive constant (see its docstring);
+reference oracles for tests and error analysis. They sum a dot's products in
+int64, which ``dot_constants`` refuses to let overflow, and the int64 proof
+behind ``fit_frac_bits`` guards the rest of each expression. ``nestq.layers``
+runs the same expressions on arrays, with the product and input sums of a dot
+taken in the narrowest type its bound proves exact, their terms reassociated
+and the rounding half folded into the additive constant (see its docstring);
 ``linear_bound`` counts the half and bounds every partial sum, so the
 reassociated sum is exact in int64 wherever the proof holds.
 """
@@ -110,44 +109,42 @@ class IntOpConstants:
         return tuple(r - Fraction(ki) / two_f for ki, r in zip(self.k, self.exact))
 
 
-def _encode(ratios: list[Fraction], frac_bits: int | None, role: str,
-            magnitudes=()) -> IntOpConstants:
-    """``ratios`` rounded to F fractional bits; with F None, F is fitted to ``magnitudes``."""
-    if frac_bits is None:
-        frac_bits = fit_frac_bits(ratios, magnitudes)
-    two_f = 1 << frac_bits
-    k = tuple(round_half_away_int(r * two_f) for r in ratios)
+def _round(ratios, frac_bits: int) -> tuple[int, ...]:
+    """``ratios`` rounded to F fractional bits."""
+    return tuple(round_half_away_int(r * (1 << frac_bits)) for r in ratios)
+
+
+def _encode(ratios: list[Fraction], role: str, magnitudes) -> IntOpConstants:
+    """``ratios`` rounded at the F fitted to operands of ``magnitudes``."""
+    frac_bits = fit_frac_bits(ratios, magnitudes)
+    k = _round(ratios, frac_bits)
     degenerate = any(r != 0 and ki == 0 for r, ki in zip(ratios, k))
     return IntOpConstants(role=role, k=k, exact=tuple(ratios),
                           frac_bits=frac_bits, degenerate=degenerate)
 
 
-def add_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
-                  frac_bits: int | None = None) -> IntOpConstants:
-    """Constants of q1 (+) q2 = k1*q1 + k2*q2 + k3 on the output grid; with F
-    None, at the F fitted to operands of qmax each."""
+def add_constants(p1: QuantParams, p2: QuantParams, py: QuantParams) -> IntOpConstants:
+    """Constants of q1 (+) q2 = k1*q1 + k2*q2 + k3 on the output grid, at the F
+    fitted to operands of qmax each."""
     d1, d2, dy = Fraction(p1.scale), Fraction(p2.scale), Fraction(py.scale)
     m1, m2, my = Fraction(p1.offset), Fraction(p2.offset), Fraction(py.offset)
-    return _encode([d1 / dy, d2 / dy, (m1 + m2 - my) / dy], frac_bits, "add",
-                   (p1.qmax, p2.qmax))
+    return _encode([d1 / dy, d2 / dy, (m1 + m2 - my) / dy], "add", (p1.qmax, p2.qmax))
 
 
-def mul_constants(p1: QuantParams, p2: QuantParams, py: QuantParams,
-                  frac_bits: int | None = None) -> IntOpConstants:
+def mul_constants(p1: QuantParams, p2: QuantParams, py: QuantParams) -> IntOpConstants:
     """Constants of q1 (*) q2 = k1*q1*q2 + k2*q1 + k3*q2 + k4: the bias-free
     length-1 dot's, at its F, without its bias constant (always 0)."""
-    c = dot_constants(p1, p2, py, 1, frac_bits=frac_bits)
+    c = dot_constants(p1, p2, py, 1)
     return replace(c, role="mul", k=c.k[:3] + c.k[4:], exact=c.exact[:3] + c.exact[4:])
 
 
 def dot_constants(px: QuantParams, pw: QuantParams, py: QuantParams, length: int,
-                  pb: QuantParams | None = None,
-                  frac_bits: int | None = None) -> IntOpConstants:
+                  pb: QuantParams | None = None) -> IntOpConstants:
     """Constants of k1*S_xw + k2*S_x + k3*S_w + k4*q_b + k5 on the output grid.
 
     The S are the length-N sums of x*w, x and w; q_b is a bias on grid ``pb``.
     k5 absorbs N*m_x*m_w and the bias offset m_b; with no bias grid k4 = 0.
-    With F None, at the F fitted to the maxima of S and q_b. Refuses
+    The F is fitted to the maxima of S and q_b. Refuses
     (AccumulatorOverflowError) a product sum beyond int64, which no F fixes.
     """
     s1_max = length * px.qmax * pw.qmax
@@ -158,7 +155,7 @@ def dot_constants(px: QuantParams, pw: QuantParams, py: QuantParams, length: int
     db, mb = (Fraction(pb.scale), Fraction(pb.offset)) if pb is not None else (0, 0)
     ratios = [dx * dw / dy, dx * mw / dy, dw * mx / dy, db / dy,
               (length * mx * mw + mb - my) / dy]
-    return _encode(ratios, frac_bits, "dot", (
+    return _encode(ratios, "dot", (
         s1_max, length * px.qmax, length * pw.qmax, pb.qmax if pb is not None else 0))
 
 
@@ -201,8 +198,7 @@ def fit_frac_bits(ratios, magnitudes) -> int:
     slack = Fraction(sum(magnitudes) + 2, 2)
     start = min(62, int((INT64_MAX + slack) / slope).bit_length() - 1)
     for frac_bits in range(start, -1, -1):
-        k = _encode(ratios, frac_bits, "").k
-        if linear_bound(k, magnitudes, frac_bits) <= INT64_MAX:
+        if linear_bound(_round(ratios, frac_bits), magnitudes, frac_bits) <= INT64_MAX:
             return frac_bits
     raise AccumulatorOverflowError("intermediates exceed int64 even at F=0")
 

@@ -148,12 +148,18 @@ class LayerSpec:
     def has_weights(self) -> bool:
         return self.kind in ("fc", "conv2d")
 
-    def weight_elements(self) -> int:
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        """A fc's (out, in) or a conv's (out, in, kernel, kernel), its bias
+        (out,); (0,) for a layer without weights."""
         if self.kind == "fc":
-            return self.in_features * self.out_features
+            return (self.out_features, self.in_features)
         if self.kind == "conv2d":
-            return self.out_channels * self.in_channels * self.kernel * self.kernel
-        return 0
+            return (self.out_channels, self.in_channels, self.kernel, self.kernel)
+        return (0,)
+
+    def weight_elements(self) -> int:
+        return math.prod(self.weight_shape)
 
     def input_elements(self) -> int:
         n = math.prod(self.input_shape) if self.input_shape else 0
@@ -162,11 +168,8 @@ class LayerSpec:
         return n
 
     def mac_count(self) -> int:
-        if self.kind == "fc":
-            return self.in_features * self.out_features
-        if self.kind == "conv2d":
-            return math.prod(self.output_shape) * self.kernel * self.kernel * self.in_channels
-        return 0
+        """Each weight once per output pixel; a fc has one."""
+        return self.weight_elements() * math.prod(self.output_shape[1:])
 
 
 @dataclass
@@ -296,8 +299,9 @@ class BitPolicy:
 @dataclass
 class LayerRecord:
     """One layer's part of a trace. ``frac_bits`` is a policy layer's F, its
-    int64 headroom, and ``sum_dtype`` the type a fc or conv sums its products
-    in, both from its step; None where the layer has neither."""
+    int64 headroom, ``degenerate`` whether a nonzero constant of its plan
+    rounded to 0 even at that F, and ``sum_dtype`` the type a fc or conv sums
+    its products in, all from its step; None where the layer has none."""
 
     index: int
     kind: str
@@ -305,6 +309,7 @@ class LayerRecord:
     counters: OpCounters
     sum_dtype: np.dtype | None = None
     frac_bits: int | None = None
+    degenerate: bool | None = None
 
 
 @dataclass
@@ -623,7 +628,8 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     raw = raw.reshape(rows, bsz, math.prod(layer.output_shape) // rows).transpose(1, 0, 2)
     out = _requant(raw, step.shift, step.qmax, step.out_dtype).reshape((bsz,) + layer.output_shape)
     return (NestedTensor.trusted(out, py),
-            LayerRecord(-1, kind, b, step.counters.copy(), step.sum_dtype, step.plan.frac_bits))
+            LayerRecord(-1, kind, b, step.counters.copy(), step.sum_dtype,
+                        step.plan.frac_bits, step.plan.degenerate))
 
 
 def forward(model: ModelGraph, x: np.ndarray,

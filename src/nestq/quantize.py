@@ -11,8 +11,9 @@ pre-adding half the divisor before shifting.
 Grid indices are stored in the narrowest unsigned dtype that holds 2^n - 1
 (:func:`storage_dtype`): uint8 for n <= 8, uint16 for n <= 16. ``quantize``
 returns that dtype for its grid's bit-width, and a :class:`NestedTensor`
-narrows its data to it. Arithmetic that can leave the grid (the layer
-engine's dot products and integer adds) upcasts to int64 first.
+narrows its data to it. Arithmetic that can leave the grid widens first:
+the layer engine's integer adds to int64, a fc or conv's products to the
+sum type its step proves exact, and its sums to int64 after.
 
 Range checks run once, at the :class:`NestedTensor` that admits the
 integers: its checked constructor (so also every tensor ``load_model`` reads)

@@ -1,9 +1,11 @@
-"""Shared fixtures: calibrated toy models and their datasets."""
+"""Shared fixtures and helpers: calibrated toy models, their datasets, and
+constants rounded at a chosen F."""
 
 import numpy as np
 import pytest
 
 from nestq.calibration import calibrate
+from nestq.intops import IntOpConstants
 from nestq.layers import LayerSpec, ModelGraph
 from nestq.models import (
     CNN_INPUT,
@@ -13,9 +15,18 @@ from nestq.models import (
     cnn_dataset,
     make_blob_dataset,
 )
+from nestq.quantize import round_half_away_int
 
 MLP_SEED = 7
 DATA_SEED = 3
+
+
+def constants_at(c: IntOpConstants, frac_bits: int) -> IntOpConstants:
+    """``c``'s exact ratios rounded at another F, which no builder makes: the
+    worked examples at F = 0 and the probes one F past a proof."""
+    k = tuple(round_half_away_int(r * (1 << frac_bits)) for r in c.exact)
+    return IntOpConstants(role=c.role, k=k, exact=c.exact, frac_bits=frac_bits,
+                          degenerate=any(r != 0 and ki == 0 for r, ki in zip(c.exact, k)))
 
 
 @pytest.fixture(scope="session")

@@ -80,7 +80,8 @@ def test_1_shift_vs_requant_equivalence(announce):
 
 def test_2_bound_soundness(announce):
     """Zero violations of the operator error bounds, exhaustively at small
-    widths and over >= 1e5 seeded random cases per operator; the worst shift
+    widths and over >= 1e5 seeded random cases per operator, each with the
+    constants its builder fits, at the F inference runs; the worst shift
     residual is exactly one half step."""
     start = time.perf_counter()
     ok = True

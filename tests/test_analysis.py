@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import constants_at
 from nestq import analysis
 from nestq.analysis import (
     empirical_verify,
@@ -39,7 +40,7 @@ def report_numbers(r):
 
 class TestOpErrorBound:
     def test_exact_constants_give_zero_bound(self):
-        c = add_constants(UNIT, UNIT, UNIT, frac_bits=0)
+        c = add_constants(UNIT, UNIT, UNIT)
         assert op_error_bound(c, (255, 255)).bound == 0
 
     def test_linear_formula_for_add(self):
@@ -60,10 +61,10 @@ class TestOpErrorBound:
             op_error_bound(c, ())
 
     def test_bound_monotone_in_frac_bits(self):
-        p1, p2, py = params(0.37, 0.11), params(0.91, -0.2), params(0.53, 0.0)
+        fitted = add_constants(params(0.37, 0.11), params(0.91, -0.2), params(0.53, 0.0))
         prev = None
         for f in range(0, 20):
-            b = op_error_bound(add_constants(p1, p2, py, f), (255, 255)).bound
+            b = op_error_bound(constants_at(fitted, f), (255, 255)).bound
             if prev is not None:
                 assert b <= prev
             prev = b
@@ -109,17 +110,16 @@ class TestEmpiricalVerify:
     @pytest.mark.parametrize("op", ["add", "mul", "dot"])
     def test_fitted_precision_no_violations(self, op):
         # Each sampled operator at the F its int64 proof allows, as in inference.
-        fitted = empirical_verify(op, samples=500, seed=6, frac_bits=None)
-        at_zero = empirical_verify(op, samples=500, seed=6)
+        fitted = empirical_verify(op, samples=500, seed=6)
         assert fitted.passed and fitted.cases == 500
-        assert fitted.max_bound < at_zero.max_bound
+        assert fitted.max_observed <= fitted.max_bound
 
     @pytest.mark.parametrize("op", sorted(BROKEN_RAW))
     def test_catches_a_broken_operator(self, monkeypatch, op):
         # The verifier evaluates the operator code, so an operator that drops
         # a term (the constant, the q2 term, the bias) fails its own bound.
         monkeypatch.setattr(analysis, "raw", BROKEN_RAW[op])
-        report = empirical_verify(op, samples=500, seed=5, frac_bits=None)
+        report = empirical_verify(op, samples=500, seed=5)
         assert not report.passed
 
     # Reports recorded before the sampled and exhaustive verifiers shared one
@@ -135,7 +135,7 @@ class TestEmpiricalVerify:
 
     @pytest.mark.parametrize("op", sorted(PINNED))
     def test_fitted_reports_pinned(self, op):
-        report = empirical_verify(op, samples=2000, seed=2, frac_bits=None)
+        report = empirical_verify(op, samples=2000, seed=2)
         assert report_numbers(report) == self.PINNED[op]
 
     def test_samples_every_supported_width(self, monkeypatch):
@@ -147,7 +147,7 @@ class TestEmpiricalVerify:
             return draw(rng, n)
 
         monkeypatch.setattr(analysis, "_random_params", recorded)
-        empirical_verify("add", samples=300 * analysis.CASES_PER_TUPLE, seed=0, frac_bits=None)
+        empirical_verify("add", samples=300 * analysis.CASES_PER_TUPLE, seed=0)
         assert widths == set(range(MIN_BITWIDTH, MAX_BITWIDTH + 1))
 
     def test_shift_exhaustive_max_exactly_half(self):
@@ -175,7 +175,7 @@ class TestEmpiricalVerify:
             hi = rng.uniform(0.5, 2.0)
             pw = make_master_params(-hi, hi, 8)
             py = make_master_params(-rng.uniform(1, 8), rng.uniform(1, 8), 8)
-            c = dot_constants(px, pw, py, 64, frac_bits=8)
+            c = dot_constants(px, pw, py, 64)
             deltas = c.deltas()
             assert deltas[2] == 0  # zero activation offset kills the third term
             s2 = int(rng.integers(0, 256, 64).sum())
@@ -206,16 +206,20 @@ class TestExhaustiveVerify:
         assert report.passed and report.cases == 256
 
     def test_report_pinned(self):
-        # Recorded when this verifier began computing mean_signed_error; the
-        # other fields match the reports from before. Constants at F = 0 round
-        # both 1/2 ratios up, so every case errs upward.
+        # Recorded when this verifier moved to the fitted F. The add tuples'
+        # ratios are 1/2, 1/2 and 0, exact at any F >= 1, so no case errs; the
+        # mul's additive constant is not dyadic, and rounds.
         report = exhaustive_verify_binary("add", 6, ADD_TUPLES)
-        assert report_numbers(report) == (8192, 0, 63.0, 63.0, 31.5)
+        assert report_numbers(report) == (8192, 0, 0.0, 0.0, 0.0)
+        report = exhaustive_verify_binary("mul", 4, MUL_TUPLES)
+        assert report_numbers(report) == (256, 0, 2.8888949165808538e-33,
+                                          2.8888949165808538e-33, -2.8888949165808538e-33)
 
     def test_mean_signed_error_is_the_mean_case_error(self):
         report = exhaustive_verify_binary("mul", 4, MUL_TUPLES)
-        c = mul_constants(*MUL_TUPLES[0], 0)
-        errors = [raw(c, q) - exact_value(c, q) for q in product(range(16), repeat=2)]
+        c = mul_constants(*MUL_TUPLES[0])
+        errors = [Fraction(raw(c, q), 1 << c.frac_bits) - exact_value(c, q)
+                  for q in product(range(16), repeat=2)]
         assert report.mean_signed_error == float(sum(errors) / len(errors)) != 0
 
     def test_rejects_other_op_kinds(self):
@@ -237,6 +241,5 @@ class TestExhaustiveVerify:
 
 class TestExactValues:
     def test_exact_add_value_matches_hand_computation(self):
-        c = add_constants(params(0.5, 1.0), params(0.25, 0.5), params(0.25, 0.0),
-                          frac_bits=0)
+        c = add_constants(params(0.5, 1.0), params(0.25, 0.5), params(0.25, 0.0))
         assert exact_value(c, (3, 4)) == Fraction(16)

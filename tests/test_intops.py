@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestq.analysis import _random_params, exact_value
+from conftest import constants_at
+from nestq.analysis import _check, _random_params, exact_value, op_error_bound
 from nestq.intops import (
     INT64_MAX,
     AccumulatorOverflowError,
     OpCounters,
-    _encode,
     add_constants,
     dot_constants,
     fit_frac_bits,
@@ -51,8 +51,8 @@ class TestTerms:
 
     def test_uint8_operands_do_not_wrap(self):
         assert terms("mul", (np.uint8(200), np.uint8(200)))[0] == 40_000
-        c = mul_constants(UNIT, UNIT, params(1.0, 0.0, 16, 16), frac_bits=0)
-        assert raw(c, (np.uint8(200), np.uint8(200))) == 40_000
+        c = mul_constants(UNIT, UNIT, params(1.0, 0.0, 16, 16))
+        assert raw(c, (np.uint8(200), np.uint8(200))) == 40_000 << c.frac_bits
 
     def test_raw_refuses_wrong_operand_count(self):
         with pytest.raises(ValueError):
@@ -61,38 +61,39 @@ class TestTerms:
 
 class TestAddConstants:
     def test_unit_ratios(self):
-        c = add_constants(UNIT, UNIT, UNIT, frac_bits=0)
-        assert c.k == (1, 1, 0) and not c.degenerate
+        c = add_constants(UNIT, UNIT, UNIT)
+        one = 1 << c.frac_bits
+        assert c.k == (one, one, 0) and not c.degenerate
 
     def test_mixed_scales_and_offsets(self):
-        c = add_constants(params(0.5, 1.0), params(0.25, 0.5), params(0.25, 0.0),
-                          frac_bits=0)
+        c = constants_at(add_constants(params(0.5, 1.0), params(0.25, 0.5),
+                                       params(0.25, 0.0)), 0)
         assert c.k == (2, 1, 6)
 
     def test_fractional_encoding(self):
-        c = add_constants(params(0.3, 0.0), UNIT, UNIT, frac_bits=4)
+        c = constants_at(add_constants(params(0.3, 0.0), UNIT, UNIT), 4)
         assert c.k[0] == 5  # round(0.3 * 16)
 
     def test_degeneracy_flag(self):
-        # tiny nonzero ratio collapses to zero at F=0
-        c = add_constants(params(1e-4, 0.0), UNIT, UNIT, frac_bits=0)
-        assert c.degenerate
-        c16 = add_constants(params(1e-4, 0.0), UNIT, UNIT, frac_bits=16)
-        assert not c16.degenerate
+        # tiny nonzero ratio collapses to zero at F=0, not at 16 or the fitted F
+        fitted = add_constants(params(1e-4, 0.0), UNIT, UNIT)
+        assert constants_at(fitted, 0).degenerate
+        assert not constants_at(fitted, 16).degenerate
+        assert not fitted.degenerate
 
     @given(st.integers(0, 20))
     @settings(max_examples=30)
     def test_encoding_error_bound(self, f):
-        c = add_constants(params(0.37, 0.11), params(0.91, -0.2), params(0.53, 0.0),
-                          frac_bits=f)
+        c = constants_at(add_constants(params(0.37, 0.11), params(0.91, -0.2),
+                                       params(0.53, 0.0)), f)
         for d in c.deltas():
             assert abs(d) <= Fraction(1, 2 ** (f + 1))
 
     def test_refinement_monotone(self):
-        p1, p2, py = params(0.37, 0.11), params(0.91, -0.2), params(0.53, 0.0)
+        fitted = add_constants(params(0.37, 0.11), params(0.91, -0.2), params(0.53, 0.0))
         prev = None
         for f in range(0, 24):
-            worst = max(abs(d) for d in add_constants(p1, p2, py, f).deltas())
+            worst = max(abs(d) for d in constants_at(fitted, f).deltas())
             if prev is not None:
                 assert worst <= prev
             prev = worst
@@ -100,22 +101,22 @@ class TestAddConstants:
 
 class TestIntAdd:
     def test_plain_addition(self):
-        c = add_constants(UNIT, UNIT, UNIT, frac_bits=0)
+        c = add_constants(UNIT, UNIT, UNIT)
         assert int_add(3, 4, c, UNIT) == 7
 
     def test_worked_example_matches_float_oracle(self):
         p1, p2, py = params(0.5, 1.0), params(0.25, 0.5), params(0.25, 0.0)
-        c = add_constants(p1, p2, py, frac_bits=0)
+        c = add_constants(p1, p2, py)
         # x1 = 1 + 0.5*3 = 2.5, x2 = 0.5 + 0.25*4 = 1.5, (2.5+1.5)/0.25 = 16
         assert int_add(3, 4, c, py) == 16
 
     def test_saturates_at_qmax(self):
-        c = add_constants(UNIT, UNIT, UNIT, frac_bits=0)
+        c = add_constants(UNIT, UNIT, UNIT)
         assert int_add(200, 200, c, UNIT) == 255
 
     def test_clips_below_zero(self):
         py = params(1.0, 10.0)
-        c = add_constants(UNIT, UNIT, py, frac_bits=0)  # k3 = -10
+        c = add_constants(UNIT, UNIT, py)  # k3 = -10 * 2^F
         assert int_add(1, 2, c, py) == 0
 
     def test_role_checked(self):
@@ -127,7 +128,7 @@ class TestIntAdd:
         p1 = make_master_params(-1.0, 2.0, 8)
         p2 = make_master_params(0.0, 3.5, 8)
         py = make_master_params(-1.0, 5.5, 8)
-        c = add_constants(p1, p2, py, frac_bits=20)
+        c = add_constants(p1, p2, py)
         for q1, q2 in product(range(0, 256, 5), range(0, 256, 5)):
             exact = exact_value(c, (q1, q2))
             got = int_add(q1, q2, c, py)
@@ -137,34 +138,32 @@ class TestIntAdd:
 
 class TestMulConstants:
     def test_all_unit(self):
-        c = mul_constants(UNIT, UNIT, UNIT, frac_bits=0)
-        assert c.k == (1, 0, 0, 0)
+        c = mul_constants(UNIT, UNIT, UNIT)
+        assert c.k == (1 << c.frac_bits, 0, 0, 0)
 
     def test_product_of_scales(self):
-        c = mul_constants(params(0.5, 0.0), params(0.5, 0.0), params(0.25, 0.0),
-                          frac_bits=0)
-        assert c.k == (1, 0, 0, 0)
+        c = mul_constants(params(0.5, 0.0), params(0.5, 0.0), params(0.25, 0.0))
+        assert c.k == (1 << c.frac_bits, 0, 0, 0)
 
     def test_zero_offset_kills_k3(self):
-        c = mul_constants(params(0.5, 0.0), params(0.5, 2.0), params(0.25, 0.0),
-                          frac_bits=0)
+        c = mul_constants(params(0.5, 0.0), params(0.5, 2.0), params(0.25, 0.0))
         assert c.exact[2] == 0 and c.k[2] == 0
 
 
 class TestIntMul:
     def test_plain_product(self):
-        c = mul_constants(UNIT, UNIT, UNIT, frac_bits=0)
+        c = mul_constants(UNIT, UNIT, UNIT)
         assert int_mul(2, 3, c, UNIT) == 6
 
     def test_worked_example(self):
         p = params(0.5, 0.0)
         py = params(0.25, 0.0)
-        c = mul_constants(p, p, py, frac_bits=0)
+        c = mul_constants(p, p, py)
         # x1 = 1.0, x2 = 1.5, product 1.5 -> 1.5/0.25 = 6
         assert int_mul(2, 3, c, py) == 6
 
     def test_all_zero_constants(self):
-        c = mul_constants(params(1e-9, 0.0), params(1e-9, 0.0), UNIT, frac_bits=0)
+        c = constants_at(mul_constants(params(1e-9, 0.0), params(1e-9, 0.0), UNIT), 0)
         assert c.degenerate
         assert int_mul(10, 20, c, UNIT) == 0
 
@@ -172,7 +171,7 @@ class TestIntMul:
         p1 = make_master_params(-0.5, 0.7, 8)
         p2 = make_master_params(-0.9, 1.1, 8)
         py = make_master_params(-1.0, 1.0, 8)
-        c = mul_constants(p1, p2, py, frac_bits=20)
+        c = mul_constants(p1, p2, py)
         for q1, q2 in product(range(0, 256, 5), range(0, 256, 5)):
             exact = exact_value(c, (q1, q2))
             want = min(max(round(exact), 0), 255)
@@ -183,8 +182,8 @@ class TestIntDot:
     def test_single_element_reduces_to_mul(self):
         p1, p2 = params(0.5, 0.25), params(0.25, 0.5)
         py = params(0.125, 0.0)
-        c_dot = dot_constants(p1, p2, py, length=1, frac_bits=16)
-        c_mul = mul_constants(p1, p2, py, frac_bits=16)
+        c_dot = dot_constants(p1, p2, py, length=1)
+        c_mul = mul_constants(p1, p2, py)
         assert c_dot.k[3] == 0  # no bias grid, no bias term
         assert c_dot.k[:3] + c_dot.k[4:] == c_mul.k
         for q1, q2 in product(range(0, 256, 17), repeat=2):
@@ -193,7 +192,7 @@ class TestIntDot:
     def test_all_zero_x_leaves_offset_terms(self):
         px, pw = params(1.0, 0.0), params(1.0, 2.0)
         py = params(1.0, 0.0)
-        c = dot_constants(px, pw, py, length=4, frac_bits=0)
+        c = constants_at(dot_constants(px, pw, py, length=4), 0)
         wq = np.array([1, 2, 3, 4])
         # S1 = S2 = 0: result is clip(round_shift(k3*S3 + k5))
         assert int_dot(np.zeros(4, dtype=int), wq, c, py) == \
@@ -205,15 +204,13 @@ class TestIntDot:
             int_dot([1, 2], [1, 2, 3], c, UNIT)
 
     def test_random_zero_offset_within_bound_of_oracle(self):
-        from nestq.analysis import op_error_bound
-
         rng = np.random.default_rng(42)
         px = make_master_params(0.0, 4.0, 8)
         pw = make_master_params(0.0, 2.0, 8)
         py = make_master_params(0.0, 600.0, 8)
         pb = make_master_params(-50.0, 30.0, 8)
         for bias_grid in (None, pb):
-            c = dot_constants(px, pw, py, 64, bias_grid, frac_bits=16)
+            c = dot_constants(px, pw, py, 64, bias_grid)
             for _ in range(50):
                 xq = rng.integers(0, 256, 64)
                 wq = rng.integers(0, 256, 64)
@@ -235,7 +232,7 @@ class TestPactDot:
         pw = make_master_params(-1.0, 2.0, 6)
         py = make_master_params(-2.0, 8.0, 6)
         for n_len in range(1, 5):
-            c = dot_constants(px, pw, py, n_len, frac_bits=8)
+            c = dot_constants(px, pw, py, n_len)
             for xq in product(range(0, 64, 21), repeat=n_len):
                 for wq in product(range(0, 64, 21), repeat=n_len):
                     got, _ = int_dot_pact(np.array(xq), np.array(wq), c, py)
@@ -248,7 +245,7 @@ class TestPactDot:
         py = make_master_params(-10.0, 50.0, 8)
         for _ in range(200):
             n_len = int(rng.integers(5, 200))
-            c = dot_constants(px, pw, py, n_len, frac_bits=16)
+            c = dot_constants(px, pw, py, n_len)
             xq = rng.integers(0, 256, n_len)
             wq = rng.integers(0, 256, n_len)
             got, _ = int_dot_pact(xq, wq, c, py)
@@ -276,7 +273,7 @@ class TestPactDot:
     def test_empty_vector(self):
         px = make_master_params(0.0, 1.0, 8)
         py = params(1.0, -3.0)
-        c = dot_constants(px, UNIT, py, 0, frac_bits=0)
+        c = constants_at(dot_constants(px, UNIT, py, 0), 0)
         got, counters = int_dot_pact(np.empty(0, dtype=int), np.empty(0, dtype=int),
                                      c, py)
         assert got == min(max(c.k[4], 0), 255)
@@ -342,11 +339,11 @@ class TestFitFracBits:
 
 
 class TestBuildersFitTheirOwnPrecision:
-    """With no F given, each builder encodes at the largest F its int64 proof allows."""
+    """Each builder encodes at the largest F its int64 proof allows."""
 
     @staticmethod
     def cases(n, rng):
-        """(default constants, operand magnitudes) per builder at master width n."""
+        """(constants, operand magnitudes) per builder at master width n."""
         p1, p2, py, pb = (_random_params(rng, n) for _ in range(4))
         length = int(rng.integers(1, 1000))
         yield add_constants(p1, p2, py), (p1.qmax, p2.qmax)
@@ -362,11 +359,10 @@ class TestBuildersFitTheirOwnPrecision:
         for _ in range(3):
             for c, mags in self.cases(n, rng):
                 f = c.frac_bits
-                assert c == _encode(c.exact, f, c.role)
+                assert c == constants_at(c, f)
                 assert linear_bound(c.k, mags, f) <= INT64_MAX
                 if f < 62:
-                    wider = _encode(c.exact, f + 1, c.role)
-                    assert linear_bound(wider.k, mags, f + 1) > INT64_MAX
+                    assert linear_bound(constants_at(c, f + 1).k, mags, f + 1) > INT64_MAX
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_mul_fits_as_the_bias_free_unit_dot(self, n):
@@ -377,20 +373,21 @@ class TestBuildersFitTheirOwnPrecision:
 
     @pytest.mark.parametrize("n", range(2, 17))
     def test_explicit_f_is_kept(self, n):
+        # Constants rounded by hand at another F, as the probes of other
+        # precisions build them, are evaluated and bounded at that F: the
+        # checker reads a constant's own F and fits none.
         rng = np.random.default_rng(300 + n)
-        p1, p2, py, pb = (_random_params(rng, n) for _ in range(4))
-        builders = [lambda f: add_constants(p1, p2, py, f),
-                    lambda f: mul_constants(p1, p2, py, f),
-                    lambda f: dot_constants(p1, p2, py, 64, None, f),
-                    lambda f: dot_constants(p1, p2, py, 64, pb, f)]
-        for build in builders:
-            exact = build(None).exact  # the ratios do not depend on F
+        p1, p2, py = (_random_params(rng, n) for _ in range(3))
+        cases = list(product((0, p1.qmax // 3, p1.qmax), (0, p2.qmax // 2, p2.qmax)))
+        for fitted in (add_constants(p1, p2, py), mul_constants(p1, p2, py)):
             for f in (0, 7, 16, 30):
-                c = build(f)
-                assert c == _encode(exact, f, c.role)
+                c = constants_at(fitted, f)
+                report = _check(c.role, [((p1, p2, py), c, cases)])
+                assert report.passed and report.cases == len(cases)
+                assert report.max_bound == float(max(op_error_bound(c, q).bound
+                                                     for q in cases))
 
     def test_product_sums_past_int64_refused(self):
         p16 = make_master_params(-1.0, 1.0, 16)
-        for f in (None, 0):
-            with pytest.raises(AccumulatorOverflowError, match="product sums exceed int64"):
-                dot_constants(p16, p16, p16, 2 ** 32, frac_bits=f)
+        with pytest.raises(AccumulatorOverflowError, match="product sums exceed int64"):
+            dot_constants(p16, p16, p16, 2 ** 32)

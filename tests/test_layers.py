@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import constants_at
 from nestq import layers
 from nestq.calibration import calibrate, float_forward, quantize_weights
 from nestq.intops import (
@@ -102,6 +103,20 @@ class TestRunLayer:
         layer.input_shape = (1,)
         x = NestedTensor(data=np.array([[1]]), params=unit_params())
         with pytest.raises(ValueError):
+            run_layer(layer, x, 8)
+
+    @pytest.mark.parametrize("kind, match", [
+        ("fc", "has no quantized weights"),
+        ("conv2d", "has no quantized weights"),
+        ("residual_add", "needs the stored branch output"),
+    ])
+    def test_calibrated_layer_without_its_operand_rejected(self, kind, match):
+        layer = LayerSpec(kind=kind, name="l", in_features=1, out_features=1,
+                          in_channels=1, out_channels=1, kernel=1, source=0)
+        layer.input_shape = layer.output_shape = (1, 1, 1) if kind == "conv2d" else (1,)
+        layer.output_params = unit_params()
+        x = NestedTensor(data=np.ones((1,) + layer.input_shape, np.uint8), params=unit_params())
+        with pytest.raises(ValueError, match=match):
             run_layer(layer, x, 8)
 
 
@@ -236,6 +251,11 @@ class TestBitPolicy:
 
 
 class TestForward:
+    def test_uncalibrated_model_refused(self, blob_data):
+        model = build_toy_mlp(seed=7, means=blob_data[2])
+        with pytest.raises(ValueError, match="model is not calibrated"):
+            forward(model, blob_data[0][:2], BitPolicy.uniform(8, 3))
+
     def test_all_master_policy_no_shifts(self, mlp, blob_data):
         x = blob_data[0]
         _, trace = forward(mlp, x[0], BitPolicy.uniform(8, 3))
@@ -356,10 +376,11 @@ def recorded_plans(monkeypatch):
     return plans
 
 
-def oracle_layer(layer, x, b, plan, aux=None):
+def oracle_layer(layer, x, b, aux=None):
     """One MAC or residual layer evaluated output by output with the scalar operators.
 
-    Constants are built at the plan's F; a MAC layer's bias enters its dot.
+    Constants come from the builders, at the F inference fits; a MAC layer's
+    bias enters its dot.
     Charges the per-element counts the layer engine reports: the factored loop
     1 mult + 2 adds per MAC, the general loop 3 + 2, the bias term 1 + 1 and a
     residual add 2 + 2 per output, and one shift per element moved below n.
@@ -368,8 +389,7 @@ def oracle_layer(layer, x, b, plan, aux=None):
     counters = OpCounters()
     py = layer.output_params
     if layer.kind == "residual_add":
-        c = add_constants(derive_params(x.params, b), derive_params(aux.params, b),
-                          py, plan.frac_bits)
+        c = add_constants(derive_params(x.params, b), derive_params(aux.params, b), py)
         q1 = shift_down(x.data, n, b).reshape(-1)
         q2 = shift_down(aux.data, n, b).reshape(-1)
         out = np.array([int_add(int(a), int(bb), c, py) for a, bb in zip(q1, q2)])
@@ -392,8 +412,7 @@ def oracle_layer(layer, x, b, plan, aux=None):
                 for i in range(oh) for j in range(ow)]
     length = rows[0].size
     pb = layer.bias_q.params if layer.bias_q is not None else None
-    c_dot = dot_constants(px, derive_params(layer.weight_q.params, b), py,
-                          length, pb, plan.frac_bits)
+    c_dot = dot_constants(px, derive_params(layer.weight_q.params, b), py, length, pb)
     out = np.empty((len(rows), len(wq)), dtype=np.int64)
     for o, wrow in enumerate(wq):
         qb = int(layer.bias_q.data[o]) if pb is not None else 0
@@ -442,8 +461,8 @@ def small_resnet():
 class TestArrayPathMatchesScalarOracles:
     def check(self, model, xs, policies):
         """A batch through each layer, each sample of each policy layer against
-        its scalar oracle at the plan of the layer's step; then a warm batched
-        ``forward`` against the chain, outputs and trace."""
+        its scalar oracle; then a warm batched ``forward`` against the chain,
+        outputs and trace."""
         def sample(t, j):
             return None if t is None else NestedTensor.trusted(t.data[j], t.params)
 
@@ -455,8 +474,7 @@ class TestArrayPathMatchesScalarOracles:
                 aux = outputs[layer.source] if layer.kind == "residual_add" else None
                 out, record = run_layer(layer, t, b, aux=aux)
                 for j in range(len(xs) if layer.kind in POLICY_KINDS else 0):
-                    want, counters = oracle_layer(layer, sample(t, j), b,
-                                                  layer.steps[b].plan, sample(aux, j))
+                    want, counters = oracle_layer(layer, sample(t, j), b, sample(aux, j))
                     assert np.array_equal(out.data[j], want), (layer.name, policy)
                     assert record.counters == counters, (layer.name, policy)
                 record.index = i
@@ -504,10 +522,10 @@ def plan_proof(args, plan, extra=0):
     px, po = derive_params(x_grid, b), derive_params(other_grid, b)
     f = plan.frac_bits + extra
     if kind == "residual_add":
-        k = add_constants(px, po, out_grid, f).k
+        k = constants_at(add_constants(px, po, out_grid), f).k
         magnitudes = (px.qmax, po.qmax)
     else:
-        k = dot_constants(px, po, out_grid, length, bias_grid, f).k
+        k = constants_at(dot_constants(px, po, out_grid, length, bias_grid), f).k
         magnitudes = (length * px.qmax * po.qmax, length * px.qmax, length * po.qmax,
                       bias_grid.qmax if bias_grid is not None else 0)
     if extra == 0:
@@ -617,7 +635,7 @@ class TestInt64Edge:
                 outputs = []
                 for layer in model.layers:
                     aux = outputs[layer.source] if layer.kind == "residual_add" else None
-                    want, _ = oracle_layer(layer, t, b, layer.steps[b].plan, aux)
+                    want, _ = oracle_layer(layer, t, b, aux)
                     t = NestedTensor(data=want, params=layer.output_params)
                     outputs.append(t)
                 assert np.array_equal(y, dequantize(t.data, t.params)), (kind, tiny, b)
@@ -994,7 +1012,7 @@ class TestExactSumDtype:
         layer, x = top_fc(length)
         out, record = run_layer(layer, x, 8)
         assert record.sum_dtype == dtype
-        want, _ = oracle_layer(layer, x, 8, layer.steps[8].plan)
+        want, _ = oracle_layer(layer, x, 8)
         assert out.data[0, 0] == want[0] == 100
 
     def test_float32_past_its_edge_is_wrong(self, monkeypatch):
@@ -1061,6 +1079,31 @@ class TestExactSumDtype:
             assert np.array_equal(got, y), policy
             assert {r.sum_dtype for r in trace.records if r.kind != "residual_add"} \
                 <= {np.dtype(np.int64), None}
+
+
+class TestDegenerateRecord:
+    def test_false_on_every_toy_layer(self, mlp, blob_data, cnn, cnn_data, make_block):
+        """No toy model's plan loses a term; a layer without a plan records None."""
+        for model, x in ((mlp, blob_data[0][:2]), (cnn, cnn_data[0][:2]),
+                         (make_block(8), cnn_data[0][:2])):
+            k = model.num_policy_layers
+            for policy in (BitPolicy.uniform(8, k), BitPolicy.uniform(4, k)):
+                _, trace = forward(model, x, policy)
+                for r in trace.records:
+                    want = False if r.kind in POLICY_KINDS else None
+                    assert r.degenerate is want, (r.kind, r.index)
+
+    def test_true_where_a_branch_term_rounds_away(self):
+        """A branch grid 10^-30 of the output grid's step: k2 = 10^-30 * 2^F
+        rounds to 0 at the fitted F, and the add drops the branch."""
+        layer = LayerSpec(kind="residual_add", name="skip", source=0)
+        layer.input_shape = layer.output_shape = (4,)
+        layer.output_params = unit_params()
+        x = NestedTensor(data=np.array([[1, 2, 3, 4]]), params=unit_params())
+        aux = NestedTensor(data=np.full((1, 4), 255), params=QuantParams(1e-30, 0.0, 8, 8))
+        out, record = run_layer(layer, x, 8, aux=aux)
+        assert record.degenerate is True and layer.steps[8].plan.k[1] == 0
+        assert out.data.tolist() == [[1, 2, 3, 4]]
 
 
 def im2col_reference(x, kernel, stride, padding, pad_value):

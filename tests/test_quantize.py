@@ -61,6 +61,18 @@ class TestMasterParams:
         with pytest.raises(ValueError):
             make_master_params(0.0, 1.0, 17)
 
+    @pytest.mark.parametrize("scale, b, n, error", [
+        (0.0, 8, 8, DegenerateRangeError),
+        (-0.5, 8, 8, DegenerateRangeError),
+        (float("nan"), 8, 8, DegenerateRangeError),
+        (1.0, 1, 8, ValueError),  # b below MIN_BITWIDTH
+        (1.0, 9, 8, ValueError),  # b above its master width
+        (1.0, 16, 17, ValueError),  # n above MAX_BITWIDTH
+    ], ids=["scale-0", "scale-neg", "scale-nan", "b-1", "b-above-n", "n-17"])
+    def test_grid_refused(self, scale, b, n, error):
+        with pytest.raises(error):
+            QuantParams(scale=scale, offset=0.0, bitwidth=b, master_bitwidth=n)
+
 
 class TestDeriveParams:
     def test_step_doubles_per_dropped_bit(self):
