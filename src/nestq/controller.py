@@ -54,6 +54,10 @@ def pool_features(x: np.ndarray, feature_dim: int) -> np.ndarray:
     flat = np.asarray(x, dtype=np.float64).reshape(-1)
     if flat.size < feature_dim:
         raise ValueError(f"input with {flat.size} values cannot pool to {feature_dim}")
+    if flat.size == feature_dim:
+        # One element per segment: the sum below adds it to 0.0, which only
+        # turns -0.0 into 0.0, and divides it by 1. Bit-identical, and fresh.
+        return flat + 0.0
     if flat.size % feature_dim == 0:
         # Equal segments: the same pairwise sums as the loop's, so bit-identical;
         # it is the sum and division that mean runs behind a Python wrapper.
@@ -78,7 +82,7 @@ def controller_forward(spec: ControllerSpec, x: np.ndarray) -> np.ndarray:
 def select_argmax(logits: np.ndarray, candidates) -> BitPolicy:
     """Greedy per-layer selection; ties break toward the smaller bit-width."""
     logits = np.asarray(logits)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():  # the array method: np.all's wrapper costs more
         raise ValueError("logits must be finite")
     cands = tuple(sorted(candidates))
     # argmax returns the first maximum, which is the smallest candidate

@@ -76,9 +76,9 @@ def cost_report(model: ModelGraph, policy: BitPolicy, mode: str = "dqt") -> Cost
     """Full cost accounting for one inference; the counts equal its trace's."""
     if mode not in ("dqt", "standard"):
         raise ValueError(f"unknown transition mode {mode!r}")
-    counters = OpCounters()
-    for i, (layer, b) in enumerate(zip(model.layers, model.layer_bitwidths(policy))):
-        counters.merge(layer_counters(layer, b, model.master_bitwidth, model.output_grid(i - 1)))
+    counters = OpCounters.total(
+        layer_counters(layer, b, model.master_bitwidth, model.output_grid(i - 1))
+        for i, (layer, b) in enumerate(zip(model.layers, model.layer_bitwidths(policy))))
     e = counters.shifts
     report = CostReport(
         bitops=bitops(model, policy),

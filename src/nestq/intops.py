@@ -70,21 +70,24 @@ def mac_loop(input_grid: QuantParams | None) -> str:
     return "dqt_general" if input_grid is not None and input_grid.offset != 0 else "dqt_pact"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpCounters:
-    """Primitive-operation tallies for one call or one inference."""
+    """Primitive-operation tallies for one call or one inference: a value,
+    which any number of records may share; a sum is a new one."""
 
     mults: int = 0
     adds: int = 0
     shifts: int = 0
 
-    def merge(self, other: "OpCounters") -> None:
-        self.mults += other.mults
-        self.adds += other.adds
-        self.shifts += other.shifts
-
-    def copy(self) -> "OpCounters":
-        return OpCounters(self.mults, self.adds, self.shifts)
+    @staticmethod
+    def total(parts) -> "OpCounters":
+        """The sum of an iterable of tallies, made once."""
+        mults = adds = shifts = 0
+        for c in parts:
+            mults += c.mults
+            adds += c.adds
+            shifts += c.shifts
+        return OpCounters(mults, adds, shifts)
 
 
 @dataclass(frozen=True)

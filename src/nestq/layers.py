@@ -21,9 +21,10 @@ per output: the rounding half joins the additive constant, as it does a
 residual add's. Every partial sum stays within the plan's ``linear_bound``,
 which counts the half, so the int64 expression is exact wherever the plan's
 proof holds, and that proof is its only guard; the rounding is then a plain
-floor shift by F. A clamp (``relu_pact``) runs no code: calibration gives the
-policy layer before it the clamp's [0, alpha] grid, whose clip is the clamp,
-ReLU included, and ``ModelGraph`` refuses graphs where that cannot hold.
+floor shift by F. A clamp (``relu_pact``) runs no code and returns its input
+tensor itself: calibration gives the policy layer before it the clamp's
+[0, alpha] grid, whose clip is the clamp, ReLU included, and ``ModelGraph``
+refuses graphs where that cannot hold.
 
 Each policy layer compiles one :class:`LayerStep` per bit-width b on its first
 call at b and keeps it in ``LayerSpec.steps``, so the steps go with the model.
@@ -34,11 +35,15 @@ output for a fc or conv), a fc or conv's ``sum_dtype`` and
 :func:`layer_counters`. It caches no tensor:
 weights and activations are shifted down to b on every call, and the trace
 charges those shifts on every call, since that shift is the transition the
-scheme prices. A step is reused only while the input, weight or branch and
-output grids and ``weight_q``/``bias_q`` (which carry the weight and bias
-grids) are the very objects it was built from; ``calibrate`` and ``load_model``
-replace them all, and a NestedTensor's data is read-only, so a step is never
-stale.
+scheme prices. A step is reused only while the input, branch and output
+grids and ``weight_q``/``bias_q`` (which carry the weight and bias grids) are
+the very objects it was built from; ``calibrate`` and ``load_model`` replace
+them all, and a NestedTensor's data is read-only, so a step is never stale.
+It also holds what a call's output layout and record take from (layer, b,
+grids). So ``run_layer`` looks its step up first: a warm call, on the step's
+own objects, passed every refusal that depends on them when the step was
+built and checks only the shapes of its batch and branch; any other call
+runs every check, then builds the step.
 
 Every tensor passed between layers is a :class:`NestedTensor`, and
 ``run_layer`` hands those, not their arrays, to ``shift_down``: the tensor is
@@ -183,6 +188,8 @@ class ModelGraph:
 
     def __post_init__(self):
         self._infer_shapes()
+        # the policy layers' positions, recorded once, as the shapes are
+        self._policy_slots = tuple(i for i, l in enumerate(self.layers) if l.kind in POLICY_KINDS)
         # A clamp is its producer's output grid: it must follow a policy layer,
         # and no residual edge may read the producer, unclamped in float.
         for i, layer in enumerate(self.layers):
@@ -237,16 +244,16 @@ class ModelGraph:
 
     @property
     def policy_indices(self) -> list[int]:
-        return [i for i, l in enumerate(self.layers) if l.kind in POLICY_KINDS]
+        return list(self._policy_slots)
 
     @property
     def num_policy_layers(self) -> int:
-        return len(self.policy_indices)
+        return len(self._policy_slots)
 
     @property
     def is_calibrated(self) -> bool:
         return self.input_params is not None and all(
-            l.output_params is not None for l in self.layers if l.kind in POLICY_KINDS)
+            self.layers[i].output_params is not None for i in self._policy_slots)
 
     def grid_owner(self, i: int) -> int:
         """The policy layer whose output grid layer i's output is on; -1: the input's.
@@ -268,15 +275,17 @@ class ModelGraph:
         that holds a bit-width outside [MIN_BITWIDTH, n].
         """
         n = self.master_bitwidth
-        if len(policy) != self.num_policy_layers:
+        if len(policy.bits) != len(self._policy_slots):
             raise ValueError(
                 f"policy length {len(policy)} != {self.num_policy_layers} MAC layers"
             )
-        bad = [b for b in policy.bits if not MIN_BITWIDTH <= b <= n]
-        if bad:
-            raise ValueError(f"policy bit-widths {bad} outside [{MIN_BITWIDTH}, {n}]")
-        bits = iter(policy.bits)
-        return [next(bits) if l.kind in POLICY_KINDS else n for l in self.layers]
+        bits = [n] * len(self.layers)
+        for i, b in zip(self._policy_slots, policy.bits):
+            if not MIN_BITWIDTH <= b <= n:
+                bad = [b for b in policy.bits if not MIN_BITWIDTH <= b <= n]
+                raise ValueError(f"policy bit-widths {bad} outside [{MIN_BITWIDTH}, {n}]")
+            bits[i] = b
+        return bits
 
 
 @dataclass(frozen=True)
@@ -301,7 +310,10 @@ class LayerRecord:
     """One layer's part of a trace. ``frac_bits`` is a policy layer's F, its
     int64 headroom, ``degenerate`` whether a nonzero constant of its plan
     rounded to 0 even at that F, and ``sum_dtype`` the type a fc or conv sums
-    its products in, all from its step; None where the layer has none."""
+    its products in, all from its step; None where the layer has none.
+    ``range_flagged`` is the layer's flag that calibration widened a
+    degenerate range, as it stood when the step was built (a policy layer)
+    or at the call (any other layer)."""
 
     index: int
     kind: str
@@ -310,6 +322,7 @@ class LayerRecord:
     sum_dtype: np.dtype | None = None
     frac_bits: int | None = None
     degenerate: bool | None = None
+    range_flagged: bool = False
 
 
 @dataclass
@@ -320,7 +333,7 @@ class ExecutionTrace:
     below the master width."""
 
     records: list[LayerRecord] = field(default_factory=list)
-    counters: OpCounters = field(default_factory=OpCounters)
+    counters: OpCounters = OpCounters()  # the records' sum
     fp_tensor_ops: int = 0  # non-integer tensors between entry quantize and exit dequantize
 
     def bitwidths(self) -> list[int]:
@@ -374,8 +387,11 @@ def exact_sum_dtype(bound: int) -> np.dtype:
 class LayerStep:
     """A policy layer compiled at one bit-width: everything a call needs but its shifts.
 
-    ``sources`` are the objects it was built from: input grid, weight or
-    branch grid, ``weight_q``, ``bias_q`` and output grid. ``plan`` is the
+    ``sources`` are the objects it was built from: input grid, branch grid
+    (None without a branch), ``weight_q``, ``bias_q`` and output grid. A
+    call whose objects are these very ones passed, when the step was built,
+    every refusal that depends on them alone, so it checks only its batch's
+    shape and a branch's. ``plan`` is the
     layer's one expression's constants (its ``k``, F and ``degenerate``
     flag), as :func:`build_plan` returns them. A call evaluates ``k . S +
     const`` over int64 sum rows S, the last row added to each of the others,
@@ -390,10 +406,14 @@ class LayerStep:
 
     A fc or conv sums its products in ``sum_dtype``, the narrowest type
     :func:`exact_sum_dtype` proves exact for the dot's bound ``length *
-    qmax_x * qmax_w`` at b; a residual add runs no GEMM (None). ``shift`` is
+    qmax_x * qmax_w`` at b, over a ``gemm`` = (rows + 1, length) matrix of
+    weights and ones; a residual add runs no GEMM (None). ``shift`` is
     F, ``qmax`` and ``out_dtype`` the output grid's qmax and storage dtype.
     ``k``, ``shift`` and ``qmax`` are read-only int64 arrays, which a ufunc
     takes as they are, where it converts a Python int on every call.
+    ``split`` = (rows, -1, columns) splits the rounded rows by sample and
+    ``out_shape`` = (-1,) + the output shape shapes the batch; ``record``
+    holds the fields of the call's :class:`LayerRecord` after its index.
     """
 
     sources: tuple
@@ -402,10 +422,14 @@ class LayerStep:
     counters: OpCounters
     pad: int
     sum_dtype: np.dtype | None
+    gemm: tuple[int, int] | None
     k: np.ndarray
     shift: np.ndarray
     qmax: np.ndarray
     out_dtype: np.dtype
+    split: tuple[int, int, int]
+    out_shape: tuple[int, ...]
+    record: tuple
 
 
 @lru_cache(maxsize=1024)
@@ -442,6 +466,9 @@ def _pad_index(x_grid: QuantParams, b: int) -> int:
     return int(quantize(np.float64(0.0), derive_params(x_grid, b)))
 
 
+_NO_OPS = OpCounters()
+
+
 def layer_counters(layer: LayerSpec, b: int, n: int, x_grid: QuantParams | None) -> OpCounters:
     """Primitives one call of ``layer`` at bit-width b under master width n runs.
 
@@ -456,7 +483,7 @@ def layer_counters(layer: LayerSpec, b: int, n: int, x_grid: QuantParams | None)
         p = layer.pool
         return OpCounters(adds=c * (h - h % p) * (w - w % p))
     if layer.kind not in POLICY_KINDS:
-        return OpCounters()
+        return _NO_OPS
     outputs = math.prod(layer.output_shape)
     if layer.kind == "residual_add":
         ops = [(ADD_PRIMITIVES, outputs)]
@@ -498,18 +525,16 @@ def _requant(raw: np.ndarray, frac_bits, qmax, dtype: np.dtype) -> np.ndarray:
     return raw.astype(dtype, order="C")
 
 
-def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams,
-          w: np.ndarray | None = None) -> LayerStep:
-    """The policy layer's step at b, compiled now unless built from these very objects.
+def _build_step(layer: LayerSpec, b: int, x_grid: QuantParams, branch: QuantParams | None,
+                w: np.ndarray | None = None) -> LayerStep:
+    """Compile the policy layer's step at b from this call's objects and keep it.
 
-    ``other_grid`` is the weight grid, or the residual branch's grid; ``w`` is
-    a fc or conv layer's weights as this call shifted them to b, one row per
-    output, from which a new step takes its additive constant.
+    ``branch`` is the grid of the call's branch, a residual add's other
+    operand (None without one); ``w`` is a fc or conv layer's weights as
+    this call shifted them to b, one row per output, from which the step
+    takes its additive constant.
     """
-    sources = (x_grid, other_grid, layer.weight_q, layer.bias_q, layer.output_params)
-    step = layer.steps.get(b)
-    if step is not None and all(map(is_, step.sources, sources)):
-        return step
+    other_grid = branch if layer.kind == "residual_add" else layer.weight_q.params
     length = layer.weight_elements() // layer.output_shape[0]  # 0 for an add
     plan = build_plan(
         layer.kind, layer.name, b, x_grid, other_grid,
@@ -517,20 +542,49 @@ def _step(layer: LayerSpec, b: int, x_grid: QuantParams, other_grid: QuantParams
         length)
     k, half = plan.k, (1 << plan.frac_bits) >> 1
     if w is None:  # a residual add: one row of outputs
-        const, dtype, rows = k[2] + half, None, 1
+        const, dtype, gemm, rows = k[2] + half, None, None, 1
     else:
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
         const = (k[2] * w.sum(axis=1, dtype=np.int64) + k[3] * bias + (k[4] + half))[:, None]
         top = (1 << b) - 1  # the qmax of both b-bit grids
-        dtype, rows = exact_sum_dtype(length * top * top), len(w)
+        rows = len(w)
+        dtype, gemm = exact_sum_dtype(length * top * top), (rows + 1, w.shape[1])
     pad = _pad_index(x_grid, b) if layer.kind == "conv2d" and layer.padding else 0
-    step = LayerStep(sources, plan, const,
-                     layer_counters(layer, b, x_grid.master_bitwidth, x_grid), pad, dtype,
-                     _constant([[k[0]]] * rows + [[k[1]]]), _constant(plan.frac_bits),
-                     _constant(layer.output_params.qmax),
-                     storage_dtype(layer.output_params.bitwidth))
+    counters = layer_counters(layer, b, x_grid.master_bitwidth, x_grid)
+    step = LayerStep(
+        (x_grid, branch, layer.weight_q, layer.bias_q, layer.output_params), plan, const,
+        counters, pad, dtype, gemm, _constant([[k[0]]] * rows + [[k[1]]]),
+        _constant(plan.frac_bits), _constant(layer.output_params.qmax),
+        storage_dtype(layer.output_params.bitwidth),
+        (rows, -1, math.prod(layer.output_shape) // rows), (-1,) + layer.output_shape,
+        (layer.kind, b, counters, dtype, plan.frac_bits, plan.degenerate, layer.range_flagged))
     layer.steps[b] = step
     return step
+
+
+def _run_elementwise(layer: LayerSpec, x: NestedTensor, b: int,
+                     n: int) -> tuple[NestedTensor, LayerRecord]:
+    """A clamp, flatten or average pool, on ``x``'s grid: see :func:`run_layer`."""
+    kind = layer.kind
+    if kind == "relu_pact":  # its producer's output grid already clipped
+        out = x
+    elif kind == "flatten":
+        out = NestedTensor.trusted(x.data.reshape((x.shape[0],) + layer.output_shape), x.params)
+    else:
+        # Same-grid integer mean per window, exact under a shared affine
+        # grid: the p^2 strided slices of the windows sum into int64 that
+        # starts at the rounding half, then one floor division.
+        c, h, w = layer.input_shape
+        p = layer.pool
+        area = p * p
+        sums = np.full((x.shape[0], c, h // p, w // p), area // 2, np.int64)
+        for i in range(p):
+            for j in range(p):
+                sums += x.data[:, :, i:h - h % p:p, j:w - w % p:p]
+        sums //= area
+        out = NestedTensor.trusted(sums.astype(storage_dtype(n)), x.params)
+    return out, LayerRecord(-1, kind, b, layer_counters(layer, b, n, x.params),
+                            range_flagged=layer.range_flagged)
 
 
 def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
@@ -548,58 +602,56 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     array form of ``int_dot`` with its bias term, are the product sums and
     the input's sum from one exact GEMM in the step's ``sum_dtype``; a
     residual add's, the array form of ``int_add``, are its two shifted
-    operands. A clamp passes its input through, a flatten reshapes it and an
+    operands. A clamp returns ``x`` itself, a flatten reshapes it and an
     average pool takes window means, each on ``x``'s grid. ``aux`` carries
     the second operand for residual adds, shaped like ``x``. The record
     counts one sample's work.
+
+    The step is looked up first. A warm call, on the objects its step was
+    built from, checks only the shapes of its batch and branch. Any other
+    call refuses, in this order: b above the master width, a batch of
+    another shape (ShapeMismatchError), an uncalibrated layer, a fc or conv
+    without ``weight_q``, a residual add without its branch or with one of
+    another shape (ShapeMismatchError); then builds the step, which refuses
+    grids at mixed master widths and a plan past int64.
     """
-    n = x.params.master_bitwidth
-    if b > n:
-        raise ValueError(f"policy bit-width {b} above master width {n}")
-    shape = tuple(layer.input_shape)
-    if x.shape[1:] != shape:
-        raise ShapeMismatchError(
-            f"layer {layer.name!r} expects a batch of {shape}, got {x.shape}")
-    kind = layer.kind
-    bsz = x.shape[0]
-
-    if kind not in POLICY_KINDS:
-        if kind == "avgpool":
-            # Same-grid integer mean per window, exact under a shared affine
-            # grid: the p^2 strided slices of the windows sum into int64 that
-            # starts at the rounding half, then one floor division.
-            c, h, w = shape
-            p = layer.pool
-            area = p * p
-            sums = np.full((bsz, c, h // p, w // p), area // 2, np.int64)
-            for i in range(p):
-                for j in range(p):
-                    sums += x.data[:, :, i:h - h % p:p, j:w - w % p:p]
-            sums //= area
-            out = sums.astype(storage_dtype(n))
-        else:  # a clamp is its producer's output grid, which already clipped
-            out = x.data.reshape((bsz,) + layer.output_shape)
-        return (NestedTensor.trusted(out, x.params),
-                LayerRecord(-1, kind, b, layer_counters(layer, b, n, x.params)))
-
-    py = layer.output_params
-    if py is None:
-        raise ValueError(f"layer {layer.name!r} is not calibrated")
-    if layer.has_weights and layer.weight_q is None:
-        raise ValueError(f"layer {layer.name!r} has no quantized weights")
-    if kind == "residual_add":
-        if aux is None:
-            raise ValueError("residual_add needs the stored branch output")
-        if aux.shape != x.shape:
+    branch = None if aux is None else aux.params
+    step = layer.steps.get(b)
+    if step is None or not all(map(is_, step.sources, (
+            x.params, branch, layer.weight_q, layer.bias_q, layer.output_params))):
+        step = None
+        n = x.params.master_bitwidth
+        if b > n:
+            raise ValueError(f"policy bit-width {b} above master width {n}")
+        if x.shape[1:] != layer.input_shape:
             raise ShapeMismatchError(
-                f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
+                f"layer {layer.name!r} expects a batch of {layer.input_shape}, got {x.shape}")
+        if layer.kind not in POLICY_KINDS:
+            return _run_elementwise(layer, x, b, n)
+        if layer.output_params is None:
+            raise ValueError(f"layer {layer.name!r} is not calibrated")
+        if layer.has_weights and layer.weight_q is None:
+            raise ValueError(f"layer {layer.name!r} has no quantized weights")
+        if layer.kind == "residual_add":
+            if aux is None:
+                raise ValueError("residual_add needs the stored branch output")
+            if aux.shape != x.shape:
+                raise ShapeMismatchError(
+                    f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
+    elif x.data.shape[1:] != layer.input_shape:
+        raise ShapeMismatchError(
+            f"layer {layer.name!r} expects a batch of {layer.input_shape}, got {x.shape}")
+    elif layer.kind == "residual_add" and aux.data.shape != x.data.shape:
+        raise ShapeMismatchError(f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
+    n = x.params.master_bitwidth
     # Tensors are stored as uint8/uint16, where the products would wrap, so
     # every sum row is int64 before a constant meets it: a residual add's
     # operands widen as they are copied into their rows, a GEMM's sums after
     # it runs in the step's sum_dtype; a conv input widens as it unfolds.
     xs = shift_down(x, n, b)
-    if kind == "residual_add":
-        step = _step(layer, b, x.params, aux.params)
+    if layer.kind == "residual_add":
+        if step is None:
+            step = _build_step(layer, b, x.params, branch)
         sums = np.empty((2, xs.size), np.int64)
         sums[0] = xs.reshape(-1)
         sums[1] = shift_down(aux, n, b).reshape(-1)
@@ -608,13 +660,14 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         # ones for the input's sum; the input unfolds into one column per
         # sample (fc) or per sample and output pixel (conv).
         w = shift_down(layer.weight_q, n, b).reshape(layer.output_shape[0], -1)
-        step = _step(layer, b, x.params, layer.weight_q.params, w)
-        w_ones = np.empty((len(w) + 1, w.shape[1]), step.sum_dtype)
+        if step is None:
+            step = _build_step(layer, b, x.params, branch, w)
+        w_ones = np.empty(step.gemm, step.sum_dtype)
         w_ones[:-1] = w
         w_ones[-1] = 1
         # the padding index is a b-bit index, so it fits the narrow dtype;
         # a fc's input widens inside the matmul
-        fields = xs.reshape(bsz, w.shape[1]).T if kind == "fc" else _im2col(
+        fields = xs.reshape(-1, w.shape[1]).T if layer.kind == "fc" else _im2col(
             xs, layer.kernel, layer.stride, layer.padding, step.pad, step.sum_dtype)
         # exact in sum_dtype: integer sums within the step's proven bound
         sums = (w_ones @ fields).astype(np.int64, copy=False)
@@ -624,12 +677,9 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     raw += step.const
     # (rows, samples * columns) to (samples, rows, columns): a fc has one
     # column per sample, a residual add one row
-    rows = len(raw)
-    raw = raw.reshape(rows, bsz, math.prod(layer.output_shape) // rows).transpose(1, 0, 2)
-    out = _requant(raw, step.shift, step.qmax, step.out_dtype).reshape((bsz,) + layer.output_shape)
-    return (NestedTensor.trusted(out, py),
-            LayerRecord(-1, kind, b, step.counters.copy(), step.sum_dtype,
-                        step.plan.frac_bits, step.plan.degenerate))
+    raw = raw.reshape(step.split).transpose(1, 0, 2)
+    out = _requant(raw, step.shift, step.qmax, step.out_dtype).reshape(step.out_shape)
+    return NestedTensor.trusted(out, layer.output_params), LayerRecord(-1, *step.record)
 
 
 def forward(model: ModelGraph, x: np.ndarray,
@@ -640,30 +690,31 @@ def forward(model: ModelGraph, x: np.ndarray,
     leading axis; the output has the same form. MAC layers run at their policy
     bit-width; element-wise layers stay at the master width. The trace is one
     sample's inference, the same for every sample of a batch: per-layer
-    bit-widths, shifted element counts, primitive-op tallies, and the number
-    of non-integer tensors seen at layer boundaries (``fp_tensor_ops``).
+    bit-widths, shifted element counts, primitive-op tallies (the records'
+    sum, taken once at the end), and the number of non-integer tensors seen
+    at layer boundaries (``fp_tensor_ops``).
     """
     if not model.is_calibrated:
         raise ValueError("model is not calibrated")
     bits = model.layer_bitwidths(policy)
     x = np.asarray(x)
     single = x.shape == tuple(model.input_shape)
-    trace = ExecutionTrace()
     # quantize clips onto its grid, so its result needs no range check
     t = NestedTensor.trusted(quantize(x[None] if single else x, model.input_params),
                              model.input_params)
-    trace.fp_tensor_ops += t.data.dtype.kind not in "iu"
+    fp_tensor_ops = int(t.data.dtype.kind not in "iu")
     outputs: list[NestedTensor] = []
+    records: list[LayerRecord] = []
     for i, (layer, b) in enumerate(zip(model.layers, bits)):
-        aux = outputs[layer.source] if layer.kind == "residual_add" else None
-        t, record = run_layer(layer, t, b, aux=aux)
-        trace.fp_tensor_ops += t.data.dtype.kind not in "iu"
+        t, record = run_layer(layer, t, b,
+                              outputs[layer.source] if layer.kind == "residual_add" else None)
+        fp_tensor_ops += t.data.dtype.kind not in "iu"
         record.index = i
-        trace.records.append(record)
-        trace.counters.merge(record.counters)
+        records.append(record)
         outputs.append(t)
     if single:
         # squeezed before the dequantize, so the result owns its memory
         # rather than being a view that keeps a batch-of-one array alive
         t = NestedTensor.trusted(t.data[0], t.params)
-    return dequantize(t, t.params), trace
+    return dequantize(t, t.params), ExecutionTrace(
+        records, OpCounters.total(r.counters for r in records), fp_tensor_ops)

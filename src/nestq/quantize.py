@@ -19,8 +19,8 @@ Range checks run once, at the :class:`NestedTensor` that admits the
 integers: its checked constructor (so also every tensor ``load_model`` reads)
 range-checks them and keeps its own read-only copy, so its data stays in range
 for good. ``shift_down`` and ``dequantize`` take a NestedTensor or a raw
-array, through :func:`check_grid_ints`: a NestedTensor is its own proof and
-costs no reduction, a raw array is checked. The layer engine wraps its own
+array: a NestedTensor is its own proof and costs one width compare, a raw
+array is checked. The layer engine wraps its own
 outputs, which its clip or mean already bounds, and ``quantize``'s clipped
 result with ``NestedTensor.trusted``, so a ``forward`` makes no range
 reduction at all. A check is one reduction at most, and none when the dtype
@@ -32,6 +32,12 @@ the cap, because NumPy runs a uint8 or uint16 ``np.minimum`` against a
 broadcast scalar in a loop that is not vectorized (see ``shift_down`` for
 the measured ns per element). ``dequant_requant_reference``, the float round
 trip the shift is measured against, is unchanged by that.
+
+The constants of a call are read-only 0-d arrays built once: per (dtype, n,
+b) for a shift (:func:`_shift_plan`) and per grid for ``quantize`` and
+``dequantize`` (:func:`_grid_arrays`). A ufunc takes a 0-d array as it is,
+where it converts a Python or NumPy scalar on every call (about 0.2 us each
+on a small tensor).
 """
 
 from __future__ import annotations
@@ -56,6 +62,16 @@ def storage_dtype(n: int) -> np.dtype:
     return np.dtype(np.uint8) if n <= 8 else np.dtype(np.uint16)
 
 
+def _read_only(v, dtype) -> np.ndarray:
+    """``v`` as a read-only 0-d array of ``dtype``."""
+    a = np.array(v, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+_HALF, _FLOAT_ZERO = _read_only(0.5, np.float64), _read_only(0.0, np.float64)
+
+
 @lru_cache(maxsize=None)
 def _range_reduction(dtype: np.dtype, qmax: int):
     """How to check an array of ``dtype`` against [0, qmax] in one reduction.
@@ -76,6 +92,24 @@ def _range_reduction(dtype: np.dtype, qmax: int):
     return ("max", np.dtype(dtype.str.replace("i", "u")))
 
 
+def _integer_dtype(dtype: np.dtype) -> None:
+    """Refuse (TypeError) a dtype that is not an integer one; bool is not."""
+    if dtype.kind not in "iu":
+        raise TypeError(f"grid indices must be integers, got {dtype}")
+
+
+def _check_range(q: np.ndarray, rule, qmax: int) -> None:
+    """Refuse (ValueError) an integer array with an element outside [0, qmax],
+    by ``rule``, its dtype's :func:`_range_reduction` for qmax."""
+    if rule is not None and q.size:
+        # The ufunc reductions skip ndarray.min/max's Python wrapper, which
+        # costs as much as the reduction itself on a 1k-element tensor.
+        how, view = rule
+        if np.minimum.reduce(q, None) < 0 if how == "min" \
+                else np.maximum.reduce(q if view is None else q.view(view), None) > qmax:
+            raise ValueError(f"grid indices outside [0, {qmax}]")
+
+
 def check_grid_ints(q, qmax: int) -> np.ndarray:
     """``q`` as an integer array, refused unless every element is in [0, qmax].
 
@@ -90,16 +124,8 @@ def check_grid_ints(q, qmax: int) -> np.ndarray:
             raise ValueError(f"a {q.params.bitwidth}-bit tensor is not within [0, {qmax}]")
         return q.data
     q = np.asarray(q)
-    if q.dtype.kind not in "iu":
-        raise TypeError(f"grid indices must be integers, got {q.dtype}")
-    rule = _range_reduction(q.dtype, qmax)
-    if rule is not None and q.size:
-        # The ufunc reductions skip ndarray.min/max's Python wrapper, which
-        # costs as much as the reduction itself on a 1k-element tensor.
-        how, view = rule
-        if np.minimum.reduce(q, None) < 0 if how == "min" \
-                else np.maximum.reduce(q if view is None else q.view(view), None) > qmax:
-            raise ValueError(f"grid indices outside [0, {qmax}]")
+    _integer_dtype(q.dtype)
+    _check_range(q, _range_reduction(q.dtype, qmax), qmax)
     return q
 
 
@@ -157,6 +183,15 @@ class QuantParams:
         return self.bitwidth == self.master_bitwidth
 
 
+@lru_cache(maxsize=1024)
+def _grid_arrays(offset: float, scale: float, bitwidth: int):
+    """A grid's ``offset``, ``scale`` and ``qmax`` as read-only 0-d float64
+    arrays, and its storage dtype: what ``quantize`` and ``dequantize`` take.
+    Made once per grid value, so a reloaded model's grids find them made."""
+    return (*(_read_only(v, np.float64) for v in (offset, scale, (1 << bitwidth) - 1)),
+            storage_dtype(bitwidth))
+
+
 @dataclass(frozen=True)
 class NestedTensor:
     """Integer tensor stored at the master bit-width of its params: a range proof.
@@ -190,7 +225,7 @@ class NestedTensor:
         already in ``storage_dtype``. ``data`` is made read-only in place.
         Data from anywhere else goes through the checked constructor.
         """
-        data.flags.writeable = False
+        data.setflags(write=False)  # half the cost of data.flags.writeable = False
         t = object.__new__(cls)
         object.__setattr__(t, "data", data)
         object.__setattr__(t, "params", params)
@@ -245,17 +280,18 @@ def quantize(x, params: QuantParams) -> np.ndarray:
     (ValueError): the clipped values are finite unless one is NaN, which
     ``maximum`` and ``minimum`` propagate, so one sum tells.
     """
-    x = np.asarray(x, dtype=np.float64)
+    offset, scale, qmax, dtype = _grid_arrays(params.offset, params.scale, params.bitwidth)
     # one fresh array (0-d included), then in place: no further temporaries
-    q = np.asarray((x - params.offset) / params.scale)
-    q += 0.5
+    q = np.asarray(np.subtract(x, offset, dtype=np.float64))
+    q /= scale
+    q += _HALF
     np.floor(q, out=q)
     # in-place maximum/minimum: np.clip's wrapper costs more than the clip itself on small tensors
-    np.maximum(q, 0, out=q)
-    np.minimum(q, params.qmax, out=q)
+    np.maximum(q, _FLOAT_ZERO, out=q)
+    np.minimum(q, qmax, out=q)
     if math.isnan(np.add.reduce(q, None)):
         raise ValueError("quantize: the input holds NaN, which has no grid index")
-    return q.astype(storage_dtype(params.bitwidth))
+    return q.astype(dtype)
 
 
 def dequantize(q, params: QuantParams) -> np.ndarray:
@@ -263,13 +299,21 @@ def dequantize(q, params: QuantParams) -> np.ndarray:
 
     Refuses any index off the grid.
     """
-    q = check_grid_ints(q, params.qmax)
-    return q.astype(np.float64) * params.scale + params.offset
+    offset, scale, _, _ = _grid_arrays(params.offset, params.scale, params.bitwidth)
+    y = np.multiply(check_grid_ints(q, params.qmax), scale, dtype=np.float64)
+    y += offset
+    return y
 
 
 @lru_cache(maxsize=None)
 def _shift_plan(dtype: np.dtype, n: int, b: int):
-    """The dtype the n -> b shift of a ``dtype`` input runs in, and its constants.
+    """How ``shift_down`` takes a ``dtype`` input from n to b bits, or a refusal.
+
+    Refuses b > n (ValueError), then a dtype that is not an integer one
+    (TypeError); a refusal is not cached. Else (rule, work, cap, half, s):
+    ``rule`` is the :func:`_range_reduction` that checks a raw array against
+    [0, 2^n - 1], and the rest the shift, all None at b = n, where there is
+    none.
 
     With s = n - b and h = 2^(s-1), the shift is (min(q, cap) + h) >> s with
     cap = 2^n - 1 - h. For q <= cap that is (q + h) >> s, at most 2^b - 1.
@@ -277,20 +321,22 @@ def _shift_plan(dtype: np.dtype, n: int, b: int):
     what cap itself maps to. So the largest intermediate is 2^n - 1, and one
     form serves every b in every dtype that holds 2^n - 1, as every storage
     dtype does. The dtypes that do not (int8 at n = 8, int16 at n = 16,
-    uint8 at n >= 9) run in ``storage_dtype(n)`` instead: the range check has
-    passed, so the cast there is exact, and the result, at most the input,
-    casts back exactly. Decided once per (dtype, n, b), as ``np.iinfo``
-    costs about a microsecond a call. The constants are read-only 0-d arrays
-    of the work dtype: a ufunc takes one as it is, where it converts a NumPy
-    scalar on every call (about 0.2 us each on a small tensor).
+    uint8 at n >= 9) run in ``work`` = ``storage_dtype(n)`` instead: the
+    range check has passed, so the cast there is exact, and the result, at
+    most the input, casts back exactly. Decided once per (dtype, n, b), as
+    ``np.iinfo`` costs about a microsecond a call. cap, h and s are read-only
+    0-d arrays of the work dtype.
     """
+    if b > n:
+        raise ValueError(f"cannot shift up: b={b} > n={n}")
+    _integer_dtype(dtype)
+    rule = _range_reduction(dtype, (1 << n) - 1)
+    if b == n:
+        return rule, dtype, None, None, None
     s = n - b
     work = dtype if np.iinfo(dtype).max >= (1 << n) - 1 else storage_dtype(n)
     half = 1 << (s - 1)
-    consts = tuple(np.array(v, dtype=work) for v in ((1 << n) - 1 - half, half, s))
-    for c in consts:
-        c.flags.writeable = False
-    return (work, *consts)
+    return (rule, work, *(_read_only(v, work) for v in ((1 << n) - 1 - half, half, s)))
 
 
 def shift_down(q_n, n: int, b: int) -> np.ndarray:
@@ -302,9 +348,11 @@ def shift_down(q_n, n: int, b: int) -> np.ndarray:
     intermediate exceeds 2^n - 1, and the clamped values all map to 2^b - 1,
     where the rounding would have clipped them (see ``_shift_plan``). At b = n
     there is nothing to do and the (range-checked) input itself is returned.
-    ``q_n`` is a raw array or a NestedTensor, which needs no range check (see
-    ``check_grid_ints``). Refuses a non-integer input (TypeError) and an
-    element outside [0, 2^n - 1] (ValueError).
+    ``q_n`` is a raw array, range-checked by one reduction at most, or a
+    NestedTensor, which costs one width compare: it refuses a grid wider than
+    n bits. Refuses b > n and an element outside [0, 2^n - 1] (ValueError)
+    and a non-integer input (TypeError). One cached plan per (dtype, n, b)
+    holds the range rule and the constants.
 
     The clamp takes a same-shape operand: the output is filled with cap, then
     clamped in place against the input. NumPy 2.4 runs a uint8 or uint16
@@ -319,12 +367,18 @@ def shift_down(q_n, n: int, b: int) -> np.ndarray:
     already, pays for the fill (7-19% more per call); no storage dtype is
     int64.
     """
-    if b > n:
-        raise ValueError(f"cannot shift up: b={b} > n={n}")
-    q_n = check_grid_ints(q_n, (1 << n) - 1)
-    if b == n:
+    if isinstance(q_n, NestedTensor):
+        if q_n.params.bitwidth > n:
+            raise ValueError(f"a {q_n.params.bitwidth}-bit tensor is not within "
+                             f"[0, {(1 << n) - 1}]")
+        q_n = q_n.data
+        rule, work, cap, half, s = _shift_plan(q_n.dtype, n, b)
+    else:
+        q_n = np.asarray(q_n)
+        rule, work, cap, half, s = _shift_plan(q_n.dtype, n, b)
+        _check_range(q_n, rule, (1 << n) - 1)
+    if s is None:
         return q_n
-    work, cap, half, s = _shift_plan(q_n.dtype, n, b)
     out = np.empty_like(q_n, dtype=work)
     out.fill(cap)
     # unsafe only in name: q_n has passed the range check, so work holds it

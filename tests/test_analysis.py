@@ -159,10 +159,23 @@ class TestEmpiricalVerify:
         with pytest.raises(ValueError):
             empirical_verify("conv")
 
-    def test_violations_carry_reproduction_data(self):
-        # force a violation by checking against a deliberately shrunken bound
-        report = empirical_verify("add", samples=200, seed=4)
-        assert report.violations == []  # sound bounds: none to inspect
+    def test_violations_carry_reproduction_data(self, monkeypatch):
+        # Force violations: an operator one output step off, which no bound
+        # allows. Each violation's grids and operands rebuild its constants,
+        # its observed error and its bound.
+        for op, build in (("add", add_constants), ("mul", mul_constants)):
+            assert empirical_verify(op, samples=200, seed=4).violations == []
+            with monkeypatch.context() as m:
+                m.setattr(analysis, "raw", lambda c, q: raw(c, q) + (1 << c.frac_bits))
+                report = empirical_verify(op, samples=200, seed=4)
+            assert len(report.violations) == report.cases == 200
+            for v in report.violations:
+                assert v.op_kind == op and len(v.params) == 3 and len(v.inputs) == 2
+                c = build(*v.params)
+                step = 1 << c.frac_bits
+                observed = Fraction(raw(c, v.inputs) + step, step) - exact_value(c, v.inputs)
+                assert v.observed == float(observed)
+                assert v.bound == float(op_error_bound(c, v.inputs).bound) < abs(v.observed)
 
     def test_offset_term_contributions_average_out(self):
         # Across random symmetric-weight instances the constant rounding errors

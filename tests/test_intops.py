@@ -1,5 +1,6 @@
 """Integer operators: constants, fixed-point encoding, the int64 proof."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 
@@ -294,12 +295,14 @@ class TestStandardMacBaseline:
 
 
 class TestOpCounters:
-    def test_merge_and_copy(self):
+    def test_total_is_a_new_value(self):
         a = OpCounters(mults=1, adds=2, shifts=3)
-        b = a.copy()
-        a.merge(OpCounters(mults=4, adds=5, shifts=6))
-        assert a == OpCounters(mults=5, adds=7, shifts=9)
-        assert b == OpCounters(mults=1, adds=2, shifts=3)
+        total = OpCounters.total([a, OpCounters(mults=4, adds=5, shifts=6)])
+        assert total == OpCounters(mults=5, adds=7, shifts=9)
+        assert a == OpCounters(mults=1, adds=2, shifts=3)
+        assert OpCounters.total([]) == OpCounters()
+        with pytest.raises(FrozenInstanceError):
+            a.mults = 0
 
 
 class TestFitFracBits:

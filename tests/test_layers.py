@@ -1,7 +1,7 @@
 """Layer execution: integer dataflow, traces, clamps."""
 
 import itertools
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -118,6 +118,128 @@ class TestRunLayer:
         x = NestedTensor(data=np.ones((1,) + layer.input_shape, np.uint8), params=unit_params())
         with pytest.raises(ValueError, match=match):
             run_layer(layer, x, 8)
+
+
+def sum_fc(n=8):
+    """A fc summing two inputs on unit grids at master width n."""
+    p = unit_params(n)
+    layer = LayerSpec(kind="fc", name="sum", in_features=2, out_features=1,
+                      weight=np.ones((1, 2)))
+    layer.weight_q = NestedTensor(data=np.array([[1, 1]]), params=p)
+    layer.output_params = p
+    layer.input_shape, layer.output_shape = (2,), (1,)
+    return layer
+
+
+def unit_skip():
+    """A residual add of two 2-vectors on unit grids."""
+    layer = LayerSpec(kind="residual_add", name="skip", source=0)
+    layer.input_shape = layer.output_shape = (2,)
+    layer.output_params = unit_params()
+    return layer
+
+
+def ones(n=8, shape=(1, 2)):
+    """A batch of ones on a new unit grid at master width n."""
+    return NestedTensor(data=np.ones(shape, np.uint8), params=unit_params(n))
+
+
+# Each refusal run_layer makes: the layer, the bit-width, a call that builds
+# its step there, what then changes, the refused call and its error.
+REFUSALS = {
+    "b above n": (lambda: sum_fc(12), 9, lambda l: run_layer(l, ones(12), 9),
+                  lambda l: None, lambda l: run_layer(l, ones(8), 9), ValueError),
+    "uncalibrated": (sum_fc, 8, lambda l: run_layer(l, ones(), 8),
+                     lambda l: setattr(l, "output_params", None),
+                     lambda l: run_layer(l, ones(), 8), ValueError),
+    "no weight_q": (sum_fc, 8, lambda l: run_layer(l, ones(), 8),
+                    lambda l: setattr(l, "weight_q", None),
+                    lambda l: run_layer(l, ones(), 8), ValueError),
+    "mixed master widths": (sum_fc, 8, lambda l: run_layer(l, ones(), 8),
+                            lambda l: setattr(l, "weight_q", NestedTensor(
+                                data=np.array([[1, 1]]), params=unit_params(12))),
+                            lambda l: run_layer(l, ones(), 8), ValueError),
+    "no branch": (unit_skip, 8, lambda l: run_layer(l, ones(), 8, aux=ones()),
+                  lambda l: None, lambda l: run_layer(l, ones(), 8), ValueError),
+    "misshapen branch": (unit_skip, 8, lambda l: run_layer(l, ones(), 8, aux=ones()),
+                         lambda l: None,
+                         lambda l: run_layer(l, ones(), 8, aux=ones(shape=(1, 3))),
+                         ShapeMismatchError),
+    "misshapen batch": (sum_fc, 8, lambda l: run_layer(l, ones(), 8), lambda l: None,
+                        lambda l: run_layer(l, ones(shape=(1, 3)), 8), ShapeMismatchError),
+}
+
+
+class TestWarmCallContract:
+    """A warm call checks only shapes; every other refusal happens when a step
+    is built, and a step built from other objects is never taken as warm."""
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refused_cold_and_after_a_step_from_other_objects(self, case):
+        make, b, build, change, refused, error = REFUSALS[case]
+        cold = make()
+        change(cold)
+        with pytest.raises(error):
+            refused(cold)
+        assert b not in cold.steps
+        warm = make()
+        build(warm)
+        step = warm.steps[b]
+        change(warm)
+        for _ in range(2):
+            with pytest.raises(error):
+                refused(warm)
+        assert warm.steps[b] is step  # a refused call builds no step
+
+    def test_warm_call_with_a_misshapen_batch_refused(self):
+        layer, x = sum_fc(), ones()
+        run_layer(layer, x, 4)
+        step = layer.steps[4]
+        wide = NestedTensor.trusted(np.ones((1, 3), np.uint8), x.params)
+        with pytest.raises(ShapeMismatchError):
+            run_layer(layer, wide, 4)
+        skip, aux = unit_skip(), ones()
+        run_layer(skip, x, 4, aux=aux)
+        with pytest.raises(ShapeMismatchError):
+            run_layer(skip, x, 4, aux=NestedTensor.trusted(np.ones((2, 2), np.uint8), aux.params))
+        assert layer.steps[4] is step
+        # the same objects and shapes again: warm, and the same result
+        assert run_layer(layer, x, 4)[0].data.tolist() == [[0]]  # at b = 4 each 1 shifts to 0
+
+    def test_clamp_returns_its_input_object(self, mlp, blob_data):
+        policy = BitPolicy((8, 4, 6))
+        x = NestedTensor(data=quantize(blob_data[0][:3], mlp.input_params),
+                         params=mlp.input_params)
+        y, _ = run_layer(mlp.layers[0], x, 8)
+        z, record = run_layer(mlp.layers[1], y, 8)
+        assert z is y
+        assert (record.kind, record.bitwidth, record.counters) == ("relu_pact", 8, OpCounters())
+        _, trace = forward(mlp, blob_data[0][0], policy)
+        assert [r.kind for r in trace.records] == [l.kind for l in mlp.layers]
+        assert [r.index for r in trace.records] == list(range(len(mlp.layers)))
+
+
+class TestRangeFlaggedRecord:
+    def test_a_flagged_layer_is_recorded(self):
+        """Constant weights: calibration widens their range and flags the layer;
+        its record says so, from the step, and the unflagged layers' say not."""
+        layers_ = [LayerSpec(kind="fc", name="flat", in_features=2, out_features=2,
+                             weight=np.full((2, 2), 0.5)),
+                   LayerSpec(kind="relu_pact", name="act"),
+                   LayerSpec(kind="fc", name="head", in_features=2, out_features=2,
+                             weight=np.array([[1.0, -1.0], [0.5, 2.0]]))]
+        model = ModelGraph(layers=layers_, input_shape=(2,))
+        calibrate(model, [np.random.default_rng(0).uniform(0, 1, (32, 2))])
+        assert [l.range_flagged for l in model.layers] == [True, False, False]
+        for policy in (BitPolicy((8, 8)), BitPolicy((4, 6))):
+            _, trace = forward(model, np.array([0.2, 0.7]), policy)
+            assert [r.range_flagged for r in trace.records] == [True, False, False]
+            assert model.layers[0].steps[policy.bits[0]].record[-1] is True
+        # recalibration replaces the grids, so the next call's step takes the new flag
+        model.layers[0].weight = np.array([[0.5, 1.0], [0.0, 0.25]])
+        calibrate(model, [np.random.default_rng(0).uniform(0, 1, (32, 2))])
+        _, trace = forward(model, np.array([0.2, 0.7]), BitPolicy((8, 8)))
+        assert [r.range_flagged for r in trace.records] == [False, False, False]
 
 
 class TestModelGraph:
@@ -386,17 +508,14 @@ def oracle_layer(layer, x, b, aux=None):
     residual add 2 + 2 per output, and one shift per element moved below n.
     """
     n = x.params.master_bitwidth
-    counters = OpCounters()
     py = layer.output_params
     if layer.kind == "residual_add":
         c = add_constants(derive_params(x.params, b), derive_params(aux.params, b), py)
         q1 = shift_down(x.data, n, b).reshape(-1)
         q2 = shift_down(aux.data, n, b).reshape(-1)
         out = np.array([int_add(int(a), int(bb), c, py) for a, bb in zip(q1, q2)])
-        counters.mults += 2 * out.size
-        counters.adds += 2 * out.size
-        counters.shifts += 2 * out.size if b < n else 0
-        return out.reshape(layer.output_shape), counters
+        return out.reshape(layer.output_shape), OpCounters(
+            mults=2 * out.size, adds=2 * out.size, shifts=2 * out.size if b < n else 0)
     px = derive_params(x.params, b)
     xq = shift_down(x.data, n, b)
     wq = shift_down(layer.weight_q.data, n, b)
@@ -414,25 +533,24 @@ def oracle_layer(layer, x, b, aux=None):
     pb = layer.bias_q.params if layer.bias_q is not None else None
     c_dot = dot_constants(px, derive_params(layer.weight_q.params, b), py, length, pb)
     out = np.empty((len(rows), len(wq)), dtype=np.int64)
+    tallies = []  # one per output, and the shifts
     for o, wrow in enumerate(wq):
         qb = int(layer.bias_q.data[o]) if pb is not None else 0
         for r, xrow in enumerate(rows):
             if x.params.offset == 0:
                 y, loop = int_dot_pact(xrow, wrow, c_dot, py, qb)
-                counters.merge(loop)
+                tallies.append(loop)
             else:
                 y = int_dot(xrow, wrow, c_dot, py, qb)
-                counters.mults += 3 * length
-                counters.adds += 2 * length
+                tallies.append(OpCounters(mults=3 * length, adds=2 * length))
             if pb is not None:
-                counters.mults += 1
-                counters.adds += 1
+                tallies.append(OpCounters(mults=1, adds=1))
             out[r, o] = y
     if b < n:
-        counters.shifts += layer.weight_elements() + layer.input_elements()
+        tallies.append(OpCounters(shifts=layer.weight_elements() + layer.input_elements()))
     data = out.reshape(layer.output_shape) if layer.kind == "fc" else \
         out.T.reshape(layer.output_shape)
-    return data, counters
+    return data, OpCounters.total(tallies)
 
 
 def small_resnet():
@@ -484,10 +602,7 @@ class TestArrayPathMatchesScalarOracles:
             ys, trace = forward(model, xs, policy)  # every step already compiled
             assert np.array_equal(ys, dequantize(t.data, t.params)), policy
             assert trace.records == chain, policy
-            total = OpCounters()
-            for record in chain:
-                total.merge(record.counters)
-            assert trace.counters == total, policy
+            assert trace.counters == OpCounters.total(r.counters for r in chain), policy
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_mlp(self, n, blob_data):
@@ -777,14 +892,16 @@ class TestLayerPlan:
             assert build_plan.cache_info().misses == calls
             assert not layer.steps
 
-    def test_record_counters_are_copies(self, mlp, blob_data):
+    def test_record_counters_are_immutable(self, mlp, blob_data):
+        """A record shares its step's tally, which no caller can change, so a
+        trace cannot alter a later one."""
         policy = BitPolicy((8, 4, 6))
         x = blob_data[0][0]
         _, first = forward(mlp, x, policy)
         want = [replace(r.counters) for r in first.records]
         for r in first.records:
-            r.counters.mults += 1000
-            r.counters.shifts += 7
+            with pytest.raises(FrozenInstanceError):
+                r.counters.mults += 1000
         _, second = forward(mlp, x, policy)
         assert [r.counters for r in second.records] == want
 

@@ -448,18 +448,27 @@ def test_external_entries_still_refuse(entry, q, tmp_path, mlp):
 
 
 def test_layer_outputs_skip_the_range_check(mlp, blob_data, monkeypatch):
-    raw = []
-    check = quantize_mod.check_grid_ints
+    raw, checked = [], []
+    check, reduce = quantize_mod.check_grid_ints, quantize_mod._check_range
 
     def counted(q, qmax):
         if not isinstance(q, NestedTensor):
             raw.append(q)
         return check(q, qmax)
 
+    def reduced(q, rule, qmax):
+        checked.append(q)
+        return reduce(q, rule, qmax)
+
     monkeypatch.setattr(quantize_mod, "check_grid_ints", counted)
-    forward(mlp, blob_data[0][:2], BitPolicy.uniform(8, 3))
-    # Every shift and the exit dequantize take a NestedTensor, its own proof.
-    assert len(raw) == 0
+    monkeypatch.setattr(quantize_mod, "_check_range", reduced)
+    for policy in (BitPolicy.uniform(8, 3), BitPolicy((4, 6, 8))):
+        forward(mlp, blob_data[0][:2], policy)
+    # Every shift and the exit dequantize take a NestedTensor, its own proof:
+    # no range reduction runs, in shift_down or anywhere else.
+    assert len(raw) == 0 and len(checked) == 0
+    shift_down(np.array([3]), 8, 4)  # a raw array is checked
+    assert len(checked) == 1
 
 
 def test_tensors_are_immutable(mlp, blob_data, tmp_path):

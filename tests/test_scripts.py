@@ -1,7 +1,9 @@
 """The scripts under ``scripts/`` and README's Quick start still run against this ``src/``."""
 
 import itertools
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,3 +48,37 @@ def test_cost_comparison_prints_one_row_per_policy():
         [str(bits) for bits in itertools.product((4, 8), repeat=3)]
     # the master-width policy moves no element below n
     assert rows[-1].split(")")[1].split()[1:3] == ["0", "0"]
+
+
+def test_ab_bench_smoke_on_two_copies(tmp_path):
+    """Two copies of the benchmark, both on this src/, in two alternating pairs."""
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        shutil.copytree(ROOT / "perfbench", root / "perfbench",
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+        shutil.copy(ROOT / "BENCHMARK.json", root)
+        (root / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    out = tmp_path / "ab.json"
+    lines = run_script("ab_bench.py", "--parent", str(tmp_path / "parent"),
+                       "--change", str(tmp_path / "change"), "--workload", "mlp_switch",
+                       "--pairs", "2", "--seed", "3", "--seconds", "0.2", "--smoke",
+                       "--out", str(out))
+    # the parent runs first in pair 0, the change in pair 1
+    assert [line.split(":")[0] for line in lines] == [
+        "pair 0 mlp_switch parent", "pair 0 mlp_switch change",
+        "pair 1 mlp_switch change", "pair 1 mlp_switch parent"]
+    report = json.loads(out.read_text())
+    assert report["pairs"] == 2 and report["machine"]["nproc"] >= 1
+    w = report["workloads"]["mlp_switch"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(w["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+    for m in w["metrics"].values():
+        assert m["change_wins"] + m["parent_wins"] + m["ties"] == 2
+        for side in ("parent", "change"):
+            s = m[side]
+            assert len(s["runs"]) == 2 and s["q1"] <= s["median"] <= s["q3"]
+    # one src/ on both sides: the same code and the same outputs
+    assert w["digests"]["parent"] == w["digests"]["change"] != []
+    assert w["src_sha256"]["parent"] == w["src_sha256"]["change"]
+    assert w["correct"] == {"parent": True, "change": True}
+    assert w["failed"] == {"parent": 0, "change": 0}
