@@ -77,6 +77,14 @@ def exact_value(c: IntOpConstants, operands) -> Fraction:
 
 @dataclass
 class Violation:
+    """One case outside its bound, with what rebuilds it.
+
+    ``params`` are the arguments that rebuild the operator's constants: an
+    add's or mul's three grids, (x, y, out), a dot's
+    ``dot_constants`` arguments, (x, w, out, length, bias grid), and a
+    shift's (n, b). ``inputs`` are the case's operands.
+    """
+
     op_kind: str
     params: tuple
     inputs: tuple
@@ -133,8 +141,9 @@ def _common_denominator_terms(c: IntOpConstants):
 def _check(op_kind: str, instances, seed: int | None = None) -> VerificationReport:
     """Check every case of every operator instance against its bound, exactly.
 
-    ``instances`` yields (grids, constants, cases), each case an operand tuple
-    of the constants' role. A case's error is the operator's own pre-shift
+    ``instances`` yields (args, constants, cases): the arguments the constants
+    were built from, which a violation keeps as its ``params``, and operand
+    tuples of the constants' role. A case's error is the operator's own pre-shift
     integer (``raw``, the code inference runs) over 2^F minus its exact value.
     Error and bound are linear forms in the case's terms over the constant
     set's shared denominator m, so the check is integer arithmetic.
@@ -142,7 +151,7 @@ def _check(op_kind: str, instances, seed: int | None = None) -> VerificationRepo
     report = VerificationReport(op_kind=op_kind, cases=0, max_observed=0.0,
                                 max_bound=0.0, seed=seed)
     signed_sum = Fraction(0)
-    for grids, c, cases in instances:
+    for args, c, cases in instances:
         m, nums, deltas = _common_denominator_terms(c)
         m_over_f = m >> c.frac_bits
         ad = tuple(abs(d) for d in deltas)
@@ -159,7 +168,7 @@ def _check(op_kind: str, instances, seed: int | None = None) -> VerificationRepo
             worst_bound = max(worst_bound, bound_num)
             if abs(err_num) > bound_num:
                 report.violations.append(Violation(
-                    op_kind, grids, tuple(operands),
+                    op_kind, args, tuple(operands),
                     float(Fraction(err_num, m)), float(Fraction(bound_num, m))))
         signed_sum += Fraction(tuple_signed, m)
         report.max_observed = max(report.max_observed, float(Fraction(worst_err, m)))
@@ -169,7 +178,8 @@ def _check(op_kind: str, instances, seed: int | None = None) -> VerificationRepo
 
 
 def _sampled_operator(op_kind: str, rng, length: int):
-    """Draw one operator instance: its grids, constants and CASES_PER_TUPLE cases.
+    """Draw one operator instance: its constants' arguments (its grids, and a
+    dot's length), the constants and CASES_PER_TUPLE cases.
 
     The cases are operand tuples: (q1, q2) for add and mul, and for the
     length-N dot the sums of x*w, x and w plus the integer of a bias on a drawn
@@ -182,16 +192,15 @@ def _sampled_operator(op_kind: str, rng, length: int):
         return rng.integers(0, p.qmax + 1, size=(CASES_PER_TUPLE,) + shape)
 
     if op_kind == "dot":
-        pb = _random_params(rng, n)
-        grids = (p1, p2, py, pb)
-        c = dot_constants(p1, p2, py, length, pb)
+        args = (p1, p2, py, length, _random_params(rng, n))
+        c = dot_constants(*args)
         xqs, wqs = draw(p1, length), draw(p2, length)
-        cols = (np.einsum("ij,ij->i", xqs, wqs), xqs.sum(axis=1), wqs.sum(axis=1), draw(pb))
+        cols = (np.einsum("ij,ij->i", xqs, wqs), xqs.sum(axis=1), wqs.sum(axis=1), draw(args[-1]))
     else:
-        grids = (p1, p2, py)
-        c = (add_constants if op_kind == "add" else mul_constants)(*grids)
+        args = (p1, p2, py)
+        c = (add_constants if op_kind == "add" else mul_constants)(*args)
         cols = (draw(p1), draw(p2))
-    return grids, c, zip(*(col.tolist() for col in cols))
+    return args, c, zip(*(col.tolist() for col in cols))
 
 
 def _verify_shift() -> VerificationReport:

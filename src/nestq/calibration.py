@@ -124,9 +124,8 @@ def float_forward(model: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
     """Per-layer float outputs for a batch; used by calibration and oracles."""
     outputs = []
     t = x
-    for layer in model.layers:
-        aux = outputs[layer.source] if layer.kind == "residual_add" else None
-        t = float_layer(layer, t, aux)
+    for layer, src in zip(model.layers, model.branch_sources):
+        t = float_layer(layer, t, None if src is None else outputs[src])
         outputs.append(t)
     return outputs
 

@@ -54,8 +54,9 @@ and only a batch; ``forward`` takes one sample (shaped like the model's
 input) or a batch, and lifts a single sample to a batch of one at entry and
 squeezes it at exit, so both forms run the same code. A batch runs under one
 policy: its weights are shifted once for all its samples, while the trace is
-that of one sample's inference, the same for every sample, and equal to
-``cost.cost_report`` for the policy.
+that of one sample's inference, the same for every sample. Its totals are
+its records' sum, taken when they are read, and equal ``cost.cost_report``
+for the policy.
 
 :func:`layer_counters` is the one counting rule: the primitives a layer is
 charged, from its shapes, bias and input grid alone. ``run_layer`` charges it
@@ -188,8 +189,12 @@ class ModelGraph:
 
     def __post_init__(self):
         self._infer_shapes()
-        # the policy layers' positions, recorded once, as the shapes are
+        # the policy layers' positions and each layer's branch source (the
+        # earlier layer a residual add reads, else None), recorded once, as
+        # the shapes are
         self._policy_slots = tuple(i for i, l in enumerate(self.layers) if l.kind in POLICY_KINDS)
+        self.branch_sources = tuple(l.source if l.kind == "residual_add" else None
+                                    for l in self.layers)
         # A clamp is its producer's output grid: it must follow a policy layer,
         # and no residual edge may read the producer, unclamped in float.
         for i, layer in enumerate(self.layers):
@@ -305,7 +310,7 @@ class BitPolicy:
         return cls((b,) * length)
 
 
-@dataclass
+@dataclass(slots=True)
 class LayerRecord:
     """One layer's part of a trace. ``frac_bits`` is a policy layer's F, its
     int64 headroom, ``degenerate`` whether a nonzero constant of its plan
@@ -329,12 +334,17 @@ class LayerRecord:
 class ExecutionTrace:
     """What one inference did: per-layer precisions and op tallies.
 
-    ``counters.shifts`` is the transition count, one shift per element moved
-    below the master width."""
+    ``counters`` is the records' sum, taken when it is read, so it cannot
+    disagree with them; ``counters.shifts`` is the transition count, one
+    shift per element moved below the master width."""
 
     records: list[LayerRecord] = field(default_factory=list)
-    counters: OpCounters = OpCounters()  # the records' sum
-    fp_tensor_ops: int = 0  # non-integer tensors between entry quantize and exit dequantize
+    # non-integer tensors between entry quantize and exit dequantize
+    fp_tensor_ops: int = field(default=0, kw_only=True)
+
+    @property
+    def counters(self) -> OpCounters:
+        return OpCounters.total(r.counters for r in self.records)
 
     def bitwidths(self) -> list[int]:
         return [r.bitwidth for r in self.records]
@@ -690,9 +700,9 @@ def forward(model: ModelGraph, x: np.ndarray,
     leading axis; the output has the same form. MAC layers run at their policy
     bit-width; element-wise layers stay at the master width. The trace is one
     sample's inference, the same for every sample of a batch: per-layer
-    bit-widths, shifted element counts, primitive-op tallies (the records'
-    sum, taken once at the end), and the number of non-integer tensors seen
-    at layer boundaries (``fp_tensor_ops``).
+    records of bit-widths and primitive-op tallies, shifts included, whose
+    sum the trace takes only when its ``counters`` are read, and the number
+    of non-integer tensors seen at layer boundaries (``fp_tensor_ops``).
     """
     if not model.is_calibrated:
         raise ValueError("model is not calibrated")
@@ -705,9 +715,8 @@ def forward(model: ModelGraph, x: np.ndarray,
     fp_tensor_ops = int(t.data.dtype.kind not in "iu")
     outputs: list[NestedTensor] = []
     records: list[LayerRecord] = []
-    for i, (layer, b) in enumerate(zip(model.layers, bits)):
-        t, record = run_layer(layer, t, b,
-                              outputs[layer.source] if layer.kind == "residual_add" else None)
+    for i, (layer, b, src) in enumerate(zip(model.layers, bits, model.branch_sources)):
+        t, record = run_layer(layer, t, b, None if src is None else outputs[src])
         fp_tensor_ops += t.data.dtype.kind not in "iu"
         record.index = i
         records.append(record)
@@ -716,5 +725,4 @@ def forward(model: ModelGraph, x: np.ndarray,
         # squeezed before the dequantize, so the result owns its memory
         # rather than being a view that keeps a batch-of-one array alive
         t = NestedTensor.trusted(t.data[0], t.params)
-    return dequantize(t, t.params), ExecutionTrace(
-        records, OpCounters.total(r.counters for r in records), fp_tensor_ops)
+    return dequantize(t, t.params), ExecutionTrace(records, fp_tensor_ops=fp_tensor_ops)

@@ -161,16 +161,20 @@ class TestEmpiricalVerify:
 
     def test_violations_carry_reproduction_data(self, monkeypatch):
         # Force violations: an operator one output step off, which no bound
-        # allows. Each violation's grids and operands rebuild its constants,
-        # its observed error and its bound.
-        for op, build in (("add", add_constants), ("mul", mul_constants)):
+        # allows. Each violation's params (an add's or mul's grids, a dot's
+        # grids and length) and operands rebuild its constants, its observed
+        # error and its bound.
+        for op, build, arity in (("add", add_constants, (3, 2)), ("mul", mul_constants, (3, 2)),
+                                 ("dot", dot_constants, (5, 4))):
             assert empirical_verify(op, samples=200, seed=4).violations == []
             with monkeypatch.context() as m:
                 m.setattr(analysis, "raw", lambda c, q: raw(c, q) + (1 << c.frac_bits))
                 report = empirical_verify(op, samples=200, seed=4)
             assert len(report.violations) == report.cases == 200
             for v in report.violations:
-                assert v.op_kind == op and len(v.params) == 3 and len(v.inputs) == 2
+                assert v.op_kind == op and (len(v.params), len(v.inputs)) == arity
+                if op == "dot":
+                    assert v.params[3] == 64  # the length empirical_verify draws
                 c = build(*v.params)
                 step = 1 << c.frac_bits
                 observed = Fraction(raw(c, v.inputs) + step, step) - exact_value(c, v.inputs)

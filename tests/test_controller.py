@@ -95,6 +95,18 @@ class TestSelectArgmax:
         with pytest.raises(ValueError):
             select_argmax(np.array([[np.nan, 0.0]]), (4, 8))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_rejects_non_finite_anywhere(self, value):
+        logits = np.random.default_rng(3).normal(size=(4, 3))
+        for at in np.ndindex(logits.shape):
+            bad = logits.copy()
+            bad[at] = value
+            with pytest.raises(ValueError, match="logits must be finite"):
+                select_argmax(bad, (2, 4, 8))
+
+    def test_no_layers_no_bits(self):
+        assert select_argmax(np.empty((0, 3)), (2, 4, 8)) == BitPolicy(())
+
     # logits on a coarse grid: exact ties stay exact under shift and scale,
     # and non-ties stay far above float rounding noise
     @given(st.lists(st.lists(st.integers(-100, 100).map(lambda v: v / 4),

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from conftest import constants_at
 from nestq import layers
 from nestq.calibration import calibrate, float_forward, quantize_weights
+from nestq.cost import cost_report
 from nestq.intops import (
     INT64_MAX,
     AccumulatorOverflowError,
@@ -24,6 +25,8 @@ from nestq.intops import (
 from nestq.layers import (
     POLICY_KINDS,
     BitPolicy,
+    ExecutionTrace,
+    LayerRecord,
     LayerSpec,
     ModelGraph,
     ShapeMismatchError,
@@ -400,6 +403,32 @@ class TestForward:
                 layer = mlp.layers[idx]
                 expected += layer.weight_elements() + layer.input_elements()
         assert trace.counters.shifts == expected
+
+    @pytest.mark.parametrize("batch", [1, 5], ids=["single", "batch"])
+    def test_trace_totals_are_the_records_sum(self, make_block, cnn_data, batch):
+        """A trace sums its records when its totals are read: after a
+        mixed-policy forward they equal that sum and the cost model's, one
+        sample's work, for a single sample and for a batch alike."""
+        model = make_block(8)
+        policy = BitPolicy((4, 6, 5, 8))
+        x = cnn_data[0][0] if batch == 1 else cnn_data[0][:batch]
+        _, trace = forward(model, x, policy)
+        rep = cost_report(model, policy)
+        assert trace.counters == OpCounters.total(r.counters for r in trace.records)
+        assert (trace.counters.mults, trace.counters.adds, trace.counters.shifts) == \
+            (rep.inloop_mults, rep.inloop_adds, rep.transition_elements)
+        assert trace.counters.shifts > 0
+
+    def test_trace_takes_no_total(self):
+        with pytest.raises(TypeError):
+            ExecutionTrace([], OpCounters(1, 2, 3))
+        with pytest.raises(TypeError):
+            ExecutionTrace([], counters=OpCounters(1, 2, 3))
+        record = LayerRecord(0, "fc", 8, OpCounters(1, 2, 3))
+        trace = ExecutionTrace([record, record])
+        with pytest.raises(AttributeError):
+            trace.counters = OpCounters()
+        assert trace.counters == OpCounters(2, 4, 6)
 
     def test_single_sample_output_owns_its_memory(self, mlp, blob_data):
         # a view would keep the batch-of-one array alive with every kept output

@@ -128,6 +128,28 @@ class TestQuantizeDequantize:
         p = make_master_params(0.0, 1.0, 12)
         assert quantize(np.array([np.inf, -np.inf, 0.5]), p).tolist() == [4095, 0, 2048]
 
+    @pytest.mark.parametrize("shape", [(7,), (3, 5)], ids=["1-d", "batch"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_nan_refused_anywhere_among_infinities(self, shape, where):
+        """One NaN is refused wherever it sits; without it, the same values,
+        ±inf among them, clip."""
+        p = make_master_params(0.0, 1.0, 12)
+        x = np.linspace(-0.5, 1.5, np.prod(shape)).reshape(shape)
+        at = {"first": 0, "middle": x.size // 2, "last": x.size - 1}[where]
+        plus, minus = [i for i in (0, 1, x.size - 1, x.size - 2) if i != at][:2]
+        x.flat[plus], x.flat[minus] = np.inf, -np.inf
+        clean = x.copy()
+        x.flat[at] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            quantize(x, p)
+        q = quantize(clean, p)
+        assert q.shape == shape and (q.flat[plus], q.flat[minus]) == (4095, 0)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_input_accepted(self, shape):
+        q = quantize(np.empty(shape), unit8())
+        assert q.shape == shape and q.dtype == np.uint8
+
     def test_dequantize_zero_is_offset(self):
         p = make_master_params(-2.0, 6.0, 4)
         assert dequantize(np.array(0), p) == -2.0
@@ -425,6 +447,48 @@ def test_out_of_range_refused(n, q):
     for b in (n, max(2, n - 3)):
         with pytest.raises(ValueError):
             shift_down(q, n, b)
+
+
+# An index off the grid for each dtype's range rule: read as it is (uint8,
+# uint16), as its unsigned twin (int8 at n = 4, int64) or by its minimum
+# (int8 at n = 8, where the dtype's own maximum is on the grid).
+BAD_INDEX = [(np.uint8, 4, 16), (np.uint16, 12, 4096), (np.int8, 4, 16), (np.int8, 4, -1),
+             (np.int8, 8, -1), (np.int64, 12, 4096), (np.int64, 12, -1)]
+
+
+def _layouts(dtype, bad):
+    """Arrays holding one ``bad`` element: first, last, inside a transposed
+    view and inside a strided view."""
+    def base(at):
+        v = np.arange(12, dtype=dtype) % 4
+        v[at] = bad
+        return v
+    return [base(0), base(-1), base(7).reshape(3, 4).T, base(6)[::2]]
+
+
+@pytest.mark.parametrize("dtype,n,bad", BAD_INDEX,
+                         ids=[f"{np.dtype(d)}-n{n}-{v}" for d, n, v in BAD_INDEX])
+def test_index_off_the_grid_refused_in_every_layout(dtype, n, bad):
+    """The range check reads the extreme element by its flat index, so it
+    finds an index off the grid wherever it sits in the array's layout."""
+    for q in _layouts(dtype, bad):
+        with pytest.raises(ValueError, match="outside"):
+            quantize_mod.check_grid_ints(q, (1 << n) - 1)
+        for b in (2, n):
+            with pytest.raises(ValueError, match="outside"):
+                shift_down(q, n, b)
+    # a strided view that skips the bad element holds none
+    skip = np.arange(12, dtype=dtype) % 4
+    skip[5] = bad
+    assert np.array_equal(quantize_mod.check_grid_ints(skip[::2], (1 << n) - 1), skip[::2])
+    assert np.array_equal(shift_down(skip[::2], n, n), skip[::2])
+
+
+@pytest.mark.parametrize("dtype,n", [(np.uint8, 4), (np.int8, 8), (np.int64, 12)])
+def test_empty_index_arrays_accepted(dtype, n):
+    q = np.empty((0, 3), dtype)
+    assert quantize_mod.check_grid_ints(q, (1 << n) - 1) is q
+    assert shift_down(q, n, 2).shape == (0, 3)
 
 
 @pytest.mark.parametrize("entry", ["NestedTensor", "load_model", "shift_down", "dequantize"])
