@@ -9,7 +9,6 @@ gives a deterministic policy without any weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +82,7 @@ def controller_forward(spec: ControllerSpec, x: np.ndarray) -> np.ndarray:
 def select_argmax(logits: np.ndarray, candidates) -> BitPolicy:
     """Greedy per-layer selection; ties break toward the smaller bit-width."""
     logits = np.asarray(logits)
-    # argmax and argmin each land on the first NaN if there is one, else on
-    # the largest and the smallest logit: two lookups, where np.isfinite
-    # makes a temporary and reduces it at twice their cost
-    if logits.size and not (math.isfinite(logits.item(logits.argmax()))
-                            and math.isfinite(logits.item(logits.argmin()))):
+    if not np.isfinite(logits).all():  # the array method: np.all's wrapper costs more
         raise ValueError("logits must be finite")
     cands = tuple(sorted(candidates))
     # argmax returns the first maximum, which is the smallest candidate

@@ -22,11 +22,10 @@ for good. ``shift_down`` and ``dequantize`` take a NestedTensor or a raw
 array: a NestedTensor is its own proof and costs one width compare, a raw
 array is checked. The layer engine wraps its own
 outputs, which its clip or mean already bounds, and ``quantize``'s clipped
-result with ``NestedTensor.trusted``, so a ``forward`` makes no range check
-at all. A check reads one extreme element at most, found by ``argmax`` or
-``argmin`` (:func:`_check_range`), and none when the dtype itself bounds
-the range (uint8 at n=8, uint16 at n=16). A value out of range is refused
-before it is narrowed, so a cast never wraps it.
+result with ``NestedTensor.trusted``, so a ``forward`` makes no range
+reduction at all. A check is one reduction at most, and none when the dtype
+itself bounds the range (uint8 at n=8, uint16 at n=16). A value out of range
+is refused before it is narrowed, so a cast never wraps it.
 
 ``shift_down`` clamps against a same-shape operand, its output filled with
 the cap, because NumPy runs a uint8 or uint16 ``np.minimum`` against a
@@ -74,17 +73,16 @@ _HALF, _FLOAT_ZERO = _read_only(0.5, np.float64), _read_only(0.0, np.float64)
 
 
 @lru_cache(maxsize=None)
-def _range_rule(dtype: np.dtype, qmax: int):
-    """How to check an array of ``dtype`` against [0, qmax] by one element.
+def _range_reduction(dtype: np.dtype, qmax: int):
+    """How to check an array of ``dtype`` against [0, qmax] in one reduction.
 
-    None if the dtype bounds the range already. Else ("max", view): the
-    largest element of the array, viewed as ``view`` unless that is None,
-    exceeds qmax iff an element is out of range. An unsigned array is read as
-    it is; a signed one is viewed as its unsigned twin, in which a negative
-    element reads as a value above the signed maximum. If the signed maximum
-    is itself within qmax, that view cannot tell -1 from a valid index, and
-    only negatives can be out of range: ("min", None), the smallest element
-    is negative.
+    None if the dtype bounds the range already. Else ("max", view): the max of
+    the array, viewed as ``view`` unless that is None, exceeds qmax iff an
+    element is out of range. An unsigned array is reduced as it is; a signed
+    one is viewed as its unsigned twin, in which a negative element reads as a
+    value above the signed maximum. If the signed maximum is itself within
+    qmax, that view cannot tell -1 from a valid index, and only negatives can
+    be out of range: ("min", None).
     """
     top = int(np.iinfo(dtype).max)
     if dtype.kind == "u":
@@ -102,21 +100,13 @@ def _integer_dtype(dtype: np.dtype) -> None:
 
 def _check_range(q: np.ndarray, rule, qmax: int) -> None:
     """Refuse (ValueError) an integer array with an element outside [0, qmax],
-    by ``rule``, its dtype's :func:`_range_rule` for qmax.
-
-    The extreme element is found by ``argmax`` or ``argmin`` and read by its
-    flat index: on 1k elements about 0.5 us, against 1.7 us for a ufunc
-    reduction with the same verdict (NumPy 2.4); from 2^18 elements on the
-    two cost about the same.
-    """
+    by ``rule``, its dtype's :func:`_range_reduction` for qmax."""
     if rule is not None and q.size:
+        # The ufunc reductions skip ndarray.min/max's Python wrapper, which
+        # costs as much as the reduction itself on a 1k-element tensor.
         how, view = rule
-        if how == "min":
-            bad = q.item(q.argmin()) < 0
-        else:
-            v = q if view is None else q.view(view)
-            bad = v.item(v.argmax()) > qmax
-        if bad:
+        if np.minimum.reduce(q, None) < 0 if how == "min" \
+                else np.maximum.reduce(q if view is None else q.view(view), None) > qmax:
             raise ValueError(f"grid indices outside [0, {qmax}]")
 
 
@@ -126,8 +116,8 @@ def check_grid_ints(q, qmax: int) -> np.ndarray:
     A :class:`NestedTensor` was checked when it was made and cannot change:
     its data comes back as it is, unless its grid is wider than [0, qmax]
     (ValueError). A raw array raises TypeError for a non-integer (or bool)
-    dtype and ValueError for an element out of range; reads one element at
-    most (see :func:`_check_range`).
+    dtype and ValueError for an element out of range; costs one reduction at
+    most.
     """
     if isinstance(q, NestedTensor):
         if q.params.qmax > qmax:
@@ -135,7 +125,7 @@ def check_grid_ints(q, qmax: int) -> np.ndarray:
         return q.data
     q = np.asarray(q)
     _integer_dtype(q.dtype)
-    _check_range(q, _range_rule(q.dtype, qmax), qmax)
+    _check_range(q, _range_reduction(q.dtype, qmax), qmax)
     return q
 
 
@@ -321,7 +311,7 @@ def _shift_plan(dtype: np.dtype, n: int, b: int):
 
     Refuses b > n (ValueError), then a dtype that is not an integer one
     (TypeError); a refusal is not cached. Else (rule, work, cap, half, s):
-    ``rule`` is the :func:`_range_rule` that checks a raw array against
+    ``rule`` is the :func:`_range_reduction` that checks a raw array against
     [0, 2^n - 1], and the rest the shift, all None at b = n, where there is
     none.
 
@@ -340,7 +330,7 @@ def _shift_plan(dtype: np.dtype, n: int, b: int):
     if b > n:
         raise ValueError(f"cannot shift up: b={b} > n={n}")
     _integer_dtype(dtype)
-    rule = _range_rule(dtype, (1 << n) - 1)
+    rule = _range_reduction(dtype, (1 << n) - 1)
     if b == n:
         return rule, dtype, None, None, None
     s = n - b
@@ -358,7 +348,7 @@ def shift_down(q_n, n: int, b: int) -> np.ndarray:
     intermediate exceeds 2^n - 1, and the clamped values all map to 2^b - 1,
     where the rounding would have clipped them (see ``_shift_plan``). At b = n
     there is nothing to do and the (range-checked) input itself is returned.
-    ``q_n`` is a raw array, range-checked by one element at most, or a
+    ``q_n`` is a raw array, range-checked by one reduction at most, or a
     NestedTensor, which costs one width compare: it refuses a grid wider than
     n bits. Refuses b > n and an element outside [0, 2^n - 1] (ValueError)
     and a non-integer input (TypeError). One cached plan per (dtype, n, b)
@@ -372,7 +362,7 @@ def shift_down(q_n, n: int, b: int) -> np.ndarray:
     ns, as the fill, the add and the shift by a scalar take. So a shift of a
     uint8 or uint16 master at 2^18 elements costs 0.17-0.26 ns per element,
     against 0.63-1.03 ns with the scalar clamp. A call on a NestedTensor of
-    16 to 2^10 elements takes 1.6-2.1 us, where the fill costs less than the
+    16 to 2^10 elements takes 1.7-2.3 us, where the fill costs less than the
     0-d constants (see ``_shift_plan``) save. An int64 array, whose scalar
     clamp is vectorized already, pays for the fill (7-19% more per call); no
     storage dtype is int64.
@@ -391,14 +381,11 @@ def shift_down(q_n, n: int, b: int) -> np.ndarray:
         return q_n
     out = np.empty(q_n.shape, work)
     out.fill(cap)
-    same = work is q_n.dtype
-    if same:
-        np.minimum(q_n, out, out=out)
-    else:  # unsafe only in name: q_n has passed the range check, so work holds it
-        np.minimum(q_n, out, out=out, casting="unsafe")
+    # unsafe only in name: q_n has passed the range check, so work holds it
+    np.minimum(q_n, out, out=out, casting="unsafe")
     out += half
     out >>= s
-    return out if same else out.astype(q_n.dtype)
+    return out if work is q_n.dtype else out.astype(q_n.dtype)
 
 
 def dequant_requant_reference(q, from_params: QuantParams,

@@ -63,9 +63,9 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
     bits = model.layer_bitwidths(policy)
     t = fake_quantize(np.asarray(x, dtype=np.float64), model.input_params)
     # Hold only the outputs a later residual edge reads; batches can be large.
-    sources = set(model.branch_sources)
+    sources = {l.source for l in model.layers if l.kind == "residual_add"}
     outputs = {}
-    for i, (layer, b, src) in enumerate(zip(model.layers, bits, model.branch_sources)):
+    for i, (layer, b) in enumerate(zip(model.layers, bits)):
         if layer.kind in POLICY_KINDS:  # the input enters at b
             t = nested_move(t, model.output_grid(i - 1), b)
         if layer.kind in ("fc", "conv2d"):
@@ -78,7 +78,7 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
                     * pb.scale + pb.offset
             t = fake_quantize(float_layer(shadow, t), layer.output_params)
         elif layer.kind == "residual_add":
-            aux = nested_move(outputs[src], model.output_grid(src), b)
+            aux = nested_move(outputs[layer.source], model.output_grid(layer.source), b)
             t = fake_quantize(t + aux, layer.output_params)
         elif layer.kind == "avgpool":
             # the window mean of the input's indices, rounded half up onto that

@@ -846,14 +846,15 @@ def reference_infer(model_dir, blob, policy_text, seed, out):
     for i, x in enumerate(data):
         policy = parse_policy(policy_text, model, x=x, seed=seed)
         y, trace = forward(model, x, policy)
+        c = trace.counters
         report[f"sample{i:04d}"] = {
             "policy": list(policy.bits),
             "argmax": int(np.argmax(y)),
             "output": [repr(float(v)) for v in y.reshape(-1)],
             "fp_tensor_ops": trace.fp_tensor_ops,
-            "mults": trace.counters.mults,
-            "adds": trace.counters.adds,
-            "shifts": trace.counters.shifts,
+            "mults": c.mults,
+            "adds": c.adds,
+            "shifts": c.shifts,
         }
     blobio.write_report(out, report)
     return report

@@ -256,7 +256,8 @@ class TestReportEqualsTrace:
     def check(self, models, x, policies):
         for policy in policies:
             _, trace = forward(models[0], x, policy)
-            want = (trace.counters.mults, trace.counters.adds, trace.counters.shifts)
+            c = trace.counters
+            want = (c.mults, c.adds, c.shifts)
             for model in models:
                 rep = cost_report(model, policy)
                 assert (rep.inloop_mults, rep.inloop_adds, rep.transition_elements) == want

@@ -251,6 +251,17 @@ class TestModelGraph:
         assert cnn.layers[2].output_shape == (8, 4, 4)
         assert cnn.policy_indices == [0, 2, 5]
 
+    def test_branch_sources_name_each_residual_edge(self):
+        layers = [
+            LayerSpec(kind="fc", in_features=4, out_features=4),
+            LayerSpec(kind="relu_pact"),
+            LayerSpec(kind="fc", in_features=4, out_features=4),
+            LayerSpec(kind="residual_add", source=1),
+            LayerSpec(kind="residual_add", source=2),
+        ]
+        g = ModelGraph(layers=layers, input_shape=(4,))
+        assert g.branch_sources == (None, None, None, 1, 2)
+
     def test_fc_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             ModelGraph(layers=[LayerSpec(kind="fc", in_features=5, out_features=2)],

@@ -469,8 +469,8 @@ def _layouts(dtype, bad):
 @pytest.mark.parametrize("dtype,n,bad", BAD_INDEX,
                          ids=[f"{np.dtype(d)}-n{n}-{v}" for d, n, v in BAD_INDEX])
 def test_index_off_the_grid_refused_in_every_layout(dtype, n, bad):
-    """The range check reads the extreme element by its flat index, so it
-    finds an index off the grid wherever it sits in the array's layout."""
+    """The range check finds an index off the grid wherever it sits, in a
+    contiguous array or a view."""
     for q in _layouts(dtype, bad):
         with pytest.raises(ValueError, match="outside"):
             quantize_mod.check_grid_ints(q, (1 << n) - 1)
