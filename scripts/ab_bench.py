@@ -13,10 +13,14 @@ from the last line it prints; its digests and machine from the result file
 it writes under ``perfbench/out/``. Nothing under ``perfbench/`` is changed.
 
 The output file holds, per workload and end-to-end metric: each side's
-per-run values, median and quartiles, and the pairs each side won (ties count
-for neither side), with which direction is better from ``BENCHMARK.json``;
-then each side's output digests and the machine. A run that fails stops the
-script with its exit code and standard error.
+per-run values, median and quartiles, the pairs each side won (ties count
+for neither side), with which direction is better from ``BENCHMARK.json``,
+and the median and quartiles of the per-pair change/parent ratio
+(``pair_ratio``, over the pairs whose parent value is not 0), which a drift
+of the host over the run moves less than either side's quartiles; then each
+side's output digests, its ``src/`` hash and the line count of its
+``src/nestq/*.py``, and the machine. A run that fails stops the script with
+its exit code and standard error.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, smoke: bool) 
             "digests": sorted(set(result.get("digests", []))), "machine": result["machine"]}
 
 
+def src_lines(root: Path) -> int:
+    """Lines of the ``src/nestq/*.py`` files in checkout ``root``."""
+    return sum(len(p.read_text().splitlines()) for p in (root / "src" / "nestq").glob("*.py"))
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"runs": values, "median": float(median), "q1": float(q1), "q3": float(q3),
@@ -65,6 +74,8 @@ def compare(runs: dict, better: str) -> dict:
     out["ties"] = len(pairs) - out["change_wins"] - out["parent_wins"]
     out["median_ratio"] = out["change"]["median"] / out["parent"]["median"] \
         if out["parent"]["median"] else None
+    ratios = [c / p for p, c in pairs if p]
+    out["pair_ratio"] = summary(ratios) if ratios else None
     return out
 
 
@@ -82,6 +93,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    lines = {side: src_lines(roots[side]) for side in SIDES}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]] if args.workload == "all" \
         else [args.workload]
@@ -110,6 +122,7 @@ def main(argv=None) -> int:
             "correct": {side: all(r["correct"] for r in side_runs[side]) for side in SIDES},
             "src_sha256": {side: sorted({r["machine"]["src_sha256"] for r in side_runs[side]})
                            for side in SIDES},
+            "src_lines": lines,
         }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0

@@ -28,22 +28,19 @@ refuses graphs where that cannot hold.
 
 Each policy layer compiles one :class:`LayerStep` per bit-width b on its first
 call at b and keeps it in ``LayerSpec.steps``, so the steps go with the model.
-A step caches what does not change between calls: its plan, the
-``IntOpConstants`` :func:`build_plan` returns (constants at the F the int64
-proof fits), a padded conv's padding index, the additive constant ``c'`` (per
-output for a fc or conv), a fc or conv's ``sum_dtype`` and
-:func:`layer_counters`. It caches no tensor:
-weights and activations are shifted down to b on every call, and the trace
-charges those shifts on every call, since that shift is the transition the
-scheme prices. A step is reused only while the input, branch and output
-grids and ``weight_q``/``bias_q`` (which carry the weight and bias grids) are
-the very objects it was built from; ``calibrate`` and ``load_model`` replace
-them all, and a NestedTensor's data is read-only, so a step is never stale.
-It also holds what a call's output layout and record take from (layer, b,
-grids). So ``run_layer`` looks its step up first: a warm call, on the step's
-own objects, passed every refusal that depends on them when the step was
-built and checks only the shapes of its batch and branch; any other call
-runs every check, then builds the step.
+A step is a cache of values that do not change between calls, taken from the
+:func:`build_plan` constants (its ``k`` and F, at the F the int64 proof
+fits): a padded conv's padding index, the additive constant ``c'`` (per
+output for a fc or conv), a fc or conv's ``sum_dtype``, the output layout
+and the fields of the call's record, :func:`layer_counters` among them. It
+caches no tensor: weights and activations are shifted down to b on every
+call, and the trace charges those shifts on every call, since that shift is
+the transition the scheme prices. ``run_layer`` runs every refusal on every
+call, then takes the step only while the input, branch and output grids and
+``weight_q``/``bias_q`` (which carry the weight and bias grids) are the very
+objects it was built from, else builds it anew; ``calibrate`` and
+``load_model`` replace them all, and a NestedTensor's data is read-only, so a
+step is never stale.
 
 Every tensor passed between layers is a :class:`NestedTensor`, and
 ``run_layer`` hands those, not their arrays, to ``shift_down``: the tensor is
@@ -89,6 +86,7 @@ from .quantize import (
     MIN_BITWIDTH,
     NestedTensor,
     QuantParams,
+    _read_only,
     derive_params,
     dequantize,
     quantize,
@@ -395,17 +393,14 @@ def exact_sum_dtype(bound: int) -> np.dtype:
 
 @dataclass(frozen=True)
 class LayerStep:
-    """A policy layer compiled at one bit-width: everything a call needs but its shifts.
+    """A policy layer's values at one bit-width: everything a call needs but its shifts.
 
-    ``sources`` are the objects it was built from: input grid, branch grid
-    (None without a branch), ``weight_q``, ``bias_q`` and output grid. A
-    call whose objects are these very ones passed, when the step was built,
-    every refusal that depends on them alone, so it checks only its batch's
-    shape and a branch's. ``plan`` is the
-    layer's one expression's constants (its ``k``, F and ``degenerate``
-    flag), as :func:`build_plan` returns them. A call evaluates ``k . S +
-    const`` over int64 sum rows S, the last row added to each of the others,
-    with one weight per row in ``k``: a fc or conv's rows are its GEMM's, one
+    A step is a cache, checked by identity: ``sources`` are the objects it
+    was built from, the input grid, branch grid (None without a branch),
+    ``weight_q``, ``bias_q`` and output grid, and a call uses it only while
+    its own objects are these very ones. A call evaluates ``k . S + const``
+    over int64 sum rows S, the last row added to each of the others, with
+    one weight per row in ``k``: a fc or conv's rows are its GEMM's, one
     product sum per output weighted ``k1`` and the input's sum weighted
     ``k2``; a residual add's two rows are its two shifted operands, so its
     ``k`` is ``[[k1], [k2]]``. ``const`` is the additive constant with the
@@ -416,23 +411,21 @@ class LayerStep:
 
     A fc or conv sums its products in ``sum_dtype``, the narrowest type
     :func:`exact_sum_dtype` proves exact for the dot's bound ``length *
-    qmax_x * qmax_w`` at b, over a ``gemm`` = (rows + 1, length) matrix of
-    weights and ones; a residual add runs no GEMM (None). ``shift`` is
+    qmax_x * qmax_w`` at b; a residual add runs no GEMM (None). ``shift`` is
     F, ``qmax`` and ``out_dtype`` the output grid's qmax and storage dtype.
     ``k``, ``shift`` and ``qmax`` are read-only int64 arrays, which a ufunc
     takes as they are, where it converts a Python int on every call.
     ``split`` = (rows, -1, columns) splits the rounded rows by sample and
     ``out_shape`` = (-1,) + the output shape shapes the batch; ``record``
-    holds the fields of the call's :class:`LayerRecord` after its index.
+    holds the fields of the call's :class:`LayerRecord` after its index:
+    kind, b, :func:`layer_counters`, ``sum_dtype``, and the F and
+    ``degenerate`` flag of the :func:`build_plan` the step was built from.
     """
 
     sources: tuple
-    plan: IntOpConstants
     const: np.ndarray | int
-    counters: OpCounters
     pad: int
     sum_dtype: np.dtype | None
-    gemm: tuple[int, int] | None
     k: np.ndarray
     shift: np.ndarray
     qmax: np.ndarray
@@ -506,14 +499,7 @@ def layer_counters(layer: LayerSpec, b: int, n: int, x_grid: QuantParams | None)
                       shifts=layer.weight_elements() + layer.input_elements() if b < n else 0)
 
 
-def _constant(v) -> np.ndarray:
-    """``v`` as a read-only int64 array."""
-    a = np.array(v, dtype=np.int64)
-    a.flags.writeable = False
-    return a
-
-
-_ZERO = _constant(0)
+_ZERO = _read_only(0, np.int64)
 
 
 def _requant(raw: np.ndarray, frac_bits, qmax, dtype: np.dtype) -> np.ndarray:
@@ -552,22 +538,21 @@ def _build_step(layer: LayerSpec, b: int, x_grid: QuantParams, branch: QuantPara
         length)
     k, half = plan.k, (1 << plan.frac_bits) >> 1
     if w is None:  # a residual add: one row of outputs
-        const, dtype, gemm, rows = k[2] + half, None, None, 1
+        const, dtype, rows = k[2] + half, None, 1
     else:
         bias = 0 if layer.bias_q is None else layer.bias_q.data.astype(np.int64)
         const = (k[2] * w.sum(axis=1, dtype=np.int64) + k[3] * bias + (k[4] + half))[:, None]
         top = (1 << b) - 1  # the qmax of both b-bit grids
-        rows = len(w)
-        dtype, gemm = exact_sum_dtype(length * top * top), (rows + 1, w.shape[1])
+        dtype, rows = exact_sum_dtype(length * top * top), len(w)
     pad = _pad_index(x_grid, b) if layer.kind == "conv2d" and layer.padding else 0
-    counters = layer_counters(layer, b, x_grid.master_bitwidth, x_grid)
     step = LayerStep(
-        (x_grid, branch, layer.weight_q, layer.bias_q, layer.output_params), plan, const,
-        counters, pad, dtype, gemm, _constant([[k[0]]] * rows + [[k[1]]]),
-        _constant(plan.frac_bits), _constant(layer.output_params.qmax),
+        (x_grid, branch, layer.weight_q, layer.bias_q, layer.output_params), const, pad, dtype,
+        *(_read_only(v, np.int64) for v in (
+            [[k[0]]] * rows + [[k[1]]], plan.frac_bits, layer.output_params.qmax)),
         storage_dtype(layer.output_params.bitwidth),
         (rows, -1, math.prod(layer.output_shape) // rows), (-1,) + layer.output_shape,
-        (layer.kind, b, counters, dtype, plan.frac_bits, plan.degenerate, layer.range_flagged))
+        (layer.kind, b, layer_counters(layer, b, x_grid.master_bitwidth, x_grid), dtype,
+         plan.frac_bits, plan.degenerate, layer.range_flagged))
     layer.steps[b] = step
     return step
 
@@ -617,43 +602,37 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     the second operand for residual adds, shaped like ``x``. The record
     counts one sample's work.
 
-    The step is looked up first. A warm call, on the objects its step was
-    built from, checks only the shapes of its batch and branch. Any other
-    call refuses, in this order: b above the master width, a batch of
-    another shape (ShapeMismatchError), an uncalibrated layer, a fc or conv
-    without ``weight_q``, a residual add without its branch or with one of
-    another shape (ShapeMismatchError); then builds the step, which refuses
-    grids at mixed master widths and a plan past int64.
+    Every call refuses, in this order: b above the master width, a batch of
+    another shape (ShapeMismatchError); then, for a policy layer, an
+    uncalibrated layer, a fc or conv without ``weight_q``, a residual add
+    without its branch or with one of another shape (ShapeMismatchError).
+    A step is then looked up by identity and built if it is missing or was
+    built from other objects; building refuses grids at mixed master widths
+    and a plan past int64.
     """
-    branch = None if aux is None else aux.params
-    step = layer.steps.get(b)
-    if step is None or not all(map(is_, step.sources, (
-            x.params, branch, layer.weight_q, layer.bias_q, layer.output_params))):
-        step = None
-        n = x.params.master_bitwidth
-        if b > n:
-            raise ValueError(f"policy bit-width {b} above master width {n}")
-        if x.shape[1:] != layer.input_shape:
-            raise ShapeMismatchError(
-                f"layer {layer.name!r} expects a batch of {layer.input_shape}, got {x.shape}")
-        if layer.kind not in POLICY_KINDS:
-            return _run_elementwise(layer, x, b, n)
-        if layer.output_params is None:
-            raise ValueError(f"layer {layer.name!r} is not calibrated")
-        if layer.has_weights and layer.weight_q is None:
-            raise ValueError(f"layer {layer.name!r} has no quantized weights")
-        if layer.kind == "residual_add":
-            if aux is None:
-                raise ValueError("residual_add needs the stored branch output")
-            if aux.shape != x.shape:
-                raise ShapeMismatchError(
-                    f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
-    elif x.data.shape[1:] != layer.input_shape:
+    n = x.params.master_bitwidth
+    if b > n:
+        raise ValueError(f"policy bit-width {b} above master width {n}")
+    if x.data.shape[1:] != layer.input_shape:
         raise ShapeMismatchError(
             f"layer {layer.name!r} expects a batch of {layer.input_shape}, got {x.shape}")
-    elif layer.kind == "residual_add" and aux.data.shape != x.data.shape:
-        raise ShapeMismatchError(f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
-    n = x.params.master_bitwidth
+    if layer.kind not in POLICY_KINDS:
+        return _run_elementwise(layer, x, b, n)
+    if layer.output_params is None:
+        raise ValueError(f"layer {layer.name!r} is not calibrated")
+    if layer.kind == "residual_add":
+        if aux is None:
+            raise ValueError("residual_add needs the stored branch output")
+        if aux.data.shape != x.data.shape:
+            raise ShapeMismatchError(
+                f"residual add {layer.name!r} joins {x.shape} and {aux.shape}")
+    elif layer.weight_q is None:  # a fc or conv
+        raise ValueError(f"layer {layer.name!r} has no quantized weights")
+    branch = None if aux is None else aux.params
+    step = layer.steps.get(b)
+    if step is not None and not all(map(is_, step.sources, (
+            x.params, branch, layer.weight_q, layer.bias_q, layer.output_params))):
+        step = None
     # Tensors are stored as uint8/uint16, where the products would wrap, so
     # every sum row is int64 before a constant meets it: a residual add's
     # operands widen as they are copied into their rows, a GEMM's sums after
@@ -672,7 +651,7 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         w = shift_down(layer.weight_q, n, b).reshape(layer.output_shape[0], -1)
         if step is None:
             step = _build_step(layer, b, x.params, branch, w)
-        w_ones = np.empty(step.gemm, step.sum_dtype)
+        w_ones = np.empty((len(w) + 1, w.shape[1]), step.sum_dtype)
         w_ones[:-1] = w
         w_ones[-1] = 1
         # the padding index is a b-bit index, so it fits the narrow dtype;

@@ -63,7 +63,7 @@ def storage_dtype(n: int) -> np.dtype:
 
 
 def _read_only(v, dtype) -> np.ndarray:
-    """``v`` as a read-only 0-d array of ``dtype``."""
+    """``v`` as a read-only array of ``dtype``."""
     a = np.array(v, dtype=dtype)
     a.flags.writeable = False
     return a

@@ -173,9 +173,25 @@ REFUSALS = {
 }
 
 
+# Two refusals at once: the layer, what then changes, the refused call, and
+# the error type and message of the one that comes first in run_layer's order.
+REFUSAL_ORDER = {
+    "b above n, misshapen batch": (sum_fc, lambda l: None,
+                                   lambda l: run_layer(l, ones(shape=(1, 3)), 9),
+                                   ValueError, "above master width"),
+    "uncalibrated, no branch": (unit_skip, lambda l: setattr(l, "output_params", None),
+                                lambda l: run_layer(l, ones(), 8), ValueError,
+                                "is not calibrated"),
+    "misshapen batch, no weight_q": (sum_fc, lambda l: setattr(l, "weight_q", None),
+                                     lambda l: run_layer(l, ones(shape=(1, 3)), 8),
+                                     ShapeMismatchError, "expects a batch"),
+}
+
+
 class TestWarmCallContract:
-    """A warm call checks only shapes; every other refusal happens when a step
-    is built, and a step built from other objects is never taken as warm."""
+    """A step is a cache: every call runs every refusal, in one order, whether
+    or not its layer holds a step, and a step built from other objects is
+    never taken."""
 
     @pytest.mark.parametrize("case", REFUSALS)
     def test_refused_cold_and_after_a_step_from_other_objects(self, case):
@@ -193,6 +209,20 @@ class TestWarmCallContract:
             with pytest.raises(error):
                 refused(warm)
         assert warm.steps[b] is step  # a refused call builds no step
+
+    @pytest.mark.parametrize("prior", [None, 4])
+    @pytest.mark.parametrize("case", REFUSAL_ORDER)
+    def test_first_refusal_in_order_wins(self, case, prior):
+        """On a fresh layer, and on one holding a step at another b."""
+        make, change, refused, error, match = REFUSAL_ORDER[case]
+        layer = make()
+        if prior is not None:
+            run_layer(layer, ones(), prior, aux=ones() if layer.kind == "residual_add" else None)
+            assert list(layer.steps) == [prior]
+        change(layer)
+        with pytest.raises(ValueError, match=match) as info:
+            refused(layer)
+        assert info.type is error
 
     def test_warm_call_with_a_misshapen_batch_refused(self):
         layer, x = sum_fc(), ones()
@@ -913,11 +943,11 @@ class TestLayerPlan:
 
     def test_steps_live_on_their_layers(self, mlp, blob_data):
         policy = BitPolicy((8, 4, 6))
-        forward(mlp, blob_data[0][:2], policy)
+        _, trace = forward(mlp, blob_data[0][:2], policy)
         for i, b in zip(mlp.policy_indices, policy.bits):
-            step = mlp.layers[i].steps[b]
-            assert step.counters == layers.layer_counters(mlp.layers[i], b, 8,
-                                                          mlp.output_grid(i - 1))
+            assert b in mlp.layers[i].steps
+            assert trace.records[i].counters == layers.layer_counters(mlp.layers[i], b, 8,
+                                                                      mlp.output_grid(i - 1))
         assert all(not l.steps for l in mlp.layers if l.kind not in POLICY_KINDS)
 
     def test_refused_layer_raises_on_every_call(self):
@@ -1210,7 +1240,7 @@ class TestExactSumDtype:
                         assert (r.sum_dtype, r.frac_bits) == (None, None)
                         continue
                     step = layer.steps[b]
-                    assert r.frac_bits == step.plan.frac_bits
+                    assert r.frac_bits == step.shift
                     if layer.kind == "residual_add":
                         assert r.sum_dtype is None
                         continue
@@ -1259,7 +1289,7 @@ class TestDegenerateRecord:
         x = NestedTensor(data=np.array([[1, 2, 3, 4]]), params=unit_params())
         aux = NestedTensor(data=np.full((1, 4), 255), params=QuantParams(1e-30, 0.0, 8, 8))
         out, record = run_layer(layer, x, 8, aux=aux)
-        assert record.degenerate is True and layer.steps[8].plan.k[1] == 0
+        assert record.degenerate is True and layer.steps[8].k[1, 0] == 0
         assert out.data.tolist() == [[1, 2, 3, 4]]
 
 

@@ -77,8 +77,12 @@ def test_ab_bench_smoke_on_two_copies(tmp_path):
         for side in ("parent", "change"):
             s = m[side]
             assert len(s["runs"]) == 2 and s["q1"] <= s["median"] <= s["q3"]
+        r = m["pair_ratio"]
+        assert r is None or (len(r["runs"]) <= 2 and r["q1"] <= r["median"] <= r["q3"])
+    assert len(w["metrics"]["items_per_s"]["pair_ratio"]["runs"]) == 2
     # one src/ on both sides: the same code and the same outputs
     assert w["digests"]["parent"] == w["digests"]["change"] != []
     assert w["src_sha256"]["parent"] == w["src_sha256"]["change"]
+    assert w["src_lines"]["parent"] == w["src_lines"]["change"] > 0
     assert w["correct"] == {"parent": True, "change": True}
     assert w["failed"] == {"parent": 0, "change": 0}
