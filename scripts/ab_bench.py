@@ -17,23 +17,33 @@ per-run values, median and quartiles, the pairs each side won (ties count
 for neither side), with which direction is better from ``BENCHMARK.json``,
 and the median and quartiles of the per-pair change/parent ratio
 (``pair_ratio``, over the pairs whose parent value is not 0), which a drift
-of the host over the run moves less than either side's quartiles; then each
-side's output digests, its ``src/`` hash and the line count of its
-``src/nestq/*.py``, and the machine. A run that fails stops the script with
-its exit code and standard error.
+of the host over the run moves less than either side's quartiles, and its
+``verdict`` (see :func:`verdict`); then each side's output digests, its
+``src/`` hash, the line count of its ``src/nestq/*.py`` and their code lines
+(docstrings, comments and blank lines excluded), and the machine. A run that
+fails stops the script with its exit code and standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
+import math
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
 
 SIDES = ("parent", "change")
+VERDICTS = ("worse", "unresolved", "gain", "same")
+# tokens that hold no code: a line holding only these is blank or a comment
+NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+DOC_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, smoke: bool) -> dict:
@@ -58,14 +68,61 @@ def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (root / "src" / "nestq").glob("*.py"))
 
 
+def code_lines(root: Path) -> int:
+    """Lines of the ``src/nestq/*.py`` files in checkout ``root`` that hold
+    code: no docstring, comment or blank line counts."""
+    total = 0
+    for path in (root / "src" / "nestq").glob("*.py"):
+        text = path.read_text()
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            first = node.body[0] if isinstance(node, DOC_OWNERS) and node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+        rows = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in NOT_CODE:
+                rows.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(rows - docs)
+    return total
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"runs": values, "median": float(median), "q1": float(q1), "q3": float(q3),
             "iqr": float(q3 - q1)}
 
 
-def compare(runs: dict, better: str) -> dict:
-    """Both sides of one metric over the pairs: summaries and wins."""
+def verdict(m: dict, bound: float) -> str:
+    """What a review reads from one metric's comparison ``m``, given its
+    relative ``bound`` from BENCHMARK.json: the first of these that holds.
+
+    - worse: the change's median is worse than the parent's by more than the
+      bound.
+    - unresolved: the IQR over the median of the side where that is larger
+      exceeds the bound, and not every change run beats every parent run.
+    - gain: the change wins at least 9 in 10 pairs, and its median is better
+      than the parent's by more than the parent's IQR.
+    - same: none of the above.
+    """
+    sign = 1 if m["better"] == "higher" else -1
+    parent, change = m["parent"], m["change"]
+    if sign * (parent["median"] - change["median"]) > bound * abs(parent["median"]):
+        return "worse"
+    spread = max(s["iqr"] / abs(s["median"]) if s["median"] else (math.inf if s["iqr"] else 0.0)
+                 for s in (parent, change))
+    beats_all = all(sign * (c - p) > 0 for c in change["runs"] for p in parent["runs"])
+    if spread > bound and not beats_all:
+        return "unresolved"
+    if m["change_wins"] >= 0.9 * len(parent["runs"]) \
+            and sign * (change["median"] - parent["median"]) > parent["iqr"]:
+        return "gain"
+    return "same"
+
+
+def compare(runs: dict, better: str, bound: float) -> dict:
+    """Both sides of one metric over the pairs: summaries, wins and verdict."""
     sign = 1 if better == "higher" else -1
     pairs = list(zip(runs["parent"], runs["change"]))
     out = {"better": better, **{side: summary(runs[side]) for side in SIDES}}
@@ -76,6 +133,7 @@ def compare(runs: dict, better: str) -> dict:
         if out["parent"]["median"] else None
     ratios = [c / p for p, c in pairs if p]
     out["pair_ratio"] = summary(ratios) if ratios else None
+    out["verdict"] = verdict(out, bound)
     return out
 
 
@@ -94,6 +152,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     lines = {side: src_lines(roots[side]) for side in SIDES}
+    code = {side: code_lines(roots[side]) for side in SIDES}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]] if args.workload == "all" \
         else [args.workload]
@@ -113,7 +172,7 @@ def main(argv=None) -> int:
         side_runs = runs[w]
         report["workloads"][w] = {
             "metrics": {m["name"]: compare({side: [r["metrics"][m["name"]] for r in side_runs[side]]
-                                            for side in SIDES}, m["better"])
+                                            for side in SIDES}, m["better"], m["bound"])
                         for m in spec["end_to_end"]},
             "digests": {side: sorted({d for r in side_runs[side] for d in r["digests"]})
                         for side in SIDES},
@@ -123,6 +182,7 @@ def main(argv=None) -> int:
             "src_sha256": {side: sorted({r["machine"]["src_sha256"] for r in side_runs[side]})
                            for side in SIDES},
             "src_lines": lines,
+            "code_lines": code,
         }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0

@@ -124,8 +124,8 @@ def float_forward(model: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
     """Per-layer float outputs for a batch; used by calibration and oracles."""
     outputs = []
     t = x
-    for layer, src in zip(model.layers, model.branch_sources):
-        t = float_layer(layer, t, None if src is None else outputs[src])
+    for layer in model.layers:
+        t = float_layer(layer, t, outputs[layer.source] if layer.kind == "residual_add" else None)
         outputs.append(t)
     return outputs
 

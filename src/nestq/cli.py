@@ -172,11 +172,11 @@ def cmd_infer(args) -> int:
     model = blobio.load_model(Path(args.model))
     if not model.is_calibrated:
         raise ManifestError("model manifest has no calibrated grids; run calibrate first")
-    data = blobio.read_blob(Path(args.input)).astype(np.float64)
+    data = blobio.read_blob(Path(args.input))
     if data.shape[1:] != tuple(model.input_shape):
         raise ShapeMismatchError(
             f"input samples shaped {data.shape[1:]}, model expects {model.input_shape}")
-    data = data[:args.limit]
+    data = data[:args.limit].astype(np.float64)
     # Resolve the source once, then run each distinct policy as batches.
     pick = policy_source(args.policy, model, seed=seed)
     groups: dict[BitPolicy, list[int]] = {}

@@ -7,10 +7,7 @@ costs the primitives of the float round trip,
 ``quantize.dequant_requant_reference``.
 
 The in-loop counts are every arithmetic primitive of one inference as the
-trace charges them: MAC loops, fused bias terms, residual adds and pooling
-adds. The report sums ``layers.layer_counters``, the rule the trace charges,
-over the layers, each at the input grid ``ModelGraph.output_grid`` resolves
-for it; a model without calibrated grids is charged the factored MAC loop.
+trace charges them, by ``layers.layer_counters``.
 """
 
 from __future__ import annotations
@@ -73,7 +70,11 @@ def cycle_estimate(report: CostReport) -> tuple[int, int]:
 
 
 def cost_report(model: ModelGraph, policy: BitPolicy, mode: str = "dqt") -> CostReport:
-    """Full cost accounting for one inference; the counts equal its trace's."""
+    """Full cost accounting for one inference; the counts equal its trace's.
+
+    Sums ``layers.layer_counters`` over the layers, each at the input grid
+    ``ModelGraph.output_grid`` resolves for it.
+    """
     if mode not in ("dqt", "standard"):
         raise ValueError(f"unknown transition mode {mode!r}")
     counters = OpCounters.total(

@@ -1,32 +1,17 @@
 """Integer-only add, multiply, and dot-product constants and reference operators.
 
-Each operator replaces a float computation on dequantized values with a linear
-combination of the integer inputs weighted by precomputed constants k_i. The
-constants are exact scale/offset ratios rounded to F fractional bits; a larger
-F keeps small ratios from collapsing to zero. A final rounded right shift by F
-lands the result on the output grid. Each constant builder fits its own F from
-its grids alone: the largest its int64 proof allows over its operands' maxima
-(``fit_frac_bits``).
+Each operator replaces a float computation on dequantized values with one
+linear form of its integer inputs, k . terms + k_last, shifted right by F onto
+the output grid. What this module holds, and where each rule is written:
 
-Each operator's value is one linear form, k . terms + k_last, and ``terms``
-is the one rule for which integers its constants weight: add (q1, q2), mul
-(q1*q2, q1, q2), dot (S_xw, S_x, S_w, q_b). ``raw`` (the pre-shift integer),
-the scalar operators and ``nestq.analysis`` (exact value, bound, verifiers)
-all derive from it.
-
-A MAC layer's bias is one more term of its dot, k4*q_b, with the bias offset
-folded into the additive constant, so the layer rounds once, onto its output
-grid, as Jacob et al. (2018) do with the bias in the integer accumulator.
-
-The scalar operators here (``int_add``, ``int_dot``, ``int_dot_pact``, ...) are
-reference oracles for tests and error analysis. They sum a dot's products in
-int64, which ``dot_constants`` refuses to let overflow, and the int64 proof
-behind ``fit_frac_bits`` guards the rest of each expression. ``nestq.layers``
-runs the same expressions on arrays, with the product and input sums of a dot
-taken in the narrowest type its bound proves exact, their terms reassociated
-and the rounding half folded into the additive constant (see its docstring);
-``linear_bound`` counts the half and bounds every partial sum, so the
-reassociated sum is exact in int64 wherever the proof holds.
+- :func:`terms`: which integers an operator's constants weight.
+- :func:`add_constants`, :func:`mul_constants`, :func:`dot_constants`: the
+  constants k and their exact ratios, at the F fitted to their own grids.
+- :func:`fit_frac_bits` and :func:`linear_bound`: the int64 proof.
+- :func:`raw`, :func:`int_add`, :func:`int_mul`, :func:`int_dot`,
+  :func:`int_dot_pact`: scalar reference operators for tests and error
+  analysis; ``layers.LayerStep`` runs the same expressions on arrays.
+- ``MAC_PRIMITIVES``, :func:`mac_loop`: what one MAC costs, and which loop runs.
 """
 
 from __future__ import annotations
@@ -66,7 +51,11 @@ class AccumulatorOverflowError(OverflowError):
 
 
 def mac_loop(input_grid: QuantParams | None) -> str:
-    """The MAC loop a layer runs: factored unless its input grid has an offset."""
+    """The MAC loop a layer runs: factored unless its input grid has an offset.
+
+    A layer without an input grid, as in an uncalibrated model, is charged
+    the factored loop.
+    """
     return "dqt_general" if input_grid is not None and input_grid.offset != 0 else "dqt_pact"
 
 
@@ -147,7 +136,9 @@ def dot_constants(px: QuantParams, pw: QuantParams, py: QuantParams, length: int
 
     The S are the length-N sums of x*w, x and w; q_b is a bias on grid ``pb``.
     k5 absorbs N*m_x*m_w and the bias offset m_b; with no bias grid k4 = 0.
-    The F is fitted to the maxima of S and q_b. Refuses
+    The bias is one more term of the dot, so a layer rounds once, onto its
+    output grid, as Jacob et al. (2018) add the bias in the integer
+    accumulator. The F is fitted to the maxima of S and q_b. Refuses
     (AccumulatorOverflowError) a product sum beyond int64, which no F fixes.
     """
     s1_max = length * px.qmax * pw.qmax
@@ -167,6 +158,7 @@ def terms(role: str, operands) -> tuple[int, ...]:
 
     add (q1, q2) and dot (S_xw, S_x, S_w, q_b) weight their operands as given;
     mul (q1, q2) weights (q1*q2, q1, q2). Python ints, so no product wraps.
+    ``raw``, the scalar operators and ``nestq.analysis`` all take it from here.
     """
     ints = tuple(map(int, operands))
     if role == "mul":
@@ -193,7 +185,9 @@ def linear_bound(k, magnitudes, frac_bits: int) -> int:
 def fit_frac_bits(ratios, magnitudes) -> int:
     """Largest F in [0, 62] with ``linear_bound`` of the rounded ratios within int64.
 
-    |v_i| <= magnitudes_i bounds the operands. As |k_i| >= |r_i| * 2^F - 1/2, the
+    Each constant is its exact ratio rounded to F fractional bits, so a larger
+    F keeps a small ratio from collapsing to 0. |v_i| <= magnitudes_i bounds
+    the operands. As |k_i| >= |r_i| * 2^F - 1/2, the
     bound is at least 2^F * slope - slack, so the search starts at the largest
     F where that fits. Raises AccumulatorOverflowError if F=0 fails.
     """
@@ -226,6 +220,7 @@ def int_mul(q1: int, q2: int, c: IntOpConstants, py: QuantParams) -> int:
 
 
 def _dot_sums(xq, wq) -> tuple[int, int, int]:
+    """S_xw, S_x and S_w in int64, which ``dot_constants`` refuses to let overflow."""
     xq = np.asarray(xq, dtype=np.int64)
     wq = np.asarray(wq, dtype=np.int64)
     if xq.shape != wq.shape or xq.ndim != 1:

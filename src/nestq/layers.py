@@ -1,63 +1,17 @@
 """Integer-only execution of layer graphs under a per-layer bit-width policy.
 
-A ModelGraph starts life with float weights, gets its grids fixed by
-calibration, and then runs as a pure integer pipeline: the input is quantized
-once at the master width, every MAC layer shifts its weights and activations
-down to its assigned bit-width, and only the final output is dequantized.
+What this module holds, and where each rule is written:
 
-Every policy layer is one integer expression, ``k . S + c'`` over int64
-sum rows S, rounded once onto its output grid: a fc or conv's dot plus the
-bias term, a residual add's integer add, whose two rows are its two shifted
-operands. A fc or conv takes the dot's two input-dependent sums, the
-product sum ``S1 = rows @ w_b.T`` and the row sum ``S2``, from one GEMM
-against its b-bit weights with a row of ones appended, run in the step's
-``sum_dtype``: float32 where the dot's bound ``L*qmax_x*qmax_w`` at b is at
-most 2^24, float64 where it is at most 2^53, else int64. Every index is
-non-negative, so no partial sum exceeds that bound, and the float sum is
-exact in any order: a float GEMM is how the host evaluates an integer dot
-fast, not float quantization math. The sums widen to int64 for the rest,
-``k1*S1 + k2*S2 + c'`` with ``c' = k3*sum_j w_b + k4*q_b + k5 + 2^(F-1)``
-per output: the rounding half joins the additive constant, as it does a
-residual add's. Every partial sum stays within the plan's ``linear_bound``,
-which counts the half, so the int64 expression is exact wherever the plan's
-proof holds, and that proof is its only guard; the rounding is then a plain
-floor shift by F. A clamp (``relu_pact``) runs no code and returns its input
-tensor itself: calibration gives the policy layer before it the clamp's
-[0, alpha] grid, whose clip is the clamp, ReLU included, and ``ModelGraph``
-refuses graphs where that cannot hold.
-
-Each policy layer compiles one :class:`LayerStep` per bit-width b on its first
-call at b and keeps it in ``LayerSpec.steps``, so the steps go with the model.
-A step is a cache of values that do not change between calls, taken from the
-:func:`build_plan` constants (its ``k`` and F, at the F the int64 proof
-fits): a padded conv's padding index, the additive constant ``c'`` (per
-output for a fc or conv), a fc or conv's ``sum_dtype``, the output layout
-and the fields of the call's record, :func:`layer_counters` among them. It
-caches no tensor: weights and activations are shifted down to b on every
-call, and the trace charges those shifts on every call, since that shift is
-the transition the scheme prices. ``run_layer`` runs every refusal on every
-call, then takes the step only while the input, branch and output grids and
-``weight_q``/``bias_q`` (which carry the weight and bias grids) are the very
-objects it was built from, else builds it anew; ``calibrate`` and
-``load_model`` replace them all, and a NestedTensor's data is read-only, so a
-step is never stale.
-
-Every tensor passed between layers is a :class:`NestedTensor`, and
-``run_layer`` hands those, not their arrays, to ``shift_down``: the tensor is
-the range proof, so a ``forward`` runs no range reduction of its own.
-
-Execution is batch-first. ``run_layer`` takes a batch on a leading axis,
-and only a batch; ``forward`` takes one sample (shaped like the model's
-input) or a batch, and lifts a single sample to a batch of one at entry and
-squeezes it at exit, so both forms run the same code. A batch runs under one
-policy: its weights are shifted once for all its samples, while the trace is
-that of one sample's inference, the same for every sample. Its totals are
-its records' sum, taken when they are read, and equal ``cost.cost_report``
-for the policy.
-
-:func:`layer_counters` is the one counting rule: the primitives a layer is
-charged, from its shapes, bias and input grid alone. ``run_layer`` charges it
-to the trace and ``cost.cost_report`` sums it, so the two cannot disagree.
+- :class:`LayerSpec`, :class:`ModelGraph`: layers, shapes, residual edges
+  and the graphs a clamp cannot ride on.
+- :func:`forward`: a sample or a batch through every layer, one policy.
+- :func:`run_layer`: one layer on a batch, and the order of its refusals.
+- :class:`LayerStep`: a policy layer's per-b cache and its one expression.
+- :func:`build_plan`: that expression's constants and F, or a refusal.
+- :func:`exact_sum_dtype`: the type a fc or conv sums its products in.
+- :func:`_requant`: the one rounding onto a policy layer's output grid.
+- :func:`_run_elementwise`: the clamp, the average pool and the flatten.
+- :func:`layer_counters`: the counting rule the trace and ``cost`` share.
 """
 
 from __future__ import annotations
@@ -187,12 +141,7 @@ class ModelGraph:
 
     def __post_init__(self):
         self._infer_shapes()
-        # the policy layers' positions and each layer's branch source (the
-        # earlier layer a residual add reads, else None), recorded once, as
-        # the shapes are
         self._policy_slots = tuple(i for i, l in enumerate(self.layers) if l.kind in POLICY_KINDS)
-        self.branch_sources = tuple(l.source if l.kind == "residual_add" else None
-                                    for l in self.layers)
         # A clamp is its producer's output grid: it must follow a policy layer,
         # and no residual edge may read the producer, unclamped in float.
         for i, layer in enumerate(self.layers):
@@ -314,9 +263,8 @@ class LayerRecord:
     int64 headroom, ``degenerate`` whether a nonzero constant of its plan
     rounded to 0 even at that F, and ``sum_dtype`` the type a fc or conv sums
     its products in, all from its step; None where the layer has none.
-    ``range_flagged`` is the layer's flag that calibration widened a
-    degenerate range, as it stood when the step was built (a policy layer)
-    or at the call (any other layer)."""
+    ``range_flagged`` is the layer's flag, at the call, that calibration
+    widened a degenerate range."""
 
     index: int
     kind: str
@@ -383,6 +331,8 @@ def exact_sum_dtype(bound: int) -> np.dtype:
     2^53. A sum of non-negative terms never has a partial sum above its
     total, so every partial sum, in any order and with or without a fused
     multiply-add, is such an integer, and no step rounds. Past 2^53, int64.
+    A fc or conv's grid indices are non-negative, so a float GEMM is how the
+    host evaluates their integer dot fast, not float quantization math.
     """
     if bound <= 1 << 24:
         return np.dtype(np.float32)
@@ -393,33 +343,43 @@ def exact_sum_dtype(bound: int) -> np.dtype:
 
 @dataclass(frozen=True)
 class LayerStep:
-    """A policy layer's values at one bit-width: everything a call needs but its shifts.
+    """A policy layer's values at one bit-width b: everything a call needs but its shifts.
 
-    A step is a cache, checked by identity: ``sources`` are the objects it
-    was built from, the input grid, branch grid (None without a branch),
-    ``weight_q``, ``bias_q`` and output grid, and a call uses it only while
-    its own objects are these very ones. A call evaluates ``k . S + const``
-    over int64 sum rows S, the last row added to each of the others, with
-    one weight per row in ``k``: a fc or conv's rows are its GEMM's, one
-    product sum per output weighted ``k1`` and the input's sum weighted
-    ``k2``; a residual add's two rows are its two shifted operands, so its
-    ``k`` is ``[[k1], [k2]]``. ``const`` is the additive constant with the
-    rounding half 2^(F-1) folded in: for a fc or conv layer one int64 per
-    output, ``k3*sum_j w_b[o, j] + k4*q_b[o] + k5 + 2^(F-1)``, for a residual
-    add the int ``k3 + 2^(F-1)``. ``pad`` is a padded conv's b-bit index of
-    0.0, else 0.
+    A step is a cache, checked by identity. A policy layer builds its step at
+    b on its first call at b and keeps it in ``LayerSpec.steps``, so it goes
+    with the model. ``sources`` are the objects it was built from: the input
+    grid, the branch grid (None without a branch), ``weight_q``, ``bias_q``
+    and the output grid. A call takes the step only while its own objects
+    are these very ones, else builds it anew; ``calibrate`` and
+    ``load_model`` replace them all, and a NestedTensor's data is read-only,
+    so a step is never stale. It caches no tensor: weights and activations
+    are shifted down to b on every call, and the trace charges every such
+    shift, since that shift is the transition the scheme prices.
 
-    A fc or conv sums its products in ``sum_dtype``, the narrowest type
-    :func:`exact_sum_dtype` proves exact for the dot's bound ``length *
-    qmax_x * qmax_w`` at b; a residual add runs no GEMM (None). ``shift`` is
-    F, ``qmax`` and ``out_dtype`` the output grid's qmax and storage dtype.
-    ``k``, ``shift`` and ``qmax`` are read-only int64 arrays, which a ufunc
-    takes as they are, where it converts a Python int on every call.
-    ``split`` = (rows, -1, columns) splits the rounded rows by sample and
-    ``out_shape`` = (-1,) + the output shape shapes the batch; ``record``
-    holds the fields of the call's :class:`LayerRecord` after its index:
-    kind, b, :func:`layer_counters`, ``sum_dtype``, and the F and
-    ``degenerate`` flag of the :func:`build_plan` the step was built from.
+    A call evaluates ``k . S + const`` over int64 sum rows S, the last row
+    added to each of the others, with one weight per row in ``k``. A fc or
+    conv's rows come from one GEMM against its b-bit weights with a row of
+    ones appended: the product sum ``S1 = rows @ w_b.T`` of each output,
+    weighted ``k1``, and the input's sum ``S2``, weighted ``k2``. A residual
+    add's two rows are its two shifted operands, so its ``k`` is ``[[k1],
+    [k2]]``. ``const`` is the additive constant c' with the rounding half
+    2^(F-1) folded in: one int64 per output of a fc or conv, ``k3*sum_j
+    w_b[o, j] + k4*q_b[o] + k5 + 2^(F-1)``, and the int ``k3 + 2^(F-1)`` of a
+    residual add. That is the :func:`build_plan` expression reassociated.
+    Every partial sum stays within the plan's ``linear_bound``, which counts
+    the half, so the int64 expression is exact wherever the plan's proof
+    holds, and that proof is its only guard.
+
+    ``sum_dtype`` is the type a fc or conv sums its products in,
+    :func:`exact_sum_dtype` of the dot's bound ``length * qmax_x * qmax_w``
+    at b; a residual add runs no GEMM (None). ``pad`` is a padded conv's
+    b-bit index of 0.0, else 0. ``shift`` is F, ``qmax`` and ``out_dtype``
+    the output grid's qmax and storage dtype; ``k``, ``shift`` and ``qmax``
+    are read-only int64 arrays (``quantize._read_only``). ``split`` = (rows,
+    -1, columns) splits the rounded rows by sample and ``out_shape`` = (-1,)
+    + the output shape shapes the batch. ``record`` is what the step computed
+    for the call's :class:`LayerRecord`: :func:`layer_counters`,
+    ``sum_dtype``, and the plan's F and ``degenerate`` flag.
     """
 
     sources: tuple
@@ -475,11 +435,14 @@ _NO_OPS = OpCounters()
 def layer_counters(layer: LayerSpec, b: int, n: int, x_grid: QuantParams | None) -> OpCounters:
     """Primitives one call of ``layer`` at bit-width b under master width n runs.
 
-    A fc/conv runs its MAC loop per MAC (general if its input grid ``x_grid``
-    has an offset, else factored) and, if biased, the bias term per output; a
-    residual add runs the integer add per output and an average pool one add
-    per input element it sums, the rows and columns its windows crop excluded.
-    Below n a policy layer shifts each weight and input once.
+    The one counting rule, from the layer's shapes, bias and input grid
+    alone: ``run_layer`` charges it to the trace and ``cost.cost_report``
+    sums it, so the two cannot disagree. A fc/conv runs its MAC loop per MAC
+    (``intops.mac_loop`` of its input grid ``x_grid``) and, if biased, the
+    bias term per output; a residual add runs the integer add per output and
+    an average pool one add per input element it sums, the rows and columns
+    its windows crop excluded. Below n a policy layer shifts each weight and
+    input once.
     """
     if layer.kind == "avgpool":
         c, h, w = layer.input_shape
@@ -551,35 +514,36 @@ def _build_step(layer: LayerSpec, b: int, x_grid: QuantParams, branch: QuantPara
             [[k[0]]] * rows + [[k[1]]], plan.frac_bits, layer.output_params.qmax)),
         storage_dtype(layer.output_params.bitwidth),
         (rows, -1, math.prod(layer.output_shape) // rows), (-1,) + layer.output_shape,
-        (layer.kind, b, layer_counters(layer, b, x_grid.master_bitwidth, x_grid), dtype,
-         plan.frac_bits, plan.degenerate, layer.range_flagged))
+        (layer_counters(layer, b, x_grid.master_bitwidth, x_grid), dtype, plan.frac_bits,
+         plan.degenerate))
     layer.steps[b] = step
     return step
 
 
-def _run_elementwise(layer: LayerSpec, x: NestedTensor, b: int,
-                     n: int) -> tuple[NestedTensor, LayerRecord]:
-    """A clamp, flatten or average pool, on ``x``'s grid: see :func:`run_layer`."""
-    kind = layer.kind
-    if kind == "relu_pact":  # its producer's output grid already clipped
-        out = x
-    elif kind == "flatten":
-        out = NestedTensor.trusted(x.data.reshape((x.shape[0],) + layer.output_shape), x.params)
-    else:
-        # Same-grid integer mean per window, exact under a shared affine
-        # grid: the p^2 strided slices of the windows sum into int64 that
-        # starts at the rounding half, then one floor division.
-        c, h, w = layer.input_shape
-        p = layer.pool
-        area = p * p
-        sums = np.full((x.shape[0], c, h // p, w // p), area // 2, np.int64)
-        for i in range(p):
-            for j in range(p):
-                sums += x.data[:, :, i:h - h % p:p, j:w - w % p:p]
-        sums //= area
-        out = NestedTensor.trusted(sums.astype(storage_dtype(n)), x.params)
-    return out, LayerRecord(-1, kind, b, layer_counters(layer, b, n, x.params),
-                            range_flagged=layer.range_flagged)
+def _run_elementwise(layer: LayerSpec, x: NestedTensor, n: int) -> NestedTensor:
+    """A clamp, flatten or average pool of a batch, on ``x``'s grid.
+
+    A clamp (``relu_pact``) runs no code and returns ``x`` itself: calibration
+    gives the policy layer before it the clamp's [0, alpha] grid, whose clip
+    is the clamp, ReLU included, and ``ModelGraph`` refuses graphs where that
+    cannot hold. A flatten reshapes ``x``.
+    """
+    if layer.kind == "relu_pact":
+        return x
+    if layer.kind == "flatten":
+        return NestedTensor.trusted(x.data.reshape((x.shape[0],) + layer.output_shape), x.params)
+    # Same-grid integer mean per window, exact under a shared affine
+    # grid: the p^2 strided slices of the windows sum into int64 that
+    # starts at the rounding half, then one floor division.
+    c, h, w = layer.input_shape
+    p = layer.pool
+    area = p * p
+    sums = np.full((x.shape[0], c, h // p, w // p), area // 2, np.int64)
+    for i in range(p):
+        for j in range(p):
+            sums += x.data[:, :, i:h - h % p:p, j:w - w % p:p]
+    sums //= area
+    return NestedTensor.trusted(sums.astype(storage_dtype(n)), x.params)
 
 
 def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
@@ -587,28 +551,20 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     """Execute one layer at bit-width b on a batch, returning a master-width batch.
 
     ``x`` is a batch of samples shaped ``layer.input_shape`` on a leading
-    axis; ``forward`` lifts a single sample to a batch of one. Weights and
-    the incoming activation are shifted down to b on every call, once for the
-    whole batch; the rest comes from the layer's compiled step at b. A policy
-    layer evaluates one integer expression, ``k . S + c'`` over the int64 sum
-    rows S of its step (see :class:`LayerStep`), and rounds it once onto the
-    calibrated output grid, whose clipping realizes any following clamp, so
-    the next layer again sees a master-width tensor. A fc or conv's rows, the
-    array form of ``int_dot`` with its bias term, are the product sums and
-    the input's sum from one exact GEMM in the step's ``sum_dtype``; a
-    residual add's, the array form of ``int_add``, are its two shifted
-    operands. A clamp returns ``x`` itself, a flatten reshapes it and an
-    average pool takes window means, each on ``x``'s grid. ``aux`` carries
-    the second operand for residual adds, shaped like ``x``. The record
-    counts one sample's work.
+    axis, ``aux`` a residual add's other operand, shaped like ``x``. A policy
+    layer shifts its weights and operands down to b, once for the whole
+    batch, evaluates its step's expression (:class:`LayerStep`), the array
+    form of ``intops.int_dot`` with its bias term or of ``intops.int_add``,
+    and rounds it once onto its output grid. Any other layer runs on ``x``'s
+    grid (:func:`_run_elementwise`). The record counts one sample's work; its
+    kind, b and ``range_flagged`` are the call's, the rest its step's.
 
     Every call refuses, in this order: b above the master width, a batch of
     another shape (ShapeMismatchError); then, for a policy layer, an
     uncalibrated layer, a fc or conv without ``weight_q``, a residual add
     without its branch or with one of another shape (ShapeMismatchError).
-    A step is then looked up by identity and built if it is missing or was
-    built from other objects; building refuses grids at mixed master widths
-    and a plan past int64.
+    Only then is the step looked up, and built if it is missing or stale,
+    which refuses what :func:`build_plan` refuses.
     """
     n = x.params.master_bitwidth
     if b > n:
@@ -617,7 +573,9 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
         raise ShapeMismatchError(
             f"layer {layer.name!r} expects a batch of {layer.input_shape}, got {x.shape}")
     if layer.kind not in POLICY_KINDS:
-        return _run_elementwise(layer, x, b, n)
+        return _run_elementwise(layer, x, n), LayerRecord(
+            -1, layer.kind, b, layer_counters(layer, b, n, x.params),
+            range_flagged=layer.range_flagged)
     if layer.output_params is None:
         raise ValueError(f"layer {layer.name!r} is not calibrated")
     if layer.kind == "residual_add":
@@ -668,20 +626,24 @@ def run_layer(layer: LayerSpec, x: NestedTensor, b: int,
     # column per sample, a residual add one row
     raw = raw.reshape(step.split).transpose(1, 0, 2)
     out = _requant(raw, step.shift, step.qmax, step.out_dtype).reshape(step.out_shape)
-    return NestedTensor.trusted(out, layer.output_params), LayerRecord(-1, *step.record)
+    return NestedTensor.trusted(out, layer.output_params), LayerRecord(
+        -1, layer.kind, b, *step.record, layer.range_flagged)
 
 
 def forward(model: ModelGraph, x: np.ndarray,
             policy: BitPolicy) -> tuple[np.ndarray, ExecutionTrace]:
-    """Full inference: quantize once, run every layer, dequantize once.
+    """Full inference: quantize once at the master width, run every layer,
+    dequantize once.
 
     ``x`` is one sample shaped ``model.input_shape`` or a batch of them on a
-    leading axis; the output has the same form. MAC layers run at their policy
-    bit-width; element-wise layers stay at the master width. The trace is one
-    sample's inference, the same for every sample of a batch: per-layer
-    records of bit-widths and primitive-op tallies, shifts included, whose
-    sum the trace takes only when its ``counters`` are read, and the number
-    of non-integer tensors seen at layer boundaries (``fp_tensor_ops``).
+    leading axis; the output has the same form. A single sample runs as a
+    batch of one, so both forms run the same code, and a batch runs under
+    one policy. Policy layers run at their policy bit-width; the others stay
+    at the master width. The trace is one sample's inference, the same for
+    every sample of a batch, and equals ``cost.cost_report`` for the policy:
+    per-layer records of bit-widths and primitive-op tallies, shifts
+    included, and the number of non-integer tensors seen at layer
+    boundaries (``fp_tensor_ops``).
     """
     if not model.is_calibrated:
         raise ValueError("model is not calibrated")
@@ -694,8 +656,9 @@ def forward(model: ModelGraph, x: np.ndarray,
     fp_tensor_ops = int(t.data.dtype.kind not in "iu")
     outputs: list[NestedTensor] = []
     records: list[LayerRecord] = []
-    for i, (layer, b, src) in enumerate(zip(model.layers, bits, model.branch_sources)):
-        t, record = run_layer(layer, t, b, None if src is None else outputs[src])
+    for i, (layer, b) in enumerate(zip(model.layers, bits)):
+        t, record = run_layer(
+            layer, t, b, outputs[layer.source] if layer.kind == "residual_add" else None)
         fp_tensor_ops += t.data.dtype.kind not in "iu"
         record.index = i
         records.append(record)

@@ -4,40 +4,14 @@ All grids are unsigned: a real x maps to q = clip(round((x - m) / step), 0, 2^b 
 with m the range minimum. Signedness lives entirely in m. A master bit-width n
 defines the storage precision; every lower precision b shares the same m and uses
 step_b = step_n * 2^(n - b), so dropping from n to b bits is a rounded right shift.
+Rounding is half-away-from-zero everywhere.
 
-Rounding is half-away-from-zero everywhere, realized in the integer domain by
-pre-adding half the divisor before shifting.
-
-Grid indices are stored in the narrowest unsigned dtype that holds 2^n - 1
-(:func:`storage_dtype`): uint8 for n <= 8, uint16 for n <= 16. ``quantize``
-returns that dtype for its grid's bit-width, and a :class:`NestedTensor`
-narrows its data to it. Arithmetic that can leave the grid widens first:
-the layer engine's integer adds to int64, a fc or conv's products to the
-sum type its step proves exact, and its sums to int64 after.
-
-Range checks run once, at the :class:`NestedTensor` that admits the
-integers: its checked constructor (so also every tensor ``load_model`` reads)
-range-checks them and keeps its own read-only copy, so its data stays in range
-for good. ``shift_down`` and ``dequantize`` take a NestedTensor or a raw
-array: a NestedTensor is its own proof and costs one width compare, a raw
-array is checked. The layer engine wraps its own
-outputs, which its clip or mean already bounds, and ``quantize``'s clipped
-result with ``NestedTensor.trusted``, so a ``forward`` makes no range
-reduction at all. A check is one reduction at most, and none when the dtype
-itself bounds the range (uint8 at n=8, uint16 at n=16). A value out of range
-is refused before it is narrowed, so a cast never wraps it.
-
-``shift_down`` clamps against a same-shape operand, its output filled with
-the cap, because NumPy runs a uint8 or uint16 ``np.minimum`` against a
-broadcast scalar in a loop that is not vectorized (see ``shift_down`` for
-the measured ns per element). ``dequant_requant_reference``, the float round
-trip the shift is measured against, is unchanged by that.
-
-The constants of a call are read-only 0-d arrays built once: per (dtype, n,
-b) for a shift (:func:`_shift_plan`) and per grid for ``quantize`` and
-``dequantize`` (:func:`_grid_arrays`). A ufunc takes a 0-d array as it is,
-where it converts a Python or NumPy scalar on every call (about 0.2 us each
-on a small tensor).
+What this module holds, and where each rule is written: a grid
+(:class:`QuantParams`, :func:`make_master_params`, :func:`derive_params`), its
+storage dtype (:func:`storage_dtype`), the range check (:func:`check_grid_ints`)
+and the range proof (:class:`NestedTensor`), a real's index and back
+(:func:`quantize`, :func:`dequantize`), the shift (:func:`shift_down`) and the
+float round trip it replaces (:func:`dequant_requant_reference`).
 """
 
 from __future__ import annotations
@@ -63,7 +37,11 @@ def storage_dtype(n: int) -> np.dtype:
 
 
 def _read_only(v, dtype) -> np.ndarray:
-    """``v`` as a read-only array of ``dtype``."""
+    """``v`` as a read-only array of ``dtype``: a call's constant, built once.
+
+    A ufunc takes a 0-d array as it is, where it converts a Python or NumPy
+    scalar on every call (about 0.2 us each on a small tensor).
+    """
     a = np.array(v, dtype=dtype)
     a.flags.writeable = False
     return a
@@ -169,6 +147,9 @@ class QuantParams:
     def __post_init__(self):
         if not self.scale > 0:
             raise DegenerateRangeError(f"scale must be positive, got {self.scale}")
+        if not math.isfinite(self.scale) or not math.isfinite(self.offset):
+            raise DegenerateRangeError(
+                f"a grid needs a finite scale and offset, got {self.scale} and {self.offset}")
         if not (MIN_BITWIDTH <= self.bitwidth <= self.master_bitwidth <= MAX_BITWIDTH):
             raise ValueError(
                 f"need {MIN_BITWIDTH} <= b={self.bitwidth} <= n={self.master_bitwidth} <= {MAX_BITWIDTH}"
@@ -196,12 +177,18 @@ def _grid_arrays(offset: float, scale: float, bitwidth: int):
 class NestedTensor:
     """Integer tensor stored at the master bit-width of its params: a range proof.
 
-    ``data`` is range-checked, then held as the tensor's own read-only copy in
-    ``storage_dtype(n)``: the caller's array is never aliased or changed, and
-    a write to ``data`` raises. So the data stays in [0, qmax] for the
-    tensor's life, and :func:`check_grid_ints` takes the tensor itself as the
-    proof. Lower-precision views are produced with :func:`shift_down`; they
-    are never stored back into a NestedTensor.
+    Integers are range-checked once, where a NestedTensor admits them. The
+    checked constructor, which every tensor ``load_model`` reads goes
+    through, refuses ``data`` with an element off the grid before it is
+    narrowed, so the cast never wraps one, and holds its own read-only copy
+    in ``storage_dtype(n)``: the caller's array is never aliased or changed,
+    and a write to ``data`` raises. So the data stays in [0, qmax] for the
+    tensor's life, and :func:`check_grid_ints`, :func:`shift_down` and
+    :func:`dequantize` take the tensor itself as the proof, for one width
+    compare; the engine wraps its own bounded results with :meth:`trusted`,
+    so a ``forward`` makes no range reduction at all. Lower-precision views
+    are produced with :func:`shift_down`; they are never stored back into a
+    NestedTensor.
     """
 
     data: np.ndarray

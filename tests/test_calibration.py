@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import build_padded_chain
 from nestq.calibration import RangeState, calibrate, ema_update
 from nestq.layers import POLICY_KINDS, BitPolicy, LayerSpec, ModelGraph, forward
-from nestq.quantize import MAX_BITWIDTH, MIN_BITWIDTH, make_master_params
+from nestq.quantize import (
+    MAX_BITWIDTH, MIN_BITWIDTH, DegenerateRangeError, make_master_params,
+)
 from nestq.reference import fake_quant_forward
 
 
@@ -146,6 +148,15 @@ class TestCalibrate:
     def test_no_samples_refused(self, batches):
         with pytest.raises(ValueError, match="no calibration samples"):
             calibrate(single_fc_model(), batches)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_data_refused_at_its_input_grid(self, value):
+        data = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
+        data[3] = value
+        model = single_fc_model()
+        with pytest.raises(DegenerateRangeError, match="finite scale and offset"):
+            calibrate(model, [data])
+        assert model.input_params is None
 
     def test_mac_layer_feeding_clamp_adopts_clamp_grid(self, mlp):
         fc1, act1 = mlp.layers[0], mlp.layers[1]

@@ -467,6 +467,24 @@ class TestManifest:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "r.txt").exists()
 
+    @pytest.mark.parametrize("key, value", [("scale", "Infinity"), ("offset", "NaN")])
+    def test_non_finite_grid_refused(self, tmp_path, mlp, blob_data, capsys, key, value):
+        # JSON's Infinity and NaN load as floats, so the grid must refuse them
+        path = blobio.save_model(mlp, tmp_path / "m")
+        manifest = json.loads(path.read_text())
+        manifest["input_params"][key] = float(value)
+        path.write_text(json.dumps(manifest))  # written as JSON's Infinity or NaN
+        assert value in path.read_text()
+        write_blob(tmp_path / "x.nqtb", blob_data[0][:2])
+        capsys.readouterr()
+        for command in (["infer", "--input", str(tmp_path / "x.nqtb")], ["cost"]):
+            assert main([command[0], "--model", str(tmp_path / "m"), *command[1:],
+                         "--policy", "static:4", "--out", str(tmp_path / "r.txt")]) \
+                == EXIT_MANIFEST
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "finite" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "r.txt").exists()
+
     def test_controller_without_policy_layers_round_trips(self, tmp_path):
         spec = ControllerSpec(num_layers=0, candidates=(4, 8), seed=1)
         loaded = blobio.load_controller(blobio.save_controller(spec, tmp_path / "c"))

@@ -255,7 +255,7 @@ class TestWarmCallContract:
 class TestRangeFlaggedRecord:
     def test_a_flagged_layer_is_recorded(self):
         """Constant weights: calibration widens their range and flags the layer;
-        its record says so, from the step, and the unflagged layers' say not."""
+        its record says so, and the unflagged layers' say not."""
         layers_ = [LayerSpec(kind="fc", name="flat", in_features=2, out_features=2,
                              weight=np.full((2, 2), 0.5)),
                    LayerSpec(kind="relu_pact", name="act"),
@@ -267,12 +267,27 @@ class TestRangeFlaggedRecord:
         for policy in (BitPolicy((8, 8)), BitPolicy((4, 6))):
             _, trace = forward(model, np.array([0.2, 0.7]), policy)
             assert [r.range_flagged for r in trace.records] == [True, False, False]
-            assert model.layers[0].steps[policy.bits[0]].record[-1] is True
-        # recalibration replaces the grids, so the next call's step takes the new flag
+            assert trace.records[0].range_flagged is True
+        # recalibration clears the flag, and the next call's records read it
         model.layers[0].weight = np.array([[0.5, 1.0], [0.0, 0.25]])
         calibrate(model, [np.random.default_rng(0).uniform(0, 1, (32, 2))])
         _, trace = forward(model, np.array([0.2, 0.7]), BitPolicy((8, 8)))
         assert [r.range_flagged for r in trace.records] == [False, False, False]
+
+    def test_the_record_reads_the_flag_at_the_call(self, make_block):
+        """A flag set on a layer that already holds a step shows in the next
+        record, a policy layer's as any other's: a record takes the flag from
+        the call, never from when the step was built."""
+        model = make_block()
+        x, policy = np.zeros(model.input_shape), BitPolicy.uniform(4, model.num_policy_layers)
+        forward(model, x, policy)
+        steps = [layer.steps.get(4) for layer in model.layers]
+        for layer in model.layers:
+            layer.range_flagged = True
+        _, trace = forward(model, x, policy)
+        assert [r.range_flagged for r in trace.records] == [True] * len(model.layers)
+        # the warm steps ran: the flag rebuilt none of them
+        assert [layer.steps.get(4) for layer in model.layers] == steps
 
 
 class TestModelGraph:
@@ -280,17 +295,6 @@ class TestModelGraph:
         assert cnn.layers[0].output_shape == (4, 8, 8)
         assert cnn.layers[2].output_shape == (8, 4, 4)
         assert cnn.policy_indices == [0, 2, 5]
-
-    def test_branch_sources_name_each_residual_edge(self):
-        layers = [
-            LayerSpec(kind="fc", in_features=4, out_features=4),
-            LayerSpec(kind="relu_pact"),
-            LayerSpec(kind="fc", in_features=4, out_features=4),
-            LayerSpec(kind="residual_add", source=1),
-            LayerSpec(kind="residual_add", source=2),
-        ]
-        g = ModelGraph(layers=layers, input_shape=(4,))
-        assert g.branch_sources == (None, None, None, 1, 2)
 
     def test_fc_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):

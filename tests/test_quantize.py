@@ -61,17 +61,21 @@ class TestMasterParams:
         with pytest.raises(ValueError):
             make_master_params(0.0, 1.0, 17)
 
-    @pytest.mark.parametrize("scale, b, n, error", [
-        (0.0, 8, 8, DegenerateRangeError),
-        (-0.5, 8, 8, DegenerateRangeError),
-        (float("nan"), 8, 8, DegenerateRangeError),
-        (1.0, 1, 8, ValueError),  # b below MIN_BITWIDTH
-        (1.0, 9, 8, ValueError),  # b above its master width
-        (1.0, 16, 17, ValueError),  # n above MAX_BITWIDTH
-    ], ids=["scale-0", "scale-neg", "scale-nan", "b-1", "b-above-n", "n-17"])
-    def test_grid_refused(self, scale, b, n, error):
+    @pytest.mark.parametrize("scale, offset, b, n, error", [
+        (0.0, 0.0, 8, 8, DegenerateRangeError),
+        (-0.5, 0.0, 8, 8, DegenerateRangeError),
+        (float("nan"), 0.0, 8, 8, DegenerateRangeError),
+        (float("inf"), 0.0, 8, 8, DegenerateRangeError),
+        (1.0, float("nan"), 8, 8, DegenerateRangeError),
+        (1.0, float("-inf"), 8, 8, DegenerateRangeError),
+        (1.0, 0.0, 1, 8, ValueError),  # b below MIN_BITWIDTH
+        (1.0, 0.0, 9, 8, ValueError),  # b above its master width
+        (1.0, 0.0, 16, 17, ValueError),  # n above MAX_BITWIDTH
+    ], ids=["scale-0", "scale-neg", "scale-nan", "scale-inf", "offset-nan", "offset-inf",
+            "b-1", "b-above-n", "n-17"])
+    def test_grid_refused(self, scale, offset, b, n, error):
         with pytest.raises(error):
-            QuantParams(scale=scale, offset=0.0, bitwidth=b, master_bitwidth=n)
+            QuantParams(scale=scale, offset=offset, bitwidth=b, master_bitwidth=n)
 
 
 class TestDeriveParams:

@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+import ab_bench  # noqa: E402
 
 
 def run_python(*args):
@@ -50,6 +54,24 @@ def test_cost_comparison_prints_one_row_per_policy():
     assert rows[-1].split(")")[1].split()[1:3] == ["0", "0"]
 
 
+@pytest.mark.parametrize("parent, change, better, want", [
+    ([10.0] * 10, [10.0] * 10, "higher", "same"),
+    ([10.0] * 10, [7.0] * 10, "higher", "worse"),  # 30% below, bound 25%
+    ([10.0] * 10, [13.0] * 10, "lower", "worse"),
+    ([1.0, 10.0] * 5, [1.0, 10.0] * 5, "higher", "unresolved"),  # IQR 9 over median 5.5
+    ([1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0], "higher", "gain"),  # wide, but every run ahead
+    ([10.0, 11.0] * 5, [12.0, 13.0] * 5, "higher", "gain"),
+    ([10.0, 11.0] * 5, [11.0, 12.0] * 5, "higher", "same"),  # 10 of 10, but within the IQR
+    ([10.0, 11.0] * 5, [10.5] * 10, "lower", "same"),  # wins 5 of 10
+])
+def test_ab_bench_verdict(parent, change, better, want):
+    """Each verdict by its rule, at a bound of 25%; identical runs never read worse."""
+    assert ab_bench.compare({"parent": parent, "change": change}, better, 0.25)["verdict"] == want
+    for side in (parent, change):
+        assert ab_bench.compare({"parent": side, "change": side}, better, 0.25)["verdict"] \
+            in ("same", "unresolved")
+
+
 def test_ab_bench_smoke_on_two_copies(tmp_path):
     """Two copies of the benchmark, both on this src/, in two alternating pairs."""
     for side in ("parent", "change"):
@@ -79,10 +101,16 @@ def test_ab_bench_smoke_on_two_copies(tmp_path):
             assert len(s["runs"]) == 2 and s["q1"] <= s["median"] <= s["q3"]
         r = m["pair_ratio"]
         assert r is None or (len(r["runs"]) <= 2 and r["q1"] <= r["median"] <= r["q3"])
+        assert m["verdict"] in ab_bench.VERDICTS
+    # One src/ on both sides. The metrics a 0.2 s run does not time cannot
+    # read worse; two pairs of such short timings can, by chance alone.
+    for name in ("oracle_agreement", "peak_rss_mb"):
+        assert w["metrics"][name]["verdict"] != "worse"
     assert len(w["metrics"]["items_per_s"]["pair_ratio"]["runs"]) == 2
     # one src/ on both sides: the same code and the same outputs
     assert w["digests"]["parent"] == w["digests"]["change"] != []
     assert w["src_sha256"]["parent"] == w["src_sha256"]["change"]
     assert w["src_lines"]["parent"] == w["src_lines"]["change"] > 0
+    assert 0 < w["code_lines"]["parent"] == w["code_lines"]["change"] < w["src_lines"]["parent"]
     assert w["correct"] == {"parent": True, "change": True}
     assert w["failed"] == {"parent": 0, "change": 0}
