@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .layers import POLICY_KINDS, LayerSpec, ModelGraph
-from .quantize import NestedTensor, make_master_params, quantize
+from .quantize import DegenerateRangeError, NestedTensor, make_master_params, quantize
 
 DEFAULT_EMA_MOMENTUM = 0.9
 ALPHA_PERCENTILE = 99.9
@@ -140,19 +140,22 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
     EMA range; a fc, conv2d or residual_add feeding a clamp adopts the clamp's
     grid so its own clipping realizes the clamp. An input or EMA range that a
     padded conv reads is extended to hold 0.0, its padding. Recalibrating
-    discards the clamps and range flags of any earlier calibration. Refuses
-    (ValueError) batches that hold no sample, and an empty batch.
+    discards the clamps and range flags of any earlier calibration. Before it
+    changes the model, refuses no sample or an empty batch (ValueError), and
+    a batch holding NaN or ±inf (DegenerateRangeError).
     """
     if passes < 1:
         raise ValueError("need at least one calibration pass")
     if not batches or min(map(np.size, batches)) == 0:
         raise ValueError("no calibration samples: every batch needs at least one")
+    for i, batch in enumerate(batches):
+        if not np.isfinite(batch).all():
+            raise DegenerateRangeError(f"calibration batch {i} holds NaN or ±inf")
     n = model.master_bitwidth
     padded = {model.grid_owner(i - 1) for i, layer in enumerate(model.layers)
               if layer.kind == "conv2d" and layer.padding}  # the grids padded convs read
     states = [RangeState(momentum=momentum) for _ in model.layers]
     act_values: list[list[np.ndarray]] = [[] for _ in model.layers]
-    data_min, data_max = np.inf, -np.inf
     # The float pass clamps at any alpha already set, so reset before it runs.
     for layer in model.layers:
         layer.range_flagged = False
@@ -161,8 +164,6 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
 
     for _ in range(passes):
         for batch in batches:
-            data_min = min(data_min, float(batch.min()))
-            data_max = max(data_max, float(batch.max()))
             # alpha is unset, so a clamp's output is the ReLU of its input
             for i, y in enumerate(float_forward(model, batch)):
                 if model.layers[i].kind == "relu_pact":
@@ -171,8 +172,9 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
 
     # Non-negative data gets a zero-offset input grid; the factored MAC loop
     # needs m = 0 on activations.
-    in_lo = 0.0 if data_min >= 0.0 else data_min
-    lo, hi, _ = _widened(in_lo, data_max, -1 in padded)
+    data_min = min(float(batch.min()) for batch in batches)
+    data_max = max(float(batch.max()) for batch in batches)
+    lo, hi, _ = _widened(min(0.0, data_min), data_max, -1 in padded)
     model.input_params = make_master_params(lo, hi, n)
 
     for i, layer in enumerate(model.layers):

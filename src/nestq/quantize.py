@@ -296,11 +296,11 @@ def dequantize(q, params: QuantParams) -> np.ndarray:
 def _shift_plan(dtype: np.dtype, n: int, b: int):
     """How ``shift_down`` takes a ``dtype`` input from n to b bits, or a refusal.
 
-    Refuses b > n (ValueError), then a dtype that is not an integer one
-    (TypeError); a refusal is not cached. Else (rule, work, cap, half, s):
-    ``rule`` is the :func:`_range_reduction` that checks a raw array against
-    [0, 2^n - 1], and the rest the shift, all None at b = n, where there is
-    none.
+    Refuses b > n, then other widths outside 2 <= b <= n <= 16 (ValueError),
+    then a non-integer dtype (TypeError); a refusal is not cached. Else (rule,
+    work, cap, half, s): ``rule`` is the :func:`_range_reduction` that checks
+    a raw array against [0, 2^n - 1], and the rest the shift, all None at
+    b = n, where there is none.
 
     With s = n - b and h = 2^(s-1), the shift is (min(q, cap) + h) >> s with
     cap = 2^n - 1 - h. For q <= cap that is (q + h) >> s, at most 2^b - 1.
@@ -314,8 +314,9 @@ def _shift_plan(dtype: np.dtype, n: int, b: int):
     ``np.iinfo`` costs about a microsecond a call. cap, h and s are read-only
     0-d arrays of the work dtype.
     """
-    if b > n:
-        raise ValueError(f"cannot shift up: b={b} > n={n}")
+    if not MIN_BITWIDTH <= b <= n <= MAX_BITWIDTH:
+        raise ValueError(f"cannot shift up: b={b} > n={n}" if b > n else
+                         f"need {MIN_BITWIDTH} <= b={b} <= n={n} <= {MAX_BITWIDTH}")
     _integer_dtype(dtype)
     rule = _range_reduction(dtype, (1 << n) - 1)
     if b == n:
@@ -337,9 +338,9 @@ def shift_down(q_n, n: int, b: int) -> np.ndarray:
     there is nothing to do and the (range-checked) input itself is returned.
     ``q_n`` is a raw array, range-checked by one reduction at most, or a
     NestedTensor, which costs one width compare: it refuses a grid wider than
-    n bits. Refuses b > n and an element outside [0, 2^n - 1] (ValueError)
-    and a non-integer input (TypeError). One cached plan per (dtype, n, b)
-    holds the range rule and the constants.
+    n bits. Refuses b > n, widths outside 2 <= b <= n <= 16 and an element
+    outside [0, 2^n - 1] (ValueError) and a non-integer input (TypeError).
+    One cached plan per (dtype, n, b) holds the range rule and the constants.
 
     The clamp takes a same-shape operand: the output is filled with cap, then
     clamped in place against the input. NumPy 2.4 runs a uint8 or uint16

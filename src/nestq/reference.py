@@ -30,10 +30,14 @@ def exact_nested_shift(q_n: int, n: int, b: int) -> int:
     return min(max(v, 0), (1 << b) - 1)
 
 
+def _index(t: np.ndarray, grid: QuantParams) -> np.ndarray:
+    """Each value's index on ``grid`` in float, rounded half away and clipped."""
+    return np.clip(round_half_away((t - grid.offset) / grid.scale), 0, grid.qmax)
+
+
 def fake_quantize(x: np.ndarray, params: QuantParams) -> np.ndarray:
     """Quantize-dequantize round trip in float: the QAT precision simulation."""
-    q = np.clip(round_half_away((x - params.offset) / params.scale), 0, params.qmax)
-    return q * params.scale + params.offset
+    return _index(x, params) * params.scale + params.offset
 
 
 def nested_move(t: np.ndarray, grid: QuantParams, b: int) -> np.ndarray:
@@ -44,9 +48,8 @@ def nested_move(t: np.ndarray, grid: QuantParams, b: int) -> np.ndarray:
     is exact, so a tie rounds up, where requantizing the value would divide by
     the derived step and could land just below it.
     """
-    q = np.clip(round_half_away((t - grid.offset) / grid.scale), 0, grid.qmax)
-    q_b = np.minimum(np.floor(q / float(1 << (grid.master_bitwidth - b)) + 0.5),
-                     (1 << b) - 1)
+    q = _index(t, grid)
+    q_b = np.minimum(np.floor(q / float(1 << (grid.master_bitwidth - b)) + 0.5), (1 << b) - 1)
     derived = derive_params(grid, b)
     return q_b * derived.scale + derived.offset
 
@@ -85,8 +88,7 @@ def fake_quant_forward(model: ModelGraph, x: np.ndarray,
             # grid as the integer pool rounds it: floor(mean + 1/2) equals
             # (sum + area // 2) // area for every integer window sum
             grid = model.output_grid(i - 1)
-            q = np.clip(round_half_away((t - grid.offset) / grid.scale), 0, grid.qmax)
-            t = np.floor(float_layer(layer, q) + 0.5) * grid.scale + grid.offset
+            t = np.floor(float_layer(layer, _index(t, grid)) + 0.5) * grid.scale + grid.offset
         else:
             t = float_layer(layer, t)
         if i in sources:

@@ -149,14 +149,38 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="no calibration samples"):
             calibrate(single_fc_model(), batches)
 
-    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_infinite_data_refused_at_its_input_grid(self, value):
         data = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
         data[3] = value
         model = single_fc_model()
-        with pytest.raises(DegenerateRangeError, match="finite scale and offset"):
+        with pytest.raises(DegenerateRangeError, match="calibration batch 0 holds NaN or ±inf"):
             calibrate(model, [data])
         assert model.input_params is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_leaves_a_calibrated_model_unchanged(self, blob_data,
+                                                                 monkeypatch, value):
+        """The refusal comes before the reset and the float passes, so every
+        grid, clamp and flag, and the integer outputs, are those of before."""
+        from nestq import calibration
+        from nestq.models import build_toy_mlp
+        x, _, means = blob_data
+        model = calibrate(build_toy_mlp(means=means), [x[:100], x[100:200]])
+        state = lambda: [(l.alpha, l.range_flagged, l.output_params, id(l.weight_q),
+                          id(l.bias_q)) for l in model.layers] + [model.input_params]
+        before, policy = state(), BitPolicy.uniform(8, len(model.policy_indices))
+        want, _ = forward(model, x[:50], policy)
+        bad = x[100:200].copy()
+        bad[7, 3] = value
+
+        def no_float_pass(*_):
+            raise AssertionError("float_forward ran on data it refuses")
+        monkeypatch.setattr(calibration, "float_forward", no_float_pass)
+        with pytest.raises(DegenerateRangeError, match="calibration batch 1 holds NaN or ±inf"):
+            calibrate(model, [x[:100], bad])
+        assert state() == before
+        assert np.array_equal(forward(model, x[:50], policy)[0], want)
 
     def test_mac_layer_feeding_clamp_adopts_clamp_grid(self, mlp):
         fc1, act1 = mlp.layers[0], mlp.layers[1]

@@ -774,6 +774,18 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "NaN" in err and len(err.splitlines()) == 1
 
+    def test_non_finite_calibration_data_exit_code(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "model", tmp_path / "m")
+        manifest = (tmp_path / "m/manifest.json").read_bytes()
+        x = read_blob(workspace / "data/x.nqtb").copy()
+        x[40, 2] = np.inf
+        write_blob(tmp_path / "inf.nqtb", x)
+        capsys.readouterr()
+        assert main(["calibrate", "--model", str(tmp_path / "m"), "--data",
+                     str(tmp_path / "inf.nqtb"), "--batch-size", "16"]) == 1
+        assert capsys.readouterr().err == "error: calibration batch 2 holds NaN or ±inf\n"
+        assert (tmp_path / "m/manifest.json").read_bytes() == manifest
+
     def test_unknown_policy_source_exit_code(self, workspace, tmp_path):
         assert main(["infer", "--model", str(workspace / "model"),
                      "--input", str(workspace / "data/x.nqtb"),

@@ -1,6 +1,5 @@
 """Quantization grids, nested derivation, and the shift transition."""
 
-import importlib
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestq.quantize as quantize_mod
 from nestq import blobio
 from nestq.blobio import write_blob
 from nestq.layers import BitPolicy, forward, run_layer
@@ -27,9 +27,6 @@ from nestq.quantize import (
     storage_dtype,
 )
 from nestq.reference import exact_nested_shift, exact_requantize
-
-# The package re-exports the quantize() function under the submodule's name.
-quantize_mod = importlib.import_module("nestq.quantize")
 
 
 def unit8():
@@ -229,6 +226,13 @@ class TestShiftDown:
     def test_rejects_upshift(self):
         with pytest.raises(ValueError):
             shift_down(np.array(1), 4, 8)
+
+    @pytest.mark.parametrize("n,b", [(8, 1), (8, 0), (8, -1), (1, 1), (17, 1), (17, 16)])
+    def test_rejects_widths_outside_the_domain(self, n, b):
+        # the rule QuantParams states: 2 <= b <= n <= 16
+        q = np.arange(256, dtype=np.uint8) if n == 8 else np.arange(2)
+        with pytest.raises(ValueError, match=f"need 2 <= b={b} <= n={n} <= 16"):
+            shift_down(q, n, b)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -35,6 +35,17 @@ def test_readme_quick_start_runs():
     run_python("-c", code)
 
 
+def test_each_module_imports_on_its_own():
+    """Each ``nestq.<module>`` imports first in a fresh interpreter, so no two
+    modules import each other in a circle; and the package binds no name over
+    a submodule's."""
+    modules = sorted(p.stem for p in (ROOT / "src" / "nestq").glob("*.py") if p.stem != "__init__")
+    assert len(modules) == 11
+    for name in modules:
+        run_python("-c", f"import nestq.{name}")
+    run_python("-c", "import types, nestq.quantize as m; assert isinstance(m, types.ModuleType)")
+
+
 def test_pipeline_demo_reports_every_policy():
     lines = run_script("run_pipeline_demo.py", "--samples", "100")
     assert lines[0] == "100 samples, 3 policy layers"
