@@ -2,8 +2,8 @@
 """End-to-end demo: build a toy model, calibrate it, and compare the
 integer pipeline's predictions against the float fake-quantization oracle
 under several bit-width policies, each resolved from its `nestq infer
---policy` string. The samples are grouped by the policy they get, and each
-group runs as one batch through both paths."""
+--policy` string. `policy_source` groups the samples by the policy they get,
+and each group runs as one batch through both paths."""
 
 import argparse
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from nestq.calibration import calibrate
 from nestq.cli import policy_source
-from nestq.layers import BitPolicy, forward
+from nestq.layers import forward
 from nestq.models import build_toy_mlp, make_blob_dataset
 from nestq.reference import fake_quant_forward
 
@@ -35,10 +35,7 @@ def main() -> int:
 
     print(f"{args.samples} samples, {model.num_policy_layers} policy layers")
     for name, source in policies.items():
-        pick = policy_source(source, model, seed=args.seed)
-        groups: dict[BitPolicy, list[int]] = {}
-        for i, xi in enumerate(x):
-            groups.setdefault(pick(xi), []).append(i)
+        groups = policy_source(source, model, seed=args.seed)(x)
         agree = correct = shifted = 0
         for policy, members in groups.items():
             y, trace = forward(model, x[members], policy)

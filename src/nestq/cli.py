@@ -77,63 +77,88 @@ def resolve_seed(flag_value: int | None, default: int) -> int:
     return default
 
 
-def policy_source(text: str, model, seed: int = 0) -> Callable[[np.ndarray], BitPolicy]:
-    """Resolve a policy-source string once into a picker: input -> BitPolicy.
+def policy_source(text: str, model, seed: int = 0) -> Callable[[np.ndarray], dict]:
+    """Resolve a policy-source string once, against ``model``, into a grouper.
 
     Forms: ``static:N`` (uniform), ``fixed:8,4,8`` (explicit list),
     ``heuristic:4,5,6`` (range heuristic over a candidate set),
     ``controller:4,5,6`` (seeded controller, argmax per input),
     ``controller-file:PATH`` (stored controller weights). A controller is
     seeded or loaded here, once; only its forward pass runs per input.
+
+    The source is checked against the model before any sample runs: an
+    unknown or malformed source (PolicySourceError), a policy or controller
+    of the wrong length (ShapeMismatchError), an unreadable controller
+    (ManifestError), then a bit-width or candidate outside
+    [MIN_BITWIDTH, n] and a controller pooling to more features than the
+    input holds (ValueError).
+
+    The grouper maps a batch ``xs`` (samples on axis 0) to each policy's
+    sample indices, ascending, with the policies in first-seen order. A
+    fixed source (static, fixed, heuristic) is one group, picked once.
     """
     kind, _, arg = text.partition(":")
-    length = model.num_policy_layers
+    length, n = model.num_policy_layers, model.master_bitwidth
     spec = None
     if kind == "static":
         try:
-            b = int(arg)
+            widths = (int(arg),) * length
         except ValueError as exc:
             raise PolicySourceError(f"static policy needs an integer, got {arg!r}") from exc
-        policy = BitPolicy.uniform(b, length)
+        policy = BitPolicy(widths)
     elif kind == "fixed":
         try:
-            bits = tuple(int(v) for v in arg.split(","))
+            widths = tuple(int(v) for v in arg.split(","))
         except ValueError as exc:
             raise PolicySourceError(f"bad fixed policy {arg!r}") from exc
-        if len(bits) != length:
+        if len(widths) != length:
             raise ShapeMismatchError(
-                f"fixed policy has {len(bits)} entries, model has {length} MAC layers")
-        policy = BitPolicy(bits)
+                f"fixed policy has {len(widths)} entries, model has {length} MAC layers")
+        policy = BitPolicy(widths)
     elif kind == "heuristic":
-        policy = range_heuristic_policy(model, _parse_candidates(arg))
+        widths = _parse_candidates(arg)
+        policy = range_heuristic_policy(model, widths)
     elif kind == "controller":
-        spec = ControllerSpec(num_layers=length, candidates=_parse_candidates(arg), seed=seed)
+        widths = _parse_candidates(arg)
+        spec = ControllerSpec(num_layers=length, candidates=widths, seed=seed)
     elif kind == "controller-file":
         spec = blobio.load_controller(Path(arg))
         if spec.num_layers != length:
             raise ShapeMismatchError(
                 f"controller covers {spec.num_layers} layers, model has {length}")
+        widths = spec.candidates
     else:
         raise PolicySourceError(f"unknown policy source {kind!r}")
+    bad = [b for b in widths if not MIN_BITWIDTH <= b <= n]
+    if bad:
+        raise ValueError(f"policy bit-widths {bad} outside [{MIN_BITWIDTH}, {n}]")
     if spec is None:
-        return lambda x: policy
-    return lambda x: select_argmax(controller_forward(spec, x), spec.candidates)
+        return lambda xs: {policy: list(range(len(xs)))} if len(xs) else {}
+    size = int(np.prod(model.input_shape))
+    if spec.feature_dim > size:
+        raise ValueError(f"input with {size} values cannot pool to {spec.feature_dim}")
+
+    def groups(xs: np.ndarray) -> dict[BitPolicy, list[int]]:
+        out: dict[BitPolicy, list[int]] = {}
+        for i, x in enumerate(xs):
+            out.setdefault(select_argmax(controller_forward(spec, x), widths), []).append(i)
+        return out
+    return groups
 
 
-def parse_policy(text: str, model, x=None, seed: int = 0):
-    """Turn a policy-source string into the BitPolicy for input ``x``.
-
-    See :func:`policy_source` for the forms; a controller sees an all-zero
-    input when ``x`` is None.
+def parse_policy(text: str, model, x=None, seed: int = 0) -> BitPolicy:
+    """The BitPolicy that ``text`` gives input ``x``: :func:`policy_source`'s
+    one group for a batch of one. A controller sees an all-zero input when
+    ``x`` is None, as ``nestq cost`` runs it.
     """
-    return policy_source(text, model, seed)(np.zeros(model.input_shape) if x is None else x)
+    xs = np.zeros((1, *model.input_shape)) if x is None else np.asarray(x)[None]
+    return next(iter(policy_source(text, model, seed)(xs)))
 
 
 def _parse_candidates(arg: str) -> tuple[int, ...]:
-    if not arg:
-        return (4, 5, 6)
+    """A candidate set, sorted and without repeats; empty means 4,5,6."""
     try:
-        return tuple(sorted({int(v) for v in arg.split(",")}))
+        return tuple(sorted({int(v) for v in (arg or "4,5,6").split(",")}))
     except ValueError as exc:
         raise PolicySourceError(f"bad candidate set {arg!r}") from exc
 
@@ -178,10 +203,7 @@ def cmd_infer(args) -> int:
             f"input samples shaped {data.shape[1:]}, model expects {model.input_shape}")
     data = data[:args.limit].astype(np.float64)
     # Resolve the source once, then run each distinct policy as batches.
-    pick = policy_source(args.policy, model, seed=seed)
-    groups: dict[BitPolicy, list[int]] = {}
-    for i, x in enumerate(data):
-        groups.setdefault(pick(x), []).append(i)
+    groups = policy_source(args.policy, model, seed=seed)(data)
     report = {"command": "infer", "policy_source": args.policy, "seed": seed,
               "samples_run": len(data), "master_bitwidth": model.master_bitwidth}
     # Both files sort the keys: pad the index so they sort in input order.
@@ -279,17 +301,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="nestq",
         description="Integer-only nested-quantization inference toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options that several commands share, each declared once: every command
+    # but calibrate takes --seed and writes the required --out.
+    seed_out = argparse.ArgumentParser(add_help=False)
+    seed_out.add_argument("--seed", type=int, default=None)
+    seed_out.add_argument("--out", required=True)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", required=True)
 
-    p = sub.add_parser("quantize", help="build a toy model and quantize its weights")
+    p = sub.add_parser("quantize", parents=[seed_out],
+                       help="build a toy model and quantize its weights")
     p.add_argument("--arch", choices=TOY_BUILDERS, default="mlp")
     p.add_argument("--bits", type=int, choices=range(MIN_BITWIDTH, MAX_BITWIDTH + 1),
                    default=8, metavar="N", help="master bit-width n")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_quantize)
 
-    p = sub.add_parser("calibrate", help="freeze grids from data and quantize weights")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("calibrate", parents=[model],
+                       help="freeze grids from data and quantize weights")
     p.add_argument("--data", required=True, help="input blob, samples on axis 0")
     p.add_argument("--momentum", type=_float_in(0.0, 1.0), default=DEFAULT_EMA_MOMENTUM,
                    help="EMA weight g of the running range, in [0, 1]")
@@ -298,41 +326,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="defaults to updating --model in place")
     p.set_defaults(fn=cmd_calibrate)
 
-    p = sub.add_parser("infer", help="integer inference under a bit-width policy")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("infer", parents=[model, seed_out],
+                       help="integer inference under a bit-width policy")
     p.add_argument("--input", required=True, help="input blob, samples on axis 0")
     p.add_argument("--policy", default="static:8",
                    help="static:N | fixed:8,4,8 | heuristic:4,5,6 | "
                         "controller:4,5,6 | controller-file:PATH")
     p.add_argument("--limit", type=_int_at_least(0), default=None, help="max samples to run")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_infer)
 
-    p = sub.add_parser("cost", help="cost accounting for one policy")
-    p.add_argument("--model", required=True)
+    p = sub.add_parser("cost", parents=[model, seed_out], help="cost accounting for one policy")
     p.add_argument("--policy", default="static:8")
     p.add_argument("--mode", choices=("dqt", "standard"), default="dqt")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_cost)
 
-    p = sub.add_parser("verify", help="check integer operators against their bounds")
+    p = sub.add_parser("verify", parents=[seed_out],
+                       help="check integer operators against their bounds")
     p.add_argument("--suite", choices=VERIFY_SUITES, default="bounds")
     p.add_argument("--samples", type=_int_at_least(1), default=100_000,
                    help="cases per add, mul or dot suite; each sampled operator "
                         "runs at the F inference fits for it")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("make-dataset", help="deterministic Gaussian-blob dataset")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("make-dataset", parents=[seed_out],
+                       help="deterministic Gaussian-blob dataset")
     p.add_argument("--classes", type=_int_at_least(1), default=4)
     p.add_argument("--samples", type=_int_at_least(0), default=1000)
     p.add_argument("--dims", type=_int_at_least(1), default=16)
     p.add_argument("--image-shape", default=None, help="e.g. 1,8,8 to emit images")
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_make_dataset)
     return parser
 

@@ -34,6 +34,7 @@ from nestq.cli import (
     UsageError,
     main,
     parse_policy,
+    policy_source,
     resolve_seed,
 )
 from nestq.calibration import calibrate, quantize_weights
@@ -955,6 +956,89 @@ class TestGroupedInfer:
                      "--input", str(workspace / "data/x.nqtb"), "--limit", "0",
                      "--policy", "magic:3",
                      "--out", str(tmp_path / "o.txt")]) == EXIT_POLICY_SOURCE
+
+
+def per_sample_groups(text, model, xs, seed):
+    """Each policy's sample indices, grouped from one `parse_policy` per sample."""
+    groups = {}
+    for i, x in enumerate(xs):
+        groups.setdefault(parse_policy(text, model, x=x, seed=seed), []).append(i)
+    return groups
+
+
+@pytest.fixture(scope="module")
+def saved_controller(tmp_path_factory):
+    spec = ControllerSpec(num_layers=3, candidates=(3, 5, 8), seed=4)
+    return blobio.save_controller(spec, tmp_path_factory.mktemp("ctrl") / "c")
+
+
+class TestPolicySourceGroups:
+    @pytest.mark.parametrize("count", [0, 1, 7, 300])
+    @pytest.mark.parametrize("text, seed", [
+        ("static:6", 0), ("fixed:8,4,8", 0), ("heuristic:4,5,6", 0),
+        ("controller:2,4,6,8", 1), ("controller:2,4,6,8", 2), ("controller-file", 0)])
+    def test_equals_a_per_sample_loop(self, mlp, blob_data, saved_controller,
+                                      text, seed, count):
+        if text == "controller-file":
+            text = f"controller-file:{saved_controller}"
+        xs = blob_data[0][:count]
+        got = policy_source(text, mlp, seed)(xs)
+        want = per_sample_groups(text, mlp, xs, seed)
+        assert list(got) == list(want)  # the same policies, in first-seen order
+        assert got == want
+        assert sorted(i for members in got.values() for i in members) == list(range(count))
+        assert all(members == sorted(members) for members in got.values())
+        if text.startswith("controller") and count == 300:
+            assert len(got) > 2  # the controller mixes its picks
+
+    def test_a_fixed_source_picks_once(self, mlp, blob_data, monkeypatch):
+        calls = []
+        heuristic = cli.range_heuristic_policy
+        monkeypatch.setattr(cli, "range_heuristic_policy",
+                            lambda *a: calls.append(a) or heuristic(*a))
+        groups = policy_source("heuristic:4,5,6", mlp)(blob_data[0][:300])
+        assert len(calls) == 1 and list(groups.values()) == [list(range(300))]
+
+
+# Sources that name a policy the toy MLP (n = 8, 16 input values) cannot run,
+# and the one `error:` line each is refused with.
+UNFIT_SOURCES = [
+    ("static:99", "policy bit-widths [99, 99, 99] outside [2, 8]"),
+    ("fixed:8,99,8", "policy bit-widths [99] outside [2, 8]"),
+    ("heuristic:4,99", "policy bit-widths [99] outside [2, 8]"),
+    ("controller:4,99", "policy bit-widths [99] outside [2, 8]"),
+    ("controller-file", "input with 16 values cannot pool to 32"),
+]
+
+
+class TestPolicyCheckedWhenResolved:
+    @pytest.mark.parametrize("argv", [["infer", "--limit", "0"], ["infer", "--limit", "3"],
+                                      ["cost"]], ids=["empty-infer", "infer", "cost"])
+    @pytest.mark.parametrize("source, message", UNFIT_SOURCES,
+                             ids=[s for s, _ in UNFIT_SOURCES])
+    def test_refused_whatever_the_data(self, workspace, tmp_path, capsys,
+                                       source, message, argv):
+        if source == "controller-file":
+            spec = ControllerSpec(num_layers=3, candidates=(4, 8), feature_dim=32, seed=0)
+            source = f"controller-file:{blobio.save_controller(spec, tmp_path / 'c')}"
+        if argv[0] == "infer":
+            argv = argv + ["--input", str(workspace / "data/x.nqtb")]
+        capsys.readouterr()
+        assert main(argv + ["--model", str(workspace / "model"), "--policy", source,
+                            "--seed", "0", "--out", str(tmp_path / "o.txt")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o.txt").exists() and not (tmp_path / "o.txt.json").exists()
+
+    def test_default_candidates_refused_below_n_6(self):
+        with pytest.raises(ValueError, match=r"^policy bit-widths \[5, 6\] outside \[2, 4\]$"):
+            policy_source("controller:", build_toy_mlp(n=4))
+
+    @pytest.mark.parametrize("source, code", [
+        ("static:x", EXIT_POLICY_SOURCE), ("fixed:99,99", EXIT_SHAPE),
+        ("controller-file:nowhere", EXIT_MANIFEST)])
+    def test_earlier_refusals_keep_their_code(self, workspace, tmp_path, source, code):
+        assert main(["cost", "--model", str(workspace / "model"), "--policy", source,
+                     "--out", str(tmp_path / "o.txt")]) == code
 
 
 class TestImpossibleGraphExitCodes:

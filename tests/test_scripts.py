@@ -1,8 +1,10 @@
-"""The scripts under ``scripts/`` and README's Quick start still run against this ``src/``."""
+"""The scripts under ``scripts/`` and README's Quick start and Command line
+blocks still run against this ``src/``."""
 
 import itertools
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,10 +17,10 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import ab_bench  # noqa: E402
 
 
-def run_python(*args):
+def run_python(*args, cwd=ROOT):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -33,6 +35,19 @@ def test_readme_quick_start_runs():
     code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
     assert "forward(" in code
     run_python("-c", code)
+
+
+def test_readme_command_line_runs(tmp_path):
+    """Each line of the shell block under README's Command line exits 0, run in
+    order in an empty directory with ``nestq`` as ``python -m nestq.cli``."""
+    section = (ROOT / "README.md").read_text().split("\n## Command line\n", 1)[1]
+    lines = section.split("```sh\n", 1)[1].split("\n```", 1)[0].splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        command, *args = shlex.split(line, comments=True)
+        assert command == "nestq", line
+        run_python("-m", "nestq.cli", *args, cwd=tmp_path)
+    assert (tmp_path / "report.txt").exists() and (tmp_path / "verify.txt").exists()
 
 
 def test_each_module_imports_on_its_own():
