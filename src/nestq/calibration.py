@@ -131,7 +131,7 @@ def float_forward(model: ModelGraph, x: np.ndarray) -> list[np.ndarray]:
 
 
 def calibrate(model: ModelGraph, batches: list[np.ndarray],
-              momentum: float = DEFAULT_EMA_MOMENTUM, passes: int = 1) -> ModelGraph:
+              momentum: float = DEFAULT_EMA_MOMENTUM) -> ModelGraph:
     """Freeze all master grids from data and quantize the weights.
 
     Weight and bias grids come from exact tensor min/max. Activation clamps are
@@ -140,17 +140,21 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
     EMA range; a fc, conv2d or residual_add feeding a clamp adopts the clamp's
     grid so its own clipping realizes the clamp. An input or EMA range that a
     padded conv reads is extended to hold 0.0, its padding. Recalibrating
-    discards the clamps and range flags of any earlier calibration. Before it
-    changes the model, refuses no sample or an empty batch (ValueError), and
-    a batch holding NaN or ±inf (DegenerateRangeError).
+    discards the clamps and range flags of any earlier calibration.
+
+    Every batch is one EMA step, in order; to make k passes over the data,
+    pass ``batches * k``. Before it changes the model, refuses no sample or
+    an empty batch (ValueError), and a batch, or a fc or conv's float weight
+    or bias, holding NaN or ±inf (DegenerateRangeError).
     """
-    if passes < 1:
-        raise ValueError("need at least one calibration pass")
     if not batches or min(map(np.size, batches)) == 0:
         raise ValueError("no calibration samples: every batch needs at least one")
-    for i, batch in enumerate(batches):
-        if not np.isfinite(batch).all():
-            raise DegenerateRangeError(f"calibration batch {i} holds NaN or ±inf")
+    floats = [(f"calibration batch {i}", batch) for i, batch in enumerate(batches)]
+    floats += [(f"{layer.kind} {layer.name!r} {attr}", getattr(layer, attr))
+               for layer in model.layers if layer.has_weights for attr in ("weight", "bias")]
+    for what, t in floats:
+        if t is not None and not np.isfinite(t).all():
+            raise DegenerateRangeError(f"{what} holds NaN or ±inf")
     n = model.master_bitwidth
     padded = {model.grid_owner(i - 1) for i, layer in enumerate(model.layers)
               if layer.kind == "conv2d" and layer.padding}  # the grids padded convs read
@@ -162,13 +166,12 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
         if layer.kind == "relu_pact":
             layer.alpha = None
 
-    for _ in range(passes):
-        for batch in batches:
-            # alpha is unset, so a clamp's output is the ReLU of its input
-            for i, y in enumerate(float_forward(model, batch)):
-                if model.layers[i].kind == "relu_pact":
-                    act_values[i].append(y.reshape(-1))
-                states[i] = ema_update(states[i], float(y.min()), float(y.max()))
+    for batch in batches:
+        # alpha is unset, so a clamp's output is the ReLU of its input
+        for i, y in enumerate(float_forward(model, batch)):
+            if model.layers[i].kind == "relu_pact":
+                act_values[i].append(y.reshape(-1))
+            states[i] = ema_update(states[i], float(y.min()), float(y.max()))
 
     # Non-negative data gets a zero-offset input grid; the factored MAC loop
     # needs m = 0 on activations.

@@ -182,12 +182,12 @@ def cmd_calibrate(args) -> int:
         raise ShapeMismatchError(
             f"data samples shaped {data.shape[1:]}, model expects {model.input_shape}")
     batches = [data[i:i + args.batch_size] for i in range(0, len(data), args.batch_size)]
-    calibrate(model, batches, momentum=args.momentum, passes=args.passes)
+    calibrate(model, batches, momentum=args.momentum)
     # --model names the model directory or its manifest; write back to that directory.
     model_dir = Path(args.model) if Path(args.model).is_dir() else Path(args.model).parent
     out = Path(args.out) if args.out else model_dir
     path = blobio.save_model(model, out, provenance={
-        "command": f"calibrate --momentum {args.momentum} --passes {args.passes}"})
+        "command": f"calibrate --momentum {args.momentum}"})
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="input blob, samples on axis 0")
     p.add_argument("--momentum", type=_float_in(0.0, 1.0), default=DEFAULT_EMA_MOMENTUM,
                    help="EMA weight g of the running range, in [0, 1]")
-    p.add_argument("--passes", type=_int_at_least(1), default=1)
     p.add_argument("--batch-size", type=_int_at_least(1), default=64)
     p.add_argument("--out", default=None, help="defaults to updating --model in place")
     p.set_defaults(fn=cmd_calibrate)

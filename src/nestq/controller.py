@@ -122,7 +122,11 @@ def j_cost(probabilities: np.ndarray, candidates) -> float:
 def range_heuristic_policy(model: ModelGraph, candidates) -> BitPolicy:
     """Deterministic fallback policy: wider calibrated output range, more bits.
 
-    Lets the dynamic path be exercised without trained controller weights.
+    With k sorted candidates and m policy layers, the layer whose range ranks
+    r (0 = narrowest) takes candidate max(r·k // m, r·(k-1) // max(m-1, 1)):
+    the ranks spread evenly over the candidates, and with m > 1 the widest
+    range gets the top one. Lets the dynamic path be exercised without
+    trained controller weights.
     """
     cands = tuple(sorted(candidates))
     spans = []
@@ -130,7 +134,7 @@ def range_heuristic_policy(model: ModelGraph, candidates) -> BitPolicy:
         p = model.layers[i].output_params
         spans.append(p.scale * p.qmax if p is not None else 0.0)
     order = np.argsort(np.argsort(spans))  # rank of each layer's span
-    k = len(cands)
-    bins = (order * k) // max(len(spans), 1)
-    bits = tuple(cands[min(int(b), k - 1)] for b in bins)
+    k, m = len(cands), len(spans)
+    bins = np.maximum(order * k // max(m, 1), order * (k - 1) // max(m - 1, 1))
+    bits = tuple(cands[int(b)] for b in bins)
     return BitPolicy(bits)

@@ -2,8 +2,8 @@
 
 What this module holds, and where each rule is written:
 
-- :class:`LayerSpec`, :class:`ModelGraph`: layers, shapes, residual edges
-  and the graphs a clamp cannot ride on.
+- :class:`LayerSpec`, :class:`ModelGraph`: layers, shapes, residual edges,
+  the master widths a model may have and the graphs a clamp cannot ride on.
 - :func:`forward`: a sample or a batch through every layer, one policy.
 - :func:`run_layer`: one layer on a batch, and the order of its refusals.
 - :class:`LayerStep`: a policy layer's per-b cache and its one expression.
@@ -37,6 +37,7 @@ from .intops import (
 # Not called here; perfbench/tracing.py patches these names on this module.
 from .intops import int_add, int_dot, int_dot_pact  # noqa: F401
 from .quantize import (
+    MAX_BITWIDTH,
     MIN_BITWIDTH,
     NestedTensor,
     QuantParams,
@@ -132,7 +133,11 @@ class LayerSpec:
 
 @dataclass
 class ModelGraph:
-    """Ordered layers with explicit residual edges and the model input grid."""
+    """Ordered layers with explicit residual edges and the model input grid.
+
+    Refuses (ValueError) a ``master_bitwidth`` that is not an int in
+    [MIN_BITWIDTH, MAX_BITWIDTH] before it checks the layers.
+    """
 
     layers: list[LayerSpec]
     input_shape: tuple[int, ...]
@@ -140,6 +145,9 @@ class ModelGraph:
     master_bitwidth: int = 8
 
     def __post_init__(self):
+        n = self.master_bitwidth
+        if not (isinstance(n, int) and MIN_BITWIDTH <= n <= MAX_BITWIDTH):
+            raise ValueError(f"master bit-width {n!r} outside [{MIN_BITWIDTH}, {MAX_BITWIDTH}]")
         self._infer_shapes()
         self._policy_slots = tuple(i for i, l in enumerate(self.layers) if l.kind in POLICY_KINDS)
         # A clamp is its producer's output grid: it must follow a policy layer,

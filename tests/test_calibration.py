@@ -81,9 +81,9 @@ class TestCalibrate:
     def test_two_passes_deterministic(self, blob_data):
         from nestq.models import build_toy_mlp
         x = blob_data[0][:200]
-        batches = [x[i:i + 50] for i in range(0, 200, 50)]
-        m1 = calibrate(build_toy_mlp(means=blob_data[2]), batches, passes=2)
-        m2 = calibrate(build_toy_mlp(means=blob_data[2]), batches, passes=2)
+        batches = [x[i:i + 50] for i in range(0, 200, 50)] * 2
+        m1 = calibrate(build_toy_mlp(means=blob_data[2]), batches)
+        m2 = calibrate(build_toy_mlp(means=blob_data[2]), batches)
         for a, b in zip(m1.layers, m2.layers):
             assert a.output_params == b.output_params
 
@@ -117,10 +117,6 @@ class TestCalibrate:
         for a, b in zip(model.layers, fresh.layers):
             assert (a.alpha, a.range_flagged, a.output_params) == \
                 (b.alpha, b.range_flagged, b.output_params)
-
-    def test_rejects_zero_passes(self):
-        with pytest.raises(ValueError):
-            calibrate(single_fc_model(), [np.ones((1, 1))], passes=0)
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16])
     def test_padded_conv_reads_a_grid_holding_its_padding(self, n):
@@ -181,6 +177,41 @@ class TestCalibrate:
             calibrate(model, [x[:100], bad])
         assert state() == before
         assert np.array_equal(forward(model, x[:50], policy)[0], want)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("attr", ["weight", "bias"])
+    @pytest.mark.parametrize("arch", ["mlp", "block"])
+    def test_non_finite_float_tensor_leaves_a_calibrated_model_unchanged(
+            self, blob_data, cnn_data, monkeypatch, arch, attr, value):
+        """The last MAC layer's float tensors are checked with the data, so a
+        bad one is refused before the reset, the float passes and the earlier
+        layers' new grids: the model and its integer outputs are those of before."""
+        from conftest import build_block
+        from nestq import calibration
+        from nestq.models import build_toy_mlp
+        x = blob_data[0] if arch == "mlp" else cnn_data[0]
+        batches = [x[:50], x[50:100]]
+        model = calibrate(build_toy_mlp(means=blob_data[2]) if arch == "mlp"
+                          else build_block(), batches)
+        layer = model.layers[-1]
+        bad = getattr(layer, attr).copy()
+        bad.flat[1] = value
+        setattr(layer, attr, bad)
+        tensors = lambda l: [None if t is None else (id(t), t.params, t.data.tobytes())
+                             for t in (l.weight_q, l.bias_q)]
+        state = lambda: [(l.alpha, l.range_flagged, l.output_params, tensors(l))
+                         for l in model.layers] + [model.input_params]
+        before, policy = state(), BitPolicy.uniform(8, len(model.policy_indices))
+        want, _ = forward(model, x[:20], policy)
+
+        def no_float_pass(*_):
+            raise AssertionError("float_forward ran on a model it refuses")
+        monkeypatch.setattr(calibration, "float_forward", no_float_pass)
+        with pytest.raises(DegenerateRangeError,
+                           match=f"^fc 'head' {attr} holds NaN or ±inf$"):
+            calibrate(model, batches)
+        assert state() == before
+        assert np.array_equal(forward(model, x[:20], policy)[0], want)
 
     def test_mac_layer_feeding_clamp_adopts_clamp_grid(self, mlp):
         fc1, act1 = mlp.layers[0], mlp.layers[1]

@@ -551,6 +551,14 @@ class TestParsePolicy:
         for p in (p1, p2):
             assert len(p) == 3 and all(b in (4, 5, 6) for b in p.bits)
 
+    @pytest.mark.parametrize("source, want", [
+        ("heuristic:2,4,6,8", (4, 2, 8)), ("heuristic:4,5,6,7,8", (6, 4, 8)),
+        ("heuristic:4,5,6", (5, 4, 6)),
+    ])
+    def test_heuristic_spreads_ranks_over_every_candidate(self, workspace, source, want):
+        # The CLI-calibrated MLP's range ranks are [1, 0, 2]: the head is widest.
+        assert parse_policy(source, blobio.load_model(workspace / "model")).bits == want
+
     def test_unknown_source_rejected(self, mlp):
         from nestq.cli import PolicySourceError
         with pytest.raises(PolicySourceError):
@@ -786,6 +794,69 @@ class TestCommands:
                      str(tmp_path / "inf.nqtb"), "--batch-size", "16"]) == 1
         assert capsys.readouterr().err == "error: calibration batch 2 holds NaN or ±inf\n"
         assert (tmp_path / "m/manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("n", [0, 1, 17, 40, 8.0])
+    def test_master_width_outside_2_to_16_exit_code(self, workspace, tmp_path, capsys, n):
+        shutil.copytree(workspace / "model", tmp_path / "m")
+        path = tmp_path / "m/manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["quantization"]["master_bitwidth"] = n
+        path.write_text(json.dumps(manifest))
+        edited = path.read_bytes()
+        data = str(workspace / "data/x.nqtb")
+        capsys.readouterr()
+        for argv in (["infer", "--input", data, "--out", str(tmp_path / "r.txt")],
+                     ["cost", "--out", str(tmp_path / "r.txt")],
+                     ["calibrate", "--data", data, "--out", str(tmp_path / "c")]):
+            assert main([argv[0], "--model", str(tmp_path / "m"), *argv[1:]]) == EXIT_MANIFEST
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert f"master bit-width {n!r} outside [2, 16]" in err
+        assert not (tmp_path / "r.txt").exists() and not (tmp_path / "c").exists()
+        assert path.read_bytes() == edited
+
+    def test_non_finite_float_weight_exit_code(self, workspace, tmp_path, capsys):
+        shutil.copytree(workspace / "model", tmp_path / "m")
+        manifest = (tmp_path / "m/manifest.json").read_bytes()
+        entry = next(e for e in json.loads(manifest)["layers"] if e["name"] == "fc2")
+        w = read_blob(tmp_path / "m" / entry["weight"]).copy()
+        w[3, 5] = np.nan
+        write_blob(tmp_path / "m" / entry["weight"], w)
+        capsys.readouterr()
+        assert main(["calibrate", "--model", str(tmp_path / "m"),
+                     "--data", str(workspace / "data/x.nqtb")]) == 1
+        assert capsys.readouterr().err == "error: fc 'fc2' weight holds NaN or ±inf\n"
+        assert (tmp_path / "m/manifest.json").read_bytes() == manifest
+
+    def test_image_dataset_feeds_the_cnn(self, tmp_path):
+        assert main(["make-dataset", "--dims", "64", "--image-shape", "1,8,8",
+                     "--samples", "40", "--out", str(tmp_path / "d")]) == EXIT_OK
+        x = read_blob(tmp_path / "d/x.nqtb")
+        assert x.shape == (40, 1, 8, 8)
+        assert main(["quantize", "--arch", "cnn", "--out", str(tmp_path / "m")]) == EXIT_OK
+        assert main(["calibrate", "--model", str(tmp_path / "m"),
+                     "--data", str(tmp_path / "d/x.nqtb")]) == EXIT_OK
+        assert main(["infer", "--model", str(tmp_path / "m"), "--input",
+                     str(tmp_path / "d/x.nqtb"), "--policy", "fixed:8,4,8",
+                     "--out", str(tmp_path / "r.txt")]) == EXIT_OK
+        doc = json.loads((tmp_path / "r.txt.json").read_text())
+        assert doc["samples_run"] == 40
+        samples = sorted(k for k in doc if k.startswith("sample") and k != "samples_run")
+        assert samples == [f"sample{i:04d}" for i in range(40)]
+        ys, _ = forward(blobio.load_model(tmp_path / "m"), x.astype(np.float64),
+                        BitPolicy((8, 4, 8)))
+        for key, y in zip(samples, ys):
+            assert doc[key]["policy"] == [8, 4, 8]
+            assert doc[key]["output"] == [repr(float(v)) for v in y]
+
+    @pytest.mark.parametrize("shape", ["3,3", "a,b"])
+    def test_image_shape_that_does_not_fit_exit_code(self, tmp_path, capsys, shape):
+        capsys.readouterr()
+        assert main(["make-dataset", "--dims", "16", "--image-shape", shape,
+                     "--out", str(tmp_path / "d")]) == EXIT_SHAPE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
 
     def test_unknown_policy_source_exit_code(self, workspace, tmp_path):
         assert main(["infer", "--model", str(workspace / "model"),
@@ -1065,8 +1136,6 @@ class TestNumericFlags:
     @pytest.mark.parametrize("command, flag, value", [
         ("infer", "--limit", "-1"),
         ("calibrate", "--batch-size", "0"),
-        ("calibrate", "--passes", "0"),
-        ("calibrate", "--passes", "two"),
         ("calibrate", "--momentum", "7"),
         ("calibrate", "--momentum", "-3"),
         ("calibrate", "--momentum", "nan"),
@@ -1080,6 +1149,15 @@ class TestNumericFlags:
                   "--out", str(tmp_path / "o")])
         assert exc.value.code == EXIT_USAGE
         assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_calibrate_has_no_pass_count(self, workspace, tmp_path, capsys):
+        # k passes over the data are the batches repeated k times
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--model", str(workspace / "model"), "--data",
+                  str(workspace / "data/x.nqtb"), "--passes", "2", "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --passes 2" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", ["0", "-5"])
@@ -1138,7 +1216,7 @@ class TestNumericFlags:
         assert "samples_run=0" in (tmp_path / "r.txt").read_text()
         assert main(["calibrate", "--model", str(workspace / "model"),
                      "--data", str(workspace / "data/x.nqtb"), "--batch-size", "1",
-                     "--passes", "1", "--out", str(tmp_path / "m")]) == EXIT_OK
+                     "--out", str(tmp_path / "m")]) == EXIT_OK
         for momentum in ("0", "1"):
             assert main(["calibrate", "--model", str(workspace / "model"),
                          "--data", str(workspace / "data/x.nqtb"), "--momentum", momentum,

@@ -1,6 +1,7 @@
 """Bit-width controller: forward shape, argmax selection, sampling, cost term."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -236,3 +237,21 @@ class TestRangeHeuristic:
         widest = int(np.argmax(spans))
         narrowest = int(np.argmin(spans))
         assert policy.bits[widest] >= policy.bits[narrowest]
+
+    @pytest.mark.parametrize("cands, want", [
+        ((2, 4, 6, 8), (2, 4, 8)), ((4, 5, 6, 7, 8), (4, 6, 8)), ((4, 5, 6), (4, 5, 6)),
+    ])
+    def test_widest_range_gets_the_top_candidate(self, mlp, cands, want):
+        # This MLP's range ranks are [0, 1, 2]: the head is widest.
+        assert range_heuristic_policy(mlp, cands).bits == want
+
+    def test_as_many_layers_as_candidates_or_more_unchanged(self, mlp, cnn, make_block):
+        """Every candidate set no larger than the policy gets rank r's bin r·k // m."""
+        for model in (mlp, cnn, make_block(8)):
+            spans = [model.layers[i].output_params.scale * model.layers[i].output_params.qmax
+                     for i in model.policy_indices]
+            order, m = np.argsort(np.argsort(spans)), len(spans)
+            for k in range(1, m + 1):
+                for cands in itertools.combinations(range(2, 9), k):
+                    old = tuple(cands[min(int(b), k - 1)] for b in (order * k) // m)
+                    assert range_heuristic_policy(model, cands).bits == old

@@ -321,6 +321,24 @@ class TestModelGraph:
         with pytest.raises(ShapeMismatchError):
             ModelGraph(layers=bad, input_shape=(4,))
 
+    @pytest.mark.parametrize("n", [0, 1, 17, 40, 8.0])
+    def test_master_width_outside_2_to_16_or_not_an_int_refused(self, n):
+        from conftest import build_block
+        builders = [lambda: ModelGraph(layers=[LayerSpec(kind="fc", in_features=4,
+                                                         out_features=2)],
+                                       input_shape=(4,), master_bitwidth=n),
+                    lambda: build_toy_mlp(n=n), lambda: build_toy_cnn(n=n),
+                    lambda: build_block(n)]
+        for build in builders:
+            with pytest.raises(ValueError, match=rf"^master bit-width {n!r} outside \[2, 16\]$"):
+                build()
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_every_supported_master_width_builds(self, n):
+        from conftest import build_block
+        for build in (build_toy_mlp, build_toy_cnn, build_block):
+            assert build(n=n).master_bitwidth == n
+
 
 def conv_spec(cin=1, cout=2, **kw):
     return LayerSpec(kind="conv2d", in_channels=cin, out_channels=cout,
