@@ -19,8 +19,9 @@ and the median and quartiles of the per-pair change/parent ratio
 (``pair_ratio``, over the pairs whose parent value is not 0), which a drift
 of the host over the run moves less than either side's quartiles, and its
 ``verdict`` (see :func:`verdict`); then each side's output digests, its
-``src/`` hash, the line count of its ``src/nestq/*.py`` and their code lines
-(docstrings, comments and blank lines excluded), and the machine. A run that
+``src/`` hash, the line count of its ``src/nestq/*.py``, their code lines
+(docstrings, comments and blank lines excluded) in total and per module, and
+the machine. A run that
 fails stops the script with its exit code and standard error.
 """
 
@@ -68,11 +69,11 @@ def src_lines(root: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (root / "src" / "nestq").glob("*.py"))
 
 
-def code_lines(root: Path) -> int:
-    """Lines of the ``src/nestq/*.py`` files in checkout ``root`` that hold
-    code: no docstring, comment or blank line counts."""
-    total = 0
-    for path in (root / "src" / "nestq").glob("*.py"):
+def code_lines_by_module(root: Path) -> dict[str, int]:
+    """Per ``src/nestq/<module>.py`` file in checkout ``root``, its lines that
+    hold code: no docstring, comment or blank line counts."""
+    counts = {}
+    for path in sorted((root / "src" / "nestq").glob("*.py")):
         text = path.read_text()
         docs = set()
         for node in ast.walk(ast.parse(text)):
@@ -84,8 +85,8 @@ def code_lines(root: Path) -> int:
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if tok.type not in NOT_CODE:
                 rows.update(range(tok.start[0], tok.end[0] + 1))
-        total += len(rows - docs)
-    return total
+        counts[path.stem] = len(rows - docs)
+    return counts
 
 
 def summary(values: list[float]) -> dict:
@@ -152,7 +153,7 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     lines = {side: src_lines(roots[side]) for side in SIDES}
-    code = {side: code_lines(roots[side]) for side in SIDES}
+    by_module = {side: code_lines_by_module(roots[side]) for side in SIDES}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]] if args.workload == "all" \
         else [args.workload]
@@ -182,7 +183,8 @@ def main(argv=None) -> int:
             "src_sha256": {side: sorted({r["machine"]["src_sha256"] for r in side_runs[side]})
                            for side in SIDES},
             "src_lines": lines,
-            "code_lines": code,
+            "code_lines": {side: sum(by_module[side].values()) for side in SIDES},
+            "code_lines_by_module": by_module,
         }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0

@@ -8,8 +8,12 @@ file goes through :func:`write_json`.
 
 A MAC layer's manifest entry names up to four blobs: the float ``weight`` and
 ``bias`` it was calibrated from and their master-width integers ``weight_q``
-and ``bias_q`` with their grids; the only other grids stored are the model's
-and each policy layer's output grid. :func:`load_model` reads a model to run,
+and ``bias_q``, at their storage width, with their grids. The only other
+grids stored are the model's and the output grid of each policy layer that
+no clamp follows; a clamp's producer is on the clamp's [0, alpha] grid,
+which is stored as the clamp's ``alpha``. Each JSON file is read through
+one checked path, as is each blob a layer or controller names, so an
+ill-formed file is a ManifestError. :func:`load_model` reads a model to run,
 which needs only the integers: it reads a float tensor only where its
 quantized twin is absent.
 :func:`load_for_calibration` reads every blob, since calibration starts from
@@ -29,9 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .calibration import clamp_grid
 from .controller import ControllerSpec
 from .layers import POLICY_KINDS, LayerSpec, ModelGraph, ShapeMismatchError
-from .quantize import NestedTensor, QuantParams, make_master_params
+from .quantize import NestedTensor, QuantParams
 
 BLOB_MAGIC = b"NQTB"
 MANIFEST_VERSION = 1
@@ -137,11 +142,12 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
                     f"read a model to save with load_for_calibration, not load_model")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    clamped = {i - 1 for i, layer in enumerate(model.layers) if layer.kind == "relu_pact"}
     layers_json = []
     for i, layer in enumerate(model.layers):
         entry = {k: getattr(layer, k) for k in _LAYER_SCALARS}
         entry["range_flagged"] = layer.range_flagged
-        if layer.kind in POLICY_KINDS:
+        if layer.kind in POLICY_KINDS and i not in clamped:
             entry["output_params"] = _params_to_json(layer.output_params)
         for attr in ("weight", "bias"):
             t = getattr(layer, attr)
@@ -152,8 +158,7 @@ def save_model(model: ModelGraph, directory: Path, provenance: dict | None = Non
             qt = getattr(layer, attr + "_q")
             if qt is not None:
                 ref = f"blobs/layer{i}_{attr}_q.nqtb"
-                # Files keep their int64 payload whatever the storage dtype.
-                write_blob(directory / ref, qt.data.astype(np.int64))
+                write_blob(directory / ref, qt.data)
                 entry[attr + "_q"] = ref
                 entry[attr + "_params"] = _params_to_json(qt.params)
         layers_json.append(entry)
@@ -178,11 +183,34 @@ def _typed(tree: dict, key: str, typ: type, default):
     return value
 
 
-def _read_json(path: Path, what: str):
+def _read_tree(path: Path, name: str, build):
+    """``build(tree, path)`` of the JSON tree in ``path``, or in ``path / name``
+    for a directory. An unreadable file, and every error an ill-formed tree
+    raises in ``build`` (AttributeError, KeyError, TypeError, ValueError), is
+    a ManifestError; a ShapeMismatchError stays one."""
+    path = Path(path)
+    if path.is_dir():
+        path = path / name
     try:
-        return json.loads(path.read_text())
+        tree = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
-        raise ManifestError(f"cannot read {what} {path}: {exc}") from exc
+        raise ManifestError(f"cannot read {path}: {exc}") from exc
+    try:
+        return build(tree, path)
+    except (ManifestError, ShapeMismatchError):
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # AttributeError: a tree that is not an object, or a quantized tensor whose grid is null
+        raise ManifestError(f"ill-formed {path}: {exc!r}") from exc
+
+
+def _blob(path, shape: tuple, owner: str) -> np.ndarray:
+    """The blob in ``path``, refused (ManifestError) unless its shape is the
+    ``shape`` that ``owner`` needs."""
+    t = read_blob(path)
+    if t.shape != shape:
+        raise ManifestError(f"{path}: shape {t.shape}, {owner} needs {shape}")
+    return t
 
 
 def load_model(manifest_path: Path) -> ModelGraph:
@@ -197,15 +225,10 @@ def load_model(manifest_path: Path) -> ModelGraph:
 
     A stored grid that is not a master grid at the manifest's n is refused: the
     layers shift from their grids' n, the trace and ``cost_report`` from the model's.
-
-    ``calibrate`` gives a clamp's producer the clamp's [0, alpha] grid, which
-    is the clamp in the integer path. A calibrated manifest whose clamp lacks
-    that grid, as every one saved before a clamp became its producer's grid
-    has after a residual add, would run without the ReLU at 0, so it is
-    refused: recalibrate it (``nestq calibrate`` reads it with
-    :func:`load_for_calibration`). So is a padded conv whose input grid does
-    not hold 0.0, its padding, within half a step. An uncalibrated manifest
-    loads as it is.
+    So is a padded conv whose input grid does not hold 0.0, its padding,
+    within half a step: recalibrate it (``nestq calibrate`` reads it with
+    :func:`load_for_calibration`). An uncalibrated manifest loads as it is,
+    and so does a calibrated one whose clamp has no alpha, as uncalibrated.
     """
     model = _load(manifest_path, floats=False)
     n = model.master_bitwidth
@@ -215,26 +238,12 @@ def load_model(manifest_path: Path) -> ModelGraph:
         if g is not None and not g.bitwidth == g.master_bitwidth == n:
             raise ManifestError(f"{manifest_path}: {g} is not a master grid at the model's n={n}")
     for i, layer in enumerate(model.layers):
-        producer = model.layers[i - 1]  # ModelGraph puts a clamp right after its producer
-        if (layer.kind == "relu_pact" and producer.output_params is not None
-                and producer.output_params != _clamp_grid(layer.alpha, n)):
-            raise ManifestError(
-                f"{manifest_path}: the output grid of {producer.name!r} is not the "
-                f"[0, alpha] grid of clamp {layer.name!r}, so the integer path would "
-                f"skip the clamp; recalibrate the model")
         grid = model.output_grid(i - 1) if layer.kind == "conv2d" and layer.padding else None
         if grid is not None and not -0.5 <= -grid.offset / grid.scale <= grid.qmax + 0.5:
             raise ManifestError(
                 f"{manifest_path}: conv {layer.name!r} pads with 0.0, which its input "
                 f"grid {grid} does not hold; recalibrate the model")
     return model
-
-
-def _clamp_grid(alpha, n: int) -> QuantParams | None:
-    try:
-        return make_master_params(0.0, alpha, n)
-    except (TypeError, ValueError):  # no alpha, or none a grid can have
-        return None
 
 
 def load_for_calibration(manifest_path: Path) -> ModelGraph:
@@ -249,48 +258,42 @@ def load_for_calibration(manifest_path: Path) -> ModelGraph:
     fixed-point precision; ``quantization.working_bits`` and
     ``quantization.rescale``, as a dot's product sum accumulates exactly in
     int64; a MAC layer's pre-bias grid, as the layer adds its bias inside
-    the dot and rounds once onto its output grid; and each layer's input grid
-    and a clamp's, pool's or flatten's output grid, as each is its producer's.
-    :func:`load_model` ignores the same keys.
+    the dot and rounds once onto its output grid; each layer's input grid
+    and a clamp's, pool's or flatten's output grid, as each is its producer's;
+    and the output grid of a clamp's producer, as it is the clamp's [0, alpha]
+    grid. Older int64 ``weight_q``/``bias_q`` blobs load narrowed to their
+    storage width. :func:`load_model` ignores and narrows the same.
     """
     return _load(manifest_path, floats=True)
 
 
 def _load(manifest_path: Path, floats: bool) -> ModelGraph:
     """The model a manifest describes; float tensors with a quantized twin only if ``floats``."""
-    manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "manifest.json"
-    manifest = _read_json(manifest_path, "manifest")
-    version = manifest.get("version") if isinstance(manifest, dict) else None
-    if version != MANIFEST_VERSION:
-        raise ManifestError(f"unrecognized manifest version {version!r}")
-    try:
-        return _model_from_manifest(manifest, str(manifest_path.parent), floats)
-    except (ManifestError, ShapeMismatchError):
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        # AttributeError: a quantized tensor whose grid is null
-        raise ManifestError(f"ill-formed manifest {manifest_path}: {exc!r}") from exc
+    return _read_tree(manifest_path, "manifest.json",
+                      lambda manifest, path: _model_from_manifest(manifest, path.parent, floats))
 
 
-def _layer_blob(base: str, ref: str, layer: LayerSpec, attr: str) -> np.ndarray:
+def read_provenance(path: Path) -> dict:
+    """The provenance a manifest records, read as :func:`load_model` reads the manifest."""
+    return _read_tree(path, "manifest.json", lambda tree, _: tree.get("provenance", {}))
+
+
+def _layer_blob(base: Path, ref: str, layer: LayerSpec, attr: str) -> np.ndarray:
     """The ``weight`` or ``bias`` blob of a fc or conv, refused (ManifestError)
     unless its shape is the layer's (``LayerSpec.weight_shape``), which
     ``run_layer`` would not notice: it reshapes the weights by their output
     count, and the bias broadcasts."""
-    path = os.path.join(base, ref)
+    path = base / ref
     if not layer.has_weights:
         raise ManifestError(f"{path}: {layer.kind} {layer.name!r} takes no {attr}")
-    shape = layer.weight_shape if attr == "weight" else layer.weight_shape[:1]
-    t = read_blob(path)
-    if t.shape != shape:
-        raise ManifestError(f"{path}: shape {t.shape}, layer {layer.name!r} needs {shape}")
-    return t
+    return _blob(path, layer.weight_shape if attr == "weight" else layer.weight_shape[:1],
+                 f"layer {layer.name!r}")
 
 
-def _model_from_manifest(manifest: dict, base: str, floats: bool) -> ModelGraph:
+def _model_from_manifest(manifest: dict, base: Path, floats: bool) -> ModelGraph:
     """The graph from the layers' scalars, then each layer's grids and blobs."""
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise ManifestError(f"unrecognized manifest version {manifest.get('version')!r}")
     entries = manifest["layers"]
     model = ModelGraph(
         layers=[LayerSpec(**{k: entry[k] for k in _LAYER_SCALARS}) for entry in entries],
@@ -298,10 +301,12 @@ def _model_from_manifest(manifest: dict, base: str, floats: bool) -> ModelGraph:
         input_params=_params_from_json(manifest.get("input_params")),
         master_bitwidth=manifest["quantization"]["master_bitwidth"],
     )
-    for layer, entry in zip(model.layers, entries):
+    for i, (layer, entry) in enumerate(zip(model.layers, entries)):
         layer.range_flagged = _typed(entry, "range_flagged", bool, False)
         if layer.kind in POLICY_KINDS:
             layer.output_params = _params_from_json(entry.get("output_params"))
+        elif layer.kind == "relu_pact":  # ModelGraph puts a clamp right after its producer
+            model.layers[i - 1].output_params = clamp_grid(layer, model.master_bitwidth)
         for attr in ("weight", "bias"):
             quantized = attr + "_q" in entry
             if quantized:
@@ -330,7 +335,6 @@ def save_controller(spec: ControllerSpec, directory: Path) -> Path:
         "candidates": list(spec.candidates),
         "feature_dim": spec.feature_dim,
         "hidden": spec.hidden,
-        "source": "loaded",
         "seed": spec.seed,
     }
     path = directory / "controller.json"
@@ -341,36 +345,31 @@ def save_controller(spec: ControllerSpec, directory: Path) -> Path:
 def load_controller(path: Path) -> ControllerSpec:
     """Read a saved controller and its four weight blobs.
 
-    An unreadable file, a missing or ill-typed key, a missing blob and a blob
-    whose shape is not the one ``controller.json`` implies are each a
-    ManifestError.
+    An unreadable file, a missing or ill-typed key, a value ``ControllerSpec``
+    refuses, a missing blob and a blob whose shape is not the one
+    ``controller.json`` implies are each a ManifestError.
     """
-    path = Path(path)
-    if path.is_dir():
-        path = path / "controller.json"
-    meta = _read_json(path, "controller")
-    try:
-        candidates = _typed(meta, "candidates", list, None)
-        if not all(type(c) is int for c in candidates):
-            raise TypeError(f"'candidates' must be integers, got {candidates!r}")
-        spec = ControllerSpec(
-            num_layers=_typed(meta, "num_layers", int, None),
-            candidates=tuple(candidates),
-            feature_dim=_typed(meta, "feature_dim", int, None),
-            hidden=_typed(meta, "hidden", int, None),
-            source="loaded",
-            seed=meta.get("seed"),
-        )
-    except (AttributeError, TypeError) as exc:
-        raise ManifestError(f"ill-formed controller {path}: {exc!r}") from exc
+    return _read_tree(path, "controller.json", _controller_from_meta)
+
+
+def _controller_from_meta(meta: dict, path: Path) -> ControllerSpec:
+    """The controller ``controller.json`` at ``path`` describes, with its blobs."""
+    candidates = _typed(meta, "candidates", list, None)
+    if not all(type(c) is int for c in candidates):
+        raise TypeError(f"'candidates' must be integers, got {candidates!r}")
+    spec = ControllerSpec(
+        num_layers=_typed(meta, "num_layers", int, None),
+        candidates=tuple(candidates),
+        feature_dim=_typed(meta, "feature_dim", int, None),
+        hidden=_typed(meta, "hidden", int, None),
+        source="loaded",
+        seed=meta.get("seed"),
+    )
     logits = spec.num_layers * len(spec.candidates)
     for name, shape in (("w1", (spec.hidden, spec.feature_dim)), ("b1", (spec.hidden,)),
                         ("w2", (logits, spec.hidden)), ("b2", (logits,))):
-        blob = path.parent / f"{name}.nqtb"
-        t = read_blob(blob)
-        if t.shape != shape:
-            raise ManifestError(f"{blob}: shape {t.shape}, {path.name} implies {shape}")
-        setattr(spec, name, t.astype(np.float64))
+        blob = _blob(path.parent / f"{name}.nqtb", shape, path.name)
+        setattr(spec, name, blob.astype(np.float64))
     return spec
 
 

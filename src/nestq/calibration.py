@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .layers import POLICY_KINDS, LayerSpec, ModelGraph
-from .quantize import DegenerateRangeError, NestedTensor, make_master_params, quantize
+from .quantize import DegenerateRangeError, NestedTensor, QuantParams, make_master_params, quantize
 
 DEFAULT_EMA_MOMENTUM = 0.9
 ALPHA_PERCENTILE = 99.9
@@ -81,6 +81,11 @@ def quantize_weights(layer: LayerSpec, n: int) -> bool:
         setattr(layer, attr + "_q", NestedTensor(data=quantize(t, params), params=params))
         flagged |= widened
     return flagged
+
+
+def clamp_grid(clamp: LayerSpec, n: int) -> QuantParams | None:
+    """A clamp's [0, alpha] grid, its producer's output grid; None while alpha is unset."""
+    return None if clamp.alpha is None else make_master_params(0.0, clamp.alpha, n)
 
 
 def float_layer(layer: LayerSpec, x: np.ndarray,
@@ -188,7 +193,7 @@ def calibrate(model: ModelGraph, batches: list[np.ndarray],
             # ModelGraph puts every clamp right after a policy layer, so each gets its bound here.
             alpha = float(np.percentile(np.concatenate(act_values[i + 1]), ALPHA_PERCENTILE))
             nxt.alpha = alpha if alpha > 0 else DEGENERATE_ABS_EPS
-            layer.output_params = make_master_params(0.0, nxt.alpha, n)
+            layer.output_params = clamp_grid(nxt, n)
         elif layer.kind in POLICY_KINDS:
             lo, hi, f = _widened(states[i].y_min, states[i].y_max, i in padded)
             layer.range_flagged |= f

@@ -182,12 +182,14 @@ def cmd_calibrate(args) -> int:
         raise ShapeMismatchError(
             f"data samples shaped {data.shape[1:]}, model expects {model.input_shape}")
     batches = [data[i:i + args.batch_size] for i in range(0, len(data), args.batch_size)]
+    provenance = {"command": f"calibrate --momentum {args.momentum} "
+                             f"--batch-size {args.batch_size}",
+                  "from": blobio.read_provenance(Path(args.model))}
     calibrate(model, batches, momentum=args.momentum)
     # --model names the model directory or its manifest; write back to that directory.
     model_dir = Path(args.model) if Path(args.model).is_dir() else Path(args.model).parent
     out = Path(args.out) if args.out else model_dir
-    path = blobio.save_model(model, out, provenance={
-        "command": f"calibrate --momentum {args.momentum}"})
+    path = blobio.save_model(model, out, provenance=provenance)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -25,6 +25,7 @@ class ControllerSpec:
 
     ``feature_dim`` is the pooled input length: the flattened input is averaged
     into that many equal segments (global average pooling when feature_dim=1).
+    Refuses (ValueError) a ``feature_dim`` below 1 and an empty candidate set.
     """
 
     num_layers: int
@@ -40,6 +41,9 @@ class ControllerSpec:
 
     def __post_init__(self):
         self.candidates = tuple(sorted(self.candidates))
+        if self.feature_dim < 1 or not self.candidates:
+            raise ValueError(f"controller needs feature_dim >= 1 and a candidate, "
+                             f"got {self.feature_dim} and {self.candidates}")
         if self.source == "seeded-random" and self.w1 is None:
             rng = np.random.default_rng(self.seed)
             k = len(self.candidates)

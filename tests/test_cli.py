@@ -153,14 +153,19 @@ class TestManifest:
                     assert qa.params == qb.params
                     assert np.array_equal(qa.data, qb.data)
 
-    def test_quantized_blobs_int64_on_disk_narrow_in_memory(self, tmp_path, mlp):
-        blobio.save_model(mlp, tmp_path / "m")
-        on_disk = read_blob(tmp_path / "m" / "blobs" / "layer0_weight_q.nqtb")
-        assert on_disk.dtype == np.int64
-        assert mlp.layers[0].weight_q.data.dtype == np.uint8
-        loaded = blobio.load_model(tmp_path / "m")
-        assert loaded.layers[0].weight_q.data.dtype == np.uint8
-        assert np.array_equal(loaded.layers[0].weight_q.data, on_disk)
+    @pytest.mark.parametrize("n, dtype", [(4, np.uint8), (8, np.uint8), (12, np.uint16),
+                                          (16, np.uint16)])
+    def test_quantized_blobs_at_storage_width_on_disk(self, tmp_path, blob_data, n, dtype):
+        x, _, means = blob_data
+        model = calibrate(build_toy_mlp(seed=7, n=n, means=means), [x[:200]])
+        path = blobio.save_model(model, tmp_path / "m")
+        loaded = blobio.load_model(path)
+        for i, entry in enumerate(json.loads(path.read_text())["layers"]):
+            for attr in ("weight_q", "bias_q"):
+                if attr in entry:
+                    on_disk = read_blob(tmp_path / "m" / entry[attr])
+                    assert on_disk.dtype == dtype == getattr(loaded.layers[i], attr).data.dtype
+                    assert np.array_equal(on_disk, getattr(model.layers[i], attr).data)
 
     @pytest.mark.parametrize("blob", [np.array([[1.5]]), np.array([[256]])],
                              ids=["float", "out_of_range"])
@@ -268,36 +273,44 @@ class TestManifest:
         x = cnn_data[0][:5]
         assert np.array_equal(forward(loaded, x, policy)[0], forward(model, x, policy)[0])
 
-    def test_stale_clamp_grid_refused(self, tmp_path, make_block, cnn_data, capsys):
+    def test_stale_clamp_grid_ignored(self, tmp_path, make_block, cnn_data, capsys):
         # Saved before a clamp became its producer's grid, the residual add
         # (layer 3) before the block's second clamp kept its own range grid.
-        path = blobio.save_model(make_block(8), tmp_path / "m")
+        # A clamp's grid is its alpha's, so that grid is ignored and the ReLU runs.
+        model = make_block(8)
+        path = blobio.save_model(model, tmp_path / "m")
         doc = json.loads(path.read_text())
-        doc["layers"][3]["output_params"]["offset"] = -1.5
+        assert "output_params" not in doc["layers"][3]
+        stale = {**blobio._params_to_json(model.layers[3].output_params), "offset": -1.5}
+        doc["layers"][3]["output_params"] = stale
         path.write_text(json.dumps(doc))
-        with pytest.raises(ManifestError, match="recalibrate"):
-            blobio.load_model(path)
-        write_blob(tmp_path / "x.nqtb", cnn_data[0][:8].astype(np.float32))
-        capsys.readouterr()
+        loaded = blobio.load_model(path)
+        assert loaded.layers[3].output_params == model.layers[3].output_params
+        x = cnn_data[0][:8]
+        policy = BitPolicy((8, 4, 4, 8))
+        (want, want_trace), (got, got_trace) = forward(model, x, policy), forward(loaded, x, policy)
+        assert np.array_equal(got, want) and got_trace == want_trace
+        write_blob(tmp_path / "x.nqtb", x.astype(np.float32))
         assert main(["infer", "--model", str(tmp_path / "m"),
                      "--input", str(tmp_path / "x.nqtb"),
-                     "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
-        assert "recalibrate" in capsys.readouterr().err
-        # nestq calibrate replaces every grid, so it reads the stale file.
-        assert main(["calibrate", "--model", str(tmp_path / "m"),
-                     "--data", str(tmp_path / "x.nqtb")]) == EXIT_OK
-        assert blobio.load_model(path).is_calibrated
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_OK
 
-    def test_calibrated_clamp_without_alpha_refused(self, tmp_path, mlp):
-        # Without alpha the clamp has no [0, alpha] grid for fc1's output grid
-        # to equal, so the integer path would skip its ReLU.
+    def test_calibrated_clamp_without_alpha_loads_uncalibrated(self, tmp_path, mlp, capsys):
+        # Without alpha the clamp has no [0, alpha] grid, so fc1 has no output grid.
         path = blobio.save_model(mlp, tmp_path / "m")
         doc = json.loads(path.read_text())
         assert doc["layers"][1]["kind"] == "relu_pact"
         doc["layers"][1]["alpha"] = None
         path.write_text(json.dumps(doc))
-        with pytest.raises(ManifestError, match="clamp 'act1'.*recalibrate"):
-            blobio.load_model(path)
+        loaded = blobio.load_model(path)
+        assert loaded.layers[0].output_params is None and not loaded.is_calibrated
+        write_blob(tmp_path / "x.nqtb", np.ones((2, *mlp.input_shape), dtype=np.float32))
+        capsys.readouterr()
+        assert main(["infer", "--model", str(tmp_path / "m"),
+                     "--input", str(tmp_path / "x.nqtb"),
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+        assert "no calibrated grids" in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
 
     def test_padding_off_its_conv_input_grid_refused(self, tmp_path, capsys):
         # A grid from before calibrate held 0.0 for padded convs: the first
@@ -353,6 +366,28 @@ class TestManifest:
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ManifestError):
             blobio.load_controller(path)
+
+    @pytest.mark.parametrize("key, value", [("feature_dim", 0), ("candidates", [])],
+                             ids=["feature_dim-0", "no-candidates"])
+    def test_unusable_controller_refused(self, workspace, tmp_path, capsys, key, value):
+        spec = ControllerSpec(num_layers=3, candidates=(4, 8), seed=1)
+        path = blobio.save_controller(spec, tmp_path / "c")
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        # every blob in the shape the edited file implies, so only the value is bad
+        shapes = {"w1": (spec.hidden, 0)} if key == "feature_dim" else \
+            {"w2": (0, spec.hidden), "b2": (0,)}
+        for name, shape in shapes.items():
+            write_blob(tmp_path / "c" / f"{name}.nqtb", np.zeros(shape))
+        with pytest.raises(ManifestError, match="feature_dim >= 1 and a candidate"):
+            blobio.load_controller(path)
+        capsys.readouterr()
+        assert main(["infer", "--model", str(workspace / "model"),
+                     "--input", str(workspace / "data/x.nqtb"),
+                     "--policy", f"controller-file:{tmp_path / 'c'}",
+                     "--out", str(tmp_path / "o.txt")]) == EXIT_MANIFEST
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "o.txt").exists()
 
     def test_loaded_controller_weights_are_writable_float64(self, tmp_path):
         blobio.save_controller(ControllerSpec(num_layers=3, candidates=(4, 6), seed=1),
@@ -454,9 +489,9 @@ class TestManifest:
         manifest = json.loads(path.read_text())
         if edit == "manifest-n":
             manifest["quantization"]["master_bitwidth"] = 8
-        elif edit == "derived-output-grid":
-            grid = derive_params(model.layers[2].output_params, 8)
-            manifest["layers"][2]["output_params"] = blobio._params_to_json(grid)
+        elif edit == "derived-output-grid":  # the head's; a clamp's producer stores none
+            grid = derive_params(model.layers[4].output_params, 8)
+            manifest["layers"][4]["output_params"] = blobio._params_to_json(grid)
         path.write_text(json.dumps(manifest))
         with pytest.raises(ManifestError, match="is not a master grid at the model's n="):
             blobio.load_model(path)
@@ -662,6 +697,21 @@ class TestCommands:
         assert main(["calibrate", "--model", str(model_dir / "manifest.json"),
                      "--data", str(workspace / "data/x.nqtb")]) == EXIT_OK
         assert blobio.load_model(model_dir).is_calibrated
+
+    def test_calibrate_records_batch_size_and_keeps_quantize_provenance(self, workspace, tmp_path):
+        # --batch-size moves every output grid taken from an EMA range.
+        assert main(["quantize", "--arch", "mlp", "--seed", "7",
+                     "--out", str(tmp_path / "q")]) == EXIT_OK
+        provenance = []
+        for size in (16, 64):
+            assert main(["calibrate", "--model", str(tmp_path / "q"), "--batch-size", str(size),
+                         "--data", str(workspace / "data/x.nqtb"),
+                         "--out", str(tmp_path / str(size))]) == EXIT_OK
+            provenance.append(json.loads((tmp_path / f"{size}/manifest.json").read_text())
+                              ["provenance"])
+        assert provenance[0] != provenance[1]
+        assert [p["command"].split("--batch-size ")[1] for p in provenance] == ["16", "64"]
+        assert all(p["from"]["seed"] == 7 for p in provenance)
 
     def test_verify_default_checks_fitted_precision(self, tmp_path):
         assert main(["verify", "--suite", "dot", "--samples", "500",
@@ -1378,7 +1428,8 @@ class TestEachGridStoredOnce:
         # fc2's input is fc1's zero-offset grid; a copy at offset -3 would
         # charge it the general MAC loop and move the oracle.
         def edit(layers):
-            layers[2]["input_params"] = {**layers[0]["output_params"], "offset": -3.0}
+            layers[2]["input_params"] = {**blobio._params_to_json(mlp.output_grid(1)),
+                                         "offset": -3.0}
         self.check_edit_ignored(
             mlp, blobio.save_model(mlp, tmp_path / "m"), edit, blob_data[0][:20],
             [BitPolicy.uniform(8, 3), BitPolicy((8, 4, 6))])
@@ -1398,11 +1449,59 @@ class TestEachGridStoredOnce:
         from nestq.layers import POLICY_KINDS
         for k, model in enumerate((mlp, cnn, make_block(8), residual_cnn()[0])):
             doc = json.loads(blobio.save_model(model, tmp_path / str(k)).read_text())
-            for entry in doc["layers"]:
+            kinds = [entry["kind"] for entry in doc["layers"]]
+            for entry, nxt in zip(doc["layers"], kinds[1:] + [None]):
                 assert "input_params" not in entry
-                assert ("output_params" in entry) == (entry["kind"] in POLICY_KINDS)
+                # a clamp's producer is on the clamp's grid, stored as its alpha
+                assert ("output_params" in entry) == (
+                    entry["kind"] in POLICY_KINDS and nxt != "relu_pact")
                 for attr in ("weight", "bias"):
                     assert (attr + "_params" in entry) == (attr + "_q" in entry)
+
+    @pytest.mark.parametrize("arch", ["mlp", "cnn", "block"])
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_earlier_format_loads_as_the_fresh_save(self, tmp_path, blob_data, cnn_data,
+                                                    make_block, arch, n):
+        # As earlier versions wrote a model: int64 quantized blobs, each clamp's
+        # producer with the clamp's grid stored, and a stale range grid on the
+        # residual add before the block's second clamp.
+        from nestq.models import build_toy_cnn
+        if arch == "block":
+            model, x = make_block(n), cnn_data[0][:20]
+        elif arch == "cnn":
+            model, x = calibrate(build_toy_cnn(seed=11, n=n), [cnn_data[0]]), cnn_data[0][:20]
+        else:
+            x = blob_data[0][:200]
+            model = calibrate(build_toy_mlp(seed=7, n=n, means=blob_data[2]), [x])
+        fresh = blobio.load_model(blobio.save_model(model, tmp_path / "fresh"))
+        path = blobio.save_model(model, tmp_path / "old")
+        doc = json.loads(path.read_text())
+        for i, (entry, layer) in enumerate(zip(doc["layers"], model.layers)):
+            for ref in (entry.get("weight_q"), entry.get("bias_q")):
+                if ref is not None:
+                    write_blob(path.parent / ref, read_blob(path.parent / ref).astype(np.int64))
+            if layer.kind == "relu_pact":
+                grid = blobio._params_to_json(model.layers[i - 1].output_params)
+                if model.layers[i - 1].kind == "residual_add":
+                    grid["offset"] = -1.5
+                doc["layers"][i - 1]["output_params"] = grid
+        path.write_text(json.dumps(doc))
+        old = blobio.load_model(path)
+        assert old.input_params == fresh.input_params == model.input_params
+        for a, b, want in zip(old.layers, fresh.layers, model.layers):
+            assert a.output_params == b.output_params == want.output_params
+            for attr in ("weight_q", "bias_q"):
+                ta, tb = getattr(a, attr), getattr(b, attr)
+                assert (ta is None) == (tb is None) == (getattr(want, attr) is None)
+                if tb is not None:
+                    assert ta.params == tb.params and ta.data.dtype == tb.data.dtype
+                    assert np.array_equal(ta.data, tb.data)
+        size = model.num_policy_layers
+        for policy in (BitPolicy.uniform(n, size),
+                       BitPolicy(tuple(max(2, n // 2) if k % 2 else n for k in range(size)))):
+            (want, want_trace), (got, got_trace) = forward(fresh, x, policy), \
+                forward(old, x, policy)
+            assert np.array_equal(got, want) and got_trace == want_trace
 
     def test_legacy_grid_copies_ignored(self, tmp_path, mlp, make_block, blob_data, cnn_data):
         from nestq.layers import POLICY_KINDS

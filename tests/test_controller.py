@@ -38,6 +38,13 @@ class TestControllerForward:
         x = np.arange(16.0)
         assert np.array_equal(controller_forward(a, x), controller_forward(b, x))
 
+    @pytest.mark.parametrize("kwargs", [{"feature_dim": 0}, {"feature_dim": -2},
+                                        {"candidates": ()}],
+                             ids=["feature_dim-0", "feature_dim-negative", "no-candidates"])
+    def test_unusable_spec_refused(self, kwargs):
+        with pytest.raises(ValueError, match="feature_dim >= 1 and a candidate"):
+            ControllerSpec(**{"num_layers": 3, "candidates": (4, 8), "seed": 0, **kwargs})
+
     def test_input_too_small_rejected(self):
         spec = ControllerSpec(num_layers=1, candidates=(4, 8), feature_dim=16, seed=0)
         with pytest.raises(ValueError):

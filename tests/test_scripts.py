@@ -138,5 +138,8 @@ def test_ab_bench_smoke_on_two_copies(tmp_path):
     assert w["src_sha256"]["parent"] == w["src_sha256"]["change"]
     assert w["src_lines"]["parent"] == w["src_lines"]["change"] > 0
     assert 0 < w["code_lines"]["parent"] == w["code_lines"]["change"] < w["src_lines"]["parent"]
+    for side in ("parent", "change"):
+        by_module = w["code_lines_by_module"][side]
+        assert "blobio" in by_module and sum(by_module.values()) == w["code_lines"][side]
     assert w["correct"] == {"parent": True, "change": True}
     assert w["failed"] == {"parent": 0, "change": 0}
